@@ -59,6 +59,7 @@ from .readout import (
     SimilarityReport,
     approx_cluster_readout,
     direct_similarity,
+    direct_similarities,
     householder_similarity,
     rank_indicators,
     register_similarity,

@@ -185,8 +185,14 @@ def projector_target(H, y, zero_tol: float | None = None) -> tuple[np.ndarray, f
     Returns the normalized projection and its pre-normalization norm (the
     ground-truth success amplitude).  Raises if the projection vanishes.
     """
-    y = numerics.as_vector(y)
     _, V = nonzero_eigenvectors(H, zero_tol)
+    return span_projection(V, y)
+
+
+def span_projection(V, y) -> tuple[np.ndarray, float]:
+    """Normalized projection of y onto the span of the orthonormal columns V,
+    and its pre-normalization norm; raises if the projection vanishes."""
+    y = numerics.as_vector(y)
     if V.shape[1] == 0:
         raise DegenerateTargetError("operator has no nonzero eigenvalues")
     proj = V @ (V.conj().T @ y)

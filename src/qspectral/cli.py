@@ -69,6 +69,20 @@ def select_k(cfg: ExperimentConfig, eigenvalues) -> int:
     return classical.eigengap_select(eigenvalues, cfg.k_max)
 
 
+def _spectral_assignment(cfg: ExperimentConfig, points):
+    """Laplacian eigenvectors, cluster count and classical spectral clustering
+    of the points, for the configured graph and Laplacian variant."""
+    g = build_graph(cfg, points)
+    L = (
+        graphmod.normalized_laplacian(g)
+        if cfg.variant in ("normalized", "row_normalized")
+        else graphmod.laplacian(g)
+    )
+    w, V = numerics.hermitian_eig(L)
+    k = select_k(cfg, w)
+    return V, k, classical.spectral_cluster(g, k, cfg.variant, init=cfg.seed)
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -95,15 +109,7 @@ def cmd_graph(cfg: ExperimentConfig) -> list[Path]:
 def cmd_cluster_classical(cfg: ExperimentConfig) -> list[Path]:
     out = Path(cfg.out_dir)
     points, _ = build_points(cfg)
-    g = build_graph(cfg, points)
-    L = (
-        graphmod.normalized_laplacian(g)
-        if cfg.variant in ("normalized", "row_normalized")
-        else graphmod.laplacian(g)
-    )
-    w, V = numerics.hermitian_eig(L)
-    k = select_k(cfg, w)
-    assignment = classical.spectral_cluster(g, k, cfg.variant, init=cfg.seed)
+    V, k, assignment = _spectral_assignment(cfg, points)
     # clustering objective of the emitted labels on the input points
     centroids = np.vstack([points[assignment.labels == c].mean(axis=0) for c in range(k)])
     objective = float(np.sum((points - centroids[assignment.labels]) ** 2))
@@ -149,29 +155,13 @@ def cmd_amplify_trace(cfg: ExperimentConfig) -> list[Path]:
     return paths
 
 
-def _best_ranked_containing(ranked, by_name, point: int) -> str | None:
-    for report in sorted(ranked, key=lambda r: r.rank):
-        if point in by_name[report.y_id].members:
-            return report.y_id
-    return None
-
-
 def cmd_cluster_quantum(cfg: ExperimentConfig) -> list[Path]:
     out = Path(cfg.out_dir)
     if cfg.target == "matrix":
         raise ValueError("cluster-quantum requires a point dataset target (gram or laplacian)")
     H, points, _ = build_operator(cfg)
     n_points = points.shape[0]
-
-    g = build_graph(cfg, points)
-    L = (
-        graphmod.normalized_laplacian(g)
-        if cfg.variant in ("normalized", "row_normalized")
-        else graphmod.laplacian(g)
-    )
-    w, _ = numerics.hermitian_eig(L)
-    k = select_k(cfg, w)
-    assignment = classical.spectral_cluster(g, k, cfg.variant, init=cfg.seed)
+    _, k, assignment = _spectral_assignment(cfg, points)
 
     if cfg.candidates == "auto":
         true_inds = classical.indicators_from_labels(assignment.labels, k)
@@ -191,34 +181,22 @@ def cmd_cluster_quantum(cfg: ExperimentConfig) -> list[Path]:
         H, candidates, pea_cfg, max_iter=max(cfg.amplify.max_iter, 1),
         stop_tol=cfg.amplify.stop_tol if cfg.amplify.stop_tol is not None else 0.05,
     )
-    direct = sorted(
-        (
-            readout.SimilarityReport(c.name, readout.direct_similarity(H, c.vector()), "direct")
-            for c in candidates
-        ),
-        key=lambda r: -r.similarity,
-    )
-    direct = [
-        readout.SimilarityReport(r.y_id, r.similarity, r.method, i + 1)
-        for i, r in enumerate(direct)
-    ]
+    oracle = readout.direct_similarities(H, [c.vector() for c in candidates])
+    order = sorted(range(len(candidates)), key=lambda i: -oracle[i])
+    direct = [readout.SimilarityReport(candidates[i].name, oracle[i], "direct", rank + 1)
+              for rank, i in enumerate(order)]
 
-    # best-ranked containing candidate per point
+    # best-ranked containing candidate per point: ranked[labels_q[p]], -1 for none
     by_name = {c.name: c for c in candidates}
     labels_q = np.full(n_points, -1, dtype=int)
-    for report in sorted(ranked, key=lambda r: r.rank):
-        members = by_name[report.y_id].members
-        for p in members:
+    for report in ranked:
+        for p in by_name[report.y_id].members:
             if labels_q[p] < 0:
                 labels_q[p] = report.rank - 1
     agreement = 0.0
     if cfg.candidates == "auto":
-        true_names = [ind.name for ind in true_inds]
-        hits = sum(
-            1
-            for p in range(n_points)
-            if _best_ranked_containing(ranked, by_name, p) == true_names[assignment.labels[p]]
-        )
+        true_names = [true_inds[c].name for c in assignment.labels]
+        hits = sum(i >= 0 and ranked[i].y_id == name for i, name in zip(labels_q, true_names))
         agreement = hits / n_points
 
     data = points - points.mean(axis=0) if cfg.gram_centered else points

@@ -239,24 +239,19 @@ def make_evolution(
     )
 
 
-def _controlled_power_raw(mat: np.ndarray, evo: EvolutionOperator, j: int, control_qubit: int,
-                          m: int, sign: int = 1) -> np.ndarray:
-    """Apply U^(2^j) (or its inverse) to the rows whose control bit is set.
+def ladder_phase_table(evo: EvolutionOperator, m: int) -> np.ndarray:
+    """Eigenbasis diagonal of the controlled-power ladder on m phase qubits.
 
-    ``mat`` is the (2^m, 2^n) register matrix; ``control_qubit`` indexes phase
-    qubits from the most significant.  The power is taken in the eigenbasis:
-    doubling the phase j times is exact repeated squaring.
+    Entry [p, j] = exp(2 pi i (p phi_j mod 1)) is the phase that U^p puts on
+    eigenvector j; its conjugate gives the inverse ladder.
     """
-    if not 0 <= control_qubit < m:
-        raise ValueError(f"control qubit {control_qubit} outside phase register of {m} qubits")
-    if j < 0:
-        raise ValueError(f"power exponent must be nonnegative, got {j}")
-    phases = sign * evo.eigenphases * float(2**j)
+    return np.exp(2j * np.pi * np.mod(np.arange(2**m)[:, None] * evo.eigenphases, 1.0))
+
+
+def apply_ladder(mat: np.ndarray, evo: EvolutionOperator, table: np.ndarray) -> np.ndarray:
+    """Apply a ladder phase table to a (2^m, 2^n) register array in one eigenbasis pass."""
     V = evo.eigenvectors
-    mask = (np.arange(mat.shape[0]) >> (m - 1 - control_qubit)) & 1 == 1
-    out = mat.copy()
-    out[mask] = ((mat[mask] @ V.conj()) * np.exp(2j * np.pi * phases)) @ V.T
-    return out
+    return ((mat @ V.conj()) * table) @ V.T
 
 
 def controlled_power_apply(evo: EvolutionOperator, j: int, state: RegisterState,
@@ -264,8 +259,16 @@ def controlled_power_apply(evo: EvolutionOperator, j: int, state: RegisterState,
     """Apply controlled-U^(2^j) to the system register of a two-register state."""
     if 2**state.n != evo.dim:
         raise ValueError(f"system register of {state.n} qubits does not match dim {evo.dim}")
-    mat = _controlled_power_raw(state.as_matrix().copy(), evo, j, control_qubit, state.m)
-    return RegisterState(mat.reshape(-1), state.m, state.n)
+    m = state.m
+    if not 0 <= control_qubit < m:
+        raise ValueError(f"control qubit {control_qubit} outside phase register of {m} qubits")
+    if j < 0:
+        raise ValueError(f"power exponent must be nonnegative, got {j}")
+    V = evo.eigenvectors
+    mat = state.as_matrix().copy()
+    mask = (np.arange(2**m) >> (m - 1 - control_qubit)) & 1 == 1
+    mat[mask] = ((mat[mask] @ V.conj()) * np.exp(2j * np.pi * evo.eigenphases * float(2**j))) @ V.T
+    return RegisterState(mat.reshape(-1), m, state.n)
 
 
 def gate_count_estimate(L: int, N: int, m: int, simple_unitaries: bool = False) -> int:

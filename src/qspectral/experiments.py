@@ -7,8 +7,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .datasets import random_psd_matrix, random_range_input
 from .encoding import EvolutionOperator, make_evolution
 from .qpea import PeaConfig, Trajectory, amplify

@@ -99,6 +99,17 @@ def proj_reflection(u, tol: float = VEC_TOL) -> np.ndarray:
     return np.eye(u.size, dtype=complex) - 2.0 * np.outer(u, u.conj())
 
 
+def householder_axis(y) -> tuple[np.ndarray | None, complex]:
+    """Axis w = (y - c e0)/||y - c e0|| with c = exp(i arg y0) (1 when y0 = 0),
+    so that (I - 2|w><w|) y = c e0 for unit y; w is None when y = c e0."""
+    y = as_vector(y)
+    phase = np.exp(1j * np.angle(y[0])) if abs(y[0]) > 1e-14 else 1.0
+    w = y.copy()
+    w[0] -= phase
+    wnorm = np.linalg.norm(w)
+    return (None if wnorm < 1e-14 else w / wnorm), phase
+
+
 def fidelity(a, b) -> float:
     """Squared overlap |<a|b>|^2 of two normalized pure states."""
     a, b = as_vector(a), as_vector(b)

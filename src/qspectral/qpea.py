@@ -9,7 +9,12 @@ iterations.  Amplification applies the iterate
 
 verbatim; since the estimation circuit is not self-inverse, a
 ``standard_grover`` switch replaces the inner (first-acting) application with
-its adjoint, which restores the textbook two-plane rotation.
+its adjoint, which restores the textbook two-plane rotation.  With
+a = U_pea |0,0> and P_f2 = |f2><f2| (x) I that iterate is
+
+    Q = (I - 2|a><a|) (I - 2 P_f2)
+
+and is applied as these two rank-one reflections.
 """
 
 from __future__ import annotations
@@ -19,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .classical import projector_target
-from .encoding import EvolutionOperator, _controlled_power_raw
-from .registers import RegisterState
+from .classical import span_projection
+from .encoding import EvolutionOperator, apply_ladder, ladder_phase_table
+from .registers import NORM_TOL, RegisterState, phase_distribution, system_distribution
 
 
 # ---------------------------------------------------------------------------
@@ -94,19 +99,11 @@ def prepare_unitary(y) -> np.ndarray:
     y = numerics.as_vector(y)
     if not numerics.is_normalized(y, 1e-10):
         raise ValueError("input state must be unit norm")
-    N = y.size
-    e0 = np.zeros(N, dtype=complex)
-    e0[0] = 1.0
-    phase = np.exp(1j * np.angle(y[0])) if abs(y[0]) > 1e-14 else 1.0
-    w = y - phase * e0
-    wnorm = np.linalg.norm(w)
-    if wnorm < 1e-14:
-        R = np.eye(N, dtype=complex)
-    else:
-        w = w / wnorm
-        R = np.eye(N, dtype=complex) - 2.0 * np.outer(w, w.conj())
+    w, phase = numerics.householder_axis(y)
+    R = np.eye(y.size, dtype=complex)
+    if w is not None:
+        R -= 2.0 * np.outer(w, w.conj())
     if phase != 1.0:
-        R = R.copy()
         R[:, 0] *= phase
     return R
 
@@ -134,15 +131,36 @@ class PeaConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
+# Array observables, shared by the RegisterState functions and the amplification loop.
+
+
+def _norm_sq(v: np.ndarray) -> float:
+    return float(np.vdot(v, v).real)
+
+
+def _marked_probability(mat: np.ndarray, f2: np.ndarray) -> float:
+    return _norm_sq(f2.conj() @ mat)
+
+
+def _zero_bits(bits: int) -> np.ndarray:
+    """(2^bits, bits) table, 1 where msb-first bit q of the row index is 0."""
+    return ((np.arange(2**bits)[:, None] >> np.arange(bits)[::-1]) & 1 == 0).astype(float)
+
+
+def _qubit_p0(mat: np.ndarray, m: int, q: int) -> float:
+    """P0 of qubit q: phase qubits read the phase distribution, system qubits the system one."""
+    dist, q = (phase_distribution(mat), q) if q < m else (system_distribution(mat), q - m)
+    return float(dist @ _zero_bits(dist.size.bit_length() - 1)[:, q])
+
+
 def success_probability(state: RegisterState) -> float:
     """Probability of measuring the phase register outside |0...0>."""
-    return float(1.0 - state.phase_distribution()[0])
+    return float(1.0 - phase_distribution(state.as_matrix())[0])
 
 
 def marked_projection_probability(state: RegisterState) -> float:
     """Squared amplitude along the uniform nonzero-phase vector."""
-    f2 = marking_vector(state.m)
-    return float(np.sum(np.abs(f2.conj() @ state.as_matrix()) ** 2))
+    return _marked_probability(state.as_matrix(), marking_vector(state.m))
 
 
 def qubit_marginal(state: RegisterState, q: int) -> tuple[float, float]:
@@ -150,11 +168,8 @@ def qubit_marginal(state: RegisterState, q: int) -> tuple[float, float]:
     nq = state.m + state.n
     if not 0 <= q < nq:
         raise ValueError(f"qubit index {q} outside register of {nq} qubits")
-    probs = np.abs(state.amplitudes) ** 2
-    probs = probs.reshape([2] * nq)
-    p0 = float(np.sum(np.take(probs, 0, axis=q)))
-    p1 = float(np.sum(np.take(probs, 1, axis=q)))
-    return p0, p1
+    p0 = _qubit_p0(state.as_matrix(), state.m, q)
+    return p0, float(np.sum(np.abs(state.amplitudes) ** 2) - p0)
 
 
 def stagnation_kappa(m: int, p0: float = 0.5) -> float:
@@ -173,6 +188,14 @@ def stagnation_kappa(m: int, p0: float = 0.5) -> float:
 # the estimation pipeline
 
 
+def _phase_gates(cfg: PeaConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Phase-register unitaries applied before and after the ladder."""
+    if cfg.mode == "qft":
+        return hadamard_wall(cfg.m), qft_matrix(cfg.m).conj().T
+    first = bias_reflection(cfg.m, cfg.kappa)
+    return first, first.conj().T  # the reflection is self-adjoint
+
+
 class _Pipeline:
     """Matrix-free appliers for the estimation unitary on (2^m, 2^n) arrays."""
 
@@ -185,46 +208,24 @@ class _Pipeline:
         y = numerics.as_vector(y)
         if y.size != evo.dim:
             raise ValueError(f"input dim {y.size} does not match operator dim {evo.dim}")
-        self.y = y
         self.W = prepare_unitary(y)
-        if cfg.mode == "qft":
-            self.first = hadamard_wall(self.m)
-            self.last = qft_matrix(self.m).conj().T
-        else:
-            self.first = bias_reflection(self.m, cfg.kappa)
-            self.last = self.first.conj().T  # the reflection is self-adjoint
+        self.first, self.last = _phase_gates(cfg)
         self.f2 = marking_vector(self.m)
-
-    def _ladder(self, mat: np.ndarray, sign: int) -> np.ndarray:
-        for q in range(self.m):
-            mat = _controlled_power_raw(mat, self.evo, self.m - 1 - q, q, self.m, sign)
-        return mat
+        self.table = ladder_phase_table(evo, self.m)
 
     def forward(self, mat: np.ndarray) -> np.ndarray:
         mat = mat @ self.W.T
         mat = self.first @ mat
-        mat = self._ladder(mat, +1)
+        mat = apply_ladder(mat, self.evo, self.table)
         return self.last @ mat
 
-    def adjoint(self, mat: np.ndarray) -> np.ndarray:
-        mat = self.last.conj().T @ mat
-        mat = self._ladder(mat, -1)
-        mat = self.first.conj().T @ mat
-        return mat @ self.W.conj()
-
-    def mark(self, mat: np.ndarray) -> np.ndarray:
-        r = self.f2.conj() @ mat
-        return mat - 2.0 * np.outer(self.f2, r)
-
-    def zero_flip(self, mat: np.ndarray) -> np.ndarray:
-        out = mat.copy()
-        out[0, 0] = -out[0, 0]
-        return out
-
-    def iterate(self, mat: np.ndarray) -> np.ndarray:
-        mat = self.mark(mat)
-        mat = self.adjoint(mat) if self.cfg.standard_grover else self.forward(mat)
-        mat = self.zero_flip(mat)
+    def iterate(self, mat: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """One iterate Q; ``a`` is the initial state, U_pea |0,0>."""
+        mat = mat - self.f2[:, None] * (2.0 * (self.f2.conj() @ mat))  # R_mark
+        if self.cfg.standard_grover:  # U_pea R_zero U_pea^dag = I - 2|a><a|
+            return mat - 2.0 * np.vdot(a, mat) * a
+        mat = self.forward(mat)
+        mat[0, 0] = -mat[0, 0]  # R_zero
         return self.forward(mat)
 
     def initial(self) -> np.ndarray:
@@ -308,52 +309,51 @@ def amplify(
 
     Applies the iterate Q up to ``max_iter`` times, recording success
     probability, marked-vector projection, fidelity against the normalized
-    projection of y onto the nonzero eigenspace, and the first phase qubit's
-    marginal.  When ``stop_tol`` is set, iteration stops once the designated
-    phase qubit is within ``stop_tol`` of the equal-superposition marginal.
-    Raises before iterating if y has no component in the nonzero eigenspace.
+    projection of y onto the nonzero eigenspace, and every phase qubit's
+    marginal.  When ``stop_tol`` is set, iteration stops once qubit
+    ``stop_qubit`` (msb-first over phase then system qubits) is within
+    ``stop_tol`` of the equal-superposition marginal.  Raises before iterating
+    if y has no component in the nonzero eigenspace.
     """
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
-    target, _ = projector_target(evo.hamiltonian, y, evo.zero_tol)
-    pipe = _Pipeline(cfg, evo, y)
     m = cfg.m
+    nq = m + evo.n_qubits
+    if not 0 <= stop_qubit < nq:
+        raise ValueError(f"stop qubit {stop_qubit} outside register of {nq} qubits")
+    target_conj = span_projection(evo.eigenvectors[:, evo.nonzero_mask()], y)[0].conj()
+    pipe = _Pipeline(cfg, evo, y)
+    rows = []  # per iterate: success, marked, fidelity, P0 per phase qubit
+    zero_bits = _zero_bits(m)
 
-    rows: list[tuple] = []
+    def record(t: int, mat: np.ndarray):
+        pd = phase_distribution(mat)
+        norm = np.sqrt(pd.sum())
+        if abs(norm - 1.0) > NORM_TOL:
+            raise ValueError(f"state norm {norm:.12g} is not 1 at iteration {t}")
+        rows.append([1.0 - pd[0], _marked_probability(mat, pipe.f2), _norm_sq(mat @ target_conj),
+                     *(pd @ zero_bits)])
 
-    def record(mat: np.ndarray):
-        state = pipe.to_state(mat)
-        marginals = [qubit_marginal(state, q)[0] for q in range(m)]
-        rows.append(
-            (
-                success_probability(state),
-                marked_projection_probability(state),
-                float(np.sum(np.abs(mat @ target.conj()) ** 2)),
-                marginals[0],
-                marginals,
-            )
-        )
-
-    mat = pipe.initial()
-    record(mat)
+    a = mat = pipe.initial()
+    record(0, mat)
     stopped_at = None
     for t in range(1, max_iter + 1):
-        mat = pipe.iterate(mat)
-        record(mat)
+        mat = pipe.iterate(mat, a)
+        record(t, mat)
         if stop_tol is not None:
-            p0 = rows[-1][3] if stop_qubit == 0 else qubit_marginal(pipe.to_state(mat), stop_qubit)[0]
+            p0 = rows[-1][3 + stop_qubit] if stop_qubit < m else _qubit_p0(mat, m, stop_qubit)
             if abs(p0 - 0.5) <= stop_tol:
                 stopped_at = t
                 break
 
-    arr = lambda i: np.array([r[i] for r in rows])
+    rows = np.array(rows).T
     traj = Trajectory(
-        iterations=np.arange(len(rows)),
-        success_prob=arr(0),
-        marked_prob=arr(1),
-        fidelity=arr(2),
-        qubit0_p0=arr(3),
-        phase_marginals=np.array([r[4] for r in rows]),
+        iterations=np.arange(rows.shape[1]),
+        success_prob=rows[0],
+        marked_prob=rows[1],
+        fidelity=rows[2],
+        qubit0_p0=rows[3].copy(),
+        phase_marginals=rows[3:].T,
         stopped_at=stopped_at,
         mode=cfg.mode,
         kappa=cfg.kappa,
@@ -380,11 +380,7 @@ def bpea_matrix(cfg: PeaConfig, evo: EvolutionOperator, y) -> np.ndarray:
     """Dense estimation unitary, input preparation included."""
     n = evo.n_qubits
     W = prepare_unitary(numerics.as_vector(y))
-    if cfg.mode == "qft":
-        first, last = hadamard_wall(cfg.m), qft_matrix(cfg.m).conj().T
-    else:
-        first = bias_reflection(cfg.m, cfg.kappa)
-        last = first.conj().T
+    first, last = _phase_gates(cfg)
     eye_n = np.eye(2**n, dtype=complex)
     A = np.kron(first, eye_n) @ np.kron(np.eye(2**cfg.m, dtype=complex), W)
     A = ladder_matrix(evo, cfg.m) @ A

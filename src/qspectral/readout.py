@@ -51,16 +51,8 @@ def householder_similarity(psi, y, verbatim_reflection: bool = False) -> float:
     if verbatim_reflection:
         reflected = psi - 2.0 * np.vdot(y, psi) * y
         return float(min(1.0, abs(reflected[0]) ** 2))
-    e0 = np.zeros(y.size, dtype=complex)
-    e0[0] = 1.0
-    phase = np.exp(1j * np.angle(y[0])) if abs(y[0]) > 1e-14 else 1.0
-    w = y - phase * e0
-    wnorm = np.linalg.norm(w)
-    if wnorm < 1e-14:
-        reflected = psi
-    else:
-        w = w / wnorm
-        reflected = psi - 2.0 * np.vdot(w, psi) * w
+    w, _ = numerics.householder_axis(y)
+    reflected = psi if w is None else psi - 2.0 * np.vdot(w, psi) * w
     return float(min(1.0, abs(reflected[0]) ** 2))
 
 
@@ -80,9 +72,14 @@ def register_similarity(state: RegisterState, y) -> float:
 
 def direct_similarity(H, y, zero_tol: float | None = None) -> float:
     """Classical oracle <y| V V^dag |y> over the nonzero eigenspace of H."""
-    y = numerics.as_vector(y)
+    return direct_similarities(H, [y], zero_tol)[0]
+
+
+def direct_similarities(H, ys: Sequence, zero_tol: float | None = None) -> list[float]:
+    """:func:`direct_similarity` of each candidate, over one eigendecomposition of H."""
     _, V = nonzero_eigenvectors(H, zero_tol)
-    return float(min(1.0, np.linalg.norm(V.conj().T @ y) ** 2))
+    Vh = V.conj().T
+    return [float(min(1.0, np.linalg.norm(Vh @ numerics.as_vector(y)) ** 2)) for y in ys]
 
 
 def x_sum_exponential(n: int) -> np.ndarray:

@@ -15,6 +15,16 @@ import numpy as np
 NORM_TOL = 1e-10
 
 
+def phase_distribution(mat: np.ndarray) -> np.ndarray:
+    """Probability of each phase-register basis state of a (2^m, 2^n) array."""
+    return np.sum(np.abs(mat) ** 2, axis=1)
+
+
+def system_distribution(mat: np.ndarray) -> np.ndarray:
+    """Probability of each system-register basis state of a (2^m, 2^n) array."""
+    return np.sum(np.abs(mat) ** 2, axis=0)
+
+
 @dataclass(frozen=True)
 class RegisterState:
     amplitudes: np.ndarray
@@ -43,13 +53,11 @@ class RegisterState:
 
     def phase_distribution(self) -> np.ndarray:
         """Probability of each phase-register basis state."""
-        mat = self.as_matrix()
-        return np.sum(np.abs(mat) ** 2, axis=1)
+        return phase_distribution(self.as_matrix())
 
     def system_distribution(self) -> np.ndarray:
         """Probability of each system-register basis state."""
-        mat = self.as_matrix()
-        return np.sum(np.abs(mat) ** 2, axis=0)
+        return system_distribution(self.as_matrix())
 
     def reduced_system_density(self) -> np.ndarray:
         """Reduced density matrix of the system register."""

@@ -188,6 +188,19 @@ class TestCmdClusterQuantum:
         assert "agreement_rate: 1" in comparison or "agreement_rate: 1.0" in comparison
         assert "gate_count_estimate:" in comparison
 
+    def test_explicit_candidates_label_by_best_rank(self, tmp_path):
+        cfg_path = write_config(tmp_path, BLOBS_YAML + "candidates: [[0, 1, 2, 3], [0, 1, 4]]\n")
+        out = tmp_path / "out"
+        assert cli.main(["cluster-quantum", "--config", str(cfg_path), "--out", str(out)]) == 0
+        ranking = csvio.read_ranking(out / "similarity_ranking.csv")
+        rank = {r["y_id"]: r["rank"] for r in ranking if r["method"] == "householder"}
+        labels = csvio.read_labels(out / "labels_quantum.csv")
+        groups = {"ind_0-1-2-3": {0, 1, 2, 3}, "ind_0-1-4": {0, 1, 4}}
+        for p in range(8):
+            containing = [rank[name] for name, members in groups.items() if p in members]
+            assert labels[p] == (min(containing) - 1 if containing else -1)
+        assert "agreement_rate: 0.0" in (out / "comparison.txt").read_text()
+
     def test_matrix_target_rejected(self, tmp_path):
         out = tmp_path / "out"
         assert cli.main(["cluster-quantum", "--out", str(out)]) == 2

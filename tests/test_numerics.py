@@ -142,3 +142,21 @@ def test_kron_matches_numpy():
 
 def test_eig_convergence_error_is_exposed():
     assert issubclass(ConvergenceError, RuntimeError)
+
+
+class TestHouseholderAxis:
+    @settings(max_examples=30, deadline=None)
+    @given(dim=st.integers(1, 16), seed=st.integers(0, 2**32 - 1), cplx=st.booleans())
+    def test_reflection_maps_y_to_phased_e0(self, dim, seed, cplx):
+        y = random_unit(dim, seed, cplx)
+        w, phase = numerics.householder_axis(y)
+        expected = np.zeros(dim, dtype=complex)
+        expected[0] = phase
+        out = y if w is None else numerics.proj_reflection(w) @ y
+        assert abs(abs(phase) - 1.0) <= 1e-15
+        assert np.max(np.abs(out - expected)) <= 1e-12
+
+    def test_phased_e0_needs_no_reflection(self):
+        w, phase = numerics.householder_axis(np.array([1j, 0.0, 0.0]))
+        assert w is None
+        assert phase == pytest.approx(1j)

@@ -1,9 +1,12 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qspectral import encoding, numerics, qpea
+from qspectral import classical, encoding, numerics, qpea
 from qspectral.datasets import random_psd_matrix, random_range_input
 from qspectral.errors import DegenerateTargetError
 from qspectral.registers import RegisterState
@@ -245,10 +248,71 @@ class TestDenseBuilders:
         dense = qpea.ladder_matrix(evo, m=3)
         rng = np.random.default_rng(11)
         mat = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
-        out = mat.copy()
+        mat /= np.linalg.norm(mat)
+        out = RegisterState(mat.reshape(-1), 3, 2)
         for q in range(3):
-            out = encoding._controlled_power_raw(out, evo, 3 - 1 - q, q, 3)
+            out = encoding.controlled_power_apply(evo, 3 - 1 - q, out, control_qubit=q)
+        assert np.max(np.abs(out.amplitudes - dense @ mat.reshape(-1))) <= 1e-12
+
+    @pytest.mark.parametrize("backend", ["exact_exponential", "linearized"])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_phase_table_ladder_matches_block_diagonal(self, sign, backend):
+        H = random_psd_matrix(8, 3, seed=17)
+        evo = encoding.make_evolution(H, m=4, backend=backend)
+        dense = qpea.ladder_matrix(evo, m=4, sign=sign)
+        rng = np.random.default_rng(18)
+        mat = rng.normal(size=(16, 8)) + 1j * rng.normal(size=(16, 8))
+        mat /= np.linalg.norm(mat)
+        table = encoding.ladder_phase_table(evo, 4)
+        out = encoding.apply_ladder(mat, evo, table if sign > 0 else table.conj())
         assert np.max(np.abs(out.reshape(-1) - dense @ mat.reshape(-1))) <= 1e-12
+
+
+def reshaped_p0(vec, nq, q):
+    """P0 of qubit q, summed over the other axes of the (2, ..., 2) tensor."""
+    return np.sum(np.take((np.abs(vec) ** 2).reshape([2] * nq), 0, axis=q))
+
+
+def dense_observables(vec, m, n, target):
+    """Success, marked, fidelity and phase-qubit P0s of a flat state, computed
+    independently of the engine's helpers."""
+    mat = vec.reshape(2**m, 2**n)
+    marginals = [reshaped_p0(vec, m + n, q) for q in range(m)]
+    marked = np.linalg.norm(qpea.marking_vector(m).conj() @ mat) ** 2
+    fid = np.linalg.norm(mat @ target.conj()) ** 2
+    return np.array([1.0 - np.sum(np.abs(mat[0]) ** 2), marked, fid, *marginals])
+
+
+class TestEngineMatchesDenseOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(1, 4),
+        dim=st.sampled_from([2, 4, 8]),
+        kappa=st.floats(0.0, 20.0, allow_nan=False),
+        mode=st.sampled_from(["qft", "biased"]),
+        standard=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_amplify_steps_dense_iterate(self, m, dim, kappa, mode, standard, seed):
+        H = random_psd_matrix(dim, 1 + seed % (dim - 1), seed)
+        y = random_range_input(H, seed + 1, overlap_sq=(0.05, 0.95))
+        evo = encoding.make_evolution(H, m=m, t=0.9 / np.max(np.linalg.eigvalsh(H)))
+        cfg = qpea.PeaConfig(m=m, kappa=kappa, mode=mode, standard_grover=standard)
+        steps = 6
+        final, traj = qpea.amplify(cfg, evo, y, max_iter=steps, stop_tol=None)
+
+        target, _ = classical.projector_target(H, y, evo.zero_tol)
+        n = evo.n_qubits
+        Q = qpea.iteration_matrix(cfg, evo, y)
+        vec = qpea.bpea_matrix(cfg, evo, y)[:, 0]  # A |0,0>
+        for t in range(steps + 1):
+            got = np.array([traj.success_prob[t], traj.marked_prob[t], traj.fidelity[t],
+                            *traj.phase_marginals[t]])
+            assert np.max(np.abs(got - dense_observables(vec, m, n, target))) <= 1e-10
+            if t < steps:
+                vec = Q @ vec
+        assert np.max(np.abs(final.amplitudes - vec)) <= 1e-10
+        assert np.array_equal(traj.qubit0_p0, traj.phase_marginals[:, 0])
 
 
 class TestAmplify:
@@ -283,6 +347,73 @@ class TestAmplify:
         _, traj = qpea.amplify(cfg, evo, y, max_iter=0, stop_tol=None)
         assert len(traj) == 1
         assert traj.iterations.tolist() == [0]
+
+    def test_stop_qubit_validated_up_front(self):
+        H = random_psd_matrix(4, 2, seed=13)
+        y = random_range_input(H, seed=13, overlap_sq=(0.2, 0.95))
+        evo = encoding.make_evolution(H, m=3)
+        cfg = qpea.PeaConfig(m=3, kappa=1.0, mode="biased")
+        for q, max_iter, stop_tol in ((99, 5, None), (99, 0, 0.05), (5, 5, None), (-1, 5, 0.05)):
+            with pytest.raises(ValueError, match="stop qubit"):
+                qpea.amplify(cfg, evo, y, max_iter=max_iter, stop_tol=stop_tol, stop_qubit=q)
+        qpea.amplify(cfg, evo, y, max_iter=2, stop_tol=None, stop_qubit=4)  # last system qubit
+
+    def test_early_stop_allocates_only_run_iterates(self):
+        # the trajectory grows with the iterates run, not with max_iter
+        H = random_psd_matrix(4, 2, seed=13)
+        y = random_range_input(H, seed=13, overlap_sq=(0.2, 0.95))
+        evo = encoding.make_evolution(H, m=3)
+        cfg = qpea.PeaConfig(m=3, kappa=1.0, mode="biased", standard_grover=True)
+        tracemalloc.start()
+        try:
+            _, traj = qpea.amplify(cfg, evo, y, max_iter=10**8, stop_tol=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.stopped_at == 1  # every marginal is within 0.5 of 0.5
+        assert peak < 2**20
+
+    def test_system_qubit_stop_matches_marginal(self):
+        H = random_psd_matrix(8, 3, seed=22)
+        y = random_range_input(H, seed=22, overlap_sq=(0.2, 0.95))
+        evo = encoding.make_evolution(H, m=4)
+        cfg = qpea.PeaConfig(m=4, kappa=1.0, mode="biased", standard_grover=True)
+        states = [qpea.amplify(cfg, evo, y, max_iter=t, stop_tol=None)[0] for t in range(1, 13)]
+        for q in (4, 5, 6):  # the system qubits
+            gaps = [abs(reshaped_p0(state.amplitudes, 7, q) - 0.5) for state in states]
+            ordered = sorted(gaps)
+            for lo, hi in zip(ordered[::3], ordered[1::3]):  # tolerances between two gaps
+                tol = (lo + hi) / 2
+                _, traj = qpea.amplify(cfg, evo, y, max_iter=12, stop_tol=tol, stop_qubit=q)
+                assert traj.stopped_at == 1 + next(i for i, g in enumerate(gaps) if g <= tol)
+
+    def test_amplify_builds_one_register_state(self, monkeypatch):
+        # observables and the stopping marginal read the array, not a RegisterState copy
+        built = []
+
+        class CountingState(RegisterState):
+            def __post_init__(self):
+                built.append(1)
+                super().__post_init__()
+
+        monkeypatch.setattr(qpea, "RegisterState", CountingState)
+        H = random_psd_matrix(8, 3, seed=23)
+        y = random_range_input(H, seed=23, overlap_sq=(0.2, 0.95))
+        evo = encoding.make_evolution(H, m=4)
+        cfg = qpea.PeaConfig(m=4, kappa=1.0, mode="biased", standard_grover=True)
+        qpea.amplify(cfg, evo, y, max_iter=10, stop_tol=1e-6, stop_qubit=6)
+        assert len(built) == 1
+
+    def test_norm_drift_raises(self):
+        H = random_psd_matrix(4, 2, seed=24)
+        y = random_range_input(H, seed=24, overlap_sq=(0.2, 0.95))
+        evo = encoding.make_evolution(H, m=3)
+        leaky = dataclasses.replace(evo, eigenvectors=evo.eigenvectors * 1.001)
+        for standard in (False, True):
+            cfg = qpea.PeaConfig(m=3, kappa=1.0, mode="biased", standard_grover=standard)
+            # caught on the first record, not only when the final state is built
+            with pytest.raises(ValueError, match="not 1 at iteration 0"):
+                qpea.amplify(cfg, leaky, y, max_iter=3, stop_tol=None)
 
     def test_norm_preserved_every_iteration(self):
         H = random_psd_matrix(8, 3, seed=14)

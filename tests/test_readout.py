@@ -50,6 +50,11 @@ class TestHouseholderSimilarity:
 
 
 class TestDirectSimilarity:
+    def test_batch_equals_single_calls(self):
+        H = random_psd_matrix(8, 3, seed=2)
+        ys = [random_unit(8, s) for s in range(5)]
+        assert readout.direct_similarities(H, ys) == [readout.direct_similarity(H, y) for y in ys]
+
     def test_full_rank_gives_one(self):
         H = random_psd_matrix(6, 6, seed=1, eig_range=(0.5, 1.0))
         y = random_unit(6, 4, complex_=False)
