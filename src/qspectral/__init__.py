@@ -44,6 +44,7 @@ from .qpea import (
     PeaConfig,
     Trajectory,
     amplify,
+    amplify_many,
     bias_reflection,
     bias_vector,
     marking_reflection,

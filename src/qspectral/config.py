@@ -18,6 +18,8 @@ GRAPH_KINDS = ("full", "epsilon", "knn")
 TARGETS = ("laplacian", "normalized_laplacian", "gram", "matrix")
 VARIANTS = ("unnormalized", "normalized", "row_normalized")
 MODES = ("qft", "biased")
+# libyaml's loader when pyyaml was built with it; same safe subset, parsed in C
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 @dataclass(frozen=True)
@@ -151,7 +153,7 @@ def load_config(path=None, seed: int | None = None, out_dir: str | None = None) 
     data: dict = {}
     if path is not None:
         text = Path(path).read_text()
-        loaded = yaml.safe_load(text)
+        loaded = yaml.load(text, Loader=_YAML_LOADER)
         if loaded is None:
             loaded = {}
         if not isinstance(loaded, dict):

@@ -20,6 +20,7 @@ and is applied as these two rank-one reflections.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -120,7 +121,6 @@ class PeaConfig:
     kappa: float = 0.0
     mode: str = "qft"  # qft | biased
     standard_grover: bool = False
-    input_prep: np.ndarray | None = None
 
     def __post_init__(self):
         if self.m < 1:
@@ -197,47 +197,60 @@ def _phase_gates(cfg: PeaConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Pipeline:
-    """Matrix-free appliers for the estimation unitary on (2^m, 2^n) arrays."""
+    """Matrix-free appliers for the estimation unitary on (2^m, 2^n) arrays.
 
-    def __init__(self, cfg: PeaConfig, evo: EvolutionOperator, y: np.ndarray):
+    Holds the input-independent part (phase-register gates, marking vector,
+    ladder phase table, nonzero eigenspace), built once per (cfg, evo) and
+    shared by every input loaded onto it.
+    """
+
+    def __init__(self, cfg: PeaConfig, evo: EvolutionOperator):
         self.cfg, self.evo = cfg, evo
         self.m = cfg.m
         self.n = evo.n_qubits
         if 2**self.n != evo.dim:
             raise ValueError(f"evolution dimension {evo.dim} is not a power of two")
-        y = numerics.as_vector(y)
-        if y.size != evo.dim:
-            raise ValueError(f"input dim {y.size} does not match operator dim {evo.dim}")
-        self.W = prepare_unitary(y)
         self.first, self.last = _phase_gates(cfg)
         self.f2 = marking_vector(self.m)
         self.table = ladder_phase_table(evo, self.m)
+        self.zero_bits = _zero_bits(self.m)
+        self.nonzero_basis = evo.eigenvectors[:, evo.nonzero_mask()]
 
-    def forward(self, mat: np.ndarray) -> np.ndarray:
-        mat = mat @ self.W.T
+    def check(self, y) -> np.ndarray:
+        """The input as a vector, checked to be a unit vector of the system dimension."""
+        y = numerics.as_vector(y)
+        if y.size != self.evo.dim:
+            raise ValueError(f"input dim {y.size} does not match operator dim {self.evo.dim}")
+        if not numerics.is_normalized(y, 1e-10):
+            raise ValueError("input state must be unit norm")
+        return y
+
+    def initial(self, y: np.ndarray) -> np.ndarray:
+        """U_pea |0,0> for a checked input; the input load W maps |0> to y, so
+        the first stage is first[:, 0] (x) y."""
+        return self.last @ apply_ladder(np.outer(self.first[:, 0], y), self.evo, self.table)
+
+    def forward(self, mat: np.ndarray, W: np.ndarray) -> np.ndarray:
+        mat = mat @ W.T
         mat = self.first @ mat
         mat = apply_ladder(mat, self.evo, self.table)
         return self.last @ mat
 
-    def iterate(self, mat: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """One iterate Q; ``a`` is the initial state, U_pea |0,0>."""
+    def iterate(self, mat: np.ndarray, a: np.ndarray, W: np.ndarray | None) -> np.ndarray:
+        """One iterate Q; ``a`` is the initial state, ``W`` the input load
+        (needed by the verbatim iterate only)."""
         mat = mat - self.f2[:, None] * (2.0 * (self.f2.conj() @ mat))  # R_mark
         if self.cfg.standard_grover:  # U_pea R_zero U_pea^dag = I - 2|a><a|
             return mat - 2.0 * np.vdot(a, mat) * a
-        mat = self.forward(mat)
+        mat = self.forward(mat, W)
         mat[0, 0] = -mat[0, 0]  # R_zero
-        return self.forward(mat)
-
-    def initial(self) -> np.ndarray:
-        mat = np.zeros((2**self.m, 2**self.n), dtype=complex)
-        mat[0, 0] = 1.0
-        return self.forward(mat)
+        return self.forward(mat, W)
 
     def to_state(self, mat: np.ndarray) -> RegisterState:
         return RegisterState(mat.reshape(-1), self.m, self.n)
 
 
-def phase_estimation(cfg: PeaConfig, evo: EvolutionOperator, y=None) -> RegisterState:
+def phase_estimation(cfg: PeaConfig, evo: EvolutionOperator, y) -> RegisterState:
     """Run one pass of (biased) phase estimation on input |y>.
 
     Prepares |0>|0>, loads y on the system register, drives the phase register
@@ -245,12 +258,8 @@ def phase_estimation(cfg: PeaConfig, evo: EvolutionOperator, y=None) -> Register
     adjoint in ``biased`` mode) around the controlled-power ladder, and
     returns the output register state.
     """
-    if y is None:
-        y = cfg.input_prep
-    if y is None:
-        raise ValueError("no input state given (pass y or set cfg.input_prep)")
-    pipe = _Pipeline(cfg, evo, y)
-    return pipe.to_state(pipe.initial())
+    pipe = _Pipeline(cfg, evo)
+    return pipe.to_state(pipe.initial(pipe.check(y)))
 
 
 # ---------------------------------------------------------------------------
@@ -315,16 +324,46 @@ def amplify(
     ``stop_tol`` of the equal-superposition marginal.  Raises before iterating
     if y has no component in the nonzero eigenspace.
     """
+    return amplify_many(cfg, evo, [y], max_iter, stop_tol, stop_qubit)[0]
+
+
+def amplify_many(
+    cfg: PeaConfig,
+    evo: EvolutionOperator,
+    ys: Sequence,
+    max_iter: int = 40,
+    stop_tol: float | None = 0.05,
+    stop_qubit: int = 0,
+) -> list[tuple[RegisterState, Trajectory]]:
+    """:func:`amplify` each input in turn over one shared estimation pipeline.
+
+    Only the input load differs between inputs, so the phase-register gates,
+    the ladder phase table and the nonzero eigenspace are built once.  Every
+    input is checked (and its fidelity target formed) before any iterate runs.
+    """
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     m = cfg.m
     nq = m + evo.n_qubits
     if not 0 <= stop_qubit < nq:
         raise ValueError(f"stop qubit {stop_qubit} outside register of {nq} qubits")
-    target_conj = span_projection(evo.eigenvectors[:, evo.nonzero_mask()], y)[0].conj()
-    pipe = _Pipeline(cfg, evo, y)
+    pipe = _Pipeline(cfg, evo)
+    inputs = []
+    for y in ys:
+        y = pipe.check(y)
+        inputs.append((y, span_projection(pipe.nonzero_basis, y)[0].conj()))
+    return [_amplify_checked(pipe, y, target_conj, max_iter, stop_tol, stop_qubit)
+            for y, target_conj in inputs]
+
+
+def _amplify_checked(pipe: _Pipeline, y: np.ndarray, target_conj: np.ndarray, max_iter: int,
+                     stop_tol: float | None, stop_qubit: int) -> tuple[RegisterState, Trajectory]:
+    """The iterate loop of one checked input; ``target_conj`` is its conjugated
+    fidelity target."""
+    m = pipe.m
+    a = pipe.initial(y)
+    W = None if pipe.cfg.standard_grover else prepare_unitary(y)
     rows = []  # per iterate: success, marked, fidelity, P0 per phase qubit
-    zero_bits = _zero_bits(m)
 
     def record(t: int, mat: np.ndarray):
         pd = phase_distribution(mat)
@@ -332,13 +371,13 @@ def amplify(
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state norm {norm:.12g} is not 1 at iteration {t}")
         rows.append([1.0 - pd[0], _marked_probability(mat, pipe.f2), _norm_sq(mat @ target_conj),
-                     *(pd @ zero_bits)])
+                     *(pd @ pipe.zero_bits)])
 
-    a = mat = pipe.initial()
+    mat = a
     record(0, mat)
     stopped_at = None
     for t in range(1, max_iter + 1):
-        mat = pipe.iterate(mat, a)
+        mat = pipe.iterate(mat, a, W)
         record(t, mat)
         if stop_tol is not None:
             p0 = rows[-1][3 + stop_qubit] if stop_qubit < m else _qubit_p0(mat, m, stop_qubit)
@@ -355,8 +394,8 @@ def amplify(
         qubit0_p0=rows[3].copy(),
         phase_marginals=rows[3:].T,
         stopped_at=stopped_at,
-        mode=cfg.mode,
-        kappa=cfg.kappa,
+        mode=pipe.cfg.mode,
+        kappa=pipe.cfg.kappa,
     )
     return pipe.to_state(mat), traj
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import numerics
 from .classical import IndicatorVector, nonzero_eigenvectors
 from .encoding import EvolutionOperator, make_evolution
-from .qpea import PeaConfig, amplify
+from .qpea import PeaConfig, amplify, amplify_many
 from .registers import RegisterState
 
 
@@ -77,7 +77,11 @@ def direct_similarity(H, y, zero_tol: float | None = None) -> float:
 
 def direct_similarities(H, ys: Sequence, zero_tol: float | None = None) -> list[float]:
     """:func:`direct_similarity` of each candidate, over one eigendecomposition of H."""
-    _, V = nonzero_eigenvectors(H, zero_tol)
+    return span_similarities(nonzero_eigenvectors(H, zero_tol)[1], ys)
+
+
+def span_similarities(V, ys: Sequence) -> list[float]:
+    """<y| V V^dag |y> of each candidate, for orthonormal columns V."""
     Vh = V.conj().T
     return [float(min(1.0, np.linalg.norm(Vh @ numerics.as_vector(y)) ** 2)) for y in ys]
 
@@ -146,16 +150,18 @@ def rank_indicators(
     """Run the amplified pipeline per candidate and sort by measured similarity.
 
     Candidates may be IndicatorVector instances, (name, vector) pairs, or bare
-    unit vectors.  Each candidate is amplified under the stopping rule and its
-    Householder similarity against the final system register is recorded;
-    reports come back sorted descending with 1-based ranks.
+    unit vectors.  Each candidate is amplified under the stopping rule, over
+    one estimation pipeline shared by all of them, and its Householder
+    similarity against the final system register is recorded; reports come
+    back sorted descending with 1-based ranks.  ``evo`` reuses an evolution
+    operator already built from H.
     """
     if evo is None:
         evo = make_evolution(H, cfg.m)
-    reports = []
-    for name, y in _candidate_pairs(candidates):
-        state, _ = amplify(cfg, evo, y, max_iter=max_iter, stop_tol=stop_tol)
-        reports.append(SimilarityReport(name, register_similarity(state, y), "householder"))
+    pairs = _candidate_pairs(candidates)
+    runs = amplify_many(cfg, evo, [y for _, y in pairs], max_iter=max_iter, stop_tol=stop_tol)
+    reports = [SimilarityReport(name, register_similarity(state, y), "householder")
+               for (name, y), (state, _) in zip(pairs, runs)]
     order = sorted(range(len(reports)), key=lambda i: -reports[i].similarity)
     return [
         SimilarityReport(reports[i].y_id, reports[i].similarity, reports[i].method, rank + 1)

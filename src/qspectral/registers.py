@@ -59,11 +59,6 @@ class RegisterState:
         """Probability of each system-register basis state."""
         return system_distribution(self.as_matrix())
 
-    def reduced_system_density(self) -> np.ndarray:
-        """Reduced density matrix of the system register."""
-        mat = self.as_matrix()
-        return mat.T @ mat.conj()
-
 
 def zero_state(m: int, n: int) -> RegisterState:
     amps = np.zeros(2 ** (m + n), dtype=complex)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qspectral import cli, csvio
+from qspectral import cli, csvio, numerics, readout
+from qspectral.classical import IndicatorVector
 from qspectral.config import load_config
 from qspectral.datasets import gaussian_blobs
 
@@ -204,6 +205,59 @@ class TestCmdClusterQuantum:
     def test_matrix_target_rejected(self, tmp_path):
         out = tmp_path / "out"
         assert cli.main(["cluster-quantum", "--out", str(out)]) == 2
+
+    def test_amplify_config_passed_through(self, tmp_path, monkeypatch):
+        # stop_tol: null and max_iter: 0 reach the ranking as configured
+        seen = []
+        rank = readout.rank_indicators
+
+        def recording(*args, **kwargs):
+            seen.append((kwargs["max_iter"], kwargs["stop_tol"]))
+            return rank(*args, **kwargs)
+
+        monkeypatch.setattr(readout, "rank_indicators", recording)
+        text = BLOBS_YAML.replace("max_iter: 40", "max_iter: 0").replace("stop_tol: 0.05",
+                                                                         "stop_tol: null")
+        cfg_path = write_config(tmp_path, text)
+        assert cli.main(["cluster-quantum", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")]) == 0
+        assert seen == [(0, None)]
+
+    def test_one_eigendecomposition_of_operator(self, tmp_path, monkeypatch):
+        cfg_path = write_config(tmp_path, BLOBS_YAML)
+        H, _, _ = cli.build_operator(load_config(cfg_path))
+        solves = []
+        eig = numerics.hermitian_eig
+
+        def counting(A, *args, **kwargs):
+            if np.shape(A) == H.shape and np.array_equal(A, H):
+                solves.append(1)
+            return eig(A, *args, **kwargs)
+
+        monkeypatch.setattr(numerics, "hermitian_eig", counting)
+        out = tmp_path / "out"
+        assert cli.main(["cluster-quantum", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert len(solves) == 1
+        monkeypatch.undo()
+
+        direct = [r for r in csvio.read_ranking(out / "similarity_ranking.csv")
+                  if r["method"] == "direct"]
+        members = [tuple(int(i) for i in r["y_id"][len("ind_"):].split("-")) for r in direct]
+        oracle = readout.direct_similarities(H, [IndicatorVector(g, 8).vector() for g in members])
+        assert [csvio.fmt(r["similarity"]) for r in direct] == [csvio.fmt(v) for v in oracle]
+
+    @pytest.mark.parametrize("target, gates, terms", [
+        ("gram", "1024", "2"),  # two feature columns, N = 8, m = 6: 2^6 * 2 * 8 gates
+        ("laplacian", "not_applicable", "not_applicable"),
+        ("normalized_laplacian", "not_applicable", "not_applicable"),
+    ])
+    def test_gram_report_only_for_gram_target(self, tmp_path, target, gates, terms):
+        cfg_path = write_config(tmp_path, BLOBS_YAML.replace("target: gram", f"target: {target}"))
+        out = tmp_path / "out"
+        assert cli.main(["cluster-quantum", "--config", str(cfg_path), "--out", str(out)]) == 0
+        comparison = (out / "comparison.txt").read_text()
+        assert f"gate_count_estimate: {gates}\n" in comparison
+        assert f"householder_terms: {terms}\n" in comparison
 
 
 class TestSelftest:

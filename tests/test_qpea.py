@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qspectral import classical, encoding, numerics, qpea
@@ -204,13 +204,6 @@ class TestPhaseEstimation:
         with pytest.raises(ValueError, match="does not match"):
             qpea.phase_estimation(cfg, evo, np.array([1.0, 0.0]))
 
-    def test_input_prep_from_config(self):
-        evo = encoding.make_evolution(np.zeros((2, 2)), m=1)
-        y = np.array([0.0, 1.0])
-        cfg = qpea.PeaConfig(m=1, mode="qft", input_prep=y)
-        state = qpea.phase_estimation(cfg, evo)
-        assert state.system_distribution()[1] == pytest.approx(1.0)
-
 
 class TestDenseBuilders:
     def test_applier_matches_dense_matrix(self):
@@ -283,6 +276,25 @@ def dense_observables(vec, m, n, target):
     return np.array([1.0 - np.sum(np.abs(mat[0]) ** 2), marked, fid, *marginals])
 
 
+def dense_run(cfg, evo, H, y, max_iter, stop_tol, stop_qubit):
+    """Observables per iterate, final state and stopping iterate from stepping
+    the dense iterate Q from A |0,0>."""
+    m, n = cfg.m, evo.n_qubits
+    target, _ = classical.projector_target(H, y, evo.zero_tol)
+    Q = qpea.iteration_matrix(cfg, evo, y)
+    vec = qpea.bpea_matrix(cfg, evo, y)[:, 0]
+    rows = [dense_observables(vec, m, n, target)]
+    gaps = []
+    for t in range(1, max_iter + 1):
+        vec = Q @ vec
+        rows.append(dense_observables(vec, m, n, target))
+        if stop_tol is not None:
+            gaps.append(abs(reshaped_p0(vec, m + n, stop_qubit) - 0.5))
+            if gaps[-1] <= stop_tol:
+                return np.array(rows), vec, t, gaps
+    return np.array(rows), vec, None, gaps
+
+
 class TestEngineMatchesDenseOracle:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -301,18 +313,86 @@ class TestEngineMatchesDenseOracle:
         steps = 6
         final, traj = qpea.amplify(cfg, evo, y, max_iter=steps, stop_tol=None)
 
-        target, _ = classical.projector_target(H, y, evo.zero_tol)
-        n = evo.n_qubits
-        Q = qpea.iteration_matrix(cfg, evo, y)
-        vec = qpea.bpea_matrix(cfg, evo, y)[:, 0]  # A |0,0>
-        for t in range(steps + 1):
-            got = np.array([traj.success_prob[t], traj.marked_prob[t], traj.fidelity[t],
-                            *traj.phase_marginals[t]])
-            assert np.max(np.abs(got - dense_observables(vec, m, n, target))) <= 1e-10
-            if t < steps:
-                vec = Q @ vec
+        rows, vec, _, _ = dense_run(cfg, evo, H, y, steps, None, 0)
+        got = np.column_stack([traj.success_prob, traj.marked_prob, traj.fidelity,
+                               traj.phase_marginals])
+        assert got.shape == rows.shape
+        assert np.max(np.abs(got - rows)) <= 1e-10
         assert np.max(np.abs(final.amplitudes - vec)) <= 1e-10
         assert np.array_equal(traj.qubit0_p0, traj.phase_marginals[:, 0])
+
+
+class TestAmplifyMany:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        m=st.integers(1, 4),
+        dim=st.sampled_from([2, 4, 8]),
+        kappa=st.floats(0.0, 20.0, allow_nan=False),
+        mode=st.sampled_from(["qft", "biased"]),
+        standard=st.booleans(),
+        stopping=st.booleans(),
+        data=st.data(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_each_input_steps_dense_iterate(self, m, dim, kappa, mode, standard, stopping,
+                                            data, seed):
+        H = random_psd_matrix(dim, 1 + seed % (dim - 1), seed)
+        evo = encoding.make_evolution(H, m=m, t=0.9 / np.max(np.linalg.eigvalsh(H)))
+        cfg = qpea.PeaConfig(m=m, kappa=kappa, mode=mode, standard_grover=standard)
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        z[0] = abs(z[0]) * np.exp(0.7j)  # non-real leading amplitude
+        ys = [random_range_input(H, seed + 1, overlap_sq=(0.05, 0.95)), z / np.linalg.norm(z),
+              random_range_input(H, seed + 2, overlap_sq=(0.05, 0.95))]
+        max_iter = 6
+        stop_tol = data.draw(st.floats(0.01, 0.3)) if stopping else None
+        stop_qubit = data.draw(st.integers(0, m + evo.n_qubits - 1))
+        runs = qpea.amplify_many(cfg, evo, ys, max_iter=max_iter, stop_tol=stop_tol,
+                                 stop_qubit=stop_qubit)
+        assert len(runs) == len(ys)
+        for y, (final, traj) in zip(ys, runs):
+            rows, vec, stopped_at, gaps = dense_run(cfg, evo, H, y, max_iter, stop_tol,
+                                                    stop_qubit)
+            # a marginal within rounding of the tolerance may stop either way
+            assume(all(abs(g - stop_tol) > 1e-9 for g in gaps))
+            got = np.column_stack([traj.success_prob, traj.marked_prob, traj.fidelity,
+                                   traj.phase_marginals])
+            assert traj.stopped_at == stopped_at
+            assert got.shape == rows.shape
+            assert np.max(np.abs(got - rows)) <= 1e-10
+            assert np.max(np.abs(final.amplitudes - vec)) <= 1e-10
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_bad_input_raises_before_iterating(self, position, monkeypatch):
+        H = np.diag([0.0, 0.0, 1.0, 2.0])
+        evo = encoding.make_evolution(H, m=3)
+        cfg = qpea.PeaConfig(m=3, kappa=1.0, mode="biased", standard_grover=True)
+        good = [np.array([0.0, 0.0, 0.6, 0.8]), np.array([0.5, 0.5, 0.5, 0.5])]
+        iterates = []
+        step = qpea._Pipeline.iterate
+        monkeypatch.setattr(qpea._Pipeline, "iterate",
+                            lambda *a: iterates.append(1) or step(*a))
+        for bad, error, match in ((np.array([0.0, 0.0, 1.0, 1.0]), ValueError, "unit norm"),
+                                  (np.array([0.6, 0.8, 0.0, 0.0]), DegenerateTargetError, "null"),
+                                  (np.ones(8) / np.sqrt(8), ValueError, "does not match")):
+            ys = good[:position] + [bad] + good[position:]
+            with pytest.raises(error, match=match):
+                qpea.amplify_many(cfg, evo, ys, max_iter=3, stop_tol=None)
+        assert iterates == []
+
+    def test_amplify_is_single_input_case(self):
+        H = random_psd_matrix(8, 3, seed=25)
+        evo = encoding.make_evolution(H, m=4)
+        ys = [random_range_input(H, seed=s, overlap_sq=(0.2, 0.95)) for s in (25, 26)]
+        for standard in (False, True):
+            cfg = qpea.PeaConfig(m=4, kappa=1.0, mode="biased", standard_grover=standard)
+            runs = qpea.amplify_many(cfg, evo, ys, max_iter=8, stop_tol=0.05, stop_qubit=2)
+            for y, (final, traj) in zip(ys, runs):
+                single, straj = qpea.amplify(cfg, evo, y, max_iter=8, stop_tol=0.05, stop_qubit=2)
+                assert np.array_equal(final.amplitudes, single.amplitudes)
+                assert np.array_equal(traj.fidelity, straj.fidelity)
+                assert traj.stopped_at == straj.stopped_at
+        assert qpea.amplify_many(cfg, evo, [], max_iter=3) == []
 
 
 class TestAmplify:

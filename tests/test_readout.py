@@ -227,6 +227,18 @@ class TestRankIndicators:
         top2 = {ranked[0].y_id, ranked[1].y_id}
         assert top2 == {ind.name for ind in true_inds}
 
+    def test_one_pipeline_for_all_candidates(self, monkeypatch):
+        # only the input load differs between candidates; the ladder table is built once
+        tables = []
+        build = qpea.ladder_phase_table
+        monkeypatch.setattr(qpea, "ladder_phase_table",
+                            lambda *args: tables.append(1) or build(*args))
+        H = np.diag([0.0, 0.0, 1.0, 2.0])
+        cfg = qpea.PeaConfig(m=4, kappa=1.0, mode="biased", standard_grover=True)
+        cands = [classical.IndicatorVector(g, 4) for g in ((2, 3), (0, 2), (1, 3))]
+        assert len(readout.rank_indicators(H, cands, cfg)) == 3
+        assert len(tables) == 1
+
     def test_named_vector_candidates(self):
         H = np.diag([0.0, 1.0])
         cfg = qpea.PeaConfig(m=3, kappa=1.0, mode="biased", standard_grover=True)
