@@ -13,13 +13,7 @@ import argparse
 
 import numpy as np
 
-from qspectral import (
-    PeaConfig,
-    direct_similarity,
-    indicators_from_labels,
-    points_gram,
-    rank_indicators,
-)
+from qspectral import PeaConfig, cluster_quantum, indicators_from_labels, points_gram
 from qspectral.datasets import gaussian_blobs, scrambled_indicators
 
 
@@ -37,13 +31,12 @@ def main() -> None:
     candidates = true_inds + scrambled_indicators(true_inds, seed=args.seed + 1)
 
     cfg = PeaConfig(m=6, kappa=args.kappa, mode="biased", standard_grover=True)
-    ranked = rank_indicators(H, candidates, cfg)
+    ranked, direct, _ = cluster_quantum(H, candidates, cfg)
+    oracle = {rep.y_id: rep.similarity for rep in direct}
 
     print(f"{'rank':>4} {'candidate':>16} {'measured':>10} {'oracle':>10}")
-    by_name = {c.name: c for c in candidates}
     for rep in ranked:
-        oracle = direct_similarity(H, by_name[rep.y_id].vector())
-        print(f"{rep.rank:>4} {rep.y_id:>16} {rep.similarity:>10.4f} {oracle:>10.4f}")
+        print(f"{rep.rank:>4} {rep.y_id:>16} {rep.similarity:>10.4f} {oracle[rep.y_id]:>10.4f}")
 
     top = {ranked[0].y_id, ranked[1].y_id}
     truth = {ind.name for ind in true_inds}

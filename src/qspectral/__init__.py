@@ -59,6 +59,7 @@ from .qpea import (
 from .readout import (
     SimilarityReport,
     approx_cluster_readout,
+    cluster_quantum,
     direct_similarity,
     direct_similarities,
     householder_similarity,

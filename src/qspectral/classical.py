@@ -135,6 +135,29 @@ def eigengap_select(eigenvalues, k_max: int) -> int:
     return int(np.argmax(gaps)) + 1
 
 
+def laplacian_eig(g, variant: str = "unnormalized") -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of the variant's Laplacian: D - W for
+    ``unnormalized``, the symmetric normalized one for ``normalized`` and ``row_normalized``."""
+    if variant not in ("unnormalized", "normalized", "row_normalized"):
+        raise ValueError(f"unknown variant {variant!r}")
+    L = graphmod.laplacian(g) if variant == "unnormalized" else graphmod.normalized_laplacian(g)
+    return numerics.hermitian_eig(L)
+
+
+def embedding_kmeans(V, k: int, variant: str = "unnormalized", init: int | np.ndarray = 0,
+                     max_iter: int = 200) -> ClusterAssignment:
+    """k-means on the rows of the k lowest Laplacian eigenvectors ``V[:, :k]``;
+    ``row_normalized`` scales each row to unit length first."""
+    if k < 2:
+        raise ValueError(f"need k >= 2 clusters, got {k}")
+    rows = V[:, :k].real.copy()
+    if variant == "row_normalized":
+        norms = np.linalg.norm(rows, axis=1)
+        nz = norms > 1e-12
+        rows[nz] /= norms[nz, None]
+    return kmeans(rows, k, init=init, max_iter=max_iter)
+
+
 def spectral_cluster(
     g,
     k: int,
@@ -142,27 +165,9 @@ def spectral_cluster(
     init: int | np.ndarray = 0,
     max_iter: int = 200,
 ) -> ClusterAssignment:
-    """Cluster by k-means on the rows of the k lowest Laplacian eigenvectors.
-
-    Variants: ``unnormalized`` uses D - W; ``normalized`` the symmetric
-    normalized Laplacian; ``row_normalized`` additionally scales each
-    eigenvector row to unit length before k-means.
-    """
-    if k < 2:
-        raise ValueError(f"need k >= 2 clusters, got {k}")
-    if variant == "unnormalized":
-        L = graphmod.laplacian(g)
-    elif variant in ("normalized", "row_normalized"):
-        L = graphmod.normalized_laplacian(g)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    w, V = numerics.hermitian_eig(L)
-    rows = V[:, :k].real.copy()
-    if variant == "row_normalized":
-        norms = np.linalg.norm(rows, axis=1)
-        nz = norms > 1e-12
-        rows[nz] /= norms[nz, None]
-    return kmeans(rows, k, init=init, max_iter=max_iter)
+    """Cluster by k-means on the rows of the k lowest Laplacian eigenvectors:
+    :func:`embedding_kmeans` over :func:`laplacian_eig` of the graph."""
+    return embedding_kmeans(laplacian_eig(g, variant)[1], k, variant, init, max_iter)
 
 
 def default_zero_tol(H) -> float:

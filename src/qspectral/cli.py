@@ -72,15 +72,9 @@ def select_k(cfg: ExperimentConfig, eigenvalues) -> int:
 def _spectral_assignment(cfg: ExperimentConfig, points):
     """Laplacian eigenvectors, cluster count and classical spectral clustering
     of the points, for the configured graph and Laplacian variant."""
-    g = build_graph(cfg, points)
-    L = (
-        graphmod.normalized_laplacian(g)
-        if cfg.variant in ("normalized", "row_normalized")
-        else graphmod.laplacian(g)
-    )
-    w, V = numerics.hermitian_eig(L)
+    w, V = classical.laplacian_eig(build_graph(cfg, points), cfg.variant)
     k = select_k(cfg, w)
-    return V, k, classical.spectral_cluster(g, k, cfg.variant, init=cfg.seed)
+    return V, k, classical.embedding_kmeans(V, k, cfg.variant, init=cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -91,12 +85,8 @@ def cmd_graph(cfg: ExperimentConfig) -> list[Path]:
     out = Path(cfg.out_dir)
     points, _ = build_points(cfg)
     g = build_graph(cfg, points)
-    L = (
-        graphmod.normalized_laplacian(g)
-        if cfg.target == "normalized_laplacian"
-        else graphmod.laplacian(g)
-    )
-    w, _ = numerics.hermitian_eig(L)
+    variant = "normalized" if cfg.target == "normalized_laplacian" else "unnormalized"
+    w, _ = classical.laplacian_eig(g, variant)
     k = select_k(cfg, w)
     out.mkdir(parents=True, exist_ok=True)
     csvio.write_matrix(out / "W.csv", g.weights)
@@ -177,25 +167,9 @@ def cmd_cluster_quantum(cfg: ExperimentConfig) -> list[Path]:
         mode=cfg.pea.mode,
         standard_grover=cfg.pea.standard_grover,
     )
-    # one eigendecomposition of H serves the amplified ranking and the oracle
-    evo = encoding.make_evolution(H, cfg.pea.m)
-    ranked = readout.rank_indicators(
-        H, candidates, pea_cfg, max_iter=cfg.amplify.max_iter, stop_tol=cfg.amplify.stop_tol,
-        evo=evo,
+    ranked, direct, labels_q = readout.cluster_quantum(
+        H, candidates, pea_cfg, max_iter=cfg.amplify.max_iter, stop_tol=cfg.amplify.stop_tol
     )
-    oracle = readout.span_similarities(evo.eigenvectors[:, evo.nonzero_mask()],
-                                       [c.vector() for c in candidates])
-    order = sorted(range(len(candidates)), key=lambda i: -oracle[i])
-    direct = [readout.SimilarityReport(candidates[i].name, oracle[i], "direct", rank + 1)
-              for rank, i in enumerate(order)]
-
-    # best-ranked containing candidate per point: ranked[labels_q[p]], -1 for none
-    by_name = {c.name: c for c in candidates}
-    labels_q = np.full(n_points, -1, dtype=int)
-    for report in ranked:
-        for p in by_name[report.y_id].members:
-            if labels_q[p] < 0:
-                labels_q[p] = report.rank - 1
     agreement = 0.0
     if cfg.candidates == "auto":
         true_names = [true_inds[c].name for c in assignment.labels]
@@ -211,7 +185,7 @@ def cmd_cluster_quantum(cfg: ExperimentConfig) -> list[Path]:
         terms = len(hsum)
 
     out.mkdir(parents=True, exist_ok=True)
-    csvio.write_ranking(out / "similarity_ranking.csv", list(ranked) + direct)
+    csvio.write_ranking(out / "similarity_ranking.csv", ranked + direct)
     csvio.write_labels(out / "labels_quantum.csv", labels_q)
     (out / "comparison.txt").write_text(
         f"agreement_rate: {csvio.fmt(agreement)}\n"

@@ -172,15 +172,13 @@ def qubit_marginal(state: RegisterState, q: int) -> tuple[float, float]:
     return p0, float(np.sum(np.abs(state.amplitudes) ** 2) - p0)
 
 
-def stagnation_kappa(m: int, p0: float = 0.5) -> float:
+def stagnation_kappa(m: int) -> float:
     """Bias value sqrt(2^m) at which amplification stalls.
 
-    At this bias the marked amplitude kappa/mu sits at the mean amplitude
-    (sqrt(p0) + sqrt(1 - p0)) / 2 of the register, so the
-    inversion-about-the-mean neither grows nor shrinks it.
+    At this bias the marked amplitude kappa/mu sits near 1/sqrt(2), the mean
+    amplitude of a balanced register, so the inversion-about-the-mean neither
+    grows nor shrinks it.
     """
-    if not 0.0 <= p0 <= 1.0:
-        raise ValueError(f"p0 must be a probability, got {p0}")
     return float(np.sqrt(2**m))
 
 
@@ -278,7 +276,6 @@ class Trajectory:
     success_prob: np.ndarray
     marked_prob: np.ndarray
     fidelity: np.ndarray
-    qubit0_p0: np.ndarray
     phase_marginals: np.ndarray  # (T, m) P0 of each phase qubit
     stopped_at: int | None = None
     mode: str = ""
@@ -286,6 +283,10 @@ class Trajectory:
 
     def __len__(self) -> int:
         return self.iterations.size
+
+    @property
+    def qubit0_p0(self) -> np.ndarray:
+        return self.phase_marginals[:, 0]
 
     @property
     def peak_fidelity_iteration(self) -> int:
@@ -391,7 +392,6 @@ def _amplify_checked(pipe: _Pipeline, y: np.ndarray, target_conj: np.ndarray, ma
         success_prob=rows[0],
         marked_prob=rows[1],
         fidelity=rows[2],
-        qubit0_p0=rows[3].copy(),
         phase_marginals=rows[3:].T,
         stopped_at=stopped_at,
         mode=pipe.cfg.mode,

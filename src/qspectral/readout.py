@@ -18,7 +18,7 @@ from . import numerics
 from .classical import IndicatorVector, nonzero_eigenvectors
 from .encoding import EvolutionOperator, make_evolution
 from .qpea import PeaConfig, amplify, amplify_many
-from .registers import RegisterState
+from .registers import RegisterState, system_distribution
 
 
 @dataclass(frozen=True)
@@ -122,8 +122,7 @@ def approx_cluster_readout(
         state, _ = amplify(cfg, evo, y_in, max_iter=max_iter, stop_tol=stop_tol)
     else:
         state = run_pipeline(y_in)
-    mat = state.as_matrix() @ mixer.T
-    dist = np.sum(np.abs(mat) ** 2, axis=0)
+    dist = system_distribution(state.as_matrix() @ mixer.T)
     return dist / dist.sum()
 
 
@@ -160,10 +159,35 @@ def rank_indicators(
         evo = make_evolution(H, cfg.m)
     pairs = _candidate_pairs(candidates)
     runs = amplify_many(cfg, evo, [y for _, y in pairs], max_iter=max_iter, stop_tol=stop_tol)
-    reports = [SimilarityReport(name, register_similarity(state, y), "householder")
-               for (name, y), (state, _) in zip(pairs, runs)]
-    order = sorted(range(len(reports)), key=lambda i: -reports[i].similarity)
-    return [
-        SimilarityReport(reports[i].y_id, reports[i].similarity, reports[i].method, rank + 1)
-        for rank, i in enumerate(order)
-    ]
+    return _ranked([name for name, _ in pairs],
+                   [register_similarity(state, y) for (_, y), (state, _) in zip(pairs, runs)],
+                   "householder")
+
+
+def _ranked(names, similarities, method: str) -> list[SimilarityReport]:
+    """Reports sorted by descending similarity, with 1-based ranks."""
+    order = sorted(range(len(names)), key=lambda i: -similarities[i])
+    return [SimilarityReport(names[i], similarities[i], method, rank + 1)
+            for rank, i in enumerate(order)]
+
+
+def cluster_quantum(H, candidates: Sequence[IndicatorVector], cfg: PeaConfig, max_iter: int = 60,
+                    stop_tol: float | None = 0.05
+                    ) -> tuple[list[SimilarityReport], list[SimilarityReport], np.ndarray]:
+    """Amplified ranking, oracle ranking and point labels for indicator candidates.
+
+    Returns ``(ranked, direct, labels)``: the :func:`rank_indicators` reports; the
+    oracle <y| V V^dag |y> over the nonzero eigenspace of H, ranked the same way;
+    and per point the index in ``ranked`` of the best-ranked candidate containing
+    it, or -1.  One eigendecomposition of H serves both rankings.
+    """
+    evo = make_evolution(H, cfg.m)
+    ranked = rank_indicators(H, candidates, cfg, max_iter=max_iter, stop_tol=stop_tol, evo=evo)
+    oracle = span_similarities(evo.eigenvectors[:, evo.nonzero_mask()],
+                               [c.vector() for c in candidates])
+    direct = _ranked([c.name for c in candidates], oracle, "direct")
+    by_name = {c.name: c for c in candidates}
+    labels = np.full(evo.dim, -1, dtype=int)
+    for i in reversed(range(len(ranked))):  # better ranks overwrite worse ones
+        labels[list(by_name[ranked[i].y_id].members)] = i
+    return ranked, direct, labels

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qspectral import classical, graph
+from qspectral import classical, graph, numerics
 from qspectral.datasets import gaussian_blobs
 from qspectral.errors import DegenerateTargetError
 
@@ -114,6 +114,37 @@ class TestSpectralCluster:
         asg = classical.spectral_cluster(g, 3, "unnormalized")
         assert partitions_equal(asg.labels, graph.connected_components(g))
 
+
+class TestLaplacianEig:
+    @pytest.fixture
+    def blobs_graph(self):
+        pts, _ = gaussian_blobs((6, 6), ((0.0, 0.0), (2.0, 0.0)), noise=0.4, seed=7)
+        return graph.build_full_graph(pts, sigma=1.0, squared_norm=True)
+
+    @pytest.mark.parametrize("variant, build", [
+        ("unnormalized", graph.laplacian),
+        ("normalized", graph.normalized_laplacian),
+        ("row_normalized", graph.normalized_laplacian),
+    ])
+    def test_spectral_cluster_is_embedding_kmeans(self, blobs_graph, variant, build):
+        w, V = classical.laplacian_eig(blobs_graph, variant)
+        assert np.allclose(w, np.linalg.eigvalsh(build(blobs_graph)), atol=1e-12)
+        for init in (0, 3):
+            asg = classical.spectral_cluster(blobs_graph, 2, variant, init=init)
+            emb = classical.embedding_kmeans(V, 2, variant, init=init)
+            assert np.array_equal(asg.labels, emb.labels)
+
+    def test_unknown_variant_rejected_before_eig(self, blobs_graph, monkeypatch):
+        solves = []
+        monkeypatch.setattr(numerics, "hermitian_eig", lambda *args: solves.append(1))
+        with pytest.raises(ValueError, match="unknown variant 'bogus'"):
+            classical.laplacian_eig(blobs_graph, "bogus")
+        assert solves == []
+
+    def test_embedding_needs_two_clusters(self, blobs_graph):
+        _, V = classical.laplacian_eig(blobs_graph)
+        with pytest.raises(ValueError, match="k >= 2"):
+            classical.embedding_kmeans(V, 1)
 
 class TestProjectorTarget:
     def test_full_rank_returns_input(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qspectral import cli, csvio, numerics, readout
+from qspectral import cli, csvio, graph as graphmod, numerics, readout
 from qspectral.classical import IndicatorVector
 from qspectral.config import load_config
 from qspectral.datasets import gaussian_blobs
@@ -104,6 +104,39 @@ target: laplacian
         cfg_path = write_config(tmp_path, f"dataset: {{kind: csv, path: {data}}}\n")
         assert cli.main(["graph", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
 
+
+    @pytest.mark.parametrize("target", ["gram", "laplacian", "normalized_laplacian"])
+    def test_spectrum_follows_target_not_variant(self, tmp_path, target):
+        text = BLOBS_YAML.replace("target: gram", f"target: {target}") + "variant: normalized\n"
+        cfg_path = write_config(tmp_path, text)
+        cfg = load_config(cfg_path)
+        g = cli.build_graph(cfg, cli.build_points(cfg)[0])
+        unnormalized = np.linalg.eigvalsh(graphmod.laplacian(g))
+        normalized = np.linalg.eigvalsh(graphmod.normalized_laplacian(g))
+        assert not np.allclose(unnormalized, normalized, atol=1e-6)
+        out = tmp_path / "out"
+        assert cli.main(["graph", "--config", str(cfg_path), "--out", str(out)]) == 0
+        expected = normalized if target == "normalized_laplacian" else unnormalized
+        assert np.allclose(csvio.read_eigenvalues(out / "laplacian_eigs.csv"), expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", ["unnormalized", "normalized", "row_normalized"])
+@pytest.mark.parametrize("verb", ["graph", "cluster-classical", "cluster-quantum"])
+def test_one_laplacian_eigendecomposition(tmp_path, monkeypatch, verb, variant):
+    # every solve that is not of the operator H is a solve of the Laplacian
+    cfg_path = write_config(tmp_path, BLOBS_YAML + f"variant: {variant}\n")
+    H, _, _ = cli.build_operator(load_config(cfg_path))
+    solves = []
+    eig = numerics.hermitian_eig
+
+    def counting(A, *args, **kwargs):
+        if not (np.shape(A) == H.shape and np.array_equal(A, H)):
+            solves.append(1)
+        return eig(A, *args, **kwargs)
+
+    monkeypatch.setattr(numerics, "hermitian_eig", counting)
+    assert cli.main([verb, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert len(solves) == 1
 
 class TestCmdClusterClassical:
     def test_outputs(self, tmp_path):

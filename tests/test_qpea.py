@@ -578,14 +578,10 @@ class TestStagnationKappa:
     def test_mean_amplitude_relation(self):
         # at the critical bias, kappa/mu approximates the balanced mean amplitude
         m = 6
-        kappa = qpea.stagnation_kappa(m, p0=0.5)
+        kappa = qpea.stagnation_kappa(m)
         mu = np.sqrt(kappa**2 + 2**m - 1)
         mean_amp = (np.sqrt(0.5) + np.sqrt(0.5)) / 2.0
         assert abs(kappa / mu - mean_amp) <= 0.01
-
-    def test_rejects_bad_probability(self):
-        with pytest.raises(ValueError, match="probability"):
-            qpea.stagnation_kappa(3, p0=1.5)
 
 
 class TestTrajectory:
@@ -595,7 +591,6 @@ class TestTrajectory:
             success_prob=np.zeros(6),
             marked_prob=np.zeros(6),
             fidelity=np.array([0.1, 0.4, 0.9, 0.5, 0.95, 0.2]),
-            qubit0_p0=np.zeros(6),
             phase_marginals=np.zeros((6, 2)),
         )
         assert traj.first_fidelity_peak() == 2
@@ -608,7 +603,6 @@ class TestTrajectory:
             success_prob=np.zeros(4),
             marked_prob=np.zeros(4),
             fidelity=np.array([0.1, 0.2, 0.3, 0.4]),
-            qubit0_p0=np.zeros(4),
             phase_marginals=np.zeros((4, 2)),
         )
         assert traj.first_fidelity_peak() == 3

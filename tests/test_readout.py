@@ -246,6 +246,32 @@ class TestRankIndicators:
         assert ranked[0].y_id == "probe"
 
 
+
+class TestClusterQuantum:
+    @pytest.mark.parametrize("partial", [False, True])
+    def test_two_blobs(self, partial):
+        pts, labels = gaussian_blobs((4, 4), ((1.0, 0.0), (0.0, 1.0)), 0.08, seed=3)
+        H = encoding.points_gram(pts)
+        true_inds = classical.indicators_from_labels(labels, 2)
+        cands = true_inds + scrambled_indicators(true_inds, seed=4)
+        if partial:  # points 6 and 7 lie in no candidate
+            cands = [classical.IndicatorVector(g, 8) for g in ((0, 1, 2, 3), (0, 1, 4), (2, 5))]
+        cfg = qpea.PeaConfig(m=6, kappa=1.0, mode="biased", standard_grover=True)
+        ranked, direct, labels_q = readout.cluster_quantum(H, cands, cfg, max_iter=40)
+
+        assert ranked == readout.rank_indicators(H, cands, cfg, max_iter=40)
+        oracle = readout.direct_similarities(H, [c.vector() for c in cands])
+        expected = sorted(zip(oracle, (c.name for c in cands)), key=lambda pair: -pair[0])
+        assert [(r.similarity, r.y_id) for r in direct] == expected
+        assert [r.rank for r in direct] == list(range(1, len(cands) + 1))
+        assert {r.method for r in direct} == {"direct"}
+
+        members = {c.name: set(c.members) for c in cands}
+        for p in range(8):
+            containing = [i for i, r in enumerate(ranked) if p in members[r.y_id]]
+            assert labels_q[p] == (containing[0] if containing else -1)
+        assert (-1 in labels_q) == partial
+
 def test_similarity_report_validates_range():
     with pytest.raises(ValueError, match="outside"):
         readout.SimilarityReport("x", 1.5, "direct")
