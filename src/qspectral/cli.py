@@ -151,9 +151,10 @@ def cmd_cluster_quantum(cfg: ExperimentConfig) -> list[Path]:
         raise ValueError("cluster-quantum requires a point dataset target (gram or laplacian)")
     H, points, _ = build_operator(cfg)
     n_points = points.shape[0]
-    _, k, assignment = _spectral_assignment(cfg, points)
 
+    # only auto candidates (and the agreement with them) need the classical clustering
     if cfg.candidates == "auto":
+        _, k, assignment = _spectral_assignment(cfg, points)
         true_inds = classical.indicators_from_labels(assignment.labels, k)
         candidates = list(true_inds)
         for s in range(cfg.scrambled):

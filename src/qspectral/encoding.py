@@ -126,11 +126,16 @@ def linearize(H) -> tuple[np.ndarray, float]:
     phases of the surrogate approximate eigenvalue/k to third order.
     """
     H = numerics.as_matrix(H)
+    k = _linear_scale(H)
+    return np.eye(H.shape[0], dtype=complex) - 1j * H / k, k
+
+
+def _linear_scale(H: np.ndarray) -> float:
+    """The divisor k = 10 * ||H||_1 of :func:`linearize`."""
     k = 10.0 * numerics.matrix_1norm(H)
     if k == 0.0:
         raise ValueError("zero matrix cannot be linearized (k = 0)")
-    Htilde = np.eye(H.shape[0], dtype=complex) - 1j * H / k
-    return Htilde, k
+    return k
 
 
 @dataclass(frozen=True)
@@ -140,10 +145,10 @@ class EvolutionOperator:
     Backends: ``exact_exponential`` is U = exp(2*pi*i*t*H) with eigenphase
     t*lambda_j; ``linearized`` unitarizes I - iH/k so the eigenphase is
     -arctan(lambda_j/k)/(2*pi).  Eigenvalues within ``zero_tol`` of zero are
-    pinned to phase exactly 0 in both backends.
+    pinned to phase exactly 0 in both backends.  The eigenvectors are real for
+    a real H; the unitary itself is built only when :attr:`unitary` is read.
     """
 
-    unitary: np.ndarray
     backend: str
     time: float | None  # phase scaling t (exact backend)
     scale: float | None  # divisor k (linearized backend)
@@ -154,8 +159,14 @@ class EvolutionOperator:
     zero_tol: float
 
     @property
+    def unitary(self) -> np.ndarray:
+        """U = V diag(exp(2 pi i phi)) V^dag, computed on each read."""
+        V = self.eigenvectors
+        return (V * np.exp(2j * np.pi * self.eigenphases)) @ V.conj().T
+
+    @property
     def dim(self) -> int:
-        return self.unitary.shape[0]
+        return self.eigenvectors.shape[0]
 
     @property
     def n_qubits(self) -> int:
@@ -163,6 +174,11 @@ class EvolutionOperator:
 
     def nonzero_mask(self) -> np.ndarray:
         return np.abs(self.eigenvalues) > self.zero_tol
+
+    @property
+    def nonzero_basis(self) -> np.ndarray:
+        """Eigenvectors of the nonzero eigenvalues, as columns."""
+        return self.eigenvectors[:, self.nonzero_mask()]
 
 
 def make_evolution(
@@ -219,15 +235,13 @@ def make_evolution(
             raise PhaseResolutionError(f"eigenphase {bad:.6g} outside [0, 1) at t={t:.6g}")
         scale = None
     elif backend == "linearized":
-        _, k = linearize(H)
+        k = _linear_scale(H)
         phases = np.where(nz, -np.arctan(w / k) / (2.0 * np.pi), 0.0)
         t, scale = None, k
     else:
         raise ValueError(f"unknown backend {backend!r}")
 
-    U = (V * np.exp(2j * np.pi * phases)) @ V.conj().T
     return EvolutionOperator(
-        unitary=U,
         backend=backend,
         time=t,
         scale=scale,
@@ -240,18 +254,27 @@ def make_evolution(
 
 
 def ladder_phase_table(evo: EvolutionOperator, m: int) -> np.ndarray:
-    """Eigenbasis diagonal of the controlled-power ladder on m phase qubits.
+    """Eigenbasis diagonal of the controlled-power ladder on m phase qubits,
+    over the nonzero eigenvectors only (the others get phase 1 for every p).
 
     Entry [p, j] = exp(2 pi i (p phi_j mod 1)) is the phase that U^p puts on
-    eigenvector j; its conjugate gives the inverse ladder.
+    the j-th column of ``evo.nonzero_basis``; its conjugate gives the inverse
+    ladder.  Shape (2^m, r) for r nonzero eigenvalues.
     """
-    return np.exp(2j * np.pi * np.mod(np.arange(2**m)[:, None] * evo.eigenphases, 1.0))
+    phases = evo.eigenphases[evo.nonzero_mask()]
+    return np.exp(2j * np.pi * np.mod(np.arange(2**m)[:, None] * phases, 1.0))
 
 
 def apply_ladder(mat: np.ndarray, evo: EvolutionOperator, table: np.ndarray) -> np.ndarray:
-    """Apply a ladder phase table to a (2^m, 2^n) register array in one eigenbasis pass."""
-    V = evo.eigenvectors
-    return ((mat @ V.conj()) * table) @ V.T
+    """Apply a :func:`ladder_phase_table` (or its conjugate) to a (2^m, 2^n) register array."""
+    return ladder_shift(mat, evo.nonzero_basis, table - 1.0)
+
+
+def ladder_shift(mat: np.ndarray, basis: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """mat + ((mat @ basis*) * shift) @ basis^T: the ladder whose phase table
+    minus one is ``shift`` on the orthonormal columns ``basis``, identity on
+    their complement."""
+    return mat + ((mat @ basis.conj()) * shift) @ basis.T
 
 
 def controlled_power_apply(evo: EvolutionOperator, j: int, state: RegisterState,

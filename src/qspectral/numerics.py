@@ -1,9 +1,12 @@
-"""Dense complex linear algebra kernel.
+"""Dense linear algebra kernel.
 
 Everything else in the package is built on (and verified against) these
 routines: Hermitian eigendecomposition, the induced 1-norm, tensor and outer
 products, Householder-style reflections, and state fidelity.  All functions
-are pure and operate on plain numpy arrays.
+are pure and operate on plain numpy arrays.  Matrices keep their own
+arithmetic: a real input stays float64 (so a real symmetric matrix gets a real
+eigendecomposition) and a complex one is complex128.  State vectors are
+always complex.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ def as_vector(v) -> np.ndarray:
 
 
 def as_matrix(A) -> np.ndarray:
-    A = np.asarray(A, dtype=complex)
+    A = np.asarray(A)
+    A = A.astype(complex if np.iscomplexobj(A) else float, copy=False)
     if A.ndim != 2 or A.size == 0:
         raise ValueError(f"expected a nonempty 2-d matrix, got shape {A.shape}")
     return A
@@ -59,7 +63,8 @@ def hermitian_eig(A, tol: float = OP_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(eigenvalues, eigenvectors)`` with real eigenvalues sorted
-    ascending and orthonormal eigenvectors as columns.  The input must be
+    ascending and orthonormal eigenvectors as columns, real for a real
+    (symmetric) input and complex otherwise.  The input must be
     Hermitian (checked); the residual ``A V - V diag(w)`` is verified against
     ``tol * max(1, ||A||_1)`` after the solve.
     """

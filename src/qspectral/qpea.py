@@ -26,7 +26,7 @@ import numpy as np
 
 from . import numerics
 from .classical import span_projection
-from .encoding import EvolutionOperator, apply_ladder, ladder_phase_table
+from .encoding import EvolutionOperator, ladder_phase_table, ladder_shift
 from .registers import NORM_TOL, RegisterState, phase_distribution, system_distribution
 
 
@@ -198,8 +198,8 @@ class _Pipeline:
     """Matrix-free appliers for the estimation unitary on (2^m, 2^n) arrays.
 
     Holds the input-independent part (phase-register gates, marking vector,
-    ladder phase table, nonzero eigenspace), built once per (cfg, evo) and
-    shared by every input loaded onto it.
+    nonzero eigenspace and the ladder phase table on it, less one), built once
+    per (cfg, evo) and shared by every input loaded onto it.
     """
 
     def __init__(self, cfg: PeaConfig, evo: EvolutionOperator):
@@ -210,9 +210,9 @@ class _Pipeline:
             raise ValueError(f"evolution dimension {evo.dim} is not a power of two")
         self.first, self.last = _phase_gates(cfg)
         self.f2 = marking_vector(self.m)
-        self.table = ladder_phase_table(evo, self.m)
+        self.nonzero_basis = evo.nonzero_basis
+        self.shift = ladder_phase_table(evo, self.m) - 1.0
         self.zero_bits = _zero_bits(self.m)
-        self.nonzero_basis = evo.eigenvectors[:, evo.nonzero_mask()]
 
     def check(self, y) -> np.ndarray:
         """The input as a vector, checked to be a unit vector of the system dimension."""
@@ -226,12 +226,15 @@ class _Pipeline:
     def initial(self, y: np.ndarray) -> np.ndarray:
         """U_pea |0,0> for a checked input; the input load W maps |0> to y, so
         the first stage is first[:, 0] (x) y."""
-        return self.last @ apply_ladder(np.outer(self.first[:, 0], y), self.evo, self.table)
+        return self.last @ self.ladder(np.outer(self.first[:, 0], y))
+
+    def ladder(self, mat: np.ndarray) -> np.ndarray:
+        return ladder_shift(mat, self.nonzero_basis, self.shift)
 
     def forward(self, mat: np.ndarray, W: np.ndarray) -> np.ndarray:
         mat = mat @ W.T
         mat = self.first @ mat
-        mat = apply_ladder(mat, self.evo, self.table)
+        mat = self.ladder(mat)
         return self.last @ mat
 
     def iterate(self, mat: np.ndarray, a: np.ndarray, W: np.ndarray | None) -> np.ndarray:

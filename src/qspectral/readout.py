@@ -183,8 +183,7 @@ def cluster_quantum(H, candidates: Sequence[IndicatorVector], cfg: PeaConfig, ma
     """
     evo = make_evolution(H, cfg.m)
     ranked = rank_indicators(H, candidates, cfg, max_iter=max_iter, stop_tol=stop_tol, evo=evo)
-    oracle = span_similarities(evo.eigenvectors[:, evo.nonzero_mask()],
-                               [c.vector() for c in candidates])
+    oracle = span_similarities(evo.nonzero_basis, [c.vector() for c in candidates])
     direct = _ranked([c.name for c in candidates], oracle, "direct")
     by_name = {c.name: c for c in candidates}
     labels = np.full(evo.dim, -1, dtype=int)

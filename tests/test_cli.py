@@ -235,6 +235,25 @@ class TestCmdClusterQuantum:
             assert labels[p] == (min(containing) - 1 if containing else -1)
         assert "agreement_rate: 0.0" in (out / "comparison.txt").read_text()
 
+    def test_explicit_candidates_need_no_cluster_count(self, tmp_path, monkeypatch):
+        # with explicit candidates k: auto is never resolved, so it cannot fail
+        explicit = "candidates: [[0, 1, 2, 3], [4, 5, 6, 7]]\n"
+        outputs = []
+        for k in ("auto", "2"):
+            cfg_path = write_config(tmp_path, BLOBS_YAML.replace("k: 2", f"k: {k}") + explicit)
+            out = tmp_path / f"out_k{k}"
+            assert cli.main(["cluster-quantum", "--config", str(cfg_path), "--out", str(out)]) == 0
+            outputs.append([(out / name).read_bytes() for name in
+                            ("similarity_ranking.csv", "labels_quantum.csv", "comparison.txt")])
+        assert outputs[0] == outputs[1]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("explicit candidates ran the classical clustering")
+
+        monkeypatch.setattr(cli, "_spectral_assignment", refuse)
+        assert cli.main(["cluster-quantum", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out_again")]) == 0
+
     def test_matrix_target_rejected(self, tmp_path):
         out = tmp_path / "out"
         assert cli.main(["cluster-quantum", "--out", str(out)]) == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -165,6 +166,31 @@ class TestMakeEvolution:
         U = evo.unitary
         assert np.max(np.abs(U.conj().T @ U - np.eye(16))) <= 1e-10
         assert np.max(np.abs(U @ H - H @ U)) <= 1e-8
+
+    @pytest.mark.parametrize("backend", ["exact_exponential", "linearized"])
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_eigenvectors_keep_input_arithmetic(self, backend, cplx):
+        H = random_psd_matrix(8, 3, seed=12)
+        if cplx:  # same spectrum in a complex eigenbasis
+            rng = np.random.default_rng(12)
+            Q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+            H = Q @ H @ Q.conj().T
+        evo = encoding.make_evolution(H, m=5, backend=backend)
+        assert evo.eigenvectors.dtype == (np.complex128 if cplx else np.float64)
+        assert evo.eigenvalues.dtype == evo.eigenphases.dtype == np.float64
+
+    def test_unitary_built_only_when_read(self):
+        H = random_psd_matrix(16, 6, seed=13)
+        evo = encoding.make_evolution(H, m=6)
+        # the operator stores no unitary: every array it holds is real for a real H
+        assert "unitary" not in {f.name for f in dataclasses.fields(evo)}
+        assert isinstance(encoding.EvolutionOperator.unitary, property)
+        held = [v for v in vars(evo).values() if isinstance(v, np.ndarray)]
+        assert held and all(v.dtype == np.float64 for v in held)
+        expected = sum(np.exp(2j * np.pi * phi) * np.outer(v, v.conj())
+                       for phi, v in zip(evo.eigenphases, evo.eigenvectors.T))
+        assert np.max(np.abs(evo.unitary - expected)) <= 1e-12
+        assert evo.dim == 16 and evo.n_qubits == 4
 
     def test_auto_time_respects_resolution_floor(self):
         H = random_psd_matrix(16, 6, seed=1)

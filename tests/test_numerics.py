@@ -53,6 +53,37 @@ class TestHermitianEig:
         assert np.max(np.abs((V * w) @ V.conj().T - A)) <= 1e-10
 
 
+class TestInputArithmetic:
+    """Real matrices stay real; complex ones stay complex."""
+
+    def test_as_matrix_dtypes(self):
+        assert numerics.as_matrix([[1, 2], [3, 4]]).dtype == np.float64
+        assert numerics.as_matrix(np.eye(2, dtype=np.float32)).dtype == np.float64
+        assert numerics.as_matrix(np.eye(2) + 0j).dtype == np.complex128
+
+    def test_real_symmetric_gets_real_eigenvectors(self):
+        rng = np.random.default_rng(3)
+        A = rng.normal(size=(6, 6))
+        A = (A + A.T) / 2
+        w, V = numerics.hermitian_eig(A)
+        assert V.dtype == np.float64 and w.dtype == np.float64
+        assert np.max(np.abs((V * w) @ V.T - A)) <= 1e-10
+        assert np.max(np.abs(w - np.linalg.eigvalsh(A + 0j))) <= 1e-12
+
+    def test_complex_hermitian_gets_complex_eigenvectors(self):
+        _, V = numerics.hermitian_eig(random_hermitian(6, 4))
+        assert V.dtype == np.complex128
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_symmetry_tolerance_unchanged(self, cplx):
+        A = np.diag([1.0, 2.0, 3.0]) + (0j if cplx else 0.0)
+        A[0, 1] = 1e-6  # far beyond the default 1e-12 relative tolerance
+        with pytest.raises(ValueError, match="Hermitian"):
+            numerics.hermitian_eig(A)
+        A[1, 0] = 1e-6 + 1e-14
+        numerics.hermitian_eig(A)
+
+
 class TestMatrix1Norm:
     def test_identity(self):
         assert numerics.matrix_1norm(np.eye(4)) == 1.0

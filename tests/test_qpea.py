@@ -260,6 +260,35 @@ class TestDenseBuilders:
         out = encoding.apply_ladder(mat, evo, table if sign > 0 else table.conj())
         assert np.max(np.abs(out.reshape(-1) - dense @ mat.reshape(-1))) <= 1e-12
 
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 4), n=st.integers(1, 3), rank_frac=st.floats(0.0, 1.0),
+           cplx=st.booleans(), sign=st.sampled_from([1, -1]),
+           backend=st.sampled_from(["exact_exponential", "linearized"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rank_restricted_ladder_matches_dense(self, m, n, rank_frac, cplx, sign, backend, seed):
+        # the table covers the nonzero eigenphases only; the null space is left as it is
+        N = 2**n
+        rank = round(rank_frac * N)
+        assume(rank > 0 or backend == "exact_exponential")  # k = 0 cannot be linearized
+        rng = np.random.default_rng(seed)
+        gauss = rng.normal(size=(N, N)) + (1j * rng.normal(size=(N, N)) if cplx else 0.0)
+        Q, _ = np.linalg.qr(gauss)
+        lam = np.zeros(N)
+        lam[:rank] = rng.uniform(0.3, 1.0, size=rank)
+        H = (Q * lam) @ Q.conj().T
+        H = (H + H.conj().T) / 2
+        # explicit t: the automatic window needs m >= 2
+        evo = encoding.make_evolution(H, m=m, backend=backend,
+                                      t=0.9 if backend == "exact_exponential" else None)
+        assert evo.eigenvectors.dtype == (np.complex128 if cplx else np.float64)
+        table = encoding.ladder_phase_table(evo, m)
+        assert table.shape == (2**m, rank)
+        mat = rng.normal(size=(2**m, N)) + 1j * rng.normal(size=(2**m, N))
+        mat /= np.linalg.norm(mat)
+        out = encoding.apply_ladder(mat, evo, table if sign > 0 else table.conj())
+        dense = qpea.ladder_matrix(evo, m, sign=sign)
+        assert np.max(np.abs(out.reshape(-1) - dense @ mat.reshape(-1))) <= 1e-12
+
 
 def reshaped_p0(vec, nq, q):
     """P0 of qubit q, summed over the other axes of the (2, ..., 2) tensor."""
