@@ -18,7 +18,6 @@ from .classical import (
 from .encoding import (
     EvolutionOperator,
     HouseholderSum,
-    controlled_power_apply,
     gate_count_estimate,
     gram_matrix,
     householder_decompose,
@@ -39,7 +38,7 @@ from .graph import (
     load_points_csv,
     normalized_laplacian,
 )
-from .numerics import fidelity, hermitian_eig, kron, matrix_1norm, outer, proj_reflection
+from .numerics import fidelity, hermitian_eig, matrix_1norm, proj_reflection
 from .qpea import (
     PeaConfig,
     Trajectory,
@@ -47,14 +46,12 @@ from .qpea import (
     amplify_many,
     bias_reflection,
     bias_vector,
-    marking_reflection,
     marking_vector,
     phase_estimation,
     prepare_unitary,
     qubit_marginal,
     stagnation_kappa,
     success_probability,
-    zero_reflection,
 )
 from .readout import (
     SimilarityReport,
@@ -67,6 +64,6 @@ from .readout import (
     register_similarity,
     x_sum_exponential,
 )
-from .registers import RegisterState, zero_state
+from .registers import RegisterState
 
 __version__ = "0.1.0"

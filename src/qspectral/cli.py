@@ -260,7 +260,7 @@ def _selftest_checks() -> list[tuple[str, bool, str]]:
     ok = ok and numerics.is_unitary(evo.unitary)
     check("encoding", ok, "round trip, linearize bound, unitarity")
 
-    # qpea: exact phase read and iterate unitarity
+    # qpea: exact phase read and the two-plane rotation of the standard iterate
     lam = 0.5
     Hd = np.diag([0.0, lam])
     evo = encoding.make_evolution(Hd, m=2, t=0.5)
@@ -270,11 +270,12 @@ def _selftest_checks() -> list[tuple[str, bool, str]]:
     H = datasets.random_psd_matrix(4, 2, 11)
     evo = encoding.make_evolution(H, m=3)
     y = datasets.random_range_input(H, 11, (0.2, 0.95))
-    Qmat = qpea.iteration_matrix(
-        qpea.PeaConfig(m=3, kappa=1.0, mode="biased", standard_grover=True), evo, y
-    )
-    ok = ok and numerics.is_unitary(Qmat, 1e-9)
-    check("qpea", ok, "exact phase read, iterate unitarity")
+    cfg = qpea.PeaConfig(m=3, kappa=1.0, mode="biased", standard_grover=True)
+    _, traj = qpea.amplify(cfg, evo, y, max_iter=20, stop_tol=None)  # raises on norm drift
+    theta = np.arcsin(np.sqrt(traj.marked_prob[0]))
+    rotation = np.sin((2 * traj.iterations + 1) * theta) ** 2
+    ok = ok and np.max(np.abs(traj.marked_prob - rotation)) < 1e-9
+    check("qpea", ok, "exact phase read, two-plane rotation")
 
     # readout: similarity equality and mixer structure
     psi = rng.normal(size=8) + 1j * rng.normal(size=8)

@@ -176,9 +176,14 @@ def load_config(path=None, seed: int | None = None, out_dir: str | None = None) 
             runs = []
             for entry in value:
                 if isinstance(entry, dict):
+                    unknown = set(entry) - {"mode", "kappa"}
+                    if unknown:
+                        raise ValueError(f"unknown runs entry keys: {sorted(unknown)}")
                     runs.append((entry.get("mode", "biased"), float(entry.get("kappa", 0.0))))
-                else:
+                elif isinstance(entry, list) and len(entry) == 2:
                     runs.append((entry[0], float(entry[1])))
+                else:
+                    raise ValueError(f"runs entry {entry!r} is neither a mapping nor [mode, kappa]")
             kwargs["runs"] = tuple(runs)
         elif key == "candidates" and isinstance(value, list):
             kwargs["candidates"] = tuple(tuple(int(i) for i in group) for group in value)

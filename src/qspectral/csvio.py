@@ -117,22 +117,3 @@ def read_ranking(path) -> list[dict]:
             for r in reader
             if r
         ]
-
-
-def write_householder(path, hsum) -> None:
-    header = ["coefficient"] + [f"x{j}" for j in range(hsum.dim)]
-    rows = [
-        [float(c)] + [float(v) for v in vec.real]
-        for c, vec in zip(hsum.coefficients, hsum.reflectors)
-    ]
-    write_rows(path, header, rows)
-
-
-def read_householder(path) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (coefficients, reflectors)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        rows = [[float(c) for c in row] for row in reader if row]
-    arr = np.asarray(rows, dtype=float)
-    return arr[:, 0], arr[:, 1:]

@@ -16,7 +16,6 @@ import numpy as np
 from . import numerics
 from .classical import default_zero_tol
 from .errors import PhaseResolutionError
-from .registers import RegisterState
 
 
 @dataclass(frozen=True)
@@ -152,7 +151,6 @@ class EvolutionOperator:
     backend: str
     time: float | None  # phase scaling t (exact backend)
     scale: float | None  # divisor k (linearized backend)
-    hamiltonian: np.ndarray
     eigenvalues: np.ndarray  # of the Hamiltonian, ascending
     eigenvectors: np.ndarray
     eigenphases: np.ndarray  # signed; equal mod 1 to the phases of U
@@ -187,7 +185,6 @@ def make_evolution(
     backend: str = "exact_exponential",
     zero_tol: float | None = None,
     t: float | None = None,
-    phase_cap: float | None = None,
 ) -> EvolutionOperator:
     """Build the evolution unitary fed to phase estimation.
 
@@ -216,7 +213,7 @@ def make_evolution(
                         f"automatic time scaling needs a PSD operator; "
                         f"smallest eigenvalue is {w[0]:.6g}"
                     )
-                cap = (1.0 - 2.0 / M) if phase_cap is None else float(phase_cap)
+                cap = 1.0 - 2.0 / M
                 if cap < 2.0 / M:
                     raise PhaseResolutionError(
                         f"m={m} leaves no resolvable phase window (cap {cap:.4g} < {2.0 / M:.4g})"
@@ -245,7 +242,6 @@ def make_evolution(
         backend=backend,
         time=t,
         scale=scale,
-        hamiltonian=H,
         eigenvalues=w,
         eigenvectors=V,
         eigenphases=phases,
@@ -265,33 +261,11 @@ def ladder_phase_table(evo: EvolutionOperator, m: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.mod(np.arange(2**m)[:, None] * phases, 1.0))
 
 
-def apply_ladder(mat: np.ndarray, evo: EvolutionOperator, table: np.ndarray) -> np.ndarray:
-    """Apply a :func:`ladder_phase_table` (or its conjugate) to a (2^m, 2^n) register array."""
-    return ladder_shift(mat, evo.nonzero_basis, table - 1.0)
-
-
 def ladder_shift(mat: np.ndarray, basis: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """mat + ((mat @ basis*) * shift) @ basis^T: the ladder whose phase table
     minus one is ``shift`` on the orthonormal columns ``basis``, identity on
     their complement."""
     return mat + ((mat @ basis.conj()) * shift) @ basis.T
-
-
-def controlled_power_apply(evo: EvolutionOperator, j: int, state: RegisterState,
-                           control_qubit: int) -> RegisterState:
-    """Apply controlled-U^(2^j) to the system register of a two-register state."""
-    if 2**state.n != evo.dim:
-        raise ValueError(f"system register of {state.n} qubits does not match dim {evo.dim}")
-    m = state.m
-    if not 0 <= control_qubit < m:
-        raise ValueError(f"control qubit {control_qubit} outside phase register of {m} qubits")
-    if j < 0:
-        raise ValueError(f"power exponent must be nonnegative, got {j}")
-    V = evo.eigenvectors
-    mat = state.as_matrix().copy()
-    mask = (np.arange(2**m) >> (m - 1 - control_qubit)) & 1 == 1
-    mat[mask] = ((mat[mask] @ V.conj()) * np.exp(2j * np.pi * evo.eigenphases * float(2**j))) @ V.T
-    return RegisterState(mat.reshape(-1), m, state.n)
 
 
 def gate_count_estimate(L: int, N: int, m: int, simple_unitaries: bool = False) -> int:

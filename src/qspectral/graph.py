@@ -74,19 +74,14 @@ def gaussian_similarity(x_i, x_j, sigma: float, squared_norm: bool = False) -> f
     return float(np.exp(-expo / (2.0 * sigma * sigma)))
 
 
-def build_epsilon_graph(points, eps: float, verbatim_greater: bool = False) -> SimilarityGraph:
-    """Unweighted neighborhood graph: connect pairs with distance <= eps.
-
-    ``verbatim_greater`` flips the comparison and connects pairs whose
-    distance exceeds eps instead.
-    """
+def build_epsilon_graph(points, eps: float) -> SimilarityGraph:
+    """Unweighted neighborhood graph: connect pairs with distance <= eps."""
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     D = pairwise_distances(points)
-    W = (D > eps) if verbatim_greater else (D <= eps)
-    W = W.astype(float)
+    W = (D <= eps).astype(float)
     np.fill_diagonal(W, 0.0)
-    return SimilarityGraph(W, "epsilon", {"eps": eps, "verbatim_greater": verbatim_greater})
+    return SimilarityGraph(W, "epsilon", {"eps": eps})
 
 
 def build_knn_graph(points, k: int) -> SimilarityGraph:
@@ -138,26 +133,16 @@ def laplacian(g) -> np.ndarray:
     return degree_matrix(W) - W
 
 
-def isolated_vertices(g) -> np.ndarray:
-    return np.flatnonzero(_weights(g).sum(axis=1) == 0.0)
-
-
-def normalized_laplacian(g, drop_isolated: bool = False) -> np.ndarray:
+def normalized_laplacian(g) -> np.ndarray:
     """Symmetric normalized Laplacian I - D^{-1/2} W D^{-1/2}.
 
-    Zero-degree vertices are a hard error unless ``drop_isolated`` is set, in
-    which case the result covers only the vertices with positive degree (in
-    their original order; see :func:`isolated_vertices` for the dropped set).
+    Zero-degree vertices are a hard error.
     """
     W = _weights(g)
     deg = W.sum(axis=1)
     if np.any(deg == 0.0):
-        if not drop_isolated:
-            bad = np.flatnonzero(deg == 0.0)
-            raise ValueError(f"graph has isolated vertices {bad.tolist()}")
-        keep = deg > 0.0
-        W = W[np.ix_(keep, keep)]
-        deg = deg[keep]
+        bad = np.flatnonzero(deg == 0.0)
+        raise ValueError(f"graph has isolated vertices {bad.tolist()}")
     inv_sqrt = 1.0 / np.sqrt(deg)
     L = -W * inv_sqrt[:, None] * inv_sqrt[None, :]
     np.fill_diagonal(L, 1.0 + np.diag(L))

@@ -1,8 +1,8 @@
 """Dense linear algebra kernel.
 
 Everything else in the package is built on (and verified against) these
-routines: Hermitian eigendecomposition, the induced 1-norm, tensor and outer
-products, Householder-style reflections, and state fidelity.  All functions
+routines: Hermitian eigendecomposition, the induced 1-norm, Householder-style
+reflections, and state fidelity.  All functions
 are pure and operate on plain numpy arrays.  Matrices keep their own
 arithmetic: a real input stays float64 (so a real symmetric matrix gets a real
 eigendecomposition) and a complex one is complex128.  State vectors are
@@ -84,16 +84,6 @@ def hermitian_eig(A, tol: float = OP_TOL) -> tuple[np.ndarray, np.ndarray]:
             f"eigendecomposition residual {residual:.3e} exceeds {tol:.1e} * {scale:.3e}"
         )
     return w, V
-
-
-def kron(A, B) -> np.ndarray:
-    """Tensor (Kronecker) product."""
-    return np.kron(np.asarray(A, dtype=complex), np.asarray(B, dtype=complex))
-
-
-def outer(u, v) -> np.ndarray:
-    """|u><v| outer product (second argument is conjugated)."""
-    return np.outer(as_vector(u), as_vector(v).conj())
 
 
 def proj_reflection(u, tol: float = VEC_TOL) -> np.ndarray:

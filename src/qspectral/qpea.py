@@ -54,26 +54,9 @@ def marking_vector(m: int) -> np.ndarray:
     return f / np.sqrt(M - 1)
 
 
-def _with_system(mat: np.ndarray, n: int) -> np.ndarray:
-    return np.kron(mat, np.eye(2**n, dtype=complex)) if n > 0 else mat
-
-
-def bias_reflection(m: int, kappa: float, n: int = 0) -> np.ndarray:
-    """Reflection about the bias vector, extended by identity on n system qubits."""
-    return _with_system(numerics.proj_reflection(bias_vector(m, kappa)), n)
-
-
-def marking_reflection(m: int, n: int = 0) -> np.ndarray:
-    """Reflection about the uniform nonzero-phase vector (the marking operator)."""
-    return _with_system(numerics.proj_reflection(marking_vector(m)), n)
-
-
-def zero_reflection(m: int, n: int) -> np.ndarray:
-    """Reflection about |0...0> on all m + n qubits."""
-    dim = 2 ** (m + n)
-    R = np.eye(dim, dtype=complex)
-    R[0, 0] = -1.0
-    return R
+def bias_reflection(m: int, kappa: float) -> np.ndarray:
+    """Reflection about the bias vector on the phase register."""
+    return numerics.proj_reflection(bias_vector(m, kappa))
 
 
 def qft_matrix(m: int) -> np.ndarray:
@@ -138,10 +121,6 @@ def _norm_sq(v: np.ndarray) -> float:
     return float(np.vdot(v, v).real)
 
 
-def _marked_probability(mat: np.ndarray, f2: np.ndarray) -> float:
-    return _norm_sq(f2.conj() @ mat)
-
-
 def _zero_bits(bits: int) -> np.ndarray:
     """(2^bits, bits) table, 1 where msb-first bit q of the row index is 0."""
     return ((np.arange(2**bits)[:, None] >> np.arange(bits)[::-1]) & 1 == 0).astype(float)
@@ -156,11 +135,6 @@ def _qubit_p0(mat: np.ndarray, m: int, q: int) -> float:
 def success_probability(state: RegisterState) -> float:
     """Probability of measuring the phase register outside |0...0>."""
     return float(1.0 - phase_distribution(state.as_matrix())[0])
-
-
-def marked_projection_probability(state: RegisterState) -> float:
-    """Squared amplitude along the uniform nonzero-phase vector."""
-    return _marked_probability(state.as_matrix(), marking_vector(state.m))
 
 
 def qubit_marginal(state: RegisterState, q: int) -> tuple[float, float]:
@@ -186,14 +160,6 @@ def stagnation_kappa(m: int) -> float:
 # the estimation pipeline
 
 
-def _phase_gates(cfg: PeaConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Phase-register unitaries applied before and after the ladder."""
-    if cfg.mode == "qft":
-        return hadamard_wall(cfg.m), qft_matrix(cfg.m).conj().T
-    first = bias_reflection(cfg.m, cfg.kappa)
-    return first, first.conj().T  # the reflection is self-adjoint
-
-
 class _Pipeline:
     """Matrix-free appliers for the estimation unitary on (2^m, 2^n) arrays.
 
@@ -208,7 +174,11 @@ class _Pipeline:
         self.n = evo.n_qubits
         if 2**self.n != evo.dim:
             raise ValueError(f"evolution dimension {evo.dim} is not a power of two")
-        self.first, self.last = _phase_gates(cfg)
+        if cfg.mode == "qft":  # phase-register unitaries applied before and after the ladder
+            self.first, self.last = hadamard_wall(self.m), qft_matrix(self.m).conj().T
+        else:
+            self.first = bias_reflection(self.m, cfg.kappa)
+            self.last = self.first.conj().T  # the reflection is self-adjoint
         self.f2 = marking_vector(self.m)
         self.nonzero_basis = evo.nonzero_basis
         self.shift = ladder_phase_table(evo, self.m) - 1.0
@@ -374,7 +344,7 @@ def _amplify_checked(pipe: _Pipeline, y: np.ndarray, target_conj: np.ndarray, ma
         norm = np.sqrt(pd.sum())
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state norm {norm:.12g} is not 1 at iteration {t}")
-        rows.append([1.0 - pd[0], _marked_probability(mat, pipe.f2), _norm_sq(mat @ target_conj),
+        rows.append([1.0 - pd[0], _norm_sq(pipe.f2.conj() @ mat), _norm_sq(mat @ target_conj),
                      *(pd @ pipe.zero_bits)])
 
     mat = a
@@ -401,39 +371,3 @@ def _amplify_checked(pipe: _Pipeline, y: np.ndarray, target_conj: np.ndarray, ma
         kappa=pipe.cfg.kappa,
     )
     return pipe.to_state(mat), traj
-
-
-# ---------------------------------------------------------------------------
-# dense builders (tests and inspection; small registers only)
-
-
-def ladder_matrix(evo: EvolutionOperator, m: int, sign: int = 1) -> np.ndarray:
-    """Dense controlled-power ladder: block p applies U^p to the system."""
-    M, N = 2**m, evo.dim
-    out = np.zeros((M * N, M * N), dtype=complex)
-    V = evo.eigenvectors
-    for p in range(M):
-        block = (V * np.exp(2j * np.pi * sign * evo.eigenphases * p)) @ V.conj().T
-        out[p * N:(p + 1) * N, p * N:(p + 1) * N] = block
-    return out
-
-
-def bpea_matrix(cfg: PeaConfig, evo: EvolutionOperator, y) -> np.ndarray:
-    """Dense estimation unitary, input preparation included."""
-    n = evo.n_qubits
-    W = prepare_unitary(numerics.as_vector(y))
-    first, last = _phase_gates(cfg)
-    eye_n = np.eye(2**n, dtype=complex)
-    A = np.kron(first, eye_n) @ np.kron(np.eye(2**cfg.m, dtype=complex), W)
-    A = ladder_matrix(evo, cfg.m) @ A
-    return np.kron(last, eye_n) @ A
-
-
-def iteration_matrix(cfg: PeaConfig, evo: EvolutionOperator, y) -> np.ndarray:
-    """Dense amplification iterate Q for the given configuration."""
-    A = bpea_matrix(cfg, evo, y)
-    inner = A.conj().T if cfg.standard_grover else A
-    n = evo.n_qubits
-    Us = zero_reflection(cfg.m, n)
-    Uf2 = marking_reflection(cfg.m, n)
-    return A @ Us @ inner @ Uf2

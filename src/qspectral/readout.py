@@ -20,6 +20,8 @@ from .encoding import EvolutionOperator, make_evolution
 from .qpea import PeaConfig, amplify, amplify_many
 from .registers import RegisterState, system_distribution
 
+TIE_TOL = 1e-12  # similarities closer than this rank as equal, in input order
+
 
 @dataclass(frozen=True)
 class SimilarityReport:
@@ -33,13 +35,11 @@ class SimilarityReport:
             raise ValueError(f"similarity {self.similarity} outside [0, 1]")
 
 
-def householder_similarity(psi, y, verbatim_reflection: bool = False) -> float:
+def householder_similarity(psi, y) -> float:
     """P(|0>) after reflecting the candidate y onto |0>, i.e. |<y|psi>|^2.
 
     The reflection axis is (y - e0) normalized (identity when y = e0), which
-    maps y to the zero state exactly.  ``verbatim_reflection`` applies
-    I - 2|y><y| instead, for comparison; that operator does not generally move
-    y onto |0>.
+    maps y to the zero state exactly.
     """
     psi = numerics.as_vector(psi)
     y = numerics.as_vector(y)
@@ -48,9 +48,6 @@ def householder_similarity(psi, y, verbatim_reflection: bool = False) -> float:
     for name, v in (("psi", psi), ("y", y)):
         if not numerics.is_normalized(v, 1e-8):
             raise ValueError(f"{name} must be unit norm")
-    if verbatim_reflection:
-        reflected = psi - 2.0 * np.vdot(y, psi) * y
-        return float(min(1.0, abs(reflected[0]) ** 2))
     w, _ = numerics.householder_axis(y)
     reflected = psi if w is None else psi - 2.0 * np.vdot(w, psi) * w
     return float(min(1.0, abs(reflected[0]) ** 2))
@@ -165,8 +162,11 @@ def rank_indicators(
 
 
 def _ranked(names, similarities, method: str) -> list[SimilarityReport]:
-    """Reports sorted by descending similarity, with 1-based ranks."""
+    """Reports sorted by descending similarity, with 1-based ranks; neighbours in
+    that order within :data:`TIE_TOL` tie, and a tie group keeps the input order."""
     order = sorted(range(len(names)), key=lambda i: -similarities[i])
+    gaps = [similarities[a] - similarities[b] > TIE_TOL for a, b in zip(order, order[1:])]
+    order = [i for _, i in sorted(zip(np.cumsum([0, *gaps]), order))]
     return [SimilarityReport(names[i], similarities[i], method, rank + 1)
             for rank, i in enumerate(order)]
 

@@ -54,13 +54,3 @@ class RegisterState:
     def phase_distribution(self) -> np.ndarray:
         """Probability of each phase-register basis state."""
         return phase_distribution(self.as_matrix())
-
-    def system_distribution(self) -> np.ndarray:
-        """Probability of each system-register basis state."""
-        return system_distribution(self.as_matrix())
-
-
-def zero_state(m: int, n: int) -> RegisterState:
-    amps = np.zeros(2 ** (m + n), dtype=complex)
-    amps[0] = 1.0
-    return RegisterState(amps, m, n)

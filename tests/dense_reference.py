@@ -1,0 +1,80 @@
+"""Dense 2^(m+n) matrices of the operators the engine applies matrix-free, for tests;
+the phase gates come from the public gate builders, so no engine code is shared."""
+
+import numpy as np
+
+from qspectral import numerics
+from qspectral.encoding import EvolutionOperator
+from qspectral.qpea import (PeaConfig, bias_reflection, hadamard_wall, marking_vector,
+                            prepare_unitary, qft_matrix)
+from qspectral.registers import RegisterState
+
+
+def _with_system(mat: np.ndarray, n: int) -> np.ndarray:
+    return np.kron(mat, np.eye(2**n, dtype=complex)) if n > 0 else mat
+
+
+def marking_reflection(m: int, n: int = 0) -> np.ndarray:
+    """Reflection about the uniform nonzero-phase vector (the marking operator)."""
+    return _with_system(numerics.proj_reflection(marking_vector(m)), n)
+
+
+def zero_reflection(m: int, n: int) -> np.ndarray:
+    """Reflection about |0...0> on all m + n qubits."""
+    dim = 2 ** (m + n)
+    R = np.eye(dim, dtype=complex)
+    R[0, 0] = -1.0
+    return R
+
+
+def ladder_matrix(evo: EvolutionOperator, m: int, sign: int = 1) -> np.ndarray:
+    """Dense controlled-power ladder: block p applies U^p to the system."""
+    M, N = 2**m, evo.dim
+    out = np.zeros((M * N, M * N), dtype=complex)
+    V = evo.eigenvectors
+    for p in range(M):
+        block = (V * np.exp(2j * np.pi * sign * evo.eigenphases * p)) @ V.conj().T
+        out[p * N:(p + 1) * N, p * N:(p + 1) * N] = block
+    return out
+
+
+def bpea_matrix(cfg: PeaConfig, evo: EvolutionOperator, y) -> np.ndarray:
+    """Dense estimation unitary, input preparation included."""
+    n = evo.n_qubits
+    W = prepare_unitary(numerics.as_vector(y))
+    if cfg.mode == "qft":
+        first, last = hadamard_wall(cfg.m), qft_matrix(cfg.m).conj().T
+    else:
+        first = bias_reflection(cfg.m, cfg.kappa)
+        last = first.conj().T
+    eye_n = np.eye(2**n, dtype=complex)
+    A = np.kron(first, eye_n) @ np.kron(np.eye(2**cfg.m, dtype=complex), W)
+    A = ladder_matrix(evo, cfg.m) @ A
+    return np.kron(last, eye_n) @ A
+
+
+def iteration_matrix(cfg: PeaConfig, evo: EvolutionOperator, y) -> np.ndarray:
+    """Dense amplification iterate Q for the given configuration."""
+    A = bpea_matrix(cfg, evo, y)
+    inner = A.conj().T if cfg.standard_grover else A
+    n = evo.n_qubits
+    Us = zero_reflection(cfg.m, n)
+    Uf2 = marking_reflection(cfg.m, n)
+    return A @ Us @ inner @ Uf2
+
+
+def controlled_power_apply(evo: EvolutionOperator, j: int, state: RegisterState,
+                           control_qubit: int) -> RegisterState:
+    """Apply controlled-U^(2^j) to the system register of a two-register state."""
+    if 2**state.n != evo.dim:
+        raise ValueError(f"system register of {state.n} qubits does not match dim {evo.dim}")
+    m = state.m
+    if not 0 <= control_qubit < m:
+        raise ValueError(f"control qubit {control_qubit} outside phase register of {m} qubits")
+    if j < 0:
+        raise ValueError(f"power exponent must be nonnegative, got {j}")
+    V = evo.eigenvectors
+    mat = state.as_matrix().copy()
+    mask = (np.arange(2**m) >> (m - 1 - control_qubit)) & 1 == 1
+    mat[mask] = ((mat[mask] @ V.conj()) * np.exp(2j * np.pi * evo.eigenphases * float(2**j))) @ V.T
+    return RegisterState(mat.reshape(-1), m, state.n)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qspectral import cli, csvio, graph as graphmod, numerics, readout
+from qspectral import cli, csvio, graph as graphmod, numerics, qpea, readout
 from qspectral.classical import IndicatorVector
 from qspectral.config import load_config
 from qspectral.datasets import gaussian_blobs
@@ -63,6 +63,21 @@ class TestConfig:
             load_config(write_config(tmp_path, "target: nonsense\n"))
         with pytest.raises(ValueError, match="max_iter"):
             load_config(write_config(tmp_path, "amplify: {max_iter: -2}\n"))
+
+    def test_misspelled_run_keys_rejected(self, tmp_path, capsys):
+        p = write_config(tmp_path, "runs: [{mode: qft, kapa: 20.0}, {mdoe: qft, kappa: 1.0}]\n")
+        with pytest.raises(ValueError, match=r"\['kapa'\]"):
+            load_config(p)
+        assert cli.main(["amplify-trace", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert "kapa" in capsys.readouterr().err
+        p = write_config(tmp_path, "runs: [{mdoe: qft, kappa: 1.0}]\n")
+        with pytest.raises(ValueError, match=r"\['mdoe'\]"):
+            load_config(p)
+        for bad in ("[qft]", "[qft, 1.0, 5]", "qft"):
+            with pytest.raises(ValueError, match=r"neither a mapping nor \[mode, kappa\]"):
+                load_config(write_config(tmp_path, f"runs: [{bad}]\n"))
+        cfg = load_config(write_config(tmp_path, "runs: [{mode: qft}, {kappa: 2.0}, [biased, 3]]\n"))
+        assert cfg.runs == (("qft", 0.0), ("biased", 2.0), ("biased", 3.0))
 
 
 class TestCmdGraph:
@@ -319,6 +334,16 @@ class TestSelftest:
         for module in ("numerics", "graph", "classical", "encoding", "qpea", "readout"):
             assert f"PASS {module}" in output
 
+    def test_fails_on_engine_without_marking(self, capsys, monkeypatch):
+        # the iterate without R_mark keeps unit norm but leaves the two-plane rotation
+        def no_marking(self, mat, a, W):
+            return mat - 2.0 * np.vdot(a, mat) * a
+        monkeypatch.setattr(qpea._Pipeline, "iterate", no_marking)
+        assert cli.main(["selftest"]) == 1
+        output = capsys.readouterr().out
+        assert "FAIL qpea" in output
+        assert "PASS readout" in output
+
 
 class TestCsvRoundTrips:
     def test_matrix(self, tmp_path):
@@ -336,16 +361,6 @@ class TestCsvRoundTrips:
         w = np.array([0.0, 0.5, 2.25])
         csvio.write_eigenvalues(tmp_path / "e.csv", w)
         assert np.array_equal(csvio.read_eigenvalues(tmp_path / "e.csv"), w)
-
-    def test_householder(self, tmp_path):
-        from qspectral import householder_decompose
-
-        rng = np.random.default_rng(1)
-        hs = householder_decompose(rng.normal(size=(5, 3)))
-        csvio.write_householder(tmp_path / "h.csv", hs)
-        coef, refl = csvio.read_householder(tmp_path / "h.csv")
-        assert np.array_equal(coef, hs.coefficients)
-        assert np.array_equal(refl, hs.reflectors.real)
 
     def test_points_roundtrip_through_graph_ingestion(self, tmp_path):
         from qspectral import load_points_csv

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from qspectral import encoding, numerics, qpea
 from qspectral.datasets import random_psd_matrix
 from qspectral.errors import PhaseResolutionError
-from qspectral.registers import RegisterState, zero_state
+from qspectral.registers import RegisterState
+
+from dense_reference import controlled_power_apply
 
 
 def random_hermitian(dim, seed):
@@ -231,8 +233,10 @@ class TestControlledPower:
     def test_control_zero_unchanged(self):
         H = np.diag([0.0, 0.5])
         evo = encoding.make_evolution(H, m=2, t=0.5)
-        state = zero_state(2, 1)  # phase |00>, system |0>
-        out = encoding.controlled_power_apply(evo, 0, state, control_qubit=0)
+        amps = np.zeros(8, dtype=complex)
+        amps[0] = 1.0
+        state = RegisterState(amps, 2, 1)  # phase |00>, system |0>
+        out = controlled_power_apply(evo, 0, state, control_qubit=0)
         assert np.array_equal(out.amplitudes, state.amplitudes)
 
     def test_identity_evolution_unchanged(self):
@@ -240,7 +244,7 @@ class TestControlledPower:
         amps = np.zeros(4, dtype=complex)
         amps[2] = 1.0  # control |1>, system |0>
         state = RegisterState(amps, 1, 1)
-        out = encoding.controlled_power_apply(evo, 3, state, control_qubit=0)
+        out = controlled_power_apply(evo, 3, state, control_qubit=0)
         assert np.allclose(out.amplitudes, amps)
 
     def test_phase_squared(self):
@@ -250,7 +254,7 @@ class TestControlledPower:
         amps = np.zeros(8, dtype=complex)
         amps[2 * 2 + 1] = 1.0  # phase |10> (qubit 0 set), system |1>
         state = RegisterState(amps, 2, 1)
-        out = encoding.controlled_power_apply(evo, 1, state, control_qubit=0)
+        out = controlled_power_apply(evo, 1, state, control_qubit=0)
         assert out.amplitudes[2 * 2 + 1] == pytest.approx(-1.0)
 
     def test_norm_preserved(self):
@@ -260,7 +264,7 @@ class TestControlledPower:
         amps = rng.normal(size=64) + 1j * rng.normal(size=64)
         amps /= np.linalg.norm(amps)
         state = RegisterState(amps, 3, 3)
-        out = encoding.controlled_power_apply(evo, 2, state, control_qubit=1)
+        out = controlled_power_apply(evo, 2, state, control_qubit=1)
         assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-10
 
 

@@ -72,12 +72,6 @@ class TestEpsilonGraph:
         g = graph.build_epsilon_graph(self.points, eps=0.5)
         assert np.array_equal(g.weights, np.zeros((3, 3)))
 
-    def test_verbatim_greater_flag(self):
-        g = graph.build_epsilon_graph(self.points, eps=2.0, verbatim_greater=True)
-        expected = np.ones((3, 3)) - np.eye(3)
-        expected[0, 1] = expected[1, 0] = 0.0
-        assert np.array_equal(g.weights, expected)
-
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError, match="eps"):
             graph.build_epsilon_graph(self.points, eps=-1.0)
@@ -185,13 +179,6 @@ class TestNormalizedLaplacian:
         W[0, 1] = W[1, 0] = 1.0
         with pytest.raises(ValueError, match="isolated"):
             graph.normalized_laplacian(W)
-
-    def test_drop_isolated(self):
-        W = np.zeros((3, 3))
-        W[0, 1] = W[1, 0] = 1.0
-        Ln = graph.normalized_laplacian(W, drop_isolated=True)
-        assert Ln.shape == (2, 2)
-        assert np.array_equal(graph.isolated_vertices(W), [2])
 
 
 class TestComponents:

@@ -159,18 +159,6 @@ class TestFidelity:
             numerics.fidelity(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
 
 
-def test_outer_conjugates_second_argument():
-    u = np.array([1.0, 0.0])
-    v = np.array([0.0, 1j])
-    assert np.allclose(numerics.outer(u, v), np.array([[0.0, -1j], [0.0, 0.0]]))
-
-
-def test_kron_matches_numpy():
-    A = random_hermitian(2, 1)
-    B = random_hermitian(3, 2)
-    assert np.allclose(numerics.kron(A, B), np.kron(A, B))
-
-
 def test_eig_convergence_error_is_exposed():
     assert issubclass(ConvergenceError, RuntimeError)
 

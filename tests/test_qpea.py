@@ -11,6 +11,9 @@ from qspectral.datasets import random_psd_matrix, random_range_input
 from qspectral.errors import DegenerateTargetError
 from qspectral.registers import RegisterState
 
+from dense_reference import (_with_system, bpea_matrix, controlled_power_apply, iteration_matrix,
+                             ladder_matrix, marking_reflection, zero_reflection)
+
 
 def involutory_reflection(R, tol=1e-10):
     eye = np.eye(R.shape[0])
@@ -42,7 +45,7 @@ class TestBiasVector:
 
 class TestReflections:
     def test_zero_reflection_flips_zero_state(self):
-        R = qpea.zero_reflection(2, 1)
+        R = zero_reflection(2, 1)
         e0 = np.zeros(8)
         e0[0] = 1.0
         assert np.allclose(R @ e0, -e0)
@@ -51,7 +54,7 @@ class TestReflections:
         assert np.allclose(R @ other, other)
 
     def test_marking_reflection_fixes_zero_phase_block(self):
-        R = qpea.marking_reflection(2, 1)
+        R = marking_reflection(2, 1)
         rng = np.random.default_rng(0)
         sys = rng.normal(size=2) + 1j * rng.normal(size=2)
         vec = np.zeros(8, dtype=complex)
@@ -59,7 +62,7 @@ class TestReflections:
         assert np.max(np.abs(R @ vec - vec)) <= 1e-12
 
     def test_bias_reflection_large_kappa_limit(self):
-        R = qpea.bias_reflection(3, 1e9, n=0)
+        R = qpea.bias_reflection(3, 1e9)
         expected = np.diag([-1.0] + [1.0] * 7)
         assert np.max(np.abs(R - expected)) <= 1e-6
 
@@ -67,11 +70,11 @@ class TestReflections:
     @given(m=st.integers(1, 5), kappa=st.floats(0.0, 50.0, allow_nan=False))
     def test_all_reflections_involutory(self, m, kappa):
         assert involutory_reflection(qpea.bias_reflection(m, kappa))
-        assert involutory_reflection(qpea.marking_reflection(m))
-        assert involutory_reflection(qpea.zero_reflection(m, 1))
+        assert involutory_reflection(marking_reflection(m))
+        assert involutory_reflection(zero_reflection(m, 1))
 
     def test_reflections_with_system_factor(self):
-        R = qpea.bias_reflection(2, 1.5, n=2)
+        R = _with_system(qpea.bias_reflection(2, 1.5), 2)
         assert R.shape == (16, 16)
         assert involutory_reflection(R)
 
@@ -212,7 +215,7 @@ class TestDenseBuilders:
         for mode, kappa in (("qft", 0.0), ("biased", 1.5)):
             cfg = qpea.PeaConfig(m=3, kappa=kappa, mode=mode)
             evo = encoding.make_evolution(H, m=3)
-            A = qpea.bpea_matrix(cfg, evo, y)
+            A = bpea_matrix(cfg, evo, y)
             state = qpea.phase_estimation(cfg, evo, y)
             e0 = np.zeros(32, dtype=complex)
             e0[0] = 1.0
@@ -224,7 +227,7 @@ class TestDenseBuilders:
         evo = encoding.make_evolution(H, m=3)
         for standard in (False, True):
             cfg = qpea.PeaConfig(m=3, kappa=1.0, mode="biased", standard_grover=standard)
-            Q = qpea.iteration_matrix(cfg, evo, y)
+            Q = iteration_matrix(cfg, evo, y)
             assert np.max(np.abs(Q.conj().T @ Q - np.eye(32))) <= 1e-9
 
     def test_full_size_iterate_unitary(self):
@@ -232,19 +235,19 @@ class TestDenseBuilders:
         y = random_range_input(H, seed=9, overlap_sq=(0.2, 0.95))
         evo = encoding.make_evolution(H, m=6)
         cfg = qpea.PeaConfig(m=6, kappa=20.0, mode="biased", standard_grover=True)
-        Q = qpea.iteration_matrix(cfg, evo, y)
+        Q = iteration_matrix(cfg, evo, y)
         assert np.max(np.abs(Q.conj().T @ Q - np.eye(1024))) <= 1e-9
 
     def test_ladder_composition_matches_block_diagonal(self):
         H = random_psd_matrix(4, 2, seed=10)
         evo = encoding.make_evolution(H, m=3)
-        dense = qpea.ladder_matrix(evo, m=3)
+        dense = ladder_matrix(evo, m=3)
         rng = np.random.default_rng(11)
         mat = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
         mat /= np.linalg.norm(mat)
         out = RegisterState(mat.reshape(-1), 3, 2)
         for q in range(3):
-            out = encoding.controlled_power_apply(evo, 3 - 1 - q, out, control_qubit=q)
+            out = controlled_power_apply(evo, 3 - 1 - q, out, control_qubit=q)
         assert np.max(np.abs(out.amplitudes - dense @ mat.reshape(-1))) <= 1e-12
 
     @pytest.mark.parametrize("backend", ["exact_exponential", "linearized"])
@@ -252,12 +255,12 @@ class TestDenseBuilders:
     def test_phase_table_ladder_matches_block_diagonal(self, sign, backend):
         H = random_psd_matrix(8, 3, seed=17)
         evo = encoding.make_evolution(H, m=4, backend=backend)
-        dense = qpea.ladder_matrix(evo, m=4, sign=sign)
+        dense = ladder_matrix(evo, m=4, sign=sign)
         rng = np.random.default_rng(18)
         mat = rng.normal(size=(16, 8)) + 1j * rng.normal(size=(16, 8))
         mat /= np.linalg.norm(mat)
         table = encoding.ladder_phase_table(evo, 4)
-        out = encoding.apply_ladder(mat, evo, table if sign > 0 else table.conj())
+        out = encoding.ladder_shift(mat, evo.nonzero_basis, (table if sign > 0 else table.conj()) - 1)
         assert np.max(np.abs(out.reshape(-1) - dense @ mat.reshape(-1))) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
@@ -285,8 +288,8 @@ class TestDenseBuilders:
         assert table.shape == (2**m, rank)
         mat = rng.normal(size=(2**m, N)) + 1j * rng.normal(size=(2**m, N))
         mat /= np.linalg.norm(mat)
-        out = encoding.apply_ladder(mat, evo, table if sign > 0 else table.conj())
-        dense = qpea.ladder_matrix(evo, m, sign=sign)
+        out = encoding.ladder_shift(mat, evo.nonzero_basis, (table if sign > 0 else table.conj()) - 1)
+        dense = ladder_matrix(evo, m, sign=sign)
         assert np.max(np.abs(out.reshape(-1) - dense @ mat.reshape(-1))) <= 1e-12
 
 
@@ -310,8 +313,8 @@ def dense_run(cfg, evo, H, y, max_iter, stop_tol, stop_qubit):
     the dense iterate Q from A |0,0>."""
     m, n = cfg.m, evo.n_qubits
     target, _ = classical.projector_target(H, y, evo.zero_tol)
-    Q = qpea.iteration_matrix(cfg, evo, y)
-    vec = qpea.bpea_matrix(cfg, evo, y)[:, 0]
+    Q = iteration_matrix(cfg, evo, y)
+    vec = bpea_matrix(cfg, evo, y)[:, 0]
     rows = [dense_observables(vec, m, n, target)]
     gaps = []
     for t in range(1, max_iter + 1):
@@ -555,8 +558,8 @@ class TestAmplify:
         y /= np.linalg.norm(y)
         for standard in (False, True):
             cfg = qpea.PeaConfig(m=3, kappa=1.0, mode="biased", standard_grover=standard)
-            Q = qpea.iteration_matrix(cfg, evo, y)
-            A = qpea.bpea_matrix(cfg, evo, y)
+            Q = iteration_matrix(cfg, evo, y)
+            A = bpea_matrix(cfg, evo, y)
             vec = np.zeros(32, dtype=complex)
             vec[0] = 1.0
             vec = A @ vec

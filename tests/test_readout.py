@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qspectral import classical, encoding, qpea, readout
+from qspectral import classical, encoding, graph, qpea, readout
 from qspectral.datasets import gaussian_blobs, random_psd_matrix, scrambled_indicators
 from qspectral.registers import RegisterState
 
@@ -44,7 +44,8 @@ class TestHouseholderSimilarity:
     def test_verbatim_reflection_differs_in_general(self):
         psi = random_unit(6, 2)
         y = random_unit(6, 3)
-        literal = readout.householder_similarity(psi, y, verbatim_reflection=True)
+        reflected = psi - 2.0 * np.vdot(y, psi) * y  # the paper's printed I - 2|y><y|
+        literal = min(1.0, abs(reflected[0]) ** 2)
         intended = readout.householder_similarity(psi, y)
         assert abs(literal - intended) > 1e-3  # the printed operator is not the mapping one
 
@@ -245,6 +246,33 @@ class TestRankIndicators:
         ranked = readout.rank_indicators(H, [("probe", np.array([0.0, 1.0]))], cfg)
         assert ranked[0].y_id == "probe"
 
+
+class TestTiedRanks:
+    @pytest.mark.parametrize("first, second", [(0.5, 0.5 + 4e-16), (0.5 + 4e-16, 0.5)])
+    def test_near_ties_keep_input_order(self, first, second):
+        sims = [first, 0.9, second, 0.5 - 3e-12, 0.5 - 2.5e-12, 0.5 + 1e-9]
+        ranked = readout._ranked(["a", "b", "c", "d", "e", "f"], sims, "direct")
+        # a and c tie whichever is larger, d and e tie with each other only, f ranks by value
+        assert [r.y_id for r in ranked] == ["b", "f", "a", "c", "d", "e"]
+        assert [r.rank for r in ranked] == [1, 2, 3, 4, 5, 6]
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_laplacian_candidates_rank_in_input_order(self, reverse):
+        # on a connected graph every 4-of-8 indicator has direct similarity 1/2, and each
+        # true or scrambled pair has the same amplified similarity up to rounding
+        pts, labels = gaussian_blobs((4, 4), ((1.0, 0.0), (0.0, 1.0)), 0.08, seed=3)
+        H = graph.laplacian(graph.build_full_graph(pts, 1.0, squared_norm=True))
+        true_inds = classical.indicators_from_labels(labels, 2)
+        cands = true_inds + scrambled_indicators(true_inds, seed=4)
+        if reverse:
+            cands = cands[::-1]
+        cfg = qpea.PeaConfig(m=6, kappa=1.0, mode="biased", standard_grover=True)
+        ranked, direct, _ = readout.cluster_quantum(H, cands, cfg, max_iter=40)
+        names = [c.name for c in cands]
+        assert [r.y_id for r in direct] == names
+        true_names = {ind.name for ind in true_inds}
+        assert [r.y_id for r in ranked] == ([n for n in names if n in true_names]
+                                            + [n for n in names if n not in true_names])
 
 
 class TestClusterQuantum:
