@@ -33,12 +33,11 @@ from .graph import (
     build_knn_graph,
     connected_components,
     degree_matrix,
-    gaussian_similarity,
     laplacian,
     load_points_csv,
     normalized_laplacian,
 )
-from .numerics import fidelity, hermitian_eig, matrix_1norm, proj_reflection
+from .numerics import hermitian_eig, matrix_1norm, proj_reflection
 from .qpea import (
     PeaConfig,
     Trajectory,
@@ -49,7 +48,6 @@ from .qpea import (
     marking_vector,
     phase_estimation,
     prepare_unitary,
-    qubit_marginal,
     stagnation_kappa,
     success_probability,
 )
@@ -58,7 +56,6 @@ from .readout import (
     approx_cluster_readout,
     cluster_quantum,
     direct_similarity,
-    direct_similarities,
     householder_similarity,
     rank_indicators,
     register_similarity,

@@ -16,6 +16,8 @@ from . import graph as graphmod
 from . import numerics
 from .errors import DegenerateTargetError
 
+KMEANS_MAX_ITER = 200  # Lloyd iterations per k-means run, at most
+
 
 @dataclass
 class ClusterAssignment:
@@ -78,8 +80,8 @@ def _farthest_point_init(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     return points[chosen].copy()
 
 
-def kmeans(points, k: int, init: int | np.ndarray = 0, max_iter: int = 200) -> ClusterAssignment:
-    """Lloyd's algorithm.
+def kmeans(points, k: int, init: int | np.ndarray = 0) -> ClusterAssignment:
+    """Lloyd's algorithm, for at most :data:`KMEANS_MAX_ITER` iterations.
 
     ``init`` is either a seed for the greedy farthest-point initializer or an
     explicit (k, d) centroid array.  An empty cluster is re-seeded at the
@@ -100,7 +102,7 @@ def kmeans(points, k: int, init: int | np.ndarray = 0, max_iter: int = 200) -> C
     history: list[float] = []
     reseeds: list[tuple[int, int]] = []
     n_iter = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, KMEANS_MAX_ITER + 1):
         n_iter = it
         d2 = np.sum((pts[:, None, :] - centroids[None, :, :]) ** 2, axis=-1)
         new_labels = np.argmin(d2, axis=1)  # ties resolve to the lower cluster id
@@ -144,8 +146,8 @@ def laplacian_eig(g, variant: str = "unnormalized") -> tuple[np.ndarray, np.ndar
     return numerics.hermitian_eig(L)
 
 
-def embedding_kmeans(V, k: int, variant: str = "unnormalized", init: int | np.ndarray = 0,
-                     max_iter: int = 200) -> ClusterAssignment:
+def embedding_kmeans(V, k: int, variant: str = "unnormalized",
+                     init: int | np.ndarray = 0) -> ClusterAssignment:
     """k-means on the rows of the k lowest Laplacian eigenvectors ``V[:, :k]``;
     ``row_normalized`` scales each row to unit length first."""
     if k < 2:
@@ -155,7 +157,7 @@ def embedding_kmeans(V, k: int, variant: str = "unnormalized", init: int | np.nd
         norms = np.linalg.norm(rows, axis=1)
         nz = norms > 1e-12
         rows[nz] /= norms[nz, None]
-    return kmeans(rows, k, init=init, max_iter=max_iter)
+    return kmeans(rows, k, init=init)
 
 
 def spectral_cluster(
@@ -163,11 +165,10 @@ def spectral_cluster(
     k: int,
     variant: str = "unnormalized",
     init: int | np.ndarray = 0,
-    max_iter: int = 200,
 ) -> ClusterAssignment:
     """Cluster by k-means on the rows of the k lowest Laplacian eigenvectors:
     :func:`embedding_kmeans` over :func:`laplacian_eig` of the graph."""
-    return embedding_kmeans(laplacian_eig(g, variant)[1], k, variant, init, max_iter)
+    return embedding_kmeans(laplacian_eig(g, variant)[1], k, variant, init)
 
 
 def default_zero_tol(H) -> float:
@@ -175,22 +176,20 @@ def default_zero_tol(H) -> float:
     return 1e-8 * max(numerics.matrix_1norm(H), 1e-300)
 
 
-def nonzero_eigenvectors(H, zero_tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues above the zero threshold and their eigenvectors."""
-    if zero_tol is None:
-        zero_tol = default_zero_tol(H)
+def nonzero_eigenvectors(H) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues above :func:`default_zero_tol` and their eigenvectors."""
     w, V = numerics.hermitian_eig(H)
-    keep = np.abs(w) > zero_tol
+    keep = np.abs(w) > default_zero_tol(H)
     return w[keep], V[:, keep]
 
 
-def projector_target(H, y, zero_tol: float | None = None) -> tuple[np.ndarray, float]:
+def projector_target(H, y) -> tuple[np.ndarray, float]:
     """Project y onto the span of nonzero-eigenvalue eigenvectors of H.
 
     Returns the normalized projection and its pre-normalization norm (the
     ground-truth success amplitude).  Raises if the projection vanishes.
     """
-    _, V = nonzero_eigenvectors(H, zero_tol)
+    _, V = nonzero_eigenvectors(H)
     return span_projection(V, y)
 
 

@@ -201,14 +201,7 @@ def cmd_cluster_quantum(cfg: ExperimentConfig) -> list[Path]:
 # selftest
 
 
-def _selftest_checks() -> list[tuple[str, bool, str]]:
-    rng = np.random.default_rng(7)
-    results = []
-
-    def check(module: str, ok: bool, detail: str):
-        results.append((module, bool(ok), detail))
-
-    # numerics: reflection algebra and eigendecomposition round trip
+def _check_numerics(rng) -> bool:
     u = rng.normal(size=8) + 1j * rng.normal(size=8)
     u /= np.linalg.norm(u)
     R = numerics.proj_reflection(u)
@@ -220,10 +213,10 @@ def _selftest_checks() -> list[tuple[str, bool, str]]:
     A = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     A = (A + A.conj().T) / 2
     w, V = numerics.hermitian_eig(A)
-    ok = ok and np.max(np.abs((V * w) @ V.conj().T - A)) < 1e-10
-    check("numerics", ok, "reflection algebra, eig reconstruction")
+    return ok and np.max(np.abs((V * w) @ V.conj().T - A)) < 1e-10
 
-    # graph: Laplacian invariants and component counting
+
+def _check_graph(rng) -> bool:
     pts = rng.normal(size=(10, 2))
     g = graphmod.build_full_graph(pts, sigma=1.0)
     L = graphmod.laplacian(g)
@@ -233,10 +226,10 @@ def _selftest_checks() -> list[tuple[str, bool, str]]:
     W2[0, 1] = W2[1, 0] = W2[2, 3] = W2[3, 2] = 1.0
     wc, _ = numerics.hermitian_eig(graphmod.laplacian(W2))
     ok = ok and np.sum(np.abs(wc) < 1e-10) == 2
-    ok = ok and len(set(graphmod.connected_components(W2))) == 2
-    check("graph", ok, "row sums, PSD, component multiplicity")
+    return ok and len(set(graphmod.connected_components(W2))) == 2
 
-    # classical: k-means on separable data, trace identity
+
+def _check_classical(rng) -> bool:
     pts = np.array([[0.0], [1.0], [10.0], [11.0]])
     asg = classical.kmeans(pts, 2, init=0)
     ok = abs(asg.objective - 1.0) < 1e-12
@@ -245,10 +238,10 @@ def _selftest_checks() -> list[tuple[str, bool, str]]:
     P, _ = np.linalg.qr(rng.normal(size=(8, 3)))
     lhs = np.linalg.norm(Q @ Q.T - P @ P.T, "fro") ** 2
     rhs = 2 * 3 - 2 * classical.trace_objective(P, Q)
-    ok = ok and abs(lhs - rhs) < 1e-10
-    check("classical", ok, "k-means objective, trace identity")
+    return ok and abs(lhs - rhs) < 1e-10
 
-    # encoding: Householder round trip and linearization bound
+
+def _check_encoding(rng) -> bool:
     X = rng.normal(size=(6, 4))
     hs = encoding.householder_decompose(X)
     ok = np.max(np.abs(hs.reconstruct() - encoding.gram_matrix(X))) < 1e-10
@@ -257,10 +250,10 @@ def _selftest_checks() -> list[tuple[str, bool, str]]:
     _, kdiv = encoding.linearize(H)
     ok = ok and np.max(np.abs(np.linalg.eigvalsh(H))) / kdiv <= 0.1 + 1e-12
     evo = encoding.make_evolution(datasets.random_psd_matrix(8, 3, 5), m=4)
-    ok = ok and numerics.is_unitary(evo.unitary)
-    check("encoding", ok, "round trip, linearize bound, unitarity")
+    return ok and numerics.is_unitary(evo.unitary)
 
-    # qpea: exact phase read and the two-plane rotation of the standard iterate
+
+def _check_qpea(rng) -> bool:
     lam = 0.5
     Hd = np.diag([0.0, lam])
     evo = encoding.make_evolution(Hd, m=2, t=0.5)
@@ -274,10 +267,10 @@ def _selftest_checks() -> list[tuple[str, bool, str]]:
     _, traj = qpea.amplify(cfg, evo, y, max_iter=20, stop_tol=None)  # raises on norm drift
     theta = np.arcsin(np.sqrt(traj.marked_prob[0]))
     rotation = np.sin((2 * traj.iterations + 1) * theta) ** 2
-    ok = ok and np.max(np.abs(traj.marked_prob - rotation)) < 1e-9
-    check("qpea", ok, "exact phase read, two-plane rotation")
+    return ok and np.max(np.abs(traj.marked_prob - rotation)) < 1e-9
 
-    # readout: similarity equality and mixer structure
+
+def _check_readout(rng) -> bool:
     psi = rng.normal(size=8) + 1j * rng.normal(size=8)
     psi /= np.linalg.norm(psi)
     yv = rng.normal(size=8) + 1j * rng.normal(size=8)
@@ -286,19 +279,31 @@ def _selftest_checks() -> list[tuple[str, bool, str]]:
     mix = readout.x_sum_exponential(3)
     ok = ok and numerics.is_unitary(mix, 1e-12)
     single = readout.x_sum_exponential(1)
-    ok = ok and np.max(np.abs(mix - np.kron(np.kron(single, single), single))) < 1e-12
-    check("readout", ok, "similarity identity, mixer separability")
+    return ok and np.max(np.abs(mix - np.kron(np.kron(single, single), single))) < 1e-12
 
-    return results
+
+_SELFTESTS = (  # module, what its check covers, the check
+    ("numerics", "reflection algebra, eig reconstruction", _check_numerics),
+    ("graph", "row sums, PSD, component multiplicity", _check_graph),
+    ("classical", "k-means objective, trace identity", _check_classical),
+    ("encoding", "round trip, linearize bound, unitarity", _check_encoding),
+    ("qpea", "exact phase read, two-plane rotation", _check_qpea),
+    ("readout", "similarity identity, mixer separability", _check_readout),
+)
 
 
 def cmd_selftest(cfg: ExperimentConfig) -> int:
-    results = _selftest_checks()
+    """Run every module check on one seeded generator; a check that raises
+    fails with its message and the others still run."""
+    rng = np.random.default_rng(7)
     failures = 0
-    for module, ok, detail in results:
-        status = "PASS" if ok else "FAIL"
-        print(f"{status} {module}: {detail}")
-        failures += 0 if ok else 1
+    for module, detail, check in _SELFTESTS:
+        try:
+            ok = bool(check(rng))
+        except Exception as exc:  # any error is this module's failure
+            ok, detail = False, str(exc)
+        print(f"{'PASS' if ok else 'FAIL'} {module}: {detail}")
+        failures += not ok
     return 1 if failures else 0
 
 

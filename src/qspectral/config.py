@@ -20,6 +20,10 @@ VARIANTS = ("unnormalized", "normalized", "row_normalized")
 MODES = ("qft", "biased")
 # libyaml's loader when pyyaml was built with it; same safe subset, parsed in C
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# YAML types accepted per scalar field annotation; a bool is refused where a number is due
+_SCALAR_TYPES = {"int": (int,), "float": (int, float), "float | None": (int, float, type(None)),
+                 "int | str": (int, str), "str": (str,), "str | None": (str, type(None)),
+                 "bool": (bool,)}
 
 
 @dataclass(frozen=True)
@@ -131,13 +135,21 @@ class ExperimentConfig:
                 raise ValueError(f"invalid run spec {run!r}")
 
 
+def _check_type(name: str, value, annotation: str):
+    want = _SCALAR_TYPES.get(annotation, (object,))
+    if not isinstance(value, want) or (isinstance(value, bool) and bool not in want):
+        raise ValueError(f"{name} must be {annotation}, got {value!r}")
+
+
 def _build(cls, data: dict, context: str):
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = set(data) - set(types)
     if unknown:
         raise ValueError(f"unknown {context} keys: {sorted(unknown)}")
+    prefix = "" if context == "top-level" else f"{context}."
     converted = {}
     for key, value in data.items():
+        _check_type(prefix + key, value, types[key])
         if isinstance(value, list):
             value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
         converted[key] = value
@@ -173,20 +185,29 @@ def load_config(path=None, seed: int | None = None, out_dir: str | None = None) 
                 raise ValueError(f"config section {key!r} must be a mapping")
             kwargs[key] = _build(sections[key], value, key)
         elif key == "runs":
+            if not isinstance(value, list):
+                raise ValueError(f"runs must be a list of runs, got {value!r}")
             runs = []
             for entry in value:
                 if isinstance(entry, dict):
                     unknown = set(entry) - {"mode", "kappa"}
                     if unknown:
                         raise ValueError(f"unknown runs entry keys: {sorted(unknown)}")
-                    runs.append((entry.get("mode", "biased"), float(entry.get("kappa", 0.0))))
+                    runs.append((entry.get("mode", "biased"), entry.get("kappa", 0.0)))
                 elif isinstance(entry, list) and len(entry) == 2:
-                    runs.append((entry[0], float(entry[1])))
+                    runs.append(tuple(entry))
                 else:
                     raise ValueError(f"runs entry {entry!r} is neither a mapping nor [mode, kappa]")
-            kwargs["runs"] = tuple(runs)
-        elif key == "candidates" and isinstance(value, list):
-            kwargs["candidates"] = tuple(tuple(int(i) for i in group) for group in value)
+                _check_type("runs kappa", runs[-1][1], "float")
+            kwargs["runs"] = tuple((mode, float(kappa)) for mode, kappa in runs)
+        elif key == "candidates" and value != "auto":
+            if not (isinstance(value, list) and all(isinstance(group, list) for group in value)):
+                raise ValueError(f"candidates must be 'auto' or a list of integer lists, "
+                                 f"got {value!r}")
+            for group in value:
+                for i in group:
+                    _check_type("candidates member", i, "int")
+            kwargs["candidates"] = tuple(map(tuple, value))
         else:
             kwargs[key] = value
 

@@ -6,7 +6,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .classical import IndicatorVector, default_zero_tol, nonzero_eigenvectors
+from .classical import IndicatorVector, nonzero_eigenvectors
+
+MAX_TRIES = 10_000  # rejection-sampling draws of random_range_input
 
 
 def gaussian_blobs(sizes, centers, noise: float = 0.1, seed: int = 0):
@@ -59,24 +61,24 @@ def random_psd_matrix(dim: int = 16, rank: int = 6, seed: int = 0,
     return (H + H.T) / 2.0
 
 
-def random_range_input(H, seed: int = 0, overlap_sq: tuple[float, float] = (0.25, 0.9),
-                       zero_tol: float | None = None, max_tries: int = 10_000) -> np.ndarray:
+def random_range_input(H, seed: int = 0,
+                       overlap_sq: tuple[float, float] = (0.25, 0.9)) -> np.ndarray:
     """Random real unit vector whose squared projection onto the nonzero
-    eigenspace of H falls inside ``overlap_sq`` (rejection sampling)."""
-    if zero_tol is None:
-        zero_tol = default_zero_tol(H)
-    _, V = nonzero_eigenvectors(H, zero_tol)
+    eigenspace of H falls inside ``overlap_sq`` (rejection sampling over at
+    most :data:`MAX_TRIES` draws; a window no draw meets is a ``ValueError``)."""
+    _, V = nonzero_eigenvectors(H)
     if V.shape[1] == 0:
         raise ValueError("operator has no nonzero eigenvalues")
     rng = np.random.default_rng(seed)
     lo, hi = overlap_sq
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         y = rng.normal(size=H.shape[0])
         y /= np.linalg.norm(y)
         p = float(np.linalg.norm(V.conj().T @ y) ** 2)
         if lo <= p <= hi:
             return y
-    raise RuntimeError(f"no input with overlap in {overlap_sq} found in {max_tries} tries")
+    raise ValueError(f"no input with squared overlap in [{lo}, {hi}] found in "
+                     f"MAX_TRIES = {MAX_TRIES} draws")
 
 
 def scrambled_indicators(indicators, seed: int = 0) -> list[IndicatorVector]:

@@ -49,9 +49,6 @@ class HouseholderSum:
     def __len__(self) -> int:
         return self.coefficients.size
 
-    def reflection_matrix(self, j: int) -> np.ndarray:
-        return numerics.proj_reflection(self.reflectors[j])
-
     def reconstruct(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=complex)
         for c, x in zip(self.coefficients, self.reflectors):
@@ -59,8 +56,8 @@ class HouseholderSum:
         return out
 
 
-def gram_matrix(points, centered: bool = False) -> np.ndarray:
-    """Sum of outer products of the data rows, optionally mean-centered.
+def gram_matrix(points) -> np.ndarray:
+    """Sum of outer products of the data rows.
 
     For an (L, N) array X of row vectors this is X^T X: symmetric, positive
     semidefinite, of order N.
@@ -68,8 +65,6 @@ def gram_matrix(points, centered: bool = False) -> np.ndarray:
     X = np.asarray(points, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"expected a 2-d data array, got shape {X.shape}")
-    if centered:
-        X = X - X.mean(axis=0)
     H = X.T @ X
     return (H + H.T) / 2.0
 
@@ -90,14 +85,12 @@ def points_gram(points, centered: bool = False) -> np.ndarray:
     return gram_matrix(X.T)
 
 
-def householder_decompose(points, strict_unit_rows: bool = False) -> HouseholderSum:
+def householder_decompose(points) -> HouseholderSum:
     """Decompose the outer-product sum of the data rows into reflections.
 
     Every row x contributes -(1/2)[(I - 2|x^><x^|) - I] * ||x||^2, so the
-    reconstruction equals the uncentered :func:`gram_matrix`.  Rows of zero
-    norm carry no weight and are dropped with a warning.  With
-    ``strict_unit_rows`` all rows must already be unit vectors (then every
-    coefficient is exactly 1).
+    reconstruction equals :func:`gram_matrix`.  Rows of zero norm carry no
+    weight and are dropped with a warning.
     """
     X = np.asarray(points, dtype=float)
     if X.ndim != 2:
@@ -109,13 +102,7 @@ def householder_decompose(points, strict_unit_rows: bool = False) -> Householder
     if not np.all(keep):
         warnings.warn(f"dropping {int(np.sum(~keep))} zero rows", stacklevel=2)
         X, norms = X[keep], norms[keep]
-    if strict_unit_rows and np.max(np.abs(norms - 1.0)) > 1e-10:
-        raise ValueError("strict mode requires unit-norm rows")
-    reflectors = X / norms[:, None]
-    coefficients = norms**2
-    if strict_unit_rows:
-        coefficients = np.ones_like(coefficients)
-    return HouseholderSum(reflectors, coefficients, X.shape[1])
+    return HouseholderSum(X / norms[:, None], norms**2, X.shape[1])
 
 
 def linearize(H) -> tuple[np.ndarray, float]:
@@ -143,9 +130,10 @@ class EvolutionOperator:
 
     Backends: ``exact_exponential`` is U = exp(2*pi*i*t*H) with eigenphase
     t*lambda_j; ``linearized`` unitarizes I - iH/k so the eigenphase is
-    -arctan(lambda_j/k)/(2*pi).  Eigenvalues within ``zero_tol`` of zero are
-    pinned to phase exactly 0 in both backends.  The eigenvectors are real for
-    a real H; the unitary itself is built only when :attr:`unitary` is read.
+    -arctan(lambda_j/k)/(2*pi).  Eigenvalues within ``zero_tol`` (always
+    ``default_zero_tol(H)``) of zero are pinned to phase exactly 0 in both
+    backends.  The eigenvectors are real for a real H; the unitary itself is
+    built only when :attr:`unitary` is read.
     """
 
     backend: str
@@ -183,7 +171,6 @@ def make_evolution(
     H,
     m: int,
     backend: str = "exact_exponential",
-    zero_tol: float | None = None,
     t: float | None = None,
 ) -> EvolutionOperator:
     """Build the evolution unitary fed to phase estimation.
@@ -197,8 +184,7 @@ def make_evolution(
     H = numerics.as_matrix(H)
     if m < 1:
         raise ValueError(f"need at least one phase qubit, got m={m}")
-    if zero_tol is None:
-        zero_tol = default_zero_tol(H)
+    zero_tol = default_zero_tol(H)
     w, V = numerics.hermitian_eig(H)
     nz = np.abs(w) > zero_tol
     M = 2**m

@@ -27,16 +27,15 @@ class TraceResult:
         return f"{self.mode}_{kap}"
 
 
-def figure_instance(seed: int, dim: int = 16, rank: int = 6,
-                    eig_range: tuple[float, float] = (0.3, 1.0),
-                    overlap_sq: tuple[float, float] = (0.25, 0.9)):
+def figure_instance(seed: int):
     """Seeded (H, y) pair for the trajectory experiments.
 
-    H is a random PSD matrix of the given rank; y is a random real unit input
-    with squared overlap onto the nonzero eigenspace inside ``overlap_sq``.
+    H is a random 16 x 16 PSD matrix of rank 6 with nonzero eigenvalues drawn
+    from (0.3, 1); y is a random real unit input whose squared overlap onto
+    the nonzero eigenspace lies in (0.25, 0.9).
     """
-    H = random_psd_matrix(dim, rank, seed, eig_range)
-    y = random_range_input(H, seed + 10_007, overlap_sq)
+    H = random_psd_matrix(16, 6, seed, (0.3, 1.0))
+    y = random_range_input(H, seed + 10_007, (0.25, 0.9))
     return H, y
 
 

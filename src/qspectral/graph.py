@@ -60,20 +60,6 @@ def pairwise_distances(points) -> np.ndarray:
     return np.sqrt(np.sum(diff * diff, axis=-1))
 
 
-def gaussian_similarity(x_i, x_j, sigma: float, squared_norm: bool = False) -> float:
-    """Gaussian similarity between two points.
-
-    The default exponent uses the plain Euclidean distance,
-    exp(-||x_i - x_j|| / (2 sigma^2)); with ``squared_norm`` the conventional
-    kernel exp(-||x_i - x_j||^2 / (2 sigma^2)) is used instead.
-    """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    d = float(np.linalg.norm(np.asarray(x_i, dtype=float) - np.asarray(x_j, dtype=float)))
-    expo = d * d if squared_norm else d
-    return float(np.exp(-expo / (2.0 * sigma * sigma)))
-
-
 def build_epsilon_graph(points, eps: float) -> SimilarityGraph:
     """Unweighted neighborhood graph: connect pairs with distance <= eps."""
     if eps <= 0:

@@ -1,9 +1,8 @@
 """Dense linear algebra kernel.
 
 Everything else in the package is built on (and verified against) these
-routines: Hermitian eigendecomposition, the induced 1-norm, Householder-style
-reflections, and state fidelity.  All functions
-are pure and operate on plain numpy arrays.  Matrices keep their own
+routines: Hermitian eigendecomposition, the induced 1-norm and Householder-style
+reflections.  All functions are pure and operate on plain numpy arrays.  Matrices keep their own
 arithmetic: a real input stays float64 (so a real symmetric matrix gets a real
 eigendecomposition) and a complex one is complex128.  State vectors are
 always complex.
@@ -59,14 +58,14 @@ def matrix_1norm(A) -> float:
     return float(np.max(np.abs(A).sum(axis=0)))
 
 
-def hermitian_eig(A, tol: float = OP_TOL) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(A) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(eigenvalues, eigenvectors)`` with real eigenvalues sorted
     ascending and orthonormal eigenvectors as columns, real for a real
     (symmetric) input and complex otherwise.  The input must be
     Hermitian (checked); the residual ``A V - V diag(w)`` is verified against
-    ``tol * max(1, ||A||_1)`` after the solve.
+    ``OP_TOL * max(1, ||A||_1)`` after the solve.
     """
     A = as_matrix(A)
     if A.shape[0] != A.shape[1]:
@@ -79,17 +78,17 @@ def hermitian_eig(A, tol: float = OP_TOL) -> tuple[np.ndarray, np.ndarray]:
         raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
     scale = max(1.0, matrix_1norm(A))
     residual = float(np.max(np.abs(A @ V - V * w)))
-    if residual > tol * scale:
+    if residual > OP_TOL * scale:
         raise ConvergenceError(
-            f"eigendecomposition residual {residual:.3e} exceeds {tol:.1e} * {scale:.3e}"
+            f"eigendecomposition residual {residual:.3e} exceeds {OP_TOL:.1e} * {scale:.3e}"
         )
     return w, V
 
 
-def proj_reflection(u, tol: float = VEC_TOL) -> np.ndarray:
+def proj_reflection(u) -> np.ndarray:
     """Reflection I - 2|u><u| about the hyperplane orthogonal to unit u."""
     u = as_vector(u)
-    if not is_normalized(u, tol):
+    if not is_normalized(u):
         raise ValueError(f"reflection axis must be unit norm, got {np.linalg.norm(u):.6g}")
     return np.eye(u.size, dtype=complex) - 2.0 * np.outer(u, u.conj())
 
@@ -104,13 +103,3 @@ def householder_axis(y) -> tuple[np.ndarray | None, complex]:
     wnorm = np.linalg.norm(w)
     return (None if wnorm < 1e-14 else w / wnorm), phase
 
-
-def fidelity(a, b) -> float:
-    """Squared overlap |<a|b>|^2 of two normalized pure states."""
-    a, b = as_vector(a), as_vector(b)
-    if a.size != b.size:
-        raise ValueError(f"dimension mismatch: {a.size} vs {b.size}")
-    for name, v in (("a", a), ("b", b)):
-        if not is_normalized(v, 1e-8):
-            raise ValueError(f"state {name} is not normalized")
-    return float(min(1.0, abs(np.vdot(a, b)) ** 2))

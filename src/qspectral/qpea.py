@@ -27,7 +27,7 @@ import numpy as np
 from . import numerics
 from .classical import span_projection
 from .encoding import EvolutionOperator, ladder_phase_table, ladder_shift
-from .registers import NORM_TOL, RegisterState, phase_distribution, system_distribution
+from .registers import NORM_TOL, RegisterState, phase_distribution
 
 
 # ---------------------------------------------------------------------------
@@ -114,36 +114,13 @@ class PeaConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
-# Array observables, shared by the RegisterState functions and the amplification loop.
-
-
 def _norm_sq(v: np.ndarray) -> float:
     return float(np.vdot(v, v).real)
-
-
-def _zero_bits(bits: int) -> np.ndarray:
-    """(2^bits, bits) table, 1 where msb-first bit q of the row index is 0."""
-    return ((np.arange(2**bits)[:, None] >> np.arange(bits)[::-1]) & 1 == 0).astype(float)
-
-
-def _qubit_p0(mat: np.ndarray, m: int, q: int) -> float:
-    """P0 of qubit q: phase qubits read the phase distribution, system qubits the system one."""
-    dist, q = (phase_distribution(mat), q) if q < m else (system_distribution(mat), q - m)
-    return float(dist @ _zero_bits(dist.size.bit_length() - 1)[:, q])
 
 
 def success_probability(state: RegisterState) -> float:
     """Probability of measuring the phase register outside |0...0>."""
     return float(1.0 - phase_distribution(state.as_matrix())[0])
-
-
-def qubit_marginal(state: RegisterState, q: int) -> tuple[float, float]:
-    """Computational-basis marginal (P0, P1) of one qubit, msb-first indexing."""
-    nq = state.m + state.n
-    if not 0 <= q < nq:
-        raise ValueError(f"qubit index {q} outside register of {nq} qubits")
-    p0 = _qubit_p0(state.as_matrix(), state.m, q)
-    return p0, float(np.sum(np.abs(state.amplitudes) ** 2) - p0)
 
 
 def stagnation_kappa(m: int) -> float:
@@ -182,7 +159,8 @@ class _Pipeline:
         self.f2 = marking_vector(self.m)
         self.nonzero_basis = evo.nonzero_basis
         self.shift = ladder_phase_table(evo, self.m) - 1.0
-        self.zero_bits = _zero_bits(self.m)
+        bits = np.arange(2**self.m)[:, None] >> np.arange(self.m)[::-1]  # msb-first phase bits
+        self.zero_bits = (bits & 1 == 0).astype(float)  # (2^m, m), 1 where the bit is 0
 
     def check(self, y) -> np.ndarray:
         """The input as a vector, checked to be a unit vector of the system dimension."""
@@ -286,19 +264,17 @@ def amplify(
     y,
     max_iter: int = 40,
     stop_tol: float | None = 0.05,
-    stop_qubit: int = 0,
 ) -> tuple[RegisterState, Trajectory]:
     """Amplify the nonzero-eigenvalue component of the estimation output.
 
     Applies the iterate Q up to ``max_iter`` times, recording success
     probability, marked-vector projection, fidelity against the normalized
     projection of y onto the nonzero eigenspace, and every phase qubit's
-    marginal.  When ``stop_tol`` is set, iteration stops once qubit
-    ``stop_qubit`` (msb-first over phase then system qubits) is within
-    ``stop_tol`` of the equal-superposition marginal.  Raises before iterating
-    if y has no component in the nonzero eigenspace.
+    marginal.  When ``stop_tol`` is set, iteration stops once the top phase
+    qubit's P0 is within ``stop_tol`` of 1/2.  Raises before iterating if y
+    has no component in the nonzero eigenspace.
     """
-    return amplify_many(cfg, evo, [y], max_iter, stop_tol, stop_qubit)[0]
+    return amplify_many(cfg, evo, [y], max_iter, stop_tol)[0]
 
 
 def amplify_many(
@@ -307,7 +283,6 @@ def amplify_many(
     ys: Sequence,
     max_iter: int = 40,
     stop_tol: float | None = 0.05,
-    stop_qubit: int = 0,
 ) -> list[tuple[RegisterState, Trajectory]]:
     """:func:`amplify` each input in turn over one shared estimation pipeline.
 
@@ -317,24 +292,19 @@ def amplify_many(
     """
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
-    m = cfg.m
-    nq = m + evo.n_qubits
-    if not 0 <= stop_qubit < nq:
-        raise ValueError(f"stop qubit {stop_qubit} outside register of {nq} qubits")
     pipe = _Pipeline(cfg, evo)
     inputs = []
     for y in ys:
         y = pipe.check(y)
         inputs.append((y, span_projection(pipe.nonzero_basis, y)[0].conj()))
-    return [_amplify_checked(pipe, y, target_conj, max_iter, stop_tol, stop_qubit)
+    return [_amplify_checked(pipe, y, target_conj, max_iter, stop_tol)
             for y, target_conj in inputs]
 
 
 def _amplify_checked(pipe: _Pipeline, y: np.ndarray, target_conj: np.ndarray, max_iter: int,
-                     stop_tol: float | None, stop_qubit: int) -> tuple[RegisterState, Trajectory]:
+                     stop_tol: float | None) -> tuple[RegisterState, Trajectory]:
     """The iterate loop of one checked input; ``target_conj`` is its conjugated
     fidelity target."""
-    m = pipe.m
     a = pipe.initial(y)
     W = None if pipe.cfg.standard_grover else prepare_unitary(y)
     rows = []  # per iterate: success, marked, fidelity, P0 per phase qubit
@@ -353,11 +323,9 @@ def _amplify_checked(pipe: _Pipeline, y: np.ndarray, target_conj: np.ndarray, ma
     for t in range(1, max_iter + 1):
         mat = pipe.iterate(mat, a, W)
         record(t, mat)
-        if stop_tol is not None:
-            p0 = rows[-1][3 + stop_qubit] if stop_qubit < m else _qubit_p0(mat, m, stop_qubit)
-            if abs(p0 - 0.5) <= stop_tol:
-                stopped_at = t
-                break
+        if stop_tol is not None and abs(rows[-1][3] - 0.5) <= stop_tol:  # P0 of phase qubit 0
+            stopped_at = t
+            break
 
     rows = np.array(rows).T
     traj = Trajectory(

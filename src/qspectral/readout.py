@@ -10,7 +10,7 @@ provided.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -67,14 +67,9 @@ def register_similarity(state: RegisterState, y) -> float:
     return float(min(1.0, np.sum(np.abs(mat @ y.conj()) ** 2)))
 
 
-def direct_similarity(H, y, zero_tol: float | None = None) -> float:
+def direct_similarity(H, y) -> float:
     """Classical oracle <y| V V^dag |y> over the nonzero eigenspace of H."""
-    return direct_similarities(H, [y], zero_tol)[0]
-
-
-def direct_similarities(H, ys: Sequence, zero_tol: float | None = None) -> list[float]:
-    """:func:`direct_similarity` of each candidate, over one eigendecomposition of H."""
-    return span_similarities(nonzero_eigenvectors(H, zero_tol)[1], ys)
+    return span_similarities(nonzero_eigenvectors(H)[1], [y])[0]
 
 
 def span_similarities(V, ys: Sequence) -> list[float]:
@@ -101,43 +96,26 @@ def approx_cluster_readout(
     evo: EvolutionOperator,
     max_iter: int = 40,
     stop_tol: float | None = 0.05,
-    run_pipeline: Callable[[np.ndarray], RegisterState] | None = None,
 ) -> np.ndarray:
     """Approximate clustering readout through the X-sum exponential.
 
     Starts the system register in the uniform superposition, applies
     exp(i sum X), runs the amplified pipeline, applies the exponential again,
     and returns the resulting computational-basis distribution of the system
-    register.  The argmax is the approximate cluster index.  ``run_pipeline``
-    replaces the amplification stage (used for calibration tests).
+    register.  The argmax is the approximate cluster index.
     """
     n = evo.n_qubits
     mixer = x_sum_exponential(n)
     plus = np.full(2**n, 1.0 / np.sqrt(2**n), dtype=complex)
     y_in = mixer @ plus
-    if run_pipeline is None:
-        state, _ = amplify(cfg, evo, y_in, max_iter=max_iter, stop_tol=stop_tol)
-    else:
-        state = run_pipeline(y_in)
+    state, _ = amplify(cfg, evo, y_in, max_iter=max_iter, stop_tol=stop_tol)
     dist = system_distribution(state.as_matrix() @ mixer.T)
     return dist / dist.sum()
 
 
-def _candidate_pairs(candidates) -> list[tuple[str, np.ndarray]]:
-    pairs = []
-    for i, cand in enumerate(candidates):
-        if isinstance(cand, IndicatorVector):
-            pairs.append((cand.name, cand.vector().astype(complex)))
-        elif isinstance(cand, tuple) and len(cand) == 2:
-            pairs.append((str(cand[0]), numerics.as_vector(cand[1])))
-        else:
-            pairs.append((f"cand{i}", numerics.as_vector(cand)))
-    return pairs
-
-
 def rank_indicators(
     H,
-    candidates: Sequence,
+    candidates: Sequence[IndicatorVector],
     cfg: PeaConfig,
     max_iter: int = 60,
     stop_tol: float | None = 0.05,
@@ -145,19 +123,18 @@ def rank_indicators(
 ) -> list[SimilarityReport]:
     """Run the amplified pipeline per candidate and sort by measured similarity.
 
-    Candidates may be IndicatorVector instances, (name, vector) pairs, or bare
-    unit vectors.  Each candidate is amplified under the stopping rule, over
-    one estimation pipeline shared by all of them, and its Householder
-    similarity against the final system register is recorded; reports come
-    back sorted descending with 1-based ranks.  ``evo`` reuses an evolution
-    operator already built from H.
+    Each indicator is amplified under the stopping rule, over one estimation
+    pipeline shared by all of them, and its Householder similarity against the
+    final system register is recorded; reports come back sorted descending
+    with 1-based ranks.  ``evo`` reuses an evolution operator already built
+    from H.
     """
     if evo is None:
         evo = make_evolution(H, cfg.m)
-    pairs = _candidate_pairs(candidates)
-    runs = amplify_many(cfg, evo, [y for _, y in pairs], max_iter=max_iter, stop_tol=stop_tol)
-    return _ranked([name for name, _ in pairs],
-                   [register_similarity(state, y) for (_, y), (state, _) in zip(pairs, runs)],
+    ys = [c.vector() for c in candidates]
+    runs = amplify_many(cfg, evo, ys, max_iter=max_iter, stop_tol=stop_tol)
+    return _ranked([c.name for c in candidates],
+                   [register_similarity(state, y) for y, (state, _) in zip(ys, runs)],
                    "householder")
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qspectral import cli, csvio, graph as graphmod, numerics, qpea, readout
+from qspectral import cli, csvio, datasets, graph as graphmod, numerics, qpea, readout
 from qspectral.classical import IndicatorVector
 from qspectral.config import load_config
 from qspectral.datasets import gaussian_blobs
@@ -78,6 +78,25 @@ class TestConfig:
                 load_config(write_config(tmp_path, f"runs: [{bad}]\n"))
         cfg = load_config(write_config(tmp_path, "runs: [{mode: qft}, {kappa: 2.0}, [biased, 3]]\n"))
         assert cfg.runs == (("qft", 0.0), ("biased", 2.0), ("biased", 3.0))
+
+    @pytest.mark.parametrize("text, key", [
+        ("runs: 5", "runs"),
+        ("runs: null", "runs"),
+        ("runs: [[qft, null]]", "runs kappa"),
+        ("candidates: 5", "candidates"),
+        ("candidates: [[0, 1], 3]", "candidates"),
+        ("candidates: [[0, 1.5]]", "candidates member"),
+        ("pea: {m: 2.5}", "pea.m"),
+        ("pea: {m: true}", "pea.m"),
+        ("amplify: {max_iter: 2.5}", "amplify.max_iter"),
+        ("scrambled: 1.5", "scrambled"),
+    ])
+    def test_wrong_type_is_an_error(self, tmp_path, capsys, text, key):
+        p = write_config(tmp_path, text + "\n")
+        with pytest.raises(ValueError, match=key):
+            load_config(p)
+        assert cli.main(["cluster-quantum", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} ")
 
 
 class TestCmdGraph:
@@ -196,6 +215,15 @@ class TestCmdAmplifyTrace:
         traj = csvio.read_trajectory(out / "trajectory_qft_0.csv")
         assert traj["iteration"].tolist() == [0]
 
+    def test_unreachable_overlap_window_is_an_error(self, tmp_path, capsys):
+        # no random input has squared overlap 0.9999 or more onto the rank-6 range
+        H = datasets.random_psd_matrix(16, 6, 0)
+        with pytest.raises(ValueError, match=r"\[0\.9999, 1\.0\].*MAX_TRIES = 10000"):
+            datasets.random_range_input(H, 10_007, (0.9999, 1.0))
+        p = write_config(tmp_path, "overlap_min: 0.9999\noverlap_max: 1.0\n")
+        assert cli.main(["amplify-trace", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert "MAX_TRIES" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert cli.main(["amplify-trace", "--seed", "7", "--out", str(out1)]) == 0
@@ -310,7 +338,7 @@ class TestCmdClusterQuantum:
         direct = [r for r in csvio.read_ranking(out / "similarity_ranking.csv")
                   if r["method"] == "direct"]
         members = [tuple(int(i) for i in r["y_id"][len("ind_"):].split("-")) for r in direct]
-        oracle = readout.direct_similarities(H, [IndicatorVector(g, 8).vector() for g in members])
+        oracle = [readout.direct_similarity(H, IndicatorVector(g, 8).vector()) for g in members]
         assert [csvio.fmt(r["similarity"]) for r in direct] == [csvio.fmt(v) for v in oracle]
 
     @pytest.mark.parametrize("target, gates, terms", [
@@ -343,6 +371,17 @@ class TestSelftest:
         output = capsys.readouterr().out
         assert "FAIL qpea" in output
         assert "PASS readout" in output
+
+    def test_raising_check_fails_only_its_module(self, capsys, monkeypatch):
+        # a state that grows by 1% per iterate makes amplify raise on norm drift
+        step = qpea._Pipeline.iterate
+        monkeypatch.setattr(qpea._Pipeline, "iterate", lambda *args: 1.01 * step(*args))
+        assert cli.main(["selftest"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "PASS numerics", "PASS graph", "PASS classical", "PASS encoding", "FAIL qpea",
+            "PASS readout"]
+        assert lines[4].startswith("FAIL qpea: state norm 1.01")
 
 
 class TestCsvRoundTrips:

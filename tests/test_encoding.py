@@ -28,7 +28,7 @@ class TestGramMatrix:
 
     def test_centered_constant_dataset(self):
         X = np.ones((5, 3))
-        assert np.allclose(encoding.gram_matrix(X, centered=True), 0.0)
+        assert np.allclose(encoding.points_gram(X, centered=True), 0.0)
 
     def test_random_psd(self):
         rng = np.random.default_rng(2)
@@ -49,7 +49,7 @@ class TestHouseholderDecompose:
         hs = encoding.householder_decompose(np.array([[1.0, 0.0]]))
         assert len(hs) == 1
         assert hs.coefficients[0] == pytest.approx(1.0)
-        assert np.allclose(hs.reflection_matrix(0), np.diag([-1.0, 1.0]))
+        assert np.allclose(numerics.proj_reflection(hs.reflectors[0]), np.diag([-1.0, 1.0]))
         assert np.allclose(hs.reconstruct(), np.diag([1.0, 0.0]))
 
     def test_identity_rows(self):
@@ -73,15 +73,6 @@ class TestHouseholderDecompose:
         with pytest.raises(ValueError, match="all rows are zero"):
             encoding.householder_decompose(np.zeros((3, 2)))
 
-    def test_strict_mode(self):
-        with pytest.raises(ValueError, match="strict"):
-            encoding.householder_decompose(np.array([[2.0, 0.0]]), strict_unit_rows=True)
-        rng = np.random.default_rng(6)
-        X = rng.normal(size=(5, 3))
-        X /= np.linalg.norm(X, axis=1, keepdims=True)
-        hs = encoding.householder_decompose(X, strict_unit_rows=True)
-        assert np.all(hs.coefficients == 1.0)
-
     def test_unit_rows_give_unit_coefficients(self):
         rng = np.random.default_rng(7)
         X = rng.normal(size=(8, 5))
@@ -97,7 +88,7 @@ class TestHouseholderDecompose:
         hs = encoding.householder_decompose(X)
         assert np.max(np.abs(hs.reconstruct() - encoding.gram_matrix(X))) <= 1e-10
         for j in range(min(len(hs), 3)):
-            R = hs.reflection_matrix(j)
+            R = numerics.proj_reflection(hs.reflectors[j])
             assert numerics.is_unitary(R, 1e-10)
 
 

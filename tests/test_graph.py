@@ -33,26 +33,32 @@ def multi_component_graph(sizes, seed):
 
 
 class TestGaussianSimilarity:
+    """The Gaussian kernel through the one weight of a two-point full graph."""
+
+    @staticmethod
+    def weight(x, y, sigma, squared_norm=False):
+        return graph.build_full_graph([x, y], sigma, squared_norm).weights[0, 1]
+
     def test_identical_points(self):
-        assert graph.gaussian_similarity([1.0, 2.0], [1.0, 2.0], sigma=0.7) == 1.0
+        assert self.weight([1.0, 2.0], [1.0, 2.0], sigma=0.7) == 1.0
 
     def test_unsquared_unit_exponent(self):
         sigma = 1.3
         x = np.array([0.0])
         y = np.array([2.0 * sigma**2])
-        assert graph.gaussian_similarity(x, y, sigma) == pytest.approx(np.exp(-1.0), rel=1e-12)
+        assert self.weight(x, y, sigma) == pytest.approx(np.exp(-1.0), rel=1e-12)
 
     def test_squared_unit_exponent(self):
         sigma = 0.9
         x = np.array([0.0])
         y = np.array([np.sqrt(2.0) * sigma])
-        assert graph.gaussian_similarity(x, y, sigma, squared_norm=True) == pytest.approx(
+        assert self.weight(x, y, sigma, squared_norm=True) == pytest.approx(
             np.exp(-1.0), rel=1e-12
         )
 
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError, match="sigma"):
-            graph.gaussian_similarity([0.0], [1.0], sigma=0.0)
+            self.weight([0.0], [1.0], sigma=0.0)
 
 
 class TestEpsilonGraph:

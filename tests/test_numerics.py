@@ -141,24 +141,6 @@ class TestReflection:
         assert np.max(np.abs(R @ R - eye)) <= 1e-10
 
 
-class TestFidelity:
-    def test_equal_states(self):
-        v = random_unit(5, 0)
-        assert numerics.fidelity(v, v) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        assert numerics.fidelity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-    def test_half_overlap(self):
-        a = np.array([1.0, 0.0])
-        b = np.array([1.0, 1.0]) / np.sqrt(2)
-        assert numerics.fidelity(a, b) == pytest.approx(0.5)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            numerics.fidelity(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
-
-
 def test_eig_convergence_error_is_exposed():
     assert issubclass(ConvergenceError, RuntimeError)
 

@@ -98,35 +98,6 @@ class TestPrepareUnitary:
         assert np.allclose(qpea.prepare_unitary(y), np.eye(4))
 
 
-class TestQubitMarginal:
-    def test_uniform_state(self):
-        amps = np.full(8, 1.0 / np.sqrt(8), dtype=complex)
-        state = RegisterState(amps, 2, 1)
-        for q in range(3):
-            p0, p1 = qpea.qubit_marginal(state, q)
-            assert p0 == pytest.approx(0.5)
-            assert p1 == pytest.approx(0.5)
-
-    def test_basis_state(self):
-        amps = np.zeros(8, dtype=complex)
-        amps[5] = 1.0  # bits 101
-        state = RegisterState(amps, 2, 1)
-        assert qpea.qubit_marginal(state, 0) == (0.0, 1.0)
-        assert qpea.qubit_marginal(state, 1) == (1.0, 0.0)
-        assert qpea.qubit_marginal(state, 2) == (0.0, 1.0)
-
-    def test_product_state(self):
-        alpha, beta = 0.6, 0.8
-        one = np.array([alpha, beta], dtype=complex)
-        rest = np.array([1.0, 1j], dtype=complex) / np.sqrt(2)
-        amps = np.kron(one, rest)
-        state = RegisterState(amps, 1, 1)
-        p0, p1 = qpea.qubit_marginal(state, 0)
-        assert p0 == pytest.approx(alpha**2)
-        assert p1 == pytest.approx(beta**2)
-        assert p0 + p1 == pytest.approx(1.0, abs=1e-12)
-
-
 class TestSuccessProbability:
     def test_zero_phase_register(self):
         amps = np.zeros(8, dtype=complex)
@@ -308,11 +279,11 @@ def dense_observables(vec, m, n, target):
     return np.array([1.0 - np.sum(np.abs(mat[0]) ** 2), marked, fid, *marginals])
 
 
-def dense_run(cfg, evo, H, y, max_iter, stop_tol, stop_qubit):
-    """Observables per iterate, final state and stopping iterate from stepping
-    the dense iterate Q from A |0,0>."""
+def dense_run(cfg, evo, H, y, max_iter, stop_tol):
+    """Observables per iterate, final state and stopping iterate (on phase
+    qubit 0) from stepping the dense iterate Q from A |0,0>."""
     m, n = cfg.m, evo.n_qubits
-    target, _ = classical.projector_target(H, y, evo.zero_tol)
+    target, _ = classical.projector_target(H, y)
     Q = iteration_matrix(cfg, evo, y)
     vec = bpea_matrix(cfg, evo, y)[:, 0]
     rows = [dense_observables(vec, m, n, target)]
@@ -321,7 +292,7 @@ def dense_run(cfg, evo, H, y, max_iter, stop_tol, stop_qubit):
         vec = Q @ vec
         rows.append(dense_observables(vec, m, n, target))
         if stop_tol is not None:
-            gaps.append(abs(reshaped_p0(vec, m + n, stop_qubit) - 0.5))
+            gaps.append(abs(reshaped_p0(vec, m + n, 0) - 0.5))
             if gaps[-1] <= stop_tol:
                 return np.array(rows), vec, t, gaps
     return np.array(rows), vec, None, gaps
@@ -345,7 +316,7 @@ class TestEngineMatchesDenseOracle:
         steps = 6
         final, traj = qpea.amplify(cfg, evo, y, max_iter=steps, stop_tol=None)
 
-        rows, vec, _, _ = dense_run(cfg, evo, H, y, steps, None, 0)
+        rows, vec, _, _ = dense_run(cfg, evo, H, y, steps, None)
         got = np.column_stack([traj.success_prob, traj.marked_prob, traj.fidelity,
                                traj.phase_marginals])
         assert got.shape == rows.shape
@@ -378,13 +349,10 @@ class TestAmplifyMany:
               random_range_input(H, seed + 2, overlap_sq=(0.05, 0.95))]
         max_iter = 6
         stop_tol = data.draw(st.floats(0.01, 0.3)) if stopping else None
-        stop_qubit = data.draw(st.integers(0, m + evo.n_qubits - 1))
-        runs = qpea.amplify_many(cfg, evo, ys, max_iter=max_iter, stop_tol=stop_tol,
-                                 stop_qubit=stop_qubit)
+        runs = qpea.amplify_many(cfg, evo, ys, max_iter=max_iter, stop_tol=stop_tol)
         assert len(runs) == len(ys)
         for y, (final, traj) in zip(ys, runs):
-            rows, vec, stopped_at, gaps = dense_run(cfg, evo, H, y, max_iter, stop_tol,
-                                                    stop_qubit)
+            rows, vec, stopped_at, gaps = dense_run(cfg, evo, H, y, max_iter, stop_tol)
             # a marginal within rounding of the tolerance may stop either way
             assume(all(abs(g - stop_tol) > 1e-9 for g in gaps))
             got = np.column_stack([traj.success_prob, traj.marked_prob, traj.fidelity,
@@ -418,9 +386,9 @@ class TestAmplifyMany:
         ys = [random_range_input(H, seed=s, overlap_sq=(0.2, 0.95)) for s in (25, 26)]
         for standard in (False, True):
             cfg = qpea.PeaConfig(m=4, kappa=1.0, mode="biased", standard_grover=standard)
-            runs = qpea.amplify_many(cfg, evo, ys, max_iter=8, stop_tol=0.05, stop_qubit=2)
+            runs = qpea.amplify_many(cfg, evo, ys, max_iter=8, stop_tol=0.05)
             for y, (final, traj) in zip(ys, runs):
-                single, straj = qpea.amplify(cfg, evo, y, max_iter=8, stop_tol=0.05, stop_qubit=2)
+                single, straj = qpea.amplify(cfg, evo, y, max_iter=8, stop_tol=0.05)
                 assert np.array_equal(final.amplitudes, single.amplitudes)
                 assert np.array_equal(traj.fidelity, straj.fidelity)
                 assert traj.stopped_at == straj.stopped_at
@@ -460,16 +428,6 @@ class TestAmplify:
         assert len(traj) == 1
         assert traj.iterations.tolist() == [0]
 
-    def test_stop_qubit_validated_up_front(self):
-        H = random_psd_matrix(4, 2, seed=13)
-        y = random_range_input(H, seed=13, overlap_sq=(0.2, 0.95))
-        evo = encoding.make_evolution(H, m=3)
-        cfg = qpea.PeaConfig(m=3, kappa=1.0, mode="biased")
-        for q, max_iter, stop_tol in ((99, 5, None), (99, 0, 0.05), (5, 5, None), (-1, 5, 0.05)):
-            with pytest.raises(ValueError, match="stop qubit"):
-                qpea.amplify(cfg, evo, y, max_iter=max_iter, stop_tol=stop_tol, stop_qubit=q)
-        qpea.amplify(cfg, evo, y, max_iter=2, stop_tol=None, stop_qubit=4)  # last system qubit
-
     def test_early_stop_allocates_only_run_iterates(self):
         # the trajectory grows with the iterates run, not with max_iter
         H = random_psd_matrix(4, 2, seed=13)
@@ -485,20 +443,6 @@ class TestAmplify:
         assert traj.stopped_at == 1  # every marginal is within 0.5 of 0.5
         assert peak < 2**20
 
-    def test_system_qubit_stop_matches_marginal(self):
-        H = random_psd_matrix(8, 3, seed=22)
-        y = random_range_input(H, seed=22, overlap_sq=(0.2, 0.95))
-        evo = encoding.make_evolution(H, m=4)
-        cfg = qpea.PeaConfig(m=4, kappa=1.0, mode="biased", standard_grover=True)
-        states = [qpea.amplify(cfg, evo, y, max_iter=t, stop_tol=None)[0] for t in range(1, 13)]
-        for q in (4, 5, 6):  # the system qubits
-            gaps = [abs(reshaped_p0(state.amplitudes, 7, q) - 0.5) for state in states]
-            ordered = sorted(gaps)
-            for lo, hi in zip(ordered[::3], ordered[1::3]):  # tolerances between two gaps
-                tol = (lo + hi) / 2
-                _, traj = qpea.amplify(cfg, evo, y, max_iter=12, stop_tol=tol, stop_qubit=q)
-                assert traj.stopped_at == 1 + next(i for i, g in enumerate(gaps) if g <= tol)
-
     def test_amplify_builds_one_register_state(self, monkeypatch):
         # observables and the stopping marginal read the array, not a RegisterState copy
         built = []
@@ -513,7 +457,7 @@ class TestAmplify:
         y = random_range_input(H, seed=23, overlap_sq=(0.2, 0.95))
         evo = encoding.make_evolution(H, m=4)
         cfg = qpea.PeaConfig(m=4, kappa=1.0, mode="biased", standard_grover=True)
-        qpea.amplify(cfg, evo, y, max_iter=10, stop_tol=1e-6, stop_qubit=6)
+        qpea.amplify(cfg, evo, y, max_iter=10, stop_tol=1e-6)
         assert len(built) == 1
 
     def test_norm_drift_raises(self):
