@@ -6,7 +6,9 @@ m = 6) under plain QFT estimation and under the biased phase register with
 kappa = 1 and kappa = 20, then writes one trajectory CSV per run plus a
 summary table.  The expected shape: the bias shortens the first fidelity
 peak from roughly a dozen iterations (QFT) to about half (kappa = 1) to a
-couple (kappa = 20).
+couple (kappa = 20).  For the standard iterate the table also gives the
+rotation angle theta of the two-plane rotation and the iterate count
+t* = round(pi/(4 theta) - 1/2) at which the marked projection peaks.
 
 Usage: python scripts/reproduce_bias_figures.py [--seed 0] [--out traces]
 """
@@ -36,12 +38,17 @@ def main() -> None:
         csvio.write_trajectory(out / f"trajectory_{res.label}.csv", res.trajectory)
     csvio.write_rows(out / "summary.csv", SUMMARY_HEADER, summary_rows(results))
 
-    print(f"{'run':>10} {'init success':>13} {'first peak':>11} {'peak fidelity':>14}")
+    # theta and t* describe the standard iterate's rotation; the verbatim one has none
+    print(f"{'run':>10} {'init success':>13} {'first peak':>11} {'peak fidelity':>14} "
+          f"{'theta':>8} {'t*':>4}")
     for res in results:
         traj = res.trajectory
+        theta = "-" if traj.theta is None else f"{traj.theta:.4f}"
+        t_star = "-" if traj.optimal_iterations is None else str(traj.optimal_iterations)
         print(
             f"{res.label:>10} {traj.success_prob[0]:>13.4f} "
-            f"{traj.first_fidelity_peak():>11d} {traj.peak_fidelity:>14.4f}"
+            f"{traj.first_fidelity_peak():>11d} {traj.peak_fidelity:>14.4f} "
+            f"{theta:>8} {t_star:>4}"
         )
     print(f"\nwrote {len(results)} trajectories + summary.csv to {out}/")
 

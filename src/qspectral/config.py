@@ -52,6 +52,15 @@ class DatasetSpec:
             raise ValueError(f"dataset.rank must lie in [1, dim], got {self.rank}")
         if not 0.0 < self.eig_min <= self.eig_max:
             raise ValueError("dataset eigenvalue range must satisfy 0 < eig_min <= eig_max")
+        if not (isinstance(self.sizes, tuple) and self.sizes
+                and all(_is_int(s) and s > 0 for s in self.sizes)):
+            raise ValueError(f"dataset.sizes must be a list of positive ints, got {self.sizes!r}")
+        rows = self.centers if isinstance(self.centers, tuple) else ()
+        if not (len(rows) == len(self.sizes)
+                and all(isinstance(r, tuple) and len(r) == len(rows[0]) > 0
+                        and all(_is_number(x) for x in r) for r in rows)):
+            raise ValueError(f"dataset.centers must be a list of equal-length number lists, "
+                             f"one per size, got {self.centers!r}")
 
 
 @dataclass(frozen=True)
@@ -133,6 +142,14 @@ class ExperimentConfig:
             mode, kappa = run
             if mode not in MODES or float(kappa) < 0:
                 raise ValueError(f"invalid run spec {run!r}")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _check_type(name: str, value, annotation: str):

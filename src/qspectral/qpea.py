@@ -12,9 +12,16 @@ verbatim; since the estimation circuit is not self-inverse, a
 its adjoint, which restores the textbook two-plane rotation.  With
 a = U_pea |0,0> and P_f2 = |f2><f2| (x) I that iterate is
 
-    Q = (I - 2|a><a|) (I - 2 P_f2)
+    Q = (I - 2|a><a|) (I - 2 P_f2),
 
-and is applied as these two rank-one reflections.
+so Q^t a = (-1)^t (sin((2t+1) theta) u + cos((2t+1) theta) v) with
+u = P_f2 a / |P_f2 a|, v = (1 - P_f2) a / |(1 - P_f2) a| and
+theta = atan2(|P_f2 a|, |(1 - P_f2) a|) (Brassard, Hoyer, Mosca, Tapp,
+quant-ph/0005055).  The standard iterate is therefore read in closed form
+after one forward pass: every observable is a 2x2 quadratic form in
+(sin, cos)((2t+1) theta).  One simulated iterate is checked against the
+closed form as a runtime invariant; the verbatim iterate is simulated step
+by step.
 """
 
 from __future__ import annotations
@@ -57,12 +64,6 @@ def marking_vector(m: int) -> np.ndarray:
 def bias_reflection(m: int, kappa: float) -> np.ndarray:
     """Reflection about the bias vector on the phase register."""
     return numerics.proj_reflection(bias_vector(m, kappa))
-
-
-def qft_matrix(m: int) -> np.ndarray:
-    M = 2**m
-    j = np.arange(M)
-    return np.exp(2j * np.pi * np.outer(j, j) / M) / np.sqrt(M)
 
 
 def hadamard_wall(m: int) -> np.ndarray:
@@ -142,7 +143,10 @@ class _Pipeline:
 
     Holds the input-independent part (phase-register gates, marking vector,
     nonzero eigenspace and the ladder phase table on it, less one), built once
-    per (cfg, evo) and shared by every input loaded onto it.
+    per (cfg, evo) and shared by every input loaded onto it.  The gate after
+    the ladder is applied matrix-free (an FFT, or the rank-one bias
+    reflection); the dense gate before it is built only for the verbatim
+    iterate, whose every pass loads a full-rank array.
     """
 
     def __init__(self, cfg: PeaConfig, evo: EvolutionOperator):
@@ -151,15 +155,20 @@ class _Pipeline:
         self.n = evo.n_qubits
         if 2**self.n != evo.dim:
             raise ValueError(f"evolution dimension {evo.dim} is not a power of two")
-        if cfg.mode == "qft":  # phase-register unitaries applied before and after the ladder
-            self.first, self.last = hadamard_wall(self.m), qft_matrix(self.m).conj().T
-        else:
-            self.first = bias_reflection(self.m, cfg.kappa)
-            self.last = self.first.conj().T  # the reflection is self-adjoint
+        M = 2**self.m
+        verbatim = not cfg.standard_grover
+        if cfg.mode == "qft":  # Hadamard wall before the ladder, inverse QFT after it
+            self.column0 = np.full(M, M**-0.5, dtype=complex)
+            self.first = hadamard_wall(self.m) if verbatim else None
+        else:  # the bias reflection I - 2|f><f| on both sides
+            self.bias = bias_vector(self.m, cfg.kappa)
+            self.column0 = -2.0 * self.bias[0].conj() * self.bias
+            self.column0[0] += 1.0
+            self.first = bias_reflection(self.m, cfg.kappa) if verbatim else None
         self.f2 = marking_vector(self.m)
         self.nonzero_basis = evo.nonzero_basis
         self.shift = ladder_phase_table(evo, self.m) - 1.0
-        bits = np.arange(2**self.m)[:, None] >> np.arange(self.m)[::-1]  # msb-first phase bits
+        bits = np.arange(M)[:, None] >> np.arange(self.m)[::-1]  # msb-first phase bits
         self.zero_bits = (bits & 1 == 0).astype(float)  # (2^m, m), 1 where the bit is 0
 
     def check(self, y) -> np.ndarray:
@@ -172,18 +181,21 @@ class _Pipeline:
         return y
 
     def initial(self, y: np.ndarray) -> np.ndarray:
-        """U_pea |0,0> for a checked input; the input load W maps |0> to y, so
-        the first stage is first[:, 0] (x) y."""
-        return self.last @ self.ladder(np.outer(self.first[:, 0], y))
+        """U_pea |0,0> for a checked input.  The input load W maps |0> to y, so
+        the ladder acts on the rank-one column0 (x) y and needs y's
+        coordinates on the nonzero eigenvectors only."""
+        B = self.nonzero_basis
+        coords = np.outer(self.column0, y @ B.conj())
+        return self.last(np.outer(self.column0, y) + (coords * self.shift) @ B.T)
 
-    def ladder(self, mat: np.ndarray) -> np.ndarray:
-        return ladder_shift(mat, self.nonzero_basis, self.shift)
+    def last(self, mat: np.ndarray) -> np.ndarray:
+        """The phase gate after the ladder: QFT^dag, or the bias reflection."""
+        if self.cfg.mode == "qft":
+            return np.fft.fft(mat, axis=0) / np.sqrt(mat.shape[0])
+        return mat - np.outer(2.0 * self.bias, self.bias.conj() @ mat)
 
     def forward(self, mat: np.ndarray, W: np.ndarray) -> np.ndarray:
-        mat = mat @ W.T
-        mat = self.first @ mat
-        mat = self.ladder(mat)
-        return self.last @ mat
+        return self.last(ladder_shift(self.first @ (mat @ W.T), self.nonzero_basis, self.shift))
 
     def iterate(self, mat: np.ndarray, a: np.ndarray, W: np.ndarray | None) -> np.ndarray:
         """One iterate Q; ``a`` is the initial state, ``W`` the input load
@@ -231,6 +243,12 @@ class Trajectory:
     stopped_at: int | None = None
     mode: str = ""
     kappa: float = 0.0
+    # standard iterate only (None for the verbatim one): the rotation angle, the
+    # count t* = round(pi/(4 theta) - 1/2) that maximizes sin^2((2t+1) theta),
+    # and the distance of one simulated iterate from the closed form
+    theta: float | None = None
+    optimal_iterations: int | None = None
+    rotation_residual: float | None = None
 
     def __len__(self) -> int:
         return self.iterations.size
@@ -272,7 +290,8 @@ def amplify(
     projection of y onto the nonzero eigenspace, and every phase qubit's
     marginal.  When ``stop_tol`` is set, iteration stops once the top phase
     qubit's P0 is within ``stop_tol`` of 1/2.  Raises before iterating if y
-    has no component in the nonzero eigenspace.
+    has no component in the nonzero eigenspace.  The standard iterate is read
+    in closed form (see the module docstring); the verbatim one is simulated.
     """
     return amplify_many(cfg, evo, [y], max_iter, stop_tol)[0]
 
@@ -301,41 +320,117 @@ def amplify_many(
             for y, target_conj in inputs]
 
 
+def _check_norm(pd: np.ndarray, t: int) -> None:
+    """Raise unless the phase distribution ``pd`` of iterate t sums to one."""
+    norm = np.sqrt(pd.sum())
+    if abs(norm - 1.0) > NORM_TOL:
+        raise ValueError(f"state norm {norm:.12g} is not 1 at iteration {t}")
+
+
 def _amplify_checked(pipe: _Pipeline, y: np.ndarray, target_conj: np.ndarray, max_iter: int,
                      stop_tol: float | None) -> tuple[RegisterState, Trajectory]:
-    """The iterate loop of one checked input; ``target_conj`` is its conjugated
-    fidelity target."""
+    """The amplification run of one checked input; ``target_conj`` is its
+    conjugated fidelity target."""
     a = pipe.initial(y)
-    W = None if pipe.cfg.standard_grover else prepare_unitary(y)
-    rows = []  # per iterate: success, marked, fidelity, P0 per phase qubit
+    _check_norm(phase_distribution(a), 0)
+    if pipe.cfg.standard_grover:
+        return _rotate(pipe, a, target_conj, max_iter, stop_tol)
+    W = prepare_unitary(y)
+    rows = []  # per iterate: P(phase 0), marked, fidelity, P0 per phase qubit
 
-    def record(t: int, mat: np.ndarray):
+    def record(mat: np.ndarray):
         pd = phase_distribution(mat)
-        norm = np.sqrt(pd.sum())
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state norm {norm:.12g} is not 1 at iteration {t}")
-        rows.append([1.0 - pd[0], _norm_sq(pipe.f2.conj() @ mat), _norm_sq(mat @ target_conj),
+        _check_norm(pd, len(rows))
+        rows.append([pd[0], _norm_sq(pipe.f2.conj() @ mat), _norm_sq(mat @ target_conj),
                      *(pd @ pipe.zero_bits)])
 
     mat = a
-    record(0, mat)
+    record(mat)
     stopped_at = None
     for t in range(1, max_iter + 1):
         mat = pipe.iterate(mat, a, W)
-        record(t, mat)
+        record(mat)
         if stop_tol is not None and abs(rows[-1][3] - 0.5) <= stop_tol:  # P0 of phase qubit 0
             stopped_at = t
             break
+    return pipe.to_state(mat), _trajectory(pipe, np.array(rows), stopped_at)
 
-    rows = np.array(rows).T
-    traj = Trajectory(
-        iterations=np.arange(rows.shape[1]),
-        success_prob=rows[0],
-        marked_prob=rows[1],
-        fidelity=rows[2],
-        phase_marginals=rows[3:].T,
+
+_ROW_BLOCK = 64  # closed-form rows evaluated per step of the stop rule
+ROTATION_TOL = 1e-10  # largest distance of one simulated iterate from the closed form
+
+
+def _rotate(pipe: _Pipeline, a: np.ndarray, target_conj: np.ndarray, max_iter: int,
+            stop_tol: float | None) -> tuple[RegisterState, Trajectory]:
+    """The standard iterate read in closed form on the plane of u and v.
+
+    With s, c = sin, cos((2t+1) theta), iterate t is (-1)^t (s u + c v), so
+    any squared projection |L x|^2 is the quadratic form s^2 |Lu|^2 +
+    c^2 |Lv|^2 + 2 s c Re<Lu, Lv>; the coefficient columns below hold it for
+    P(phase 0), the marked projection (s^2), the fidelity and each phase
+    qubit's P0.  Rows are evaluated a block at a time, so an early stop
+    computes only the block it falls in.  A degenerate plane (theta = 0 or
+    pi/2) leaves the missing direction zero and the trajectory constant.
+    """
+    f2 = pipe.f2
+    w = f2.conj() @ a  # P_f2 a = f2 (x) w
+    rest = a - np.outer(f2, w)  # (1 - P_f2) a
+    sin0, cos0 = np.sqrt(_norm_sq(w)), np.sqrt(_norm_sq(rest))
+    theta = float(np.arctan2(sin0, cos0))
+    w_hat = w / (sin0 or 1.0)  # u = f2 (x) w_hat, kept rank one
+    v = rest / (cos0 or 1.0)
+
+    def state(t: int) -> np.ndarray:
+        angle = (2 * t + 1) * theta
+        return (-1) ** t * (np.sin(angle) * np.outer(f2, w_hat) + np.cos(angle) * v)
+
+    q1 = pipe.iterate(a, a, None)  # runtime invariant: one simulated iterate
+    _check_norm(phase_distribution(q1), 1)
+    residual = float(np.max(np.abs(q1 - state(1))))
+    if not residual <= ROTATION_TOL:
+        raise ValueError(f"iterate leaves the two-plane rotation by {residual:.3g} at iteration 1")
+
+    uu = np.abs(f2) ** 2 * _norm_sq(w_hat)  # per phase row: <u,u>, <v,v>, 2 Re<u,v>
+    vv = phase_distribution(v)
+    uv = 2.0 * (f2.conj() * (v @ w_hat.conj())).real
+    fu, fv = f2 * (w_hat @ target_conj), v @ target_conj
+    forms = np.column_stack([
+        [uu[0], vv[0], uv[0]],
+        [1.0, 0.0, 0.0],
+        [_norm_sq(fu), _norm_sq(fv), 2.0 * np.vdot(fu, fv).real],
+        np.stack([uu, vv, uv]) @ pipe.zero_bits,
+    ])
+    blocks, stopped_at = [], None
+    for start in range(0, max_iter + 1, _ROW_BLOCK):
+        t = np.arange(start, min(start + _ROW_BLOCK, max_iter + 1))
+        s, c = np.sin((2 * t + 1) * theta), np.cos((2 * t + 1) * theta)
+        block = np.column_stack([s * s, c * c, s * c]) @ forms
+        if stop_tol is not None:
+            hits = np.flatnonzero((t >= 1) & (np.abs(block[:, 3] - 0.5) <= stop_tol))
+            if hits.size:
+                blocks.append(block[:hits[0] + 1])
+                stopped_at = int(t[hits[0]])
+                break
+        blocks.append(block)
+    rows = np.concatenate(blocks)
+    t_star = int(round(np.pi / (4.0 * theta) - 0.5)) if theta > 0.0 else 0
+    return pipe.to_state(state(len(rows) - 1)), _trajectory(
+        pipe, rows, stopped_at, theta=theta, optimal_iterations=t_star,
+        rotation_residual=residual)
+
+
+def _trajectory(pipe: _Pipeline, rows: np.ndarray, stopped_at: int | None,
+                **rotation) -> Trajectory:
+    """A Trajectory from per-iterate rows of P(phase 0), marked projection,
+    fidelity and the phase-qubit P0s."""
+    return Trajectory(
+        iterations=np.arange(rows.shape[0]),
+        success_prob=1.0 - rows[:, 0],
+        marked_prob=rows[:, 1],
+        fidelity=rows[:, 2],
+        phase_marginals=rows[:, 3:],
         stopped_at=stopped_at,
         mode=pipe.cfg.mode,
         kappa=pipe.cfg.kappa,
+        **rotation,
     )
-    return pipe.to_state(mat), traj

@@ -1,17 +1,25 @@
 """Dense 2^(m+n) matrices of the operators the engine applies matrix-free, for tests;
-the phase gates come from the public gate builders, so no engine code is shared."""
+the phase gates come from the public gate builders and the dense QFT below, so no
+engine code is shared."""
 
 import numpy as np
 
 from qspectral import numerics
 from qspectral.encoding import EvolutionOperator
 from qspectral.qpea import (PeaConfig, bias_reflection, hadamard_wall, marking_vector,
-                            prepare_unitary, qft_matrix)
+                            prepare_unitary)
 from qspectral.registers import RegisterState
 
 
 def _with_system(mat: np.ndarray, n: int) -> np.ndarray:
     return np.kron(mat, np.eye(2**n, dtype=complex)) if n > 0 else mat
+
+
+def qft_matrix(m: int) -> np.ndarray:
+    """QFT on m qubits: entry [j, k] = exp(2 pi i j k / 2^m) / sqrt(2^m)."""
+    M = 2**m
+    j = np.arange(M)
+    return np.exp(2j * np.pi * np.outer(j, j) / M) / np.sqrt(M)
 
 
 def marking_reflection(m: int, n: int = 0) -> np.ndarray:

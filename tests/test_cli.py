@@ -90,6 +90,13 @@ class TestConfig:
         ("pea: {m: true}", "pea.m"),
         ("amplify: {max_iter: 2.5}", "amplify.max_iter"),
         ("scrambled: 1.5", "scrambled"),
+        ("dataset: {sizes: 5}", "dataset.sizes"),
+        ("dataset: {sizes: [4, 0]}", "dataset.sizes"),
+        ("dataset: {sizes: [4, 2.5]}", "dataset.sizes"),
+        ("dataset: {centers: 5}", "dataset.centers"),
+        ("dataset: {centers: [[1.0, 0.0]]}", "dataset.centers"),
+        ("dataset: {centers: [[1.0, 0.0], [0.0]]}", "dataset.centers"),
+        ("dataset: {centers: [[1.0, 0.0], [0.0, true]]}", "dataset.centers"),
     ])
     def test_wrong_type_is_an_error(self, tmp_path, capsys, text, key):
         p = write_config(tmp_path, text + "\n")

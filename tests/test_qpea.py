@@ -545,6 +545,86 @@ class TestAmplify:
         assert peaks[0] >= peaks[1] >= peaks[2]
 
 
+def no_marking(self, mat, a, W):
+    """The standard iterate without R_mark: unitary, but off the two-plane rotation."""
+    return mat - 2.0 * np.vdot(a, mat) * a
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("marked", [False, True])
+    def test_degenerate_plane_is_constant(self, marked, monkeypatch):
+        # a hand-built initial state with no marked part (theta = 0) or only a
+        # marked part (theta = pi/2): Q maps a to -a or to a.  One phase qubit
+        # makes the marked vector |1>, so the other part is exactly zero.
+        H = np.diag([0.0, 0.0, 1.0, 2.0])
+        evo = encoding.make_evolution(H, m=1, t=0.3)
+        cfg = qpea.PeaConfig(m=1, kappa=1.0, mode="biased", standard_grover=True)
+        y = np.array([0.0, 0.6, 0.8, 0.0])
+        phase = np.eye(2)[1 if marked else 0]
+        a = np.outer(phase, y).astype(complex)
+        monkeypatch.setattr(qpea._Pipeline, "initial", lambda self, y: a)
+        final, traj = qpea.amplify(cfg, evo, y, max_iter=7, stop_tol=None)
+        got = np.column_stack([traj.success_prob, traj.marked_prob, traj.fidelity,
+                               traj.phase_marginals])
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - got[0])) <= 1e-12
+        assert traj.marked_prob[0] == pytest.approx(float(marked), abs=1e-12)
+        assert traj.theta == pytest.approx(np.pi / 2 if marked else 0.0, abs=1e-12)
+        assert traj.rotation_residual <= 1e-12
+        sign = 1.0 if marked else -1.0  # seven iterates of Q a = -a flip the sign
+        assert np.max(np.abs(final.as_matrix() - sign * a)) <= 1e-12
+
+    def test_iterate_without_marking_raises(self, monkeypatch):
+        H = random_psd_matrix(8, 3, seed=30)
+        y = random_range_input(H, seed=30, overlap_sq=(0.2, 0.95))
+        evo = encoding.make_evolution(H, m=4)
+        cfg = qpea.PeaConfig(m=4, kappa=1.0, mode="biased", standard_grover=True)
+        monkeypatch.setattr(qpea._Pipeline, "iterate", no_marking)
+        with pytest.raises(ValueError, match="leaves the two-plane rotation"):
+            qpea.amplify(cfg, evo, y, max_iter=5, stop_tol=None)
+
+    @pytest.mark.parametrize("offset", [-2, -1, 0, 1])
+    def test_stop_at_block_boundary_matches_dense(self, offset, monkeypatch):
+        # blocks of T + 1 + offset rows put the stopping iterate T last in its
+        # block (0), first in the next (-1), second (-2) or next to last (1)
+        H = random_psd_matrix(8, 3, seed=17)
+        y = random_range_input(H, seed=17, overlap_sq=(0.3, 0.8))
+        evo = encoding.make_evolution(H, m=4)
+        cfg = qpea.PeaConfig(m=4, kappa=1.0, mode="biased", standard_grover=True)
+        rows, vec, stop, gaps = dense_run(cfg, evo, H, y, 40, 0.02)
+        assert stop == 8
+        assert all(abs(g - 0.02) > 1e-9 for g in gaps)
+        monkeypatch.setattr(qpea, "_ROW_BLOCK", stop + 1 + offset)
+        final, traj = qpea.amplify(cfg, evo, y, max_iter=40, stop_tol=0.02)
+        assert traj.stopped_at == stop
+        got = np.column_stack([traj.success_prob, traj.marked_prob, traj.fidelity,
+                               traj.phase_marginals])
+        assert got.shape == rows.shape
+        assert np.max(np.abs(got - rows)) <= 1e-10
+        assert np.max(np.abs(final.amplitudes - vec)) <= 1e-10
+
+    @pytest.mark.parametrize("mode, kappa", [("qft", 0.0), ("biased", 1.0), ("biased", 20.0)])
+    def test_theta_and_optimal_iterations(self, mode, kappa):
+        H = random_psd_matrix(16, 6, seed=31)
+        y = random_range_input(H, seed=31, overlap_sq=(0.25, 0.9))
+        evo = encoding.make_evolution(H, m=6)
+        cfg = qpea.PeaConfig(m=6, kappa=kappa, mode=mode, standard_grover=True)
+        _, traj = qpea.amplify(cfg, evo, y, max_iter=60, stop_tol=None)
+        assert traj.theta == pytest.approx(np.arcsin(np.sqrt(traj.marked_prob[0])), abs=1e-12)
+        t_star = traj.optimal_iterations
+        assert 0 < 2 * t_star + 1 <= 60
+        assert traj.marked_prob[t_star] == np.max(traj.marked_prob[:2 * t_star + 2])
+        assert traj.rotation_residual <= qpea.ROTATION_TOL
+
+    def test_verbatim_iterate_has_no_rotation(self):
+        H = random_psd_matrix(8, 3, seed=32)
+        y = random_range_input(H, seed=32, overlap_sq=(0.2, 0.95))
+        evo = encoding.make_evolution(H, m=4)
+        cfg = qpea.PeaConfig(m=4, kappa=1.0, mode="biased", standard_grover=False)
+        _, traj = qpea.amplify(cfg, evo, y, max_iter=3, stop_tol=None)
+        assert (traj.theta, traj.optimal_iterations, traj.rotation_residual) == (None, None, None)
+
+
 class TestStagnationKappa:
     def test_values(self):
         assert qpea.stagnation_kappa(6) == pytest.approx(8.0)
