@@ -264,10 +264,23 @@ def _check_qpea(rng) -> bool:
     evo = encoding.make_evolution(H, m=3)
     y = datasets.random_range_input(H, 11, (0.2, 0.95))
     cfg = qpea.PeaConfig(m=3, kappa=1.0, mode="biased", standard_grover=True)
-    _, traj = qpea.amplify(cfg, evo, y, max_iter=20, stop_tol=None)  # raises on norm drift
-    theta = np.arcsin(np.sqrt(traj.marked_prob[0]))
-    rotation = np.sin((2 * traj.iterations + 1) * theta) ** 2
-    return ok and np.max(np.abs(traj.marked_prob - rotation)) < 1e-9
+    steps = 20
+    final, traj = qpea.amplify(cfg, evo, y, max_iter=steps, stop_tol=None)  # raises on norm drift
+    # the closed form against the same iterates stepped on the full register
+    pipe = qpea._Pipeline(cfg, evo)
+    a = qpea.phase_estimation(cfg, evo, y).as_matrix()
+    target = classical.span_projection(evo.nonzero_basis, y)[0]
+    mat, rows = a, []
+    for t in range(steps + 1):
+        if t:
+            mat = pipe.iterate(mat, a, None)
+        pd = np.sum(np.abs(mat) ** 2, axis=1)
+        rows.append([1.0 - pd[0], np.linalg.norm(pipe.f2.conj() @ mat) ** 2,
+                     np.linalg.norm(mat @ target.conj()) ** 2, *(pd @ pipe.zero_bits)])
+    got = np.column_stack([traj.success_prob, traj.marked_prob, traj.fidelity,
+                           traj.phase_marginals])
+    return (ok and np.max(np.abs(got - np.array(rows))) < 1e-9
+            and np.max(np.abs(final.as_matrix() - mat)) < 1e-9)
 
 
 def _check_readout(rng) -> bool:
@@ -287,7 +300,7 @@ _SELFTESTS = (  # module, what its check covers, the check
     ("graph", "row sums, PSD, component multiplicity", _check_graph),
     ("classical", "k-means objective, trace identity", _check_classical),
     ("encoding", "round trip, linearize bound, unitarity", _check_encoding),
-    ("qpea", "exact phase read, two-plane rotation", _check_qpea),
+    ("qpea", "exact phase read, closed form vs 20 stepped iterates", _check_qpea),
     ("readout", "similarity identity, mixer separability", _check_readout),
 )
 

@@ -22,18 +22,27 @@ after one forward pass: every observable is a 2x2 quadratic form in
 (sin, cos)((2t+1) theta).  One simulated iterate is checked against the
 closed form as a runtime invariant; the verbatim iterate is simulated step
 by step.
+
+The estimation unitary is diagonal in (phase index) x (eigenvector of H), so
+the state of the standard iterate never leaves span(nonzero eigenvectors)
+plus the null-space part of y.  It is held as a (2^m, r+1) array S of
+coordinates on the columns B = [V_nz, y_null], with c = V_nz^dag y,
+nu = |y - V_nz c| and y_null = (y - V_nz c) / nu.  R_mark acts on the phase
+index only and I - 2|a><a| does not depend on the basis, so the rotation
+runs on S unchanged; S B^T maps it back to the 2^n system amplitudes once,
+for the returned state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import numerics
-from .classical import span_projection
 from .encoding import EvolutionOperator, ladder_phase_table, ladder_shift
+from .errors import DegenerateTargetError
 from .registers import NORM_TOL, RegisterState, phase_distribution
 
 
@@ -138,15 +147,25 @@ def stagnation_kappa(m: int) -> float:
 # the estimation pipeline
 
 
+class _Input(NamedTuple):
+    """A checked input y and its coordinates (c, nu) on the columns
+    [V_nz, y_null] of ``basis``."""
+
+    y: np.ndarray
+    coords: np.ndarray  # (r + 1,)
+    basis: np.ndarray  # (2^n, r + 1)
+
+
 class _Pipeline:
-    """Matrix-free appliers for the estimation unitary on (2^m, 2^n) arrays.
+    """Matrix-free appliers for the estimation unitary.
 
     Holds the input-independent part (phase-register gates, marking vector,
-    nonzero eigenspace and the ladder phase table on it, less one), built once
-    per (cfg, evo) and shared by every input loaded onto it.  The gate after
-    the ladder is applied matrix-free (an FFT, or the rank-one bias
-    reflection); the dense gate before it is built only for the verbatim
-    iterate, whose every pass loads a full-rank array.
+    nonzero eigenspace and the ladder phase table on it), built once per
+    (cfg, evo) and shared by every input loaded onto it.  The initial state
+    is built on an input's coordinates [V_nz, y_null], where the ladder is
+    the phase table, and :meth:`to_full` maps it to the (2^m, 2^n) register.
+    The dense gate before the ladder is built only for the verbatim iterate,
+    whose every pass loads a full-rank (2^m, 2^n) array.
     """
 
     def __init__(self, cfg: PeaConfig, evo: EvolutionOperator):
@@ -167,26 +186,44 @@ class _Pipeline:
             self.first = bias_reflection(self.m, cfg.kappa) if verbatim else None
         self.f2 = marking_vector(self.m)
         self.nonzero_basis = evo.nonzero_basis
-        self.shift = ladder_phase_table(evo, self.m) - 1.0
+        table = ladder_phase_table(evo, self.m)
+        self.shift = table - 1.0 if verbatim else None
+        self.table = np.hstack([table, np.ones((M, 1))])  # y_null gets phase 1 for every p
         bits = np.arange(M)[:, None] >> np.arange(self.m)[::-1]  # msb-first phase bits
         self.zero_bits = (bits & 1 == 0).astype(float)  # (2^m, m), 1 where the bit is 0
 
-    def check(self, y) -> np.ndarray:
-        """The input as a vector, checked to be a unit vector of the system dimension."""
+    def load(self, y) -> _Input:
+        """The input checked to be a unit vector of the system dimension, with
+        its coordinates on [V_nz, y_null]; the y_null column is zero when y
+        has no null-space part.  A real y on a real V_nz gives a real basis."""
         y = numerics.as_vector(y)
         if y.size != self.evo.dim:
             raise ValueError(f"input dim {y.size} does not match operator dim {self.evo.dim}")
         if not numerics.is_normalized(y, 1e-10):
             raise ValueError("input state must be unit norm")
-        return y
-
-    def initial(self, y: np.ndarray) -> np.ndarray:
-        """U_pea |0,0> for a checked input.  The input load W maps |0> to y, so
-        the ladder acts on the rank-one column0 (x) y and needs y's
-        coordinates on the nonzero eigenvectors only."""
         B = self.nonzero_basis
-        coords = np.outer(self.column0, y @ B.conj())
-        return self.last(np.outer(self.column0, y) + (coords * self.shift) @ B.T)
+        x = y.real if np.isrealobj(B) and not y.imag.any() else y
+        c = (x.conj() @ B).conj()  # V_nz^dag x without a conjugated copy of V_nz
+        null = x - B @ c
+        nu = np.sqrt(_norm_sq(null))
+        basis = np.column_stack([B, null / nu if nu > 0.0 else null])
+        return _Input(y, np.append(c, nu), basis)
+
+    def initial(self, coords: np.ndarray) -> np.ndarray:
+        """U_pea |0,0> on an input's coordinates.  The input load W maps |0>
+        to y, so the ladder acts on the rank-one column0 (x) y, and on the
+        eigenvector coordinates it is the phase table."""
+        return self.last(self.column0[:, None] * self.table * coords)
+
+    def to_full(self, mat: np.ndarray, basis: np.ndarray) -> np.ndarray:
+        """The (2^m, 2^n) register array of coordinates ``mat`` on the columns
+        ``basis``: two real products when the basis is real."""
+        if np.iscomplexobj(basis):
+            return mat @ basis.T
+        full = np.empty((mat.shape[0], basis.shape[0]), dtype=complex)
+        full.real = mat.real @ basis.T
+        full.imag = mat.imag @ basis.T
+        return full
 
     def last(self, mat: np.ndarray) -> np.ndarray:
         """The phase gate after the ladder: QFT^dag, or the bias reflection."""
@@ -199,7 +236,8 @@ class _Pipeline:
 
     def iterate(self, mat: np.ndarray, a: np.ndarray, W: np.ndarray | None) -> np.ndarray:
         """One iterate Q; ``a`` is the initial state, ``W`` the input load
-        (needed by the verbatim iterate only)."""
+        (needed by the verbatim iterate only).  The standard iterate acts on
+        coordinates in any basis."""
         mat = mat - self.f2[:, None] * (2.0 * (self.f2.conj() @ mat))  # R_mark
         if self.cfg.standard_grover:  # U_pea R_zero U_pea^dag = I - 2|a><a|
             return mat - 2.0 * np.vdot(a, mat) * a
@@ -220,7 +258,8 @@ def phase_estimation(cfg: PeaConfig, evo: EvolutionOperator, y) -> RegisterState
     returns the output register state.
     """
     pipe = _Pipeline(cfg, evo)
-    return pipe.to_state(pipe.initial(pipe.check(y)))
+    inp = pipe.load(y)
+    return pipe.to_state(pipe.to_full(pipe.initial(inp.coords), inp.basis))
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +351,24 @@ def amplify_many(
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     pipe = _Pipeline(cfg, evo)
-    inputs = []
+    loaded = []
     for y in ys:
-        y = pipe.check(y)
-        inputs.append((y, span_projection(pipe.nonzero_basis, y)[0].conj()))
-    return [_amplify_checked(pipe, y, target_conj, max_iter, stop_tol)
-            for y, target_conj in inputs]
+        inp = pipe.load(y)
+        loaded.append((inp, _fidelity_target(inp.coords)))
+    return [_amplify_loaded(pipe, inp, target_conj, max_iter, stop_tol)
+            for inp, target_conj in loaded]
+
+
+def _fidelity_target(coords: np.ndarray) -> np.ndarray:
+    """The conjugated fidelity target (c* / |c|, 0) on an input's coordinates:
+    the normalized projection of y onto the nonzero eigenspace."""
+    c = coords[:-1]
+    if c.size == 0:
+        raise DegenerateTargetError("operator has no nonzero eigenvalues")
+    amplitude = np.sqrt(_norm_sq(c))
+    if amplitude <= 1e-12:
+        raise DegenerateTargetError("input lies in the null space of the operator")
+    return np.append(c.conj(), 0.0) / amplitude
 
 
 def _check_norm(pd: np.ndarray, t: int) -> None:
@@ -327,15 +378,18 @@ def _check_norm(pd: np.ndarray, t: int) -> None:
         raise ValueError(f"state norm {norm:.12g} is not 1 at iteration {t}")
 
 
-def _amplify_checked(pipe: _Pipeline, y: np.ndarray, target_conj: np.ndarray, max_iter: int,
-                     stop_tol: float | None) -> tuple[RegisterState, Trajectory]:
-    """The amplification run of one checked input; ``target_conj`` is its
-    conjugated fidelity target."""
-    a = pipe.initial(y)
+def _amplify_loaded(pipe: _Pipeline, inp: _Input, target_conj: np.ndarray, max_iter: int,
+                    stop_tol: float | None) -> tuple[RegisterState, Trajectory]:
+    """The amplification run of one loaded input; ``target_conj`` is its
+    conjugated fidelity target on the input's coordinates."""
+    a = pipe.initial(inp.coords)
     _check_norm(phase_distribution(a), 0)
     if pipe.cfg.standard_grover:
-        return _rotate(pipe, a, target_conj, max_iter, stop_tol)
-    W = prepare_unitary(y)
+        final, traj = _rotate(pipe, a, target_conj, max_iter, stop_tol)
+        return pipe.to_state(pipe.to_full(final, inp.basis)), traj
+    a = pipe.to_full(a, inp.basis)
+    target_conj = inp.basis.conj() @ target_conj
+    W = prepare_unitary(inp.y)
     rows = []  # per iterate: P(phase 0), marked, fidelity, P0 per phase qubit
 
     def record(mat: np.ndarray):
@@ -361,8 +415,9 @@ ROTATION_TOL = 1e-10  # largest distance of one simulated iterate from the close
 
 
 def _rotate(pipe: _Pipeline, a: np.ndarray, target_conj: np.ndarray, max_iter: int,
-            stop_tol: float | None) -> tuple[RegisterState, Trajectory]:
-    """The standard iterate read in closed form on the plane of u and v.
+            stop_tol: float | None) -> tuple[np.ndarray, Trajectory]:
+    """The standard iterate read in closed form on the plane of u and v, in
+    the coordinates of ``a``; returns the final state in those coordinates.
 
     With s, c = sin, cos((2t+1) theta), iterate t is (-1)^t (s u + c v), so
     any squared projection |L x|^2 is the quadratic form s^2 |Lu|^2 +
@@ -414,7 +469,7 @@ def _rotate(pipe: _Pipeline, a: np.ndarray, target_conj: np.ndarray, max_iter: i
         blocks.append(block)
     rows = np.concatenate(blocks)
     t_star = int(round(np.pi / (4.0 * theta) - 0.5)) if theta > 0.0 else 0
-    return pipe.to_state(state(len(rows) - 1)), _trajectory(
+    return state(len(rows) - 1), _trajectory(
         pipe, rows, stopped_at, theta=theta, optimal_iterations=t_star,
         rotation_residual=residual)
 

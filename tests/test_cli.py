@@ -379,6 +379,22 @@ class TestSelftest:
         assert "FAIL qpea" in output
         assert "PASS readout" in output
 
+    def test_fails_on_closed_form_wrong_after_first_iterate(self, capsys, monkeypatch):
+        # fidelity rows that leave the rotation from iterate 2 on: amplify's own
+        # check of iterate 1 still holds, so only the stepped iterates can see it
+        build = qpea._trajectory
+
+        def drifting(pipe, rows, stopped_at, **rotation):
+            rows = rows.copy()
+            rows[2:, 2] *= 0.99
+            return build(pipe, rows, stopped_at, **rotation)
+
+        monkeypatch.setattr(qpea, "_trajectory", drifting)
+        assert cli.main(["selftest"]) == 1
+        output = capsys.readouterr().out
+        assert "FAIL qpea: exact phase read" in output  # a failed comparison, not an error
+        assert "PASS readout" in output
+
     def test_raising_check_fails_only_its_module(self, capsys, monkeypatch):
         # a state that grows by 1% per iterate makes amplify raise on norm drift
         step = qpea._Pipeline.iterate

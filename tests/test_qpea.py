@@ -555,14 +555,16 @@ class TestClosedForm:
     def test_degenerate_plane_is_constant(self, marked, monkeypatch):
         # a hand-built initial state with no marked part (theta = 0) or only a
         # marked part (theta = pi/2): Q maps a to -a or to a.  One phase qubit
-        # makes the marked vector |1>, so the other part is exactly zero.
+        # makes the marked vector |1>, so the other part is exactly zero.  The
+        # state is set on y's own coordinates, so it maps back to phase (x) y.
         H = np.diag([0.0, 0.0, 1.0, 2.0])
         evo = encoding.make_evolution(H, m=1, t=0.3)
         cfg = qpea.PeaConfig(m=1, kappa=1.0, mode="biased", standard_grover=True)
         y = np.array([0.0, 0.6, 0.8, 0.0])
         phase = np.eye(2)[1 if marked else 0]
         a = np.outer(phase, y).astype(complex)
-        monkeypatch.setattr(qpea._Pipeline, "initial", lambda self, y: a)
+        monkeypatch.setattr(qpea._Pipeline, "initial",
+                            lambda self, coords: np.outer(phase, coords).astype(complex))
         final, traj = qpea.amplify(cfg, evo, y, max_iter=7, stop_tol=None)
         got = np.column_stack([traj.success_prob, traj.marked_prob, traj.fidelity,
                                traj.phase_marginals])
@@ -623,6 +625,138 @@ class TestClosedForm:
         cfg = qpea.PeaConfig(m=4, kappa=1.0, mode="biased", standard_grover=False)
         _, traj = qpea.amplify(cfg, evo, y, max_iter=3, stop_tol=None)
         assert (traj.theta, traj.optimal_iterations, traj.rotation_residual) == (None, None, None)
+
+
+def assert_matches_dense(cfg, evo, H, y, max_iter=8):
+    final, traj = qpea.amplify(cfg, evo, y, max_iter=max_iter, stop_tol=None)
+    rows, vec, _, _ = dense_run(cfg, evo, H, y, max_iter, None)
+    got = np.column_stack([traj.success_prob, traj.marked_prob, traj.fidelity,
+                           traj.phase_marginals])
+    assert got.shape == rows.shape
+    assert np.max(np.abs(got - rows)) <= 1e-10
+    assert np.max(np.abs(final.amplitudes - vec)) <= 1e-10
+
+
+class TestCoordinates:
+    """The state held on an input's coordinates [V_nz, y_null], against the dense oracle."""
+
+    @pytest.mark.parametrize("standard", [True, False])
+    def test_input_in_nonzero_eigenspace(self, standard):
+        cfg = qpea.PeaConfig(m=3, kappa=1.0, mode="biased", standard_grover=standard)
+        # exact eigenvectors: y has no null-space part at all, and its column is zero
+        H = np.diag([0.0, 0.0, 1.0, 2.0])
+        evo = encoding.make_evolution(H, m=3)
+        y = np.array([0.0, 0.0, 0.6, 0.8])
+        inp = qpea._Pipeline(cfg, evo).load(y)
+        assert inp.coords[-1] == 0.0
+        assert not np.any(inp.basis[:, -1])
+        assert_matches_dense(cfg, evo, H, y)
+        # a random eigenspace: the null-space part is rounding only
+        H = random_psd_matrix(8, 3, seed=40)
+        evo = encoding.make_evolution(H, m=3)
+        c = np.random.default_rng(40).normal(size=3)
+        y = evo.nonzero_basis @ (c / np.linalg.norm(c))
+        assert qpea._Pipeline(cfg, evo).load(y).coords[-1] <= 1e-14
+        assert_matches_dense(cfg, evo, H, y)
+
+    @pytest.mark.parametrize("mode, kappa", [("qft", 0.0), ("biased", 1.0)])
+    def test_full_rank(self, mode, kappa):
+        H = random_psd_matrix(8, 8, seed=41, eig_range=(1.0, 2.0))
+        evo = encoding.make_evolution(H, m=4)
+        assert evo.nonzero_basis.shape[1] == 8
+        rng = np.random.default_rng(41)
+        y = rng.normal(size=8)
+        y /= np.linalg.norm(y)
+        for standard in (True, False):
+            cfg = qpea.PeaConfig(m=4, kappa=kappa, mode=mode, standard_grover=standard)
+            assert np.isrealobj(qpea._Pipeline(cfg, evo).load(y).basis)  # two real products
+            assert_matches_dense(cfg, evo, H, y)
+
+    @pytest.mark.parametrize("mode, kappa", [("qft", 0.0), ("biased", 1.0)])
+    def test_complex_hamiltonian(self, mode, kappa):
+        rng = np.random.default_rng(42)
+        A = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
+        H = A @ A.conj().T
+        evo = encoding.make_evolution(H, m=4, t=0.9 / np.max(np.linalg.eigvalsh(H)))
+        assert np.iscomplexobj(evo.nonzero_basis)
+        y = rng.normal(size=8) + 1j * rng.normal(size=8)
+        y /= np.linalg.norm(y)
+        for standard in (True, False):
+            cfg = qpea.PeaConfig(m=4, kappa=kappa, mode=mode, standard_grover=standard)
+            assert_matches_dense(cfg, evo, H, y)
+
+    def test_batch_stops_on_both_sides_of_a_block_boundary(self, monkeypatch):
+        # with blocks of 6 rows the inputs stop at iterates 1 and 5 (first
+        # block), 8, 13 (later blocks) and not at all
+        H = random_psd_matrix(8, 3, seed=17)
+        evo = encoding.make_evolution(H, m=4)
+        cfg = qpea.PeaConfig(m=4, kappa=1.0, mode="biased", standard_grover=True)
+        ys = [random_range_input(H, seed=s, overlap_sq=ov) for s, ov in (
+            (17, (0.8, 0.99)), (17, (0.05, 0.2)), (17, (0.3, 0.8)), (26, (0.3, 0.8)),
+            (28, (0.3, 0.8)))]
+        monkeypatch.setattr(qpea, "_ROW_BLOCK", 6)
+        runs = qpea.amplify_many(cfg, evo, ys, max_iter=40, stop_tol=0.02)
+        stops = []
+        for y, (final, traj) in zip(ys, runs):
+            rows, vec, stop, gaps = dense_run(cfg, evo, H, y, 40, 0.02)
+            assert all(abs(g - 0.02) > 1e-9 for g in gaps)
+            got = np.column_stack([traj.success_prob, traj.marked_prob, traj.fidelity,
+                                   traj.phase_marginals])
+            assert traj.stopped_at == stop
+            assert got.shape == rows.shape
+            assert np.max(np.abs(got - rows)) <= 1e-10
+            assert np.max(np.abs(final.amplitudes - vec)) <= 1e-10
+            stops.append(stop)
+        assert stops == [1, 5, 8, 13, None]
+
+    def test_standard_path_runs_no_ladder_product(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("full-space ladder product")
+
+        monkeypatch.setattr(qpea, "ladder_shift", refuse)
+        H = random_psd_matrix(8, 3, seed=43)
+        evo = encoding.make_evolution(H, m=4)
+        ys = [random_range_input(H, seed=s, overlap_sq=(0.2, 0.95)) for s in (43, 44)]
+        for mode, kappa in (("qft", 0.0), ("biased", 1.0)):
+            cfg = qpea.PeaConfig(m=4, kappa=kappa, mode=mode, standard_grover=True)
+            qpea.amplify(cfg, evo, ys[0], max_iter=5, stop_tol=None)
+            assert len(qpea.amplify_many(cfg, evo, ys, max_iter=5, stop_tol=0.05)) == 2
+            qpea.phase_estimation(cfg, evo, ys[0])
+        verbatim = qpea.PeaConfig(m=4, kappa=1.0, mode="biased", standard_grover=False)
+        with pytest.raises(AssertionError, match="ladder product"):
+            qpea.amplify(verbatim, evo, ys[0], max_iter=1, stop_tol=None)
+
+    def test_no_register_array_before_the_final_map(self, monkeypatch):
+        # N = 256, rank 2, m = 6: one (2^m, N) complex array is 256 KiB, the
+        # coordinates (2^m, 3) take 3 KiB
+        H = random_psd_matrix(256, 2, seed=44)
+        evo = encoding.make_evolution(H, m=6)
+        z = np.random.default_rng(44).normal(size=256)
+        inside = evo.nonzero_basis @ (evo.nonzero_basis.T @ z)
+        outside = z - inside
+        y = 0.6 * inside / np.linalg.norm(inside) + 0.8 * outside / np.linalg.norm(outside)
+        cfg = qpea.PeaConfig(m=6, kappa=1.0, mode="biased", standard_grover=True)
+        events = []
+        rotate, to_full = qpea._rotate, qpea._Pipeline.to_full
+
+        def recording_rotate(pipe, a, *args):
+            events.append(("rotate", a.shape))
+            return rotate(pipe, a, *args)
+
+        def recording_to_full(self, mat, basis):
+            events.append(("to_full", tracemalloc.get_traced_memory()[1]))
+            return to_full(self, mat, basis)
+
+        monkeypatch.setattr(qpea, "_rotate", recording_rotate)
+        monkeypatch.setattr(qpea._Pipeline, "to_full", recording_to_full)
+        tracemalloc.start()
+        try:
+            qpea.amplify(cfg, evo, y, max_iter=20, stop_tol=None)
+        finally:
+            tracemalloc.stop()
+        assert [name for name, _ in events] == ["rotate", "to_full"]
+        assert events[0][1] == (2**6, 3)
+        assert events[1][1] < 2**6 * 256 * 16 // 2  # the peak before the final map
 
 
 class TestStagnationKappa:
