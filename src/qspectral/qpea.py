@@ -21,7 +21,8 @@ quant-ph/0005055).  The standard iterate is therefore read in closed form
 after one forward pass: every observable is a 2x2 quadratic form in
 (sin, cos)((2t+1) theta).  One simulated iterate is checked against the
 closed form as a runtime invariant; the verbatim iterate is simulated step
-by step.
+by step, and :func:`amplify_stepped` steps the standard one the same way as a
+reference.
 
 The estimation unitary is diagonal in (phase index) x (eigenvector of H), so
 the state of the standard iterate never leaves span(nonzero eigenvectors)
@@ -149,11 +150,11 @@ def stagnation_kappa(m: int) -> float:
 
 class _Input(NamedTuple):
     """A checked input y and its coordinates (c, nu) on the columns
-    [V_nz, y_null] of ``basis``."""
+    [V_nz, y_null]; V_nz is the pipeline's, shared by every input."""
 
     y: np.ndarray
     coords: np.ndarray  # (r + 1,)
-    basis: np.ndarray  # (2^n, r + 1)
+    y_null: np.ndarray  # (2^n,), zero when y has no null-space part
 
 
 class _Pipeline:
@@ -194,20 +195,17 @@ class _Pipeline:
 
     def load(self, y) -> _Input:
         """The input checked to be a unit vector of the system dimension, with
-        its coordinates on [V_nz, y_null]; the y_null column is zero when y
-        has no null-space part.  A real y on a real V_nz gives a real basis."""
+        its coordinates on [V_nz, y_null]."""
         y = numerics.as_vector(y)
         if y.size != self.evo.dim:
             raise ValueError(f"input dim {y.size} does not match operator dim {self.evo.dim}")
         if not numerics.is_normalized(y, 1e-10):
             raise ValueError("input state must be unit norm")
         B = self.nonzero_basis
-        x = y.real if np.isrealobj(B) and not y.imag.any() else y
-        c = (x.conj() @ B).conj()  # V_nz^dag x without a conjugated copy of V_nz
-        null = x - B @ c
+        c = (y.conj() @ B).conj()  # V_nz^dag y without a conjugated copy of V_nz
+        null = y - B @ c
         nu = np.sqrt(_norm_sq(null))
-        basis = np.column_stack([B, null / nu if nu > 0.0 else null])
-        return _Input(y, np.append(c, nu), basis)
+        return _Input(y, np.append(c, nu), null / nu if nu > 0.0 else null)
 
     def initial(self, coords: np.ndarray) -> np.ndarray:
         """U_pea |0,0> on an input's coordinates.  The input load W maps |0>
@@ -215,15 +213,10 @@ class _Pipeline:
         eigenvector coordinates it is the phase table."""
         return self.last(self.column0[:, None] * self.table * coords)
 
-    def to_full(self, mat: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    def to_full(self, mat: np.ndarray, y_null: np.ndarray) -> np.ndarray:
         """The (2^m, 2^n) register array of coordinates ``mat`` on the columns
-        ``basis``: two real products when the basis is real."""
-        if np.iscomplexobj(basis):
-            return mat @ basis.T
-        full = np.empty((mat.shape[0], basis.shape[0]), dtype=complex)
-        full.real = mat.real @ basis.T
-        full.imag = mat.imag @ basis.T
-        return full
+        [V_nz, y_null], as one complex product with a transient basis."""
+        return mat @ np.column_stack([self.nonzero_basis, y_null]).T
 
     def last(self, mat: np.ndarray) -> np.ndarray:
         """The phase gate after the ladder: QFT^dag, or the bias reflection."""
@@ -259,7 +252,7 @@ def phase_estimation(cfg: PeaConfig, evo: EvolutionOperator, y) -> RegisterState
     """
     pipe = _Pipeline(cfg, evo)
     inp = pipe.load(y)
-    return pipe.to_state(pipe.to_full(pipe.initial(inp.coords), inp.basis))
+    return pipe.to_state(pipe.to_full(pipe.initial(inp.coords), inp.y_null))
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +352,23 @@ def amplify_many(
             for inp, target_conj in loaded]
 
 
+def amplify_stepped(
+    cfg: PeaConfig,
+    evo: EvolutionOperator,
+    y,
+    max_iter: int = 40,
+    stop_tol: float | None = 0.05,
+) -> tuple[RegisterState, Trajectory]:
+    """:func:`amplify` with every iterate stepped on the full register, the
+    standard one included: the reference its closed form is checked against.
+    The verbatim iterate runs this way in :func:`amplify` too."""
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
+    pipe = _Pipeline(cfg, evo)
+    inp = pipe.load(y)
+    return _step(pipe, inp, _fidelity_target(inp.coords), max_iter, stop_tol)
+
+
 def _fidelity_target(coords: np.ndarray) -> np.ndarray:
     """The conjugated fidelity target (c* / |c|, 0) on an input's coordinates:
     the normalized projection of y onto the nonzero eigenspace."""
@@ -382,14 +392,21 @@ def _amplify_loaded(pipe: _Pipeline, inp: _Input, target_conj: np.ndarray, max_i
                     stop_tol: float | None) -> tuple[RegisterState, Trajectory]:
     """The amplification run of one loaded input; ``target_conj`` is its
     conjugated fidelity target on the input's coordinates."""
+    if not pipe.cfg.standard_grover:
+        return _step(pipe, inp, target_conj, max_iter, stop_tol)
     a = pipe.initial(inp.coords)
     _check_norm(phase_distribution(a), 0)
-    if pipe.cfg.standard_grover:
-        final, traj = _rotate(pipe, a, target_conj, max_iter, stop_tol)
-        return pipe.to_state(pipe.to_full(final, inp.basis)), traj
-    a = pipe.to_full(a, inp.basis)
-    target_conj = inp.basis.conj() @ target_conj
-    W = prepare_unitary(inp.y)
+    final, traj = _rotate(pipe, a, target_conj, max_iter, stop_tol)
+    return pipe.to_state(pipe.to_full(final, inp.y_null)), traj
+
+
+def _step(pipe: _Pipeline, inp: _Input, target_conj: np.ndarray, max_iter: int,
+          stop_tol: float | None) -> tuple[RegisterState, Trajectory]:
+    """The amplification run of one loaded input with every iterate stepped
+    on the full (2^m, 2^n) register."""
+    a = pipe.to_full(pipe.initial(inp.coords), inp.y_null)
+    target_conj = pipe.nonzero_basis.conj() @ target_conj[:-1]  # its y_null entry is zero
+    W = None if pipe.cfg.standard_grover else prepare_unitary(inp.y)
     rows = []  # per iterate: P(phase 0), marked, fidelity, P0 per phase qubit
 
     def record(mat: np.ndarray):

@@ -380,16 +380,17 @@ class TestSelftest:
         assert "PASS readout" in output
 
     def test_fails_on_closed_form_wrong_after_first_iterate(self, capsys, monkeypatch):
-        # fidelity rows that leave the rotation from iterate 2 on: amplify's own
-        # check of iterate 1 still holds, so only the stepped iterates can see it
-        build = qpea._trajectory
+        # closed-form fidelity rows that leave the rotation from iterate 2 on:
+        # amplify's own check of iterate 1 still holds, so only the stepped
+        # iterates can see it
+        rotate = qpea._rotate
 
-        def drifting(pipe, rows, stopped_at, **rotation):
-            rows = rows.copy()
-            rows[2:, 2] *= 0.99
-            return build(pipe, rows, stopped_at, **rotation)
+        def drifting(*args):
+            final, traj = rotate(*args)
+            traj.fidelity[2:] *= 0.99
+            return final, traj
 
-        monkeypatch.setattr(qpea, "_trajectory", drifting)
+        monkeypatch.setattr(qpea, "_rotate", drifting)
         assert cli.main(["selftest"]) == 1
         output = capsys.readouterr().out
         assert "FAIL qpea: exact phase read" in output  # a failed comparison, not an error

@@ -627,8 +627,8 @@ class TestClosedForm:
         assert (traj.theta, traj.optimal_iterations, traj.rotation_residual) == (None, None, None)
 
 
-def assert_matches_dense(cfg, evo, H, y, max_iter=8):
-    final, traj = qpea.amplify(cfg, evo, y, max_iter=max_iter, stop_tol=None)
+def assert_matches_dense(cfg, evo, H, y, max_iter=8, run=qpea.amplify):
+    final, traj = run(cfg, evo, y, max_iter=max_iter, stop_tol=None)
     rows, vec, _, _ = dense_run(cfg, evo, H, y, max_iter, None)
     got = np.column_stack([traj.success_prob, traj.marked_prob, traj.fidelity,
                            traj.phase_marginals])
@@ -649,7 +649,7 @@ class TestCoordinates:
         y = np.array([0.0, 0.0, 0.6, 0.8])
         inp = qpea._Pipeline(cfg, evo).load(y)
         assert inp.coords[-1] == 0.0
-        assert not np.any(inp.basis[:, -1])
+        assert not np.any(inp.y_null)
         assert_matches_dense(cfg, evo, H, y)
         # a random eigenspace: the null-space part is rounding only
         H = random_psd_matrix(8, 3, seed=40)
@@ -669,7 +669,6 @@ class TestCoordinates:
         y /= np.linalg.norm(y)
         for standard in (True, False):
             cfg = qpea.PeaConfig(m=4, kappa=kappa, mode=mode, standard_grover=standard)
-            assert np.isrealobj(qpea._Pipeline(cfg, evo).load(y).basis)  # two real products
             assert_matches_dense(cfg, evo, H, y)
 
     @pytest.mark.parametrize("mode, kappa", [("qft", 0.0), ("biased", 1.0)])
@@ -743,9 +742,9 @@ class TestCoordinates:
             events.append(("rotate", a.shape))
             return rotate(pipe, a, *args)
 
-        def recording_to_full(self, mat, basis):
+        def recording_to_full(self, mat, y_null):
             events.append(("to_full", tracemalloc.get_traced_memory()[1]))
-            return to_full(self, mat, basis)
+            return to_full(self, mat, y_null)
 
         monkeypatch.setattr(qpea, "_rotate", recording_rotate)
         monkeypatch.setattr(qpea._Pipeline, "to_full", recording_to_full)
@@ -757,6 +756,38 @@ class TestCoordinates:
         assert [name for name, _ in events] == ["rotate", "to_full"]
         assert events[0][1] == (2**6, 3)
         assert events[1][1] < 2**6 * 256 * 16 // 2  # the peak before the final map
+
+    def test_batch_keeps_no_basis_copy_per_input(self):
+        # near full rank, as for a graph Laplacian: N = 256, r = 240, m = 3.
+        # Every input is loaded before the first iterate, and each keeps O(N)
+        # numbers, not its own copy of the (N, r) eigenbasis
+        H = random_psd_matrix(256, 240, seed=45, eig_range=(1.0, 2.0))
+        evo = encoding.make_evolution(H, m=3)
+        cfg = qpea.PeaConfig(m=3, kappa=1.0, mode="biased", standard_grover=True)
+        ys = [random_range_input(H, seed=s, overlap_sq=(0.2, 0.95)) for s in range(45, 53)]
+        peaks = []
+        for batch in (ys[:1], ys):
+            tracemalloc.start()
+            try:
+                qpea.amplify_many(cfg, evo, batch, max_iter=5, stop_tol=None)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < evo.nonzero_basis.nbytes  # 7 more inputs, under one copy
+
+    @pytest.mark.parametrize("standard", [True, False])
+    def test_stepped_reference(self, standard):
+        H = random_psd_matrix(8, 3, seed=46)
+        evo = encoding.make_evolution(H, m=3)
+        y = random_range_input(H, seed=46, overlap_sq=(0.2, 0.95))
+        cfg = qpea.PeaConfig(m=3, kappa=1.0, mode="biased", standard_grover=standard)
+        assert_matches_dense(cfg, evo, H, y, run=qpea.amplify_stepped)
+        final, traj = qpea.amplify_stepped(cfg, evo, y, max_iter=8, stop_tol=0.05)
+        assert (traj.theta, traj.rotation_residual) == (None, None)  # stepped, not closed form
+        if not standard:  # the verbatim iterate runs this way in amplify
+            same_final, same = qpea.amplify(cfg, evo, y, max_iter=8, stop_tol=0.05)
+            assert np.array_equal(final.amplitudes, same_final.amplitudes)
+            assert np.array_equal(traj.fidelity, same.fidelity)
 
 
 class TestStagnationKappa:
