@@ -47,7 +47,6 @@ from .qpea import (
     bias_vector,
     marking_vector,
     phase_estimation,
-    prepare_unitary,
     stagnation_kappa,
     success_probability,
 )

@@ -266,7 +266,7 @@ def _check_qpea(rng) -> bool:
     cfg = qpea.PeaConfig(m=3, kappa=1.0, mode="biased", standard_grover=True)
     steps = 20
     final, traj = qpea.amplify(cfg, evo, y, max_iter=steps, stop_tol=None)  # raises on norm drift
-    # the closed form against the same iterates stepped on the full register
+    # the closed form against the same iterates stepped one by one
     ref_final, ref = qpea.amplify_stepped(cfg, evo, y, max_iter=steps, stop_tol=None)
     gap = max(np.max(np.abs(getattr(traj, f) - getattr(ref, f)))
               for f in ("success_prob", "marked_prob", "fidelity", "phase_marginals"))

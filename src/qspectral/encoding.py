@@ -247,13 +247,6 @@ def ladder_phase_table(evo: EvolutionOperator, m: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.mod(np.arange(2**m)[:, None] * phases, 1.0))
 
 
-def ladder_shift(mat: np.ndarray, basis: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """mat + ((mat @ basis*) * shift) @ basis^T: the ladder whose phase table
-    minus one is ``shift`` on the orthonormal columns ``basis``, identity on
-    their complement."""
-    return mat + ((mat @ basis.conj()) * shift) @ basis.T
-
-
 def gate_count_estimate(L: int, N: int, m: int, simple_unitaries: bool = False) -> int:
     """Gate-count bound 2^m * L * N (or 2^m * L * ceil(log2 N) for simple terms)."""
     if L < 1 or N < 1 or m < 0:

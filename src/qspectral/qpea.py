@@ -20,18 +20,17 @@ theta = atan2(|P_f2 a|, |(1 - P_f2) a|) (Brassard, Hoyer, Mosca, Tapp,
 quant-ph/0005055).  The standard iterate is therefore read in closed form
 after one forward pass: every observable is a 2x2 quadratic form in
 (sin, cos)((2t+1) theta).  One simulated iterate is checked against the
-closed form as a runtime invariant; the verbatim iterate is simulated step
-by step, and :func:`amplify_stepped` steps the standard one the same way as a
-reference.
+closed form as a runtime invariant; the verbatim iterate is stepped, and
+:func:`amplify_stepped` steps the standard one the same way as a reference.
 
-The estimation unitary is diagonal in (phase index) x (eigenvector of H), so
-the state of the standard iterate never leaves span(nonzero eigenvectors)
-plus the null-space part of y.  It is held as a (2^m, r+1) array S of
-coordinates on the columns B = [V_nz, y_null], with c = V_nz^dag y,
-nu = |y - V_nz c| and y_null = (y - V_nz c) / nu.  R_mark acts on the phase
-index only and I - 2|a><a| does not depend on the basis, so the rotation
-runs on S unchanged; S B^T maps it back to the 2^n system amplitudes once,
-for the returned state.
+Both iterates run on coordinates.  The estimation unitary is diagonal in
+(phase index) x (eigenvector of H), and R_mark and I - 2|a><a| do not depend
+on the system basis, so the standard state is a (2^m, r+1) array S on
+B = [V_nz, y_null]: c = V_nz^dag y, nu = |y - V_nz c|, y_null = (y - V_nz c)/nu.
+R_zero (on |0>|e0>) and the load W (on span(y, e0)) move the verbatim state
+into e_null, the part of e0 off B, its third column.  There both columns are
+projected off the earlier ones twice: one pass leaves rounding in span V_nz
+that dividing by a small nu magnifies.  S B^T maps S to the register once.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import numerics
-from .encoding import EvolutionOperator, ladder_phase_table, ladder_shift
+from .encoding import EvolutionOperator, ladder_phase_table
 from .errors import DegenerateTargetError
 from .registers import NORM_TOL, RegisterState, phase_distribution
 
@@ -84,25 +83,6 @@ def hadamard_wall(m: int) -> np.ndarray:
     return out
 
 
-def prepare_unitary(y) -> np.ndarray:
-    """Unitary W with W|0> = |y> exactly.
-
-    For real y with y[0] != 1 this is the Householder reflection about
-    (y - e0) normalized; a complex leading amplitude is absorbed by a phase
-    gate on |0> so the mapping stays exact.
-    """
-    y = numerics.as_vector(y)
-    if not numerics.is_normalized(y, 1e-10):
-        raise ValueError("input state must be unit norm")
-    w, phase = numerics.householder_axis(y)
-    R = np.eye(y.size, dtype=complex)
-    if w is not None:
-        R -= 2.0 * np.outer(w, w.conj())
-    if phase != 1.0:
-        R[:, 0] *= phase
-    return R
-
-
 # ---------------------------------------------------------------------------
 # configuration and state functionals
 
@@ -114,7 +94,7 @@ class PeaConfig:
     m: int
     kappa: float = 0.0
     mode: str = "qft"  # qft | biased
-    standard_grover: bool = False
+    standard_grover: bool = True
 
     def __post_init__(self):
         if self.m < 1:
@@ -127,6 +107,19 @@ class PeaConfig:
 
 def _norm_sq(v: np.ndarray) -> float:
     return float(np.vdot(v, v).real)
+
+
+def _extend(B: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The coordinates of v on [B, u] and the unit column u of v off the
+    orthonormal columns B, projected off them twice; a remainder the second
+    pass more than halves is rounding in span B, and u is zero."""
+    coords, rest, norms = 0.0, v, []
+    for _ in range(2):
+        d = (rest.conj() @ B).conj()
+        coords, rest = coords + d, rest - B @ d
+        norms.append(np.sqrt(_norm_sq(rest)))
+    nu = norms[1] if norms[1] > 0.5 * norms[0] else 0.0
+    return np.append(coords, nu), rest / nu if nu else np.zeros_like(rest)
 
 
 def success_probability(state: RegisterState) -> float:
@@ -158,15 +151,12 @@ class _Input(NamedTuple):
 
 
 class _Pipeline:
-    """Matrix-free appliers for the estimation unitary.
+    """Matrix-free appliers for the estimation unitary on coordinates.
 
     Holds the input-independent part (phase-register gates, marking vector,
     nonzero eigenspace and the ladder phase table on it), built once per
-    (cfg, evo) and shared by every input loaded onto it.  The initial state
-    is built on an input's coordinates [V_nz, y_null], where the ladder is
-    the phase table, and :meth:`to_full` maps it to the (2^m, 2^n) register.
-    The dense gate before the ladder is built only for the verbatim iterate,
-    whose every pass loads a full-rank (2^m, 2^n) array.
+    (cfg, evo) and shared by every input loaded onto it.  On [V_nz, y_null,
+    e_null] the ladder is the phase table with ones on the last two columns.
     """
 
     def __init__(self, cfg: PeaConfig, evo: EvolutionOperator):
@@ -176,20 +166,17 @@ class _Pipeline:
         if 2**self.n != evo.dim:
             raise ValueError(f"evolution dimension {evo.dim} is not a power of two")
         M = 2**self.m
-        verbatim = not cfg.standard_grover
         if cfg.mode == "qft":  # Hadamard wall before the ladder, inverse QFT after it
             self.column0 = np.full(M, M**-0.5, dtype=complex)
-            self.first = hadamard_wall(self.m) if verbatim else None
+            self.wall = None if cfg.standard_grover else hadamard_wall(self.m)
         else:  # the bias reflection I - 2|f><f| on both sides
             self.bias = bias_vector(self.m, cfg.kappa)
             self.column0 = -2.0 * self.bias[0].conj() * self.bias
             self.column0[0] += 1.0
-            self.first = bias_reflection(self.m, cfg.kappa) if verbatim else None
         self.f2 = marking_vector(self.m)
         self.nonzero_basis = evo.nonzero_basis
-        table = ladder_phase_table(evo, self.m)
-        self.shift = table - 1.0 if verbatim else None
-        self.table = np.hstack([table, np.ones((M, 1))])  # y_null gets phase 1 for every p
+        # y_null and e_null get phase 1 for every p
+        self.table = np.hstack([ladder_phase_table(evo, self.m), np.ones((M, 2))])
         bits = np.arange(M)[:, None] >> np.arange(self.m)[::-1]  # msb-first phase bits
         self.zero_bits = (bits & 1 == 0).astype(float)  # (2^m, m), 1 where the bit is 0
 
@@ -207,16 +194,29 @@ class _Pipeline:
         nu = np.sqrt(_norm_sq(null))
         return _Input(y, np.append(c, nu), null / nu if nu > 0.0 else null)
 
+    def span(self, y: np.ndarray) -> tuple[np.ndarray, tuple, tuple]:
+        """y's coordinates on [V_nz, y_null, e_null], the input load W on them
+        as (coordinates of e0, phase on e0, Householder axis or None), and the
+        columns (y_null, e_null)."""
+        w, phase = numerics.householder_axis(y)
+        coords, y_null = _extend(self.nonzero_basis, y)
+        e0 = np.eye(1, y.size, dtype=complex)[0]
+        e0_coords, e_null = _extend(np.column_stack([self.nonzero_basis, y_null]), e0)
+        coords = np.append(coords, 0.0)
+        d = coords - phase * e0_coords  # y - phase e0, the axis unnormalized
+        axis = None if w is None else d / np.sqrt(_norm_sq(d))
+        return coords, (e0_coords, phase, axis), (y_null, e_null)
+
     def initial(self, coords: np.ndarray) -> np.ndarray:
         """U_pea |0,0> on an input's coordinates.  The input load W maps |0>
         to y, so the ladder acts on the rank-one column0 (x) y, and on the
         eigenvector coordinates it is the phase table."""
-        return self.last(self.column0[:, None] * self.table * coords)
+        return self.last(self.column0[:, None] * self.table[:, :coords.size] * coords)
 
-    def to_full(self, mat: np.ndarray, y_null: np.ndarray) -> np.ndarray:
-        """The (2^m, 2^n) register array of coordinates ``mat`` on the columns
-        [V_nz, y_null], as one complex product with a transient basis."""
-        return mat @ np.column_stack([self.nonzero_basis, y_null]).T
+    def to_full(self, mat: np.ndarray, *columns: np.ndarray) -> np.ndarray:
+        """The (2^m, 2^n) register array of coordinates ``mat`` on V_nz and
+        ``columns``, as one complex product with a transient basis."""
+        return mat @ np.column_stack([self.nonzero_basis, *columns]).T
 
     def last(self, mat: np.ndarray) -> np.ndarray:
         """The phase gate after the ladder: QFT^dag, or the bias reflection."""
@@ -224,10 +224,17 @@ class _Pipeline:
             return np.fft.fft(mat, axis=0) / np.sqrt(mat.shape[0])
         return mat - np.outer(2.0 * self.bias, self.bias.conj() @ mat)
 
-    def forward(self, mat: np.ndarray, W: np.ndarray) -> np.ndarray:
-        return self.last(ladder_shift(self.first @ (mat @ W.T), self.nonzero_basis, self.shift))
+    def forward(self, mat: np.ndarray, W: tuple) -> np.ndarray:
+        """U_pea on coordinates [V_nz, y_null, e_null]; ``W`` is from :meth:`span`.
+        The bias reflection before the ladder is :meth:`last`, its own inverse."""
+        e0, phase, axis = W
+        mat = mat + np.outer(mat @ e0.conj(), (phase - 1.0) * e0)
+        if axis is not None:
+            mat = mat - np.outer(mat @ axis.conj(), 2.0 * axis)
+        mat = self.wall @ mat if self.cfg.mode == "qft" else self.last(mat)
+        return self.last(mat * self.table)
 
-    def iterate(self, mat: np.ndarray, a: np.ndarray, W: np.ndarray | None) -> np.ndarray:
+    def iterate(self, mat: np.ndarray, a: np.ndarray, W: tuple | None) -> np.ndarray:
         """One iterate Q; ``a`` is the initial state, ``W`` the input load
         (needed by the verbatim iterate only).  The standard iterate acts on
         coordinates in any basis."""
@@ -235,7 +242,7 @@ class _Pipeline:
         if self.cfg.standard_grover:  # U_pea R_zero U_pea^dag = I - 2|a><a|
             return mat - 2.0 * np.vdot(a, mat) * a
         mat = self.forward(mat, W)
-        mat[0, 0] = -mat[0, 0]  # R_zero
+        mat[0] -= 2.0 * (mat[0] @ W[0].conj()) * W[0]  # R_zero
         return self.forward(mat, W)
 
     def to_state(self, mat: np.ndarray) -> RegisterState:
@@ -359,9 +366,9 @@ def amplify_stepped(
     max_iter: int = 40,
     stop_tol: float | None = 0.05,
 ) -> tuple[RegisterState, Trajectory]:
-    """:func:`amplify` with every iterate stepped on the full register, the
-    standard one included: the reference its closed form is checked against.
-    The verbatim iterate runs this way in :func:`amplify` too."""
+    """:func:`amplify` with every iterate stepped, the standard one included:
+    the reference its closed form is checked against.  The verbatim iterate
+    runs this way in :func:`amplify` too."""
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     pipe = _Pipeline(cfg, evo)
@@ -403,10 +410,10 @@ def _amplify_loaded(pipe: _Pipeline, inp: _Input, target_conj: np.ndarray, max_i
 def _step(pipe: _Pipeline, inp: _Input, target_conj: np.ndarray, max_iter: int,
           stop_tol: float | None) -> tuple[RegisterState, Trajectory]:
     """The amplification run of one loaded input with every iterate stepped
-    on the full (2^m, 2^n) register."""
-    a = pipe.to_full(pipe.initial(inp.coords), inp.y_null)
-    target_conj = pipe.nonzero_basis.conj() @ target_conj[:-1]  # its y_null entry is zero
-    W = None if pipe.cfg.standard_grover else prepare_unitary(inp.y)
+    on coordinates [V_nz, y_null, e_null], mapped to the register once."""
+    coords, W, columns = pipe.span(inp.y)
+    a = pipe.initial(coords)
+    target_conj = np.append(target_conj, 0.0)  # zero on e_null too
     rows = []  # per iterate: P(phase 0), marked, fidelity, P0 per phase qubit
 
     def record(mat: np.ndarray):
@@ -424,7 +431,7 @@ def _step(pipe: _Pipeline, inp: _Input, target_conj: np.ndarray, max_iter: int,
         if stop_tol is not None and abs(rows[-1][3] - 0.5) <= stop_tol:  # P0 of phase qubit 0
             stopped_at = t
             break
-    return pipe.to_state(mat), _trajectory(pipe, np.array(rows), stopped_at)
+    return pipe.to_state(pipe.to_full(mat, *columns)), _trajectory(pipe, np.array(rows), stopped_at)
 
 
 _ROW_BLOCK = 64  # closed-form rows evaluated per step of the stop rule

@@ -1,13 +1,12 @@
-"""Dense 2^(m+n) matrices of the operators the engine applies matrix-free, for tests;
-the phase gates come from the public gate builders and the dense QFT below, so no
-engine code is shared."""
+"""Dense matrices of the operators the engine applies on coordinates, for tests:
+the 2^(m+n) iterate and the N x N input load W; the phase gates come from the
+public gate builders and the dense QFT below, so no engine code is shared."""
 
 import numpy as np
 
 from qspectral import numerics
 from qspectral.encoding import EvolutionOperator
-from qspectral.qpea import (PeaConfig, bias_reflection, hadamard_wall, marking_vector,
-                            prepare_unitary)
+from qspectral.qpea import PeaConfig, bias_reflection, hadamard_wall, marking_vector
 from qspectral.registers import RegisterState
 
 
@@ -32,6 +31,20 @@ def zero_reflection(m: int, n: int) -> np.ndarray:
     dim = 2 ** (m + n)
     R = np.eye(dim, dtype=complex)
     R[0, 0] = -1.0
+    return R
+
+
+def prepare_unitary(y) -> np.ndarray:
+    """Unitary W with W|0> = |y> exactly: the Householder reflection about
+    (y - c e0) normalized after a phase gate c on |0>, c = exp(i arg y0)."""
+    y = numerics.as_vector(y)
+    if not numerics.is_normalized(y, 1e-10):
+        raise ValueError("input state must be unit norm")
+    w, phase = numerics.householder_axis(y)
+    R = np.eye(y.size, dtype=complex)
+    if w is not None:
+        R -= 2.0 * np.outer(w, w.conj())
+    R[:, 0] *= phase
     return R
 
 

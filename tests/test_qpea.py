@@ -12,7 +12,7 @@ from qspectral.errors import DegenerateTargetError
 from qspectral.registers import RegisterState
 
 from dense_reference import (_with_system, bpea_matrix, controlled_power_apply, iteration_matrix,
-                             ladder_matrix, marking_reflection, zero_reflection)
+                             ladder_matrix, marking_reflection, prepare_unitary, zero_reflection)
 
 
 def involutory_reflection(R, tol=1e-10):
@@ -86,7 +86,7 @@ class TestPrepareUnitary:
         rng = np.random.default_rng(seed)
         y = rng.normal(size=dim) + (1j * rng.normal(size=dim) if cplx else 0.0)
         y = y / np.linalg.norm(y)
-        W = qpea.prepare_unitary(y)
+        W = prepare_unitary(y)
         assert numerics.is_unitary(W, 1e-10)
         e0 = np.zeros(dim)
         e0[0] = 1.0
@@ -95,7 +95,7 @@ class TestPrepareUnitary:
     def test_identity_when_target_is_zero_state(self):
         y = np.zeros(4)
         y[0] = 1.0
-        assert np.allclose(qpea.prepare_unitary(y), np.eye(4))
+        assert np.allclose(prepare_unitary(y), np.eye(4))
 
 
 class TestSuccessProbability:
@@ -226,13 +226,7 @@ class TestDenseBuilders:
     def test_phase_table_ladder_matches_block_diagonal(self, sign, backend):
         H = random_psd_matrix(8, 3, seed=17)
         evo = encoding.make_evolution(H, m=4, backend=backend)
-        dense = ladder_matrix(evo, m=4, sign=sign)
-        rng = np.random.default_rng(18)
-        mat = rng.normal(size=(16, 8)) + 1j * rng.normal(size=(16, 8))
-        mat /= np.linalg.norm(mat)
-        table = encoding.ladder_phase_table(evo, 4)
-        out = encoding.ladder_shift(mat, evo.nonzero_basis, (table if sign > 0 else table.conj()) - 1)
-        assert np.max(np.abs(out.reshape(-1) - dense @ mat.reshape(-1))) <= 1e-12
+        assert coordinate_ladder_gap(evo, 4, sign, np.random.default_rng(18)) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(m=st.integers(1, 4), n=st.integers(1, 3), rank_frac=st.floats(0.0, 1.0),
@@ -255,13 +249,23 @@ class TestDenseBuilders:
         evo = encoding.make_evolution(H, m=m, backend=backend,
                                       t=0.9 if backend == "exact_exponential" else None)
         assert evo.eigenvectors.dtype == (np.complex128 if cplx else np.float64)
-        table = encoding.ladder_phase_table(evo, m)
-        assert table.shape == (2**m, rank)
-        mat = rng.normal(size=(2**m, N)) + 1j * rng.normal(size=(2**m, N))
-        mat /= np.linalg.norm(mat)
-        out = encoding.ladder_shift(mat, evo.nonzero_basis, (table if sign > 0 else table.conj()) - 1)
-        dense = ladder_matrix(evo, m, sign=sign)
-        assert np.max(np.abs(out.reshape(-1) - dense @ mat.reshape(-1))) <= 1e-12
+        assert encoding.ladder_phase_table(evo, m).shape == (2**m, rank)
+        assert coordinate_ladder_gap(evo, m, sign, rng) <= 1e-12
+
+
+def coordinate_ladder_gap(evo, m, sign, rng):
+    """Distance of the phase table, with a one for a unit null-space column,
+    applied to coordinates S on B = [V_nz, that column] from the dense ladder
+    applied to S B^T.  A full-rank operator gets a zero column."""
+    null = evo.eigenvectors[:, ~evo.nonzero_mask()]
+    z = rng.normal(size=null.shape[1]) + 1j * rng.normal(size=null.shape[1])
+    B = np.column_stack([evo.nonzero_basis, null @ (z / (np.linalg.norm(z) or 1.0))])
+    S = rng.normal(size=(2**m, B.shape[1])) + 1j * rng.normal(size=(2**m, B.shape[1]))
+    S /= np.linalg.norm(S)
+    table = encoding.ladder_phase_table(evo, m)
+    table = np.hstack([table if sign > 0 else table.conj(), np.ones((2**m, 1))])
+    dense = ladder_matrix(evo, m, sign=sign) @ (S @ B.T).reshape(-1)
+    return np.max(np.abs(((S * table) @ B.T).reshape(-1) - dense))
 
 
 def reshaped_p0(vec, nq, q):
@@ -708,54 +712,41 @@ class TestCoordinates:
             stops.append(stop)
         assert stops == [1, 5, 8, 13, None]
 
-    def test_standard_path_runs_no_ladder_product(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("full-space ladder product")
-
-        monkeypatch.setattr(qpea, "ladder_shift", refuse)
-        H = random_psd_matrix(8, 3, seed=43)
-        evo = encoding.make_evolution(H, m=4)
-        ys = [random_range_input(H, seed=s, overlap_sq=(0.2, 0.95)) for s in (43, 44)]
-        for mode, kappa in (("qft", 0.0), ("biased", 1.0)):
-            cfg = qpea.PeaConfig(m=4, kappa=kappa, mode=mode, standard_grover=True)
-            qpea.amplify(cfg, evo, ys[0], max_iter=5, stop_tol=None)
-            assert len(qpea.amplify_many(cfg, evo, ys, max_iter=5, stop_tol=0.05)) == 2
-            qpea.phase_estimation(cfg, evo, ys[0])
-        verbatim = qpea.PeaConfig(m=4, kappa=1.0, mode="biased", standard_grover=False)
-        with pytest.raises(AssertionError, match="ladder product"):
-            qpea.amplify(verbatim, evo, ys[0], max_iter=1, stop_tol=None)
-
-    def test_no_register_array_before_the_final_map(self, monkeypatch):
+    @pytest.mark.parametrize("run", [qpea.amplify, qpea.amplify_stepped])
+    @pytest.mark.parametrize("standard", [True, False])
+    def test_no_register_array_before_the_final_map(self, standard, run, monkeypatch):
         # N = 256, rank 2, m = 6: one (2^m, N) complex array is 256 KiB, the
-        # coordinates (2^m, 3) take 3 KiB
+        # coordinates (2^m, 4) take 4 KiB; no N x N load is built either
         H = random_psd_matrix(256, 2, seed=44)
         evo = encoding.make_evolution(H, m=6)
         z = np.random.default_rng(44).normal(size=256)
         inside = evo.nonzero_basis @ (evo.nonzero_basis.T @ z)
         outside = z - inside
         y = 0.6 * inside / np.linalg.norm(inside) + 0.8 * outside / np.linalg.norm(outside)
-        cfg = qpea.PeaConfig(m=6, kappa=1.0, mode="biased", standard_grover=True)
+        cfg = qpea.PeaConfig(m=6, kappa=1.0, mode="biased", standard_grover=standard)
         events = []
-        rotate, to_full = qpea._rotate, qpea._Pipeline.to_full
+        iterate, to_full = qpea._Pipeline.iterate, qpea._Pipeline.to_full
 
-        def recording_rotate(pipe, a, *args):
-            events.append(("rotate", a.shape))
-            return rotate(pipe, a, *args)
+        def recording_iterate(self, mat, *args):
+            events.append(("iterate", mat.shape))
+            return iterate(self, mat, *args)
 
-        def recording_to_full(self, mat, y_null):
+        def recording_to_full(self, mat, *columns):
             events.append(("to_full", tracemalloc.get_traced_memory()[1]))
-            return to_full(self, mat, y_null)
+            return to_full(self, mat, *columns)
 
-        monkeypatch.setattr(qpea, "_rotate", recording_rotate)
+        monkeypatch.setattr(qpea._Pipeline, "iterate", recording_iterate)
         monkeypatch.setattr(qpea._Pipeline, "to_full", recording_to_full)
         tracemalloc.start()
         try:
-            qpea.amplify(cfg, evo, y, max_iter=20, stop_tol=None)
+            run(cfg, evo, y, max_iter=20, stop_tol=None)
         finally:
             tracemalloc.stop()
-        assert [name for name, _ in events] == ["rotate", "to_full"]
-        assert events[0][1] == (2**6, 3)
-        assert events[1][1] < 2**6 * 256 * 16 // 2  # the peak before the final map
+        closed_form = standard and run is qpea.amplify  # one checked iterate on (2^m, r+1)
+        names, shapes = zip(*events[:-1])
+        assert events[-1][0] == "to_full" and names == ("iterate",) * (1 if closed_form else 20)
+        assert set(shapes) == {(2**6, 3 if closed_form else 4)}
+        assert events[-1][1] < 2**6 * 256 * 16 // 2  # the peak before the final map
 
     def test_batch_keeps_no_basis_copy_per_input(self):
         # near full rank, as for a graph Laplacian: N = 256, r = 240, m = 3.
@@ -788,6 +779,44 @@ class TestCoordinates:
             same_final, same = qpea.amplify(cfg, evo, y, max_iter=8, stop_tol=0.05)
             assert np.array_equal(final.amplitudes, same_final.amplitudes)
             assert np.array_equal(traj.fidelity, same.fidelity)
+
+
+class TestVerbatimLoad:
+    """The verbatim iterate on [V_nz, y_null, e_null] at the edges of its
+    load: a small null part, a load that is a phase only, and no e_null."""
+
+    @pytest.mark.parametrize("mode, kappa", [("qft", 0.0), ("biased", 1.0)])
+    @pytest.mark.parametrize("nu", [0.0, 1e-13, 1e-10, 1e-6])
+    def test_small_null_part(self, nu, mode, kappa):
+        H = random_psd_matrix(8, 3, seed=47)
+        evo = encoding.make_evolution(H, m=4)
+        rng = np.random.default_rng(47)
+        z = rng.normal(size=8) + 1j * rng.normal(size=8)
+        inside = evo.nonzero_basis @ (evo.nonzero_basis.T @ z)
+        outside = z - inside
+        y = (np.sqrt(1.0 - nu**2) * inside / np.linalg.norm(inside)
+             + nu * outside / np.linalg.norm(outside))
+        cfg = qpea.PeaConfig(m=4, kappa=kappa, mode=mode, standard_grover=False)
+        assert_matches_dense(cfg, evo, H, y)
+
+    @pytest.mark.parametrize("mode, kappa", [("qft", 0.0), ("biased", 1.0)])
+    def test_load_is_a_phase(self, mode, kappa):
+        H = random_psd_matrix(8, 3, seed=49)
+        evo = encoding.make_evolution(H, m=4)
+        y = np.exp(0.7j) * np.eye(8)[0]
+        cfg = qpea.PeaConfig(m=4, kappa=kappa, mode=mode, standard_grover=False)
+        assert qpea._Pipeline(cfg, evo).span(y)[1][2] is None  # no Householder axis
+        assert_matches_dense(cfg, evo, H, y)
+
+    @pytest.mark.parametrize("mode, kappa", [("qft", 0.0), ("biased", 1.0)])
+    def test_e0_in_nonzero_eigenspace(self, mode, kappa):
+        H = np.diag([1.0, 0.0, 2.0, 0.0])
+        evo = encoding.make_evolution(H, m=4)
+        y = np.array([0.5, 0.5, -0.5, 0.5j])
+        cfg = qpea.PeaConfig(m=4, kappa=kappa, mode=mode, standard_grover=False)
+        _, _, (y_null, e_null) = qpea._Pipeline(cfg, evo).span(y)
+        assert np.linalg.norm(y_null) == pytest.approx(1.0) and not np.any(e_null)
+        assert_matches_dense(cfg, evo, H, y)
 
 
 class TestStagnationKappa:
