@@ -42,6 +42,7 @@ from .qpea import (
     PeaConfig,
     Trajectory,
     amplify,
+    amplify_coordinates,
     amplify_many,
     bias_reflection,
     bias_vector,
@@ -54,6 +55,7 @@ from .readout import (
     SimilarityReport,
     approx_cluster_readout,
     cluster_quantum,
+    coordinate_similarity,
     direct_similarity,
     householder_similarity,
     rank_indicators,

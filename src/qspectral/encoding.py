@@ -243,8 +243,9 @@ def ladder_phase_table(evo: EvolutionOperator, m: int) -> np.ndarray:
     the j-th column of ``evo.nonzero_basis``; its conjugate gives the inverse
     ladder.  Shape (2^m, r) for r nonzero eigenvalues.
     """
-    phases = evo.eigenphases[evo.nonzero_mask()]
-    return np.exp(2j * np.pi * np.mod(np.arange(2**m)[:, None] * phases, 1.0))
+    phases = np.arange(2**m)[:, None] * evo.eigenphases[evo.nonzero_mask()]
+    # x - floor(x) is x mod 1 exactly, and faster than np.mod
+    return np.exp(2j * np.pi * (phases - np.floor(phases)))
 
 
 def gate_count_estimate(L: int, N: int, m: int, simple_unitaries: bool = False) -> int:

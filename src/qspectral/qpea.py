@@ -31,12 +31,22 @@ R_zero (on |0>|e0>) and the load W (on span(y, e0)) move the verbatim state
 into e_null, the part of e0 off B, its third column.  There both columns are
 projected off the earlier ones twice: one pass leaves rounding in span V_nz
 that dividing by a small nu magnifies.  S B^T maps S to the register once.
+
+A batch of inputs shares one pipeline, and the closed form reads a chunk of
+them at once: their initial states are stacked into a (k, 2^m, r+1) array of
+at most ``_BATCH_ELEMENTS`` entries, and theta, u, v, the quadratic forms,
+the stop rule (each input keeps its own first hit) and each final state at
+its own t are computed for the whole stack.  The norm checks and the one
+simulated iterate stay per input.  :func:`amplify_coordinates` hands out the
+final coordinates, which is all a similarity readout needs: with B
+orthonormal and y = B (c, nu), |S conj(c, nu)|^2 is <y| rho |y> of the
+mapped state.  :func:`amplify_many` maps each one back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -81,6 +91,23 @@ def hadamard_wall(m: int) -> np.ndarray:
     for _ in range(m):
         out = np.kron(out, H1)
     return out
+
+
+def _walsh_hadamard(mat: np.ndarray) -> np.ndarray:
+    """hadamard_wall(m) @ mat, in place on a C-contiguous (2^m, ...) array:
+    one butterfly pass per phase qubit, O(m 2^m) per column."""
+    if not mat.flags.c_contiguous:
+        raise ValueError("the Walsh-Hadamard transform needs a C-contiguous array")
+    M, half = mat.shape[0], 1
+    while half < M:
+        pairs = mat.reshape(M // (2 * half), 2, half, -1)
+        top, bottom = pairs[:, 0], pairs[:, 1]
+        diff = top - bottom
+        top += bottom
+        bottom[...] = diff
+        half *= 2
+    mat *= M**-0.5
+    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +195,14 @@ class _Pipeline:
         M = 2**self.m
         if cfg.mode == "qft":  # Hadamard wall before the ladder, inverse QFT after it
             self.column0 = np.full(M, M**-0.5, dtype=complex)
-            self.wall = None if cfg.standard_grover else hadamard_wall(self.m)
         else:  # the bias reflection I - 2|f><f| on both sides
             self.bias = bias_vector(self.m, cfg.kappa)
             self.column0 = -2.0 * self.bias[0].conj() * self.bias
             self.column0[0] += 1.0
         self.f2 = marking_vector(self.m)
         self.nonzero_basis = evo.nonzero_basis
-        # y_null and e_null get phase 1 for every p
-        self.table = np.hstack([ladder_phase_table(evo, self.m), np.ones((M, 2))])
+        self.table = np.ones((M, self.nonzero_basis.shape[1] + 2), dtype=complex)
+        self.table[:, :-2] = ladder_phase_table(evo, self.m)  # y_null and e_null get phase 1
         bits = np.arange(M)[:, None] >> np.arange(self.m)[::-1]  # msb-first phase bits
         self.zero_bits = (bits & 1 == 0).astype(float)  # (2^m, m), 1 where the bit is 0
 
@@ -192,7 +218,7 @@ class _Pipeline:
         c = (y.conj() @ B).conj()  # V_nz^dag y without a conjugated copy of V_nz
         null = y - B @ c
         nu = np.sqrt(_norm_sq(null))
-        return _Input(y, np.append(c, nu), null / nu if nu > 0.0 else null)
+        return _Input(y, np.concatenate([c, [nu]]), null / nu if nu > 0.0 else null)
 
     def span(self, y: np.ndarray) -> tuple[np.ndarray, tuple, tuple]:
         """y's coordinates on [V_nz, y_null, e_null], the input load W on them
@@ -216,7 +242,7 @@ class _Pipeline:
     def to_full(self, mat: np.ndarray, *columns: np.ndarray) -> np.ndarray:
         """The (2^m, 2^n) register array of coordinates ``mat`` on V_nz and
         ``columns``, as one complex product with a transient basis."""
-        return mat @ np.column_stack([self.nonzero_basis, *columns]).T
+        return mat @ np.concatenate([self.nonzero_basis, *(c[:, None] for c in columns)], axis=1).T
 
     def last(self, mat: np.ndarray) -> np.ndarray:
         """The phase gate after the ladder: QFT^dag, or the bias reflection."""
@@ -231,7 +257,7 @@ class _Pipeline:
         mat = mat + np.outer(mat @ e0.conj(), (phase - 1.0) * e0)
         if axis is not None:
             mat = mat - np.outer(mat @ axis.conj(), 2.0 * axis)
-        mat = self.wall @ mat if self.cfg.mode == "qft" else self.last(mat)
+        mat = _walsh_hadamard(mat) if self.cfg.mode == "qft" else self.last(mat)
         return self.last(mat * self.table)
 
     def iterate(self, mat: np.ndarray, a: np.ndarray, W: tuple | None) -> np.ndarray:
@@ -246,7 +272,9 @@ class _Pipeline:
         return self.forward(mat, W)
 
     def to_state(self, mat: np.ndarray) -> RegisterState:
-        return RegisterState(mat.reshape(-1), self.m, self.n)
+        """The state of a fresh register array, which it takes over uncopied."""
+        mat.flags.writeable = False
+        return RegisterState(mat, self.m, self.n)
 
 
 def phase_estimation(cfg: PeaConfig, evo: EvolutionOperator, y) -> RegisterState:
@@ -335,6 +363,17 @@ def amplify(
     return amplify_many(cfg, evo, [y], max_iter, stop_tol)[0]
 
 
+class CoordinateRun(NamedTuple):
+    """One amplification run held on coordinates: the final state on the
+    orthonormal columns [V_nz, *columns] and the input's own coordinates on
+    them, so that the register array is ``final @ [V_nz, *columns]^T``."""
+
+    final: np.ndarray  # (2^m, r + len(columns))
+    coords: np.ndarray  # (r + len(columns),)
+    columns: tuple
+    trajectory: Trajectory
+
+
 def amplify_many(
     cfg: PeaConfig,
     evo: EvolutionOperator,
@@ -342,21 +381,34 @@ def amplify_many(
     max_iter: int = 40,
     stop_tol: float | None = 0.05,
 ) -> list[tuple[RegisterState, Trajectory]]:
-    """:func:`amplify` each input in turn over one shared estimation pipeline.
+    """:func:`amplify` each input over one shared estimation pipeline.
 
     Only the input load differs between inputs, so the phase-register gates,
-    the ladder phase table and the nonzero eigenspace are built once.  Every
-    input is checked (and its fidelity target formed) before any iterate runs.
+    the ladder phase table and the nonzero eigenspace are built once, and the
+    standard iterate reads a whole chunk of inputs in one closed form.  Every
+    input is checked (and its fidelity target formed) before any iterate
+    runs.  These are the runs of :func:`amplify_coordinates`, each final
+    state mapped back to the register once.
     """
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     pipe = _Pipeline(cfg, evo)
-    loaded = []
-    for y in ys:
-        inp = pipe.load(y)
-        loaded.append((inp, _fidelity_target(inp.coords)))
-    return [_amplify_loaded(pipe, inp, target_conj, max_iter, stop_tol)
-            for inp, target_conj in loaded]
+    return [(pipe.to_state(pipe.to_full(run.final, *run.columns)), run.trajectory)
+            for run in _runs(pipe, ys, max_iter, stop_tol)]
+
+
+def amplify_coordinates(
+    cfg: PeaConfig,
+    evo: EvolutionOperator,
+    ys: Sequence,
+    max_iter: int = 40,
+    stop_tol: float | None = 0.05,
+) -> list[CoordinateRun]:
+    """:func:`amplify_many` without the map back to the register: one
+    :class:`CoordinateRun` per input, in input order.  Each final state is
+    held to ``NORM_TOL`` here, as a mapped one is by :class:`RegisterState`."""
+    runs = list(_runs(_Pipeline(cfg, evo), ys, max_iter, stop_tol))
+    for run in runs:
+        _check_norm(_norm_sq(run.final), len(run.trajectory) - 1)
+    return runs
 
 
 def amplify_stepped(
@@ -373,7 +425,8 @@ def amplify_stepped(
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     pipe = _Pipeline(cfg, evo)
     inp = pipe.load(y)
-    return _step(pipe, inp, _fidelity_target(inp.coords), max_iter, stop_tol)
+    run = _step(pipe, inp, _fidelity_target(inp.coords), max_iter, stop_tol)
+    return pipe.to_state(pipe.to_full(run.final, *run.columns)), run.trajectory
 
 
 def _fidelity_target(coords: np.ndarray) -> np.ndarray:
@@ -385,32 +438,54 @@ def _fidelity_target(coords: np.ndarray) -> np.ndarray:
     amplitude = np.sqrt(_norm_sq(c))
     if amplitude <= 1e-12:
         raise DegenerateTargetError("input lies in the null space of the operator")
-    return np.append(c.conj(), 0.0) / amplitude
+    return np.concatenate([c.conj(), [0.0]]) / amplitude
 
 
-def _check_norm(pd: np.ndarray, t: int) -> None:
-    """Raise unless the phase distribution ``pd`` of iterate t sums to one."""
-    norm = np.sqrt(pd.sum())
+def _check_norm(norm_sq: float, t: int) -> None:
+    """Raise unless iterate t, of squared norm ``norm_sq``, is a unit vector."""
+    norm = np.sqrt(norm_sq)
     if abs(norm - 1.0) > NORM_TOL:
         raise ValueError(f"state norm {norm:.12g} is not 1 at iteration {t}")
 
 
-def _amplify_loaded(pipe: _Pipeline, inp: _Input, target_conj: np.ndarray, max_iter: int,
-                    stop_tol: float | None) -> tuple[RegisterState, Trajectory]:
-    """The amplification run of one loaded input; ``target_conj`` is its
-    conjugated fidelity target on the input's coordinates."""
+def _runs(pipe: _Pipeline, ys: Sequence, max_iter: int,
+          stop_tol: float | None) -> Iterator[CoordinateRun]:
+    """Every input loaded and checked now; the runs computed as they are read."""
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
+    loaded = []
+    for y in ys:
+        inp = pipe.load(y)
+        loaded.append((inp, _fidelity_target(inp.coords)))
     if not pipe.cfg.standard_grover:
-        return _step(pipe, inp, target_conj, max_iter, stop_tol)
-    a = pipe.initial(inp.coords)
-    _check_norm(phase_distribution(a), 0)
-    final, traj = _rotate(pipe, a, target_conj, max_iter, stop_tol)
-    return pipe.to_state(pipe.to_full(final, inp.y_null)), traj
+        return (_step(pipe, inp, target_conj, max_iter, stop_tol) for inp, target_conj in loaded)
+    return _closed_form_runs(pipe, loaded, max_iter, stop_tol)
+
+
+def _closed_form_runs(pipe: _Pipeline, loaded: list, max_iter: int,
+                      stop_tol: float | None) -> Iterator[CoordinateRun]:
+    """The standard iterate's runs of loaded inputs, read in closed form a
+    chunk at a time: a chunk's stacked (k, 2^m, r+1) states hold at most
+    :data:`_BATCH_ELEMENTS` entries (one input at the least)."""
+    if not loaded:
+        return
+    M, R = 2**pipe.m, loaded[0][0].coords.size
+    size = max(1, _BATCH_ELEMENTS // (M * R))
+    for start in range(0, len(loaded), size):
+        chunk = loaded[start:start + size]
+        A = np.empty((len(chunk), M, R), dtype=complex)
+        targets_conj = np.empty((len(chunk), R), dtype=complex)
+        for j, (inp, target_conj) in enumerate(chunk):
+            A[j], targets_conj[j] = pipe.initial(inp.coords), target_conj
+        finals, trajs = _rotate(pipe, A, targets_conj, max_iter, stop_tol)
+        for (inp, _), final, traj in zip(chunk, finals, trajs):
+            yield CoordinateRun(final, inp.coords, (inp.y_null,), traj)
 
 
 def _step(pipe: _Pipeline, inp: _Input, target_conj: np.ndarray, max_iter: int,
-          stop_tol: float | None) -> tuple[RegisterState, Trajectory]:
+          stop_tol: float | None) -> CoordinateRun:
     """The amplification run of one loaded input with every iterate stepped
-    on coordinates [V_nz, y_null, e_null], mapped to the register once."""
+    on coordinates [V_nz, y_null, e_null]."""
     coords, W, columns = pipe.span(inp.y)
     a = pipe.initial(coords)
     target_conj = np.append(target_conj, 0.0)  # zero on e_null too
@@ -418,7 +493,7 @@ def _step(pipe: _Pipeline, inp: _Input, target_conj: np.ndarray, max_iter: int,
 
     def record(mat: np.ndarray):
         pd = phase_distribution(mat)
-        _check_norm(pd, len(rows))
+        _check_norm(pd.sum(), len(rows))
         rows.append([pd[0], _norm_sq(pipe.f2.conj() @ mat), _norm_sq(mat @ target_conj),
                      *(pd @ pipe.zero_bits)])
 
@@ -431,71 +506,107 @@ def _step(pipe: _Pipeline, inp: _Input, target_conj: np.ndarray, max_iter: int,
         if stop_tol is not None and abs(rows[-1][3] - 0.5) <= stop_tol:  # P0 of phase qubit 0
             stopped_at = t
             break
-    return pipe.to_state(pipe.to_full(mat, *columns)), _trajectory(pipe, np.array(rows), stopped_at)
+    return CoordinateRun(mat, coords, columns, _trajectory(pipe, np.array(rows), stopped_at))
 
 
 _ROW_BLOCK = 64  # closed-form rows evaluated per step of the stop rule
+_TINY = np.finfo(float).tiny
+_BATCH_ELEMENTS = 2**12  # coordinate entries per (k, 2^m, r+1) stack read in closed form
 ROTATION_TOL = 1e-10  # largest distance of one simulated iterate from the closed form
 
 
-def _rotate(pipe: _Pipeline, a: np.ndarray, target_conj: np.ndarray, max_iter: int,
-            stop_tol: float | None) -> tuple[np.ndarray, Trajectory]:
-    """The standard iterate read in closed form on the plane of u and v, in
-    the coordinates of ``a``; returns the final state in those coordinates.
+def _norms_sq(stack: np.ndarray) -> np.ndarray:
+    """The squared norm of each complex128 array in a stack."""
+    flat = stack.reshape(len(stack), -1).view(np.float64)  # real and imaginary parts
+    return (flat * flat).sum(axis=-1)
+
+
+def _rotate(pipe: _Pipeline, A: np.ndarray, targets_conj: np.ndarray, max_iter: int,
+            stop_tol: float | None) -> tuple[np.ndarray, list[Trajectory]]:
+    """The standard iterate read in closed form on the plane of u and v, for
+    a stack A of initial states, each in its input's coordinates; returns
+    the stack of final states in those coordinates and one trajectory per
+    input.  ``targets_conj`` holds the conjugated fidelity targets.
 
     With s, c = sin, cos((2t+1) theta), iterate t is (-1)^t (s u + c v), so
     any squared projection |L x|^2 is the quadratic form s^2 |Lu|^2 +
     c^2 |Lv|^2 + 2 s c Re<Lu, Lv>; the coefficient columns below hold it for
     P(phase 0), the marked projection (s^2), the fidelity and each phase
-    qubit's P0.  Rows are evaluated a block at a time, so an early stop
-    computes only the block it falls in.  A degenerate plane (theta = 0 or
-    pi/2) leaves the missing direction zero and the trajectory constant.
+    qubit's P0.  Under a stop rule, rows are evaluated a block at a time for
+    the inputs that have not stopped, so an input's early stop computes only
+    the block it falls in.  A degenerate plane (theta = 0 or pi/2) leaves
+    the missing direction zero and the trajectory constant.
     """
-    f2 = pipe.f2
-    w = f2.conj() @ a  # P_f2 a = f2 (x) w
-    rest = a - np.outer(f2, w)  # (1 - P_f2) a
-    sin0, cos0 = np.sqrt(_norm_sq(w)), np.sqrt(_norm_sq(rest))
-    theta = float(np.arctan2(sin0, cos0))
-    w_hat = w / (sin0 or 1.0)  # u = f2 (x) w_hat, kept rank one
-    v = rest / (cos0 or 1.0)
+    f2, k = pipe.f2, len(A)
+    w = f2.conj() @ A  # P_f2 a = f2 (x) w
+    v = A - f2[:, None] * w[:, None]  # (1 - P_f2) a, normalized below
+    w_sq, v_sq = _norms_sq(w), _norms_sq(v)
+    for norm_sq in w_sq + v_sq:  # |a|^2 = |P_f2 a|^2 + |(1 - P_f2) a|^2, as |f2| = 1
+        _check_norm(norm_sq, 0)
+    sin0, cos0 = np.sqrt(w_sq), np.sqrt(v_sq)
+    theta = np.arctan2(sin0, cos0)
+    # a zero part stays zero; a part below _TINY has theta 0 or pi/2 and no weight
+    u = f2[:, None] * (w / np.maximum(sin0, _TINY)[:, None])[:, None]
+    v /= np.maximum(cos0, _TINY)[:, None, None]
 
-    def state(t: int) -> np.ndarray:
-        angle = (2 * t + 1) * theta
-        return (-1) ** t * (np.sin(angle) * np.outer(f2, w_hat) + np.cos(angle) * v)
-
-    q1 = pipe.iterate(a, a, None)  # runtime invariant: one simulated iterate
-    _check_norm(phase_distribution(q1), 1)
-    residual = float(np.max(np.abs(q1 - state(1))))
-    if not residual <= ROTATION_TOL:
-        raise ValueError(f"iterate leaves the two-plane rotation by {residual:.3g} at iteration 1")
-
-    uu = np.abs(f2) ** 2 * _norm_sq(w_hat)  # per phase row: <u,u>, <v,v>, 2 Re<u,v>
-    vv = phase_distribution(v)
-    uv = 2.0 * (f2.conj() * (v @ w_hat.conj())).real
-    fu, fv = f2 * (w_hat @ target_conj), v @ target_conj
-    forms = np.column_stack([
-        [uu[0], vv[0], uv[0]],
-        [1.0, 0.0, 0.0],
-        [_norm_sq(fu), _norm_sq(fv), 2.0 * np.vdot(fu, fv).real],
-        np.stack([uu, vv, uv]) @ pipe.zero_bits,
-    ])
-    blocks, stopped_at = [], None
-    for start in range(0, max_iter + 1, _ROW_BLOCK):
-        t = np.arange(start, min(start + _ROW_BLOCK, max_iter + 1))
-        s, c = np.sin((2 * t + 1) * theta), np.cos((2 * t + 1) * theta)
-        block = np.column_stack([s * s, c * c, s * c]) @ forms
-        if stop_tol is not None:
-            hits = np.flatnonzero((t >= 1) & (np.abs(block[:, 3] - 0.5) <= stop_tol))
-            if hits.size:
-                blocks.append(block[:hits[0] + 1])
-                stopped_at = int(t[hits[0]])
+    quad = np.empty((k, 3, f2.size))  # per phase row: <u,u>, <v,v>, 2 Re<u,v>
+    quad[:, 0], quad[:, 1] = phase_distribution(u), phase_distribution(v)
+    quad[:, 2] = 2.0 * (u.conj() * v).sum(axis=-1).real
+    fu, fv = u @ targets_conj[:, :, None], v @ targets_conj[:, :, None]
+    forms = np.empty((k, 3, 3 + pipe.m))
+    forms[:, :, 0] = quad[:, :, 0]
+    forms[:, :, 1] = (1.0, 0.0, 0.0)
+    forms[:, 0, 2], forms[:, 1, 2] = _norms_sq(fu), _norms_sq(fv)
+    forms[:, 2, 2] = 2.0 * (fu.conj() * fv).sum(axis=(1, 2)).real
+    forms[:, :, 3:] = quad @ pipe.zero_bits
+    if stop_tol is None:  # one block, every input runs to max_iter
+        rows, stops = list(_rows(np.arange(max_iter + 1), theta, forms)), [None] * k
+    else:
+        blocks, stops = [[] for _ in range(k)], [None] * k
+        live = np.arange(k)  # the inputs still running
+        for start in range(0, max_iter + 1, _ROW_BLOCK):
+            t = np.arange(start, min(start + _ROW_BLOCK, max_iter + 1))
+            block = _rows(t, theta[live], forms[live])
+            hits = (t >= 1) & (np.abs(block[:, :, 3] - 0.5) <= stop_tol)
+            first = np.where(hits.any(axis=1), hits.argmax(axis=1), -1)  # first stop, or -1
+            for j, block_rows, hit in zip(live.tolist(), block, first.tolist()):
+                blocks[j].append(block_rows if hit < 0 else block_rows[:hit + 1])
+                stops[j] = None if hit < 0 else int(t[hit])
+            live = live[first < 0]
+            if not live.size:
                 break
-        blocks.append(block)
-    rows = np.concatenate(blocks)
-    t_star = int(round(np.pi / (4.0 * theta) - 0.5)) if theta > 0.0 else 0
-    return state(len(rows) - 1), _trajectory(
-        pipe, rows, stopped_at, theta=theta, optimal_iterations=t_star,
-        rotation_residual=residual)
+        rows = [b[0] if len(b) == 1 else np.concatenate(b) for b in blocks]
+
+    # iterate t of each input: its first (the check) and its last (the final state)
+    t = np.array([1] * k + [len(r) - 1 for r in rows])
+    angle = (2 * t + 1) * np.concatenate([theta, theta])
+    sign = np.where(t % 2, -1.0, 1.0)  # (-1)^t
+    sin_t, cos_t = (sign * np.sin(angle))[:, None, None], (sign * np.cos(angle))[:, None, None]
+    expected = sin_t[:k] * u + cos_t[:k] * v
+    trajs = []
+    for a, q1_expected, r, stopped_at, th in zip(A, expected, rows, stops, theta.tolist()):
+        q1 = pipe.iterate(a, a, None)  # runtime invariant: one simulated iterate per input
+        _check_norm(_norm_sq(q1), 1)
+        residual = float(np.max(np.abs(q1 - q1_expected)))
+        if not residual <= ROTATION_TOL:
+            raise ValueError(f"iterate leaves the two-plane rotation by {residual:.3g} "
+                             "at iteration 1")
+        t_star = int(round(np.pi / (4.0 * th) - 0.5)) if th > 0.0 else 0
+        trajs.append(_trajectory(pipe, r, stopped_at, theta=th, optimal_iterations=t_star,
+                                 rotation_residual=residual))
+    return sin_t[k:] * u + cos_t[k:] * v, trajs
+
+
+def _rows(t: np.ndarray, theta: np.ndarray, forms: np.ndarray) -> np.ndarray:
+    """Rows t of each input's trajectory: (s^2, c^2, s c) at (2t+1) theta
+    against its coefficient columns ``forms``; shape (k, t.size, columns)."""
+    angle = (2 * t + 1) * theta[:, None]
+    s, c = np.sin(angle), np.cos(angle)
+    terms = np.empty((theta.size, t.size, 3))
+    np.multiply(s, s, out=terms[..., 0])
+    np.multiply(c, c, out=terms[..., 1])
+    np.multiply(s, c, out=terms[..., 2])
+    return terms @ forms
 
 
 def _trajectory(pipe: _Pipeline, rows: np.ndarray, stopped_at: int | None,

@@ -17,7 +17,7 @@ import numpy as np
 from . import numerics
 from .classical import IndicatorVector, nonzero_eigenvectors
 from .encoding import EvolutionOperator, make_evolution
-from .qpea import PeaConfig, amplify, amplify_many
+from .qpea import CoordinateRun, PeaConfig, amplify, amplify_coordinates
 from .registers import RegisterState, system_distribution
 
 TIE_TOL = 1e-12  # similarities closer than this rank as equal, in input order
@@ -65,6 +65,14 @@ def register_similarity(state: RegisterState, y) -> float:
     if mat.shape[1] != y.size:
         raise ValueError(f"system dim {mat.shape[1]} does not match candidate dim {y.size}")
     return float(min(1.0, np.sum(np.abs(mat @ y.conj()) ** 2)))
+
+
+def coordinate_similarity(run: CoordinateRun) -> float:
+    """:func:`register_similarity` of a run's own input against its final
+    state, read on coordinates: the columns are orthonormal and hold the
+    input as ``run.coords``, so the register array times conj(y) is
+    ``run.final @ conj(run.coords)`` and no register array is built."""
+    return float(min(1.0, np.sum(np.abs(run.final @ run.coords.conj()) ** 2)))
 
 
 def direct_similarity(H, y) -> float:
@@ -125,16 +133,15 @@ def rank_indicators(
 
     Each indicator is amplified under the stopping rule, over one estimation
     pipeline shared by all of them, and its Householder similarity against the
-    final system register is recorded; reports come back sorted descending
-    with 1-based ranks.  ``evo`` reuses an evolution operator already built
-    from H.
+    final system register is recorded (read on coordinates, see
+    :func:`coordinate_similarity`); reports come back sorted descending with
+    1-based ranks.  ``evo`` reuses an evolution operator already built from H.
     """
     if evo is None:
         evo = make_evolution(H, cfg.m)
-    ys = [c.vector() for c in candidates]
-    runs = amplify_many(cfg, evo, ys, max_iter=max_iter, stop_tol=stop_tol)
-    return _ranked([c.name for c in candidates],
-                   [register_similarity(state, y) for y, (state, _) in zip(ys, runs)],
+    runs = amplify_coordinates(cfg, evo, [c.vector() for c in candidates],
+                               max_iter=max_iter, stop_tol=stop_tol)
+    return _ranked([c.name for c in candidates], [coordinate_similarity(run) for run in runs],
                    "householder")
 
 

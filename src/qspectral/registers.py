@@ -16,8 +16,9 @@ NORM_TOL = 1e-10
 
 
 def phase_distribution(mat: np.ndarray) -> np.ndarray:
-    """Probability of each phase-register basis state of a (2^m, 2^n) array."""
-    return np.sum(np.abs(mat) ** 2, axis=1)
+    """Probability of each phase-register basis state of a (2^m, 2^n) array,
+    or of each array in a stack of them."""
+    return (np.abs(mat) ** 2).sum(axis=-1)
 
 
 def system_distribution(mat: np.ndarray) -> np.ndarray:
@@ -25,8 +26,21 @@ def system_distribution(mat: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(mat) ** 2, axis=0)
 
 
+def _may_change(a) -> bool:
+    """Whether the data of ``a`` can still be written through ``a`` or an array
+    it views; only a read-only array over read-only arrays cannot."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return True
+        a = a.base
+    return a is not None
+
+
 @dataclass(frozen=True)
 class RegisterState:
+    """A unit statevector on the two registers.  The amplitudes are read-only:
+    an array that can still change is copied, a read-only one is kept as is."""
+
     amplitudes: np.ndarray
     m: int  # phase qubits
     n: int  # system qubits
@@ -37,10 +51,12 @@ class RegisterState:
             raise ValueError(f"invalid register sizes m={self.m}, n={self.n}")
         if amps.size != 2 ** (self.m + self.n):
             raise ValueError(f"expected {2 ** (self.m + self.n)} amplitudes, got {amps.size}")
-        if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
-            raise ValueError(f"state norm {np.linalg.norm(amps):.12g} is not 1")
-        amps = amps.copy()
-        amps.flags.writeable = False
+        norm = np.sqrt(np.vdot(amps, amps).real)
+        if abs(norm - 1.0) > NORM_TOL:
+            raise ValueError(f"state norm {norm:.12g} is not 1")
+        if _may_change(amps):
+            amps = amps.copy()
+            amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
     @property

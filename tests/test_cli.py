@@ -385,10 +385,11 @@ class TestSelftest:
         # iterates can see it
         rotate = qpea._rotate
 
-        def drifting(*args):
-            final, traj = rotate(*args)
-            traj.fidelity[2:] *= 0.99
-            return final, traj
+        def drifting(*args):  # _rotate reads a stack of inputs: drift every trajectory
+            finals, trajs = rotate(*args)
+            for traj in trajs:
+                traj.fidelity[2:] *= 0.99
+            return finals, trajs
 
         monkeypatch.setattr(qpea, "_rotate", drifting)
         assert cli.main(["selftest"]) == 1

@@ -1,12 +1,13 @@
 import dataclasses
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qspectral import classical, encoding, numerics, qpea
+from qspectral import classical, encoding, numerics, qpea, readout
 from qspectral.datasets import random_psd_matrix, random_range_input
 from qspectral.errors import DegenerateTargetError
 from qspectral.registers import RegisterState
@@ -115,6 +116,66 @@ class TestSuccessProbability:
         amps = np.kron(np.full(2**m, 1.0 / np.sqrt(2**m)), np.array([1.0, 0.0]))
         state = RegisterState(amps.astype(complex), m, 1)
         assert qpea.success_probability(state) == pytest.approx(1.0 - 1.0 / 2**m)
+
+
+class TestWalshHadamard:
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_matches_hadamard_wall(self, m):
+        rng = np.random.default_rng(m)
+        mat = rng.normal(size=(2**m, 3)) + 1j * rng.normal(size=(2**m, 3))
+        want = qpea.hadamard_wall(m) @ mat
+        assert np.max(np.abs(qpea._walsh_hadamard(mat.copy()) - want)) <= 1e-12
+
+    def test_verbatim_qft_iterate_builds_no_dense_wall(self, monkeypatch):
+        H = random_psd_matrix(8, 3, seed=48)
+        y = random_range_input(H, seed=48, overlap_sq=(0.2, 0.95))
+        evo = encoding.make_evolution(H, m=4)
+        cfg = qpea.PeaConfig(m=4, mode="qft", standard_grover=False)
+        wall = qpea.hadamard_wall(4)
+
+        def refuse(m):
+            raise AssertionError("dense Hadamard wall built")
+
+        monkeypatch.setattr(qpea, "hadamard_wall", refuse)
+        assert_matches_dense(cfg, evo, H, y)
+        monkeypatch.undo()
+        assert np.array_equal(wall, qpea.hadamard_wall(4))
+
+
+class TestRegisterStateOwnership:
+    def test_later_writes_to_the_callers_array_do_not_reach_the_state(self):
+        amps = np.zeros(8, dtype=complex)
+        amps[3] = 1.0
+        state = RegisterState(amps, 2, 1)
+        amps[3], amps[0] = 0.0, 1.0
+        assert (state.amplitudes[3], state.amplitudes[0]) == (1.0, 0.0)
+        # a read-only view of a writeable array can still change: copied too
+        base = np.zeros(8, dtype=complex)
+        base[5] = 1.0
+        view = base.view()
+        view.flags.writeable = False
+        state = RegisterState(view, 2, 1)
+        base[5], base[1] = 0.0, 1.0
+        assert (state.amplitudes[5], state.amplitudes[1]) == (1.0, 0.0)
+        assert not state.amplitudes.flags.writeable
+
+    def test_engine_array_is_taken_over_uncopied(self, monkeypatch):
+        built = []
+        to_full = qpea._Pipeline.to_full
+
+        def recording(self, *args):
+            built.append(to_full(self, *args))
+            return built[-1]
+
+        monkeypatch.setattr(qpea._Pipeline, "to_full", recording)
+        H = random_psd_matrix(8, 3, seed=27)
+        y = random_range_input(H, seed=27, overlap_sq=(0.2, 0.95))
+        evo = encoding.make_evolution(H, m=4)
+        for standard in (True, False):
+            cfg = qpea.PeaConfig(m=4, kappa=1.0, mode="biased", standard_grover=standard)
+            final, _ = qpea.amplify(cfg, evo, y, max_iter=4, stop_tol=None)
+            assert np.shares_memory(final.amplitudes, built[-1])
+            assert not final.amplitudes.flags.writeable
 
 
 class TestPhaseEstimation:
@@ -397,6 +458,82 @@ class TestAmplifyMany:
                 assert np.array_equal(traj.fidelity, straj.fidelity)
                 assert traj.stopped_at == straj.stopped_at
         assert qpea.amplify_many(cfg, evo, [], max_iter=3) == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(1, 5),
+        n=st.integers(1, 4),
+        rank_frac=st.floats(0.0, 1.0),
+        mode=st.sampled_from(["qft", "biased"]),
+        kinds=st.lists(st.sampled_from(["real", "complex", "nu0", "nonreal_y0"]),
+                       min_size=1, max_size=6),
+        stop_tol=st.none() | st.floats(0.01, 0.3),
+        max_iter=st.integers(0, 16),
+        row_block=st.integers(1, 8),
+        chunk=st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_batch_matches_each_input_stepped(self, m, n, rank_frac, mode, kinds, stop_tol,
+                                              max_iter, row_block, chunk, seed):
+        # one closed form over K = 1..6 inputs, read `chunk` inputs at a time
+        # with rows in blocks of 1-8, so stops land in the same and in
+        # different blocks; each input against its own stepped run, and the
+        # coordinate score against the score of the mapped state
+        N = 2**n
+        H = random_psd_matrix(N, max(1, round(rank_frac * N)), seed)
+        evo = encoding.make_evolution(H, m=m, t=0.9 / np.max(np.linalg.eigvalsh(H)))
+        cfg = qpea.PeaConfig(m=m, kappa=1.0 if mode == "biased" else 0.0, mode=mode,
+                             standard_grover=True)
+        V = evo.nonzero_basis
+        rng = np.random.default_rng(seed)
+        ys = []
+        for kind in kinds:
+            if kind == "nu0":  # inside the nonzero eigenspace: nu is zero up to rounding
+                z = V @ (rng.normal(size=V.shape[1]) + 1j * rng.normal(size=V.shape[1]))
+            else:
+                z = rng.normal(size=N) + (0.0 if kind == "real" else 1j * rng.normal(size=N))
+            if kind == "nonreal_y0":
+                z[0] = (abs(z[0]) + 0.1) * np.exp(0.7j)
+            ys.append(z / np.linalg.norm(z))
+        per_input = 2**m * (V.shape[1] + 1)
+        with mock.patch.object(qpea, "_ROW_BLOCK", row_block), \
+                mock.patch.object(qpea, "_BATCH_ELEMENTS", chunk * per_input):
+            runs = qpea.amplify_many(cfg, evo, ys, max_iter=max_iter, stop_tol=stop_tol)
+            coordinate_runs = qpea.amplify_coordinates(cfg, evo, ys, max_iter=max_iter,
+                                                       stop_tol=stop_tol)
+        assert len(runs) == len(coordinate_runs) == len(ys)
+        for y, (final, traj), run in zip(ys, runs, coordinate_runs):
+            ref_final, ref = qpea.amplify_stepped(cfg, evo, y, max_iter=max_iter,
+                                                  stop_tol=stop_tol)
+            # a marginal within rounding of the tolerance may stop either way
+            if stop_tol is not None:
+                assume(np.all(np.abs(np.abs(ref.qubit0_p0[1:] - 0.5) - stop_tol) > 1e-9))
+            got, want = (np.column_stack([t.success_prob, t.marked_prob, t.fidelity,
+                                          t.phase_marginals]) for t in (traj, ref))
+            assert traj.stopped_at == ref.stopped_at
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-10
+            assert np.max(np.abs(final.amplitudes - ref_final.amplitudes)) <= 1e-10
+            assert np.array_equal(run.trajectory.fidelity, traj.fidelity)
+            assert abs(readout.coordinate_similarity(run)
+                       - readout.register_similarity(final, y)) <= 1e-12
+
+    def test_final_coordinate_state_norm_checked(self, monkeypatch):
+        # inputs read on coordinates build no RegisterState, so the final
+        # coordinates are held to NORM_TOL themselves
+        H = random_psd_matrix(8, 3, seed=29)
+        y = random_range_input(H, seed=29, overlap_sq=(0.2, 0.95))
+        evo = encoding.make_evolution(H, m=4)
+        cfg = qpea.PeaConfig(m=4, kappa=1.0, mode="biased", standard_grover=True)
+        rotate = qpea._rotate
+
+        def leaky(*args):
+            finals, trajs = rotate(*args)
+            return (1.0 + 1e-8) * finals, trajs
+
+        monkeypatch.setattr(qpea, "_rotate", leaky)
+        with pytest.raises(ValueError, match="not 1 at iteration 5"):
+            qpea.amplify_coordinates(cfg, evo, [y], max_iter=5, stop_tol=None)
 
 
 class TestAmplify:

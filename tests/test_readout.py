@@ -237,6 +237,21 @@ class TestRankIndicators:
         assert len(readout.rank_indicators(H, cands, cfg)) == 3
         assert len(tables) == 1
 
+    def test_ranking_maps_no_candidate_back(self, monkeypatch):
+        # candidates are scored on their coordinates: no register array, no RegisterState
+        def refuse(*args):
+            raise AssertionError("mapped back to the register")
+
+        monkeypatch.setattr(qpea._Pipeline, "to_full", refuse)
+        monkeypatch.setattr(qpea, "RegisterState", refuse)
+        pts, labels = gaussian_blobs((4, 4), ((1.0, 0.0), (0.0, 1.0)), 0.08, seed=3)
+        true_inds = classical.indicators_from_labels(labels, 2)
+        cands = true_inds + scrambled_indicators(true_inds, seed=4)
+        cfg = qpea.PeaConfig(m=6, kappa=1.0, mode="biased", standard_grover=True)
+        ranked = readout.rank_indicators(encoding.points_gram(pts), cands, cfg)
+        assert {r.y_id for r in ranked[:2]} == {ind.name for ind in true_inds}
+
+
 class TestTiedRanks:
     @pytest.mark.parametrize("first, second", [(0.5, 0.5 + 4e-16), (0.5 + 4e-16, 0.5)])
     def test_near_ties_keep_input_order(self, first, second):
