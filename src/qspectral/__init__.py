@@ -42,7 +42,6 @@ from .qpea import (
     PeaConfig,
     Trajectory,
     amplify,
-    amplify_coordinates,
     amplify_many,
     bias_reflection,
     bias_vector,
@@ -55,7 +54,6 @@ from .readout import (
     SimilarityReport,
     approx_cluster_readout,
     cluster_quantum,
-    coordinate_similarity,
     direct_similarity,
     householder_similarity,
     rank_indicators,

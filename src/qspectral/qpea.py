@@ -28,23 +28,26 @@ Both iterates run on coordinates.  The estimation unitary is diagonal in
 on the system basis, so the standard state is a (2^m, r+1) array S on
 B = [V_nz, y_null]: c = V_nz^dag y, nu = |y - V_nz c|, y_null = (y - V_nz c)/nu.
 R_zero (on |0>|e0>) and the load W (on span(y, e0)) move the verbatim state
-into e_null, the part of e0 off B, its third column.  There both columns are
-projected off the earlier ones twice: one pass leaves rounding in span V_nz
-that dividing by a small nu magnifies.  S B^T maps S to the register once.
+into e_null, the part of e0 off B, its third column.  Both y_null and
+e_null are projected off the earlier columns twice (:func:`_extend`): one
+pass leaves rounding in span V_nz that dividing by a small nu magnifies.
+Every run hands out its final S as a :class:`RegisterState` on B, which
+holds V_nz by reference and builds the (2^m, 2^n) register array S B^T only
+when its amplitudes are read; its observables and the similarity readout
+read S.
 
 A batch of inputs shares one pipeline, and the closed form reads a chunk of
 them at once: their initial states are stacked into a (k, 2^m, r+1) array of
 at most ``_BATCH_ELEMENTS`` entries, and theta, u, v, the quadratic forms,
 the stop rule (each input keeps its own first hit) and each final state at
-its own t are computed for the whole stack.  The norm checks and the one
-simulated iterate stay per input.  :func:`amplify_coordinates` hands out the
-final coordinates, which is all a similarity readout needs: with B
-orthonormal and y = B (c, nu), |S conj(c, nu)|^2 is <y| rho |y> of the
-mapped state.  :func:`amplify_many` maps each one back.
+its own t are computed for the whole stack.  So are the initial states and
+the one simulated iterate; every input keeps its own norm checks and its own
+rotation check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -140,18 +143,18 @@ def _extend(B: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The coordinates of v on [B, u] and the unit column u of v off the
     orthonormal columns B, projected off them twice; a remainder the second
     pass more than halves is rounding in span B, and u is zero."""
-    coords, rest, norms = 0.0, v, []
+    coords, rest, norms_sq = 0.0, v, []
     for _ in range(2):
         d = (rest.conj() @ B).conj()
         coords, rest = coords + d, rest - B @ d
-        norms.append(np.sqrt(_norm_sq(rest)))
-    nu = norms[1] if norms[1] > 0.5 * norms[0] else 0.0
-    return np.append(coords, nu), rest / nu if nu else np.zeros_like(rest)
+        norms_sq.append(_norm_sq(rest))
+    nu = math.sqrt(norms_sq[1]) if norms_sq[1] > 0.25 * norms_sq[0] else 0.0
+    return np.concatenate([coords, [nu]]), rest / nu if nu else np.zeros_like(rest)
 
 
 def success_probability(state: RegisterState) -> float:
     """Probability of measuring the phase register outside |0...0>."""
-    return float(1.0 - phase_distribution(state.as_matrix())[0])
+    return float(1.0 - state.phase_distribution()[0])
 
 
 def stagnation_kappa(m: int) -> float:
@@ -214,41 +217,34 @@ class _Pipeline:
             raise ValueError(f"input dim {y.size} does not match operator dim {self.evo.dim}")
         if not numerics.is_normalized(y, 1e-10):
             raise ValueError("input state must be unit norm")
-        B = self.nonzero_basis
-        c = (y.conj() @ B).conj()  # V_nz^dag y without a conjugated copy of V_nz
-        null = y - B @ c
-        nu = np.sqrt(_norm_sq(null))
-        return _Input(y, np.concatenate([c, [nu]]), null / nu if nu > 0.0 else null)
+        return _Input(y, *_extend(self.nonzero_basis, y))
 
-    def span(self, y: np.ndarray) -> tuple[np.ndarray, tuple, tuple]:
-        """y's coordinates on [V_nz, y_null, e_null], the input load W on them
-        as (coordinates of e0, phase on e0, Householder axis or None), and the
-        columns (y_null, e_null)."""
-        w, phase = numerics.householder_axis(y)
-        coords, y_null = _extend(self.nonzero_basis, y)
-        e0 = np.eye(1, y.size, dtype=complex)[0]
-        e0_coords, e_null = _extend(np.column_stack([self.nonzero_basis, y_null]), e0)
-        coords = np.append(coords, 0.0)
+    def span(self, inp: _Input) -> tuple[np.ndarray, tuple, tuple]:
+        """A loaded input's coordinates on [V_nz, y_null, e_null], the input
+        load W on them as (coordinates of e0, phase on e0, Householder axis
+        or None), and the columns (V_nz, y_null, e_null)."""
+        w, phase = numerics.householder_axis(inp.y)
+        e0 = np.eye(1, inp.y.size, dtype=complex)[0]
+        e0_coords, e_null = _extend(np.column_stack([self.nonzero_basis, inp.y_null]), e0)
+        coords = np.append(inp.coords, 0.0)
         d = coords - phase * e0_coords  # y - phase e0, the axis unnormalized
         axis = None if w is None else d / np.sqrt(_norm_sq(d))
-        return coords, (e0_coords, phase, axis), (y_null, e_null)
+        return coords, (e0_coords, phase, axis), (self.nonzero_basis, inp.y_null, e_null)
 
     def initial(self, coords: np.ndarray) -> np.ndarray:
-        """U_pea |0,0> on an input's coordinates.  The input load W maps |0>
-        to y, so the ladder acts on the rank-one column0 (x) y, and on the
-        eigenvector coordinates it is the phase table."""
-        return self.last(self.column0[:, None] * self.table[:, :coords.size] * coords)
-
-    def to_full(self, mat: np.ndarray, *columns: np.ndarray) -> np.ndarray:
-        """The (2^m, 2^n) register array of coordinates ``mat`` on V_nz and
-        ``columns``, as one complex product with a transient basis."""
-        return mat @ np.concatenate([self.nonzero_basis, *(c[:, None] for c in columns)], axis=1).T
+        """U_pea |0,0> on an input's coordinates, or on each row of a stack of
+        them.  The input load W maps |0> to y, so the ladder acts on the
+        rank-one column0 (x) y, and on the eigenvector coordinates it is the
+        phase table."""
+        table = self.table[:, :coords.shape[-1]]
+        return self.last(self.column0[:, None] * table * coords[..., None, :])
 
     def last(self, mat: np.ndarray) -> np.ndarray:
-        """The phase gate after the ladder: QFT^dag, or the bias reflection."""
+        """The phase gate after the ladder, QFT^dag or the bias reflection, on
+        a (2^m, R) array or a stack of them."""
         if self.cfg.mode == "qft":
-            return np.fft.fft(mat, axis=0) / np.sqrt(mat.shape[0])
-        return mat - np.outer(2.0 * self.bias, self.bias.conj() @ mat)
+            return np.fft.fft(mat, axis=-2) / np.sqrt(mat.shape[-2])
+        return mat - (2.0 * self.bias)[:, None] * (self.bias.conj() @ mat)[..., None, :]
 
     def forward(self, mat: np.ndarray, W: tuple) -> np.ndarray:
         """U_pea on coordinates [V_nz, y_null, e_null]; ``W`` is from :meth:`span`.
@@ -263,18 +259,13 @@ class _Pipeline:
     def iterate(self, mat: np.ndarray, a: np.ndarray, W: tuple | None) -> np.ndarray:
         """One iterate Q; ``a`` is the initial state, ``W`` the input load
         (needed by the verbatim iterate only).  The standard iterate acts on
-        coordinates in any basis."""
-        mat = mat - self.f2[:, None] * (2.0 * (self.f2.conj() @ mat))  # R_mark
+        coordinates in any basis, and on a stack of states, each with its own a."""
+        mat = mat - self.f2[:, None] * (2.0 * (self.f2.conj() @ mat))[..., None, :]  # R_mark
         if self.cfg.standard_grover:  # U_pea R_zero U_pea^dag = I - 2|a><a|
-            return mat - 2.0 * np.vdot(a, mat) * a
+            return mat - 2.0 * (a.conj() * mat).sum(axis=(-2, -1), keepdims=True) * a
         mat = self.forward(mat, W)
         mat[0] -= 2.0 * (mat[0] @ W[0].conj()) * W[0]  # R_zero
         return self.forward(mat, W)
-
-    def to_state(self, mat: np.ndarray) -> RegisterState:
-        """The state of a fresh register array, which it takes over uncopied."""
-        mat.flags.writeable = False
-        return RegisterState(mat, self.m, self.n)
 
 
 def phase_estimation(cfg: PeaConfig, evo: EvolutionOperator, y) -> RegisterState:
@@ -287,7 +278,8 @@ def phase_estimation(cfg: PeaConfig, evo: EvolutionOperator, y) -> RegisterState
     """
     pipe = _Pipeline(cfg, evo)
     inp = pipe.load(y)
-    return pipe.to_state(pipe.to_full(pipe.initial(inp.coords), inp.y_null))
+    return RegisterState(pipe.initial(inp.coords), pipe.m, pipe.n,
+                         (pipe.nonzero_basis, inp.y_null))
 
 
 # ---------------------------------------------------------------------------
@@ -363,17 +355,6 @@ def amplify(
     return amplify_many(cfg, evo, [y], max_iter, stop_tol)[0]
 
 
-class CoordinateRun(NamedTuple):
-    """One amplification run held on coordinates: the final state on the
-    orthonormal columns [V_nz, *columns] and the input's own coordinates on
-    them, so that the register array is ``final @ [V_nz, *columns]^T``."""
-
-    final: np.ndarray  # (2^m, r + len(columns))
-    coords: np.ndarray  # (r + len(columns),)
-    columns: tuple
-    trajectory: Trajectory
-
-
 def amplify_many(
     cfg: PeaConfig,
     evo: EvolutionOperator,
@@ -387,28 +368,15 @@ def amplify_many(
     the ladder phase table and the nonzero eigenspace are built once, and the
     standard iterate reads a whole chunk of inputs in one closed form.  Every
     input is checked (and its fidelity target formed) before any iterate
-    runs.  These are the runs of :func:`amplify_coordinates`, each final
-    state mapped back to the register once.
+    runs.  Each final state is held on the input's coordinates.
     """
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     pipe = _Pipeline(cfg, evo)
-    return [(pipe.to_state(pipe.to_full(run.final, *run.columns)), run.trajectory)
-            for run in _runs(pipe, ys, max_iter, stop_tol)]
-
-
-def amplify_coordinates(
-    cfg: PeaConfig,
-    evo: EvolutionOperator,
-    ys: Sequence,
-    max_iter: int = 40,
-    stop_tol: float | None = 0.05,
-) -> list[CoordinateRun]:
-    """:func:`amplify_many` without the map back to the register: one
-    :class:`CoordinateRun` per input, in input order.  Each final state is
-    held to ``NORM_TOL`` here, as a mapped one is by :class:`RegisterState`."""
-    runs = list(_runs(_Pipeline(cfg, evo), ys, max_iter, stop_tol))
-    for run in runs:
-        _check_norm(_norm_sq(run.final), len(run.trajectory) - 1)
-    return runs
+    loaded = [(inp, _fidelity_target(inp.coords)) for inp in map(pipe.load, ys)]
+    if not cfg.standard_grover:
+        return [_step(pipe, inp, target_conj, max_iter, stop_tol) for inp, target_conj in loaded]
+    return list(_closed_form_runs(pipe, loaded, max_iter, stop_tol))
 
 
 def amplify_stepped(
@@ -425,8 +393,7 @@ def amplify_stepped(
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     pipe = _Pipeline(cfg, evo)
     inp = pipe.load(y)
-    run = _step(pipe, inp, _fidelity_target(inp.coords), max_iter, stop_tol)
-    return pipe.to_state(pipe.to_full(run.final, *run.columns)), run.trajectory
+    return _step(pipe, inp, _fidelity_target(inp.coords), max_iter, stop_tol)
 
 
 def _fidelity_target(coords: np.ndarray) -> np.ndarray:
@@ -444,49 +411,32 @@ def _fidelity_target(coords: np.ndarray) -> np.ndarray:
 def _check_norm(norm_sq: float, t: int) -> None:
     """Raise unless iterate t, of squared norm ``norm_sq``, is a unit vector."""
     norm = np.sqrt(norm_sq)
-    if abs(norm - 1.0) > NORM_TOL:
+    if not abs(norm - 1.0) <= NORM_TOL:
         raise ValueError(f"state norm {norm:.12g} is not 1 at iteration {t}")
 
 
-def _runs(pipe: _Pipeline, ys: Sequence, max_iter: int,
-          stop_tol: float | None) -> Iterator[CoordinateRun]:
-    """Every input loaded and checked now; the runs computed as they are read."""
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
-    loaded = []
-    for y in ys:
-        inp = pipe.load(y)
-        loaded.append((inp, _fidelity_target(inp.coords)))
-    if not pipe.cfg.standard_grover:
-        return (_step(pipe, inp, target_conj, max_iter, stop_tol) for inp, target_conj in loaded)
-    return _closed_form_runs(pipe, loaded, max_iter, stop_tol)
-
-
 def _closed_form_runs(pipe: _Pipeline, loaded: list, max_iter: int,
-                      stop_tol: float | None) -> Iterator[CoordinateRun]:
+                      stop_tol: float | None) -> Iterator[tuple[RegisterState, Trajectory]]:
     """The standard iterate's runs of loaded inputs, read in closed form a
     chunk at a time: a chunk's stacked (k, 2^m, r+1) states hold at most
     :data:`_BATCH_ELEMENTS` entries (one input at the least)."""
     if not loaded:
         return
-    M, R = 2**pipe.m, loaded[0][0].coords.size
-    size = max(1, _BATCH_ELEMENTS // (M * R))
+    size = max(1, _BATCH_ELEMENTS // (2**pipe.m * loaded[0][0].coords.size))
     for start in range(0, len(loaded), size):
         chunk = loaded[start:start + size]
-        A = np.empty((len(chunk), M, R), dtype=complex)
-        targets_conj = np.empty((len(chunk), R), dtype=complex)
-        for j, (inp, target_conj) in enumerate(chunk):
-            A[j], targets_conj[j] = pipe.initial(inp.coords), target_conj
+        A = pipe.initial(np.array([inp.coords for inp, _ in chunk]))
+        targets_conj = np.array([target_conj for _, target_conj in chunk])
         finals, trajs = _rotate(pipe, A, targets_conj, max_iter, stop_tol)
         for (inp, _), final, traj in zip(chunk, finals, trajs):
-            yield CoordinateRun(final, inp.coords, (inp.y_null,), traj)
+            yield RegisterState(final, pipe.m, pipe.n, (pipe.nonzero_basis, inp.y_null)), traj
 
 
 def _step(pipe: _Pipeline, inp: _Input, target_conj: np.ndarray, max_iter: int,
-          stop_tol: float | None) -> CoordinateRun:
+          stop_tol: float | None) -> tuple[RegisterState, Trajectory]:
     """The amplification run of one loaded input with every iterate stepped
     on coordinates [V_nz, y_null, e_null]."""
-    coords, W, columns = pipe.span(inp.y)
+    coords, W, columns = pipe.span(inp)
     a = pipe.initial(coords)
     target_conj = np.append(target_conj, 0.0)  # zero on e_null too
     rows = []  # per iterate: P(phase 0), marked, fidelity, P0 per phase qubit
@@ -506,7 +456,8 @@ def _step(pipe: _Pipeline, inp: _Input, target_conj: np.ndarray, max_iter: int,
         if stop_tol is not None and abs(rows[-1][3] - 0.5) <= stop_tol:  # P0 of phase qubit 0
             stopped_at = t
             break
-    return CoordinateRun(mat, coords, columns, _trajectory(pipe, np.array(rows), stopped_at))
+    return (RegisterState(mat, pipe.m, pipe.n, columns),
+            _trajectory(pipe, np.array(rows), stopped_at))
 
 
 _ROW_BLOCK = 64  # closed-form rows evaluated per step of the stop rule
@@ -582,12 +533,12 @@ def _rotate(pipe: _Pipeline, A: np.ndarray, targets_conj: np.ndarray, max_iter: 
     angle = (2 * t + 1) * np.concatenate([theta, theta])
     sign = np.where(t % 2, -1.0, 1.0)  # (-1)^t
     sin_t, cos_t = (sign * np.sin(angle))[:, None, None], (sign * np.cos(angle))[:, None, None]
-    expected = sin_t[:k] * u + cos_t[:k] * v
+    Q1 = pipe.iterate(A, A, None)  # runtime invariant: one simulated iterate per input
+    for norm_sq in _norms_sq(Q1):
+        _check_norm(norm_sq, 1)
+    residuals = np.abs(Q1 - (sin_t[:k] * u + cos_t[:k] * v)).max(axis=(1, 2))
     trajs = []
-    for a, q1_expected, r, stopped_at, th in zip(A, expected, rows, stops, theta.tolist()):
-        q1 = pipe.iterate(a, a, None)  # runtime invariant: one simulated iterate per input
-        _check_norm(_norm_sq(q1), 1)
-        residual = float(np.max(np.abs(q1 - q1_expected)))
+    for residual, r, stopped_at, th in zip(residuals.tolist(), rows, stops, theta.tolist()):
         if not residual <= ROTATION_TOL:
             raise ValueError(f"iterate leaves the two-plane rotation by {residual:.3g} "
                              "at iteration 1")

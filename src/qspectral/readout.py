@@ -17,7 +17,7 @@ import numpy as np
 from . import numerics
 from .classical import IndicatorVector, nonzero_eigenvectors
 from .encoding import EvolutionOperator, make_evolution
-from .qpea import CoordinateRun, PeaConfig, amplify, amplify_coordinates
+from .qpea import PeaConfig, amplify, amplify_many
 from .registers import RegisterState, system_distribution
 
 TIE_TOL = 1e-12  # similarities closer than this rank as equal, in input order
@@ -54,25 +54,15 @@ def householder_similarity(psi, y) -> float:
 
 
 def register_similarity(state: RegisterState, y) -> float:
-    """Householder similarity measured on the system register of a full state.
+    """Householder similarity measured on the system register of a state.
 
     Equals <y| rho |y> for the reduced system density matrix rho, i.e. the
     probability of reading |0> on the system register after the mapping
-    reflection, with the phase register traced out.
+    reflection, with the phase register traced out.  It is |S conj(B^dag y)|^2
+    on the state's coefficients S and columns B, so no register array is built.
     """
-    y = numerics.as_vector(y)
-    mat = state.as_matrix()
-    if mat.shape[1] != y.size:
-        raise ValueError(f"system dim {mat.shape[1]} does not match candidate dim {y.size}")
-    return float(min(1.0, np.sum(np.abs(mat @ y.conj()) ** 2)))
-
-
-def coordinate_similarity(run: CoordinateRun) -> float:
-    """:func:`register_similarity` of a run's own input against its final
-    state, read on coordinates: the columns are orthonormal and hold the
-    input as ``run.coords``, so the register array times conj(y) is
-    ``run.final @ conj(run.coords)`` and no register array is built."""
-    return float(min(1.0, np.sum(np.abs(run.final @ run.coords.conj()) ** 2)))
+    overlaps = state.system_overlaps(numerics.as_vector(y))
+    return float(min(1.0, np.vdot(overlaps, overlaps).real))
 
 
 def direct_similarity(H, y) -> float:
@@ -133,15 +123,16 @@ def rank_indicators(
 
     Each indicator is amplified under the stopping rule, over one estimation
     pipeline shared by all of them, and its Householder similarity against the
-    final system register is recorded (read on coordinates, see
-    :func:`coordinate_similarity`); reports come back sorted descending with
+    final system register is recorded (:func:`register_similarity`, which
+    builds no register array); reports come back sorted descending with
     1-based ranks.  ``evo`` reuses an evolution operator already built from H.
     """
     if evo is None:
         evo = make_evolution(H, cfg.m)
-    runs = amplify_coordinates(cfg, evo, [c.vector() for c in candidates],
-                               max_iter=max_iter, stop_tol=stop_tol)
-    return _ranked([c.name for c in candidates], [coordinate_similarity(run) for run in runs],
+    ys = [c.vector() for c in candidates]
+    runs = amplify_many(cfg, evo, ys, max_iter=max_iter, stop_tol=stop_tol)
+    return _ranked([c.name for c in candidates],
+                   [register_similarity(state, y) for (state, _), y in zip(runs, ys)],
                    "householder")
 
 

@@ -159,23 +159,64 @@ class TestRegisterStateOwnership:
         assert (state.amplitudes[5], state.amplitudes[1]) == (1.0, 0.0)
         assert not state.amplitudes.flags.writeable
 
-    def test_engine_array_is_taken_over_uncopied(self, monkeypatch):
-        built = []
-        to_full = qpea._Pipeline.to_full
+    def test_nan_state_rejected(self):
+        with pytest.raises(ValueError, match="is not 1"):
+            RegisterState(np.full(8, np.nan, dtype=complex), 2, 1)
+        with pytest.raises(ValueError, match="is not 1"):
+            RegisterState(np.full((4, 2), np.nan, dtype=complex), 2, 2, (np.eye(4)[:, :2],))
+        with pytest.raises(ValueError, match="is not 1 at iteration 0"):
+            qpea._check_norm(np.nan, 0)
 
-        def recording(self, *args):
-            built.append(to_full(self, *args))
-            return built[-1]
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="must have 4 rows"):
+            RegisterState(np.eye(4, 2), 2, 2, (np.eye(8)[:, :2],))
+        with pytest.raises(ValueError, match="expected 8 coefficients, got 6"):
+            RegisterState(np.eye(2, 3), 2, 2, (np.eye(4)[:, :2],))
 
-        monkeypatch.setattr(qpea._Pipeline, "to_full", recording)
-        H = random_psd_matrix(8, 3, seed=27)
-        y = random_range_input(H, seed=27, overlap_sq=(0.2, 0.95))
-        evo = encoding.make_evolution(H, m=4)
-        for standard in (True, False):
-            cfg = qpea.PeaConfig(m=4, kappa=1.0, mode="biased", standard_grover=standard)
-            final, _ = qpea.amplify(cfg, evo, y, max_iter=4, stop_tol=None)
-            assert np.shares_memory(final.amplitudes, built[-1])
-            assert not final.amplitudes.flags.writeable
+    @pytest.mark.parametrize("entry", ["phase_estimation", "amplify", "amplify_many",
+                                       "amplify_stepped"])
+    @pytest.mark.parametrize("standard", [True, False])
+    def test_engine_builds_no_register_array_unless_read(self, entry, standard):
+        # N = 256, m = 6: one (2^m, N) complex array is 256 KiB.  The run, its
+        # phase distribution, success probability and similarities stay under
+        # half of that; reading the amplitudes builds the array, S B^T
+        H = random_psd_matrix(256, 2, seed=27)
+        evo = encoding.make_evolution(H, m=6)
+        rng = np.random.default_rng(27)
+        z = rng.normal(size=256) + 1j * rng.normal(size=256)
+        z /= np.linalg.norm(z)  # a random unit vector, mostly in the null space
+        inside = evo.nonzero_basis @ (evo.nonzero_basis.T @ z)
+        y = 0.6 * inside / np.linalg.norm(inside) + 0.8 * (z - inside) / np.linalg.norm(z - inside)
+        cfg = qpea.PeaConfig(m=6, kappa=1.0, mode="biased", standard_grover=standard)
+        array_bytes = 2**6 * 256 * 16
+        tracemalloc.start()
+        try:
+            if entry == "phase_estimation":
+                state = qpea.phase_estimation(cfg, evo, y)
+            elif entry == "amplify_many":
+                (state, _), (other, _) = qpea.amplify_many(cfg, evo, [y, z], max_iter=6,
+                                                           stop_tol=None)
+                assert state.columns[0] is other.columns[0]  # one V_nz, held by reference
+            else:
+                state, _ = getattr(qpea, entry)(cfg, evo, y, max_iter=6, stop_tol=None)
+            dist = state.phase_distribution()
+            success = qpea.success_probability(state)
+            sims = [readout.register_similarity(state, v) for v in (y, z)]
+            peak = tracemalloc.get_traced_memory()[1]
+            assert "amplitudes" not in vars(state)
+            mat = state.as_matrix()
+            built = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < array_bytes // 2
+        assert built >= array_bytes  # the measurement sees the array once it is built
+        assert mat.shape == (2**6, 256) and not mat.flags.writeable
+        B = np.concatenate(state.columns, axis=1)
+        assert np.max(np.abs(mat - state.coefficients @ B.T)) <= 1e-15
+        assert np.max(np.abs(dist - qpea.phase_distribution(mat))) <= 1e-12
+        assert abs(success - (1.0 - dist[0])) <= 1e-15
+        for v, sim in zip((y, z), sims):
+            assert abs(sim - np.sum(np.abs(mat @ v.conj()) ** 2)) <= 1e-12
 
 
 class TestPhaseEstimation:
@@ -478,7 +519,7 @@ class TestAmplifyMany:
         # one closed form over K = 1..6 inputs, read `chunk` inputs at a time
         # with rows in blocks of 1-8, so stops land in the same and in
         # different blocks; each input against its own stepped run, and the
-        # coordinate score against the score of the mapped state
+        # similarity read on coefficients against the one of the built array
         N = 2**n
         H = random_psd_matrix(N, max(1, round(rank_frac * N)), seed)
         evo = encoding.make_evolution(H, m=m, t=0.9 / np.max(np.linalg.eigvalsh(H)))
@@ -499,10 +540,8 @@ class TestAmplifyMany:
         with mock.patch.object(qpea, "_ROW_BLOCK", row_block), \
                 mock.patch.object(qpea, "_BATCH_ELEMENTS", chunk * per_input):
             runs = qpea.amplify_many(cfg, evo, ys, max_iter=max_iter, stop_tol=stop_tol)
-            coordinate_runs = qpea.amplify_coordinates(cfg, evo, ys, max_iter=max_iter,
-                                                       stop_tol=stop_tol)
-        assert len(runs) == len(coordinate_runs) == len(ys)
-        for y, (final, traj), run in zip(ys, runs, coordinate_runs):
+        assert len(runs) == len(ys)
+        for y, (final, traj) in zip(ys, runs):
             ref_final, ref = qpea.amplify_stepped(cfg, evo, y, max_iter=max_iter,
                                                   stop_tol=stop_tol)
             # a marginal within rounding of the tolerance may stop either way
@@ -514,13 +553,12 @@ class TestAmplifyMany:
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-10
             assert np.max(np.abs(final.amplitudes - ref_final.amplitudes)) <= 1e-10
-            assert np.array_equal(run.trajectory.fidelity, traj.fidelity)
-            assert abs(readout.coordinate_similarity(run)
-                       - readout.register_similarity(final, y)) <= 1e-12
+            assert abs(readout.register_similarity(final, y)
+                       - np.sum(np.abs(final.as_matrix() @ y.conj()) ** 2)) <= 1e-12
 
     def test_final_coordinate_state_norm_checked(self, monkeypatch):
-        # inputs read on coordinates build no RegisterState, so the final
-        # coordinates are held to NORM_TOL themselves
+        # the final state is held on coordinates, and RegisterState holds
+        # those coordinates to NORM_TOL
         H = random_psd_matrix(8, 3, seed=29)
         y = random_range_input(H, seed=29, overlap_sq=(0.2, 0.95))
         evo = encoding.make_evolution(H, m=4)
@@ -532,8 +570,8 @@ class TestAmplifyMany:
             return (1.0 + 1e-8) * finals, trajs
 
         monkeypatch.setattr(qpea, "_rotate", leaky)
-        with pytest.raises(ValueError, match="not 1 at iteration 5"):
-            qpea.amplify_coordinates(cfg, evo, [y], max_iter=5, stop_tol=None)
+        with pytest.raises(ValueError, match="state norm 1.00000001 is not 1"):
+            qpea.amplify_many(cfg, evo, [y], max_iter=5, stop_tol=None)
 
 
 class TestAmplify:
@@ -704,8 +742,8 @@ class TestClosedForm:
         y = np.array([0.0, 0.6, 0.8, 0.0])
         phase = np.eye(2)[1 if marked else 0]
         a = np.outer(phase, y).astype(complex)
-        monkeypatch.setattr(qpea._Pipeline, "initial",
-                            lambda self, coords: np.outer(phase, coords).astype(complex))
+        monkeypatch.setattr(qpea._Pipeline, "initial",  # one input's coordinates, or a stack
+                            lambda self, coords: (phase[:, None] * coords[..., None, :]) + 0j)
         final, traj = qpea.amplify(cfg, evo, y, max_iter=7, stop_tol=None)
         got = np.column_stack([traj.success_prob, traj.marked_prob, traj.fidelity,
                                traj.phase_marginals])
@@ -853,7 +891,8 @@ class TestCoordinates:
     @pytest.mark.parametrize("standard", [True, False])
     def test_no_register_array_before_the_final_map(self, standard, run, monkeypatch):
         # N = 256, rank 2, m = 6: one (2^m, N) complex array is 256 KiB, the
-        # coordinates (2^m, 4) take 4 KiB; no N x N load is built either
+        # coordinates (2^m, 4) take 4 KiB; no N x N load is built either.
+        # The final map to the register is the first read of the amplitudes
         H = random_psd_matrix(256, 2, seed=44)
         evo = encoding.make_evolution(H, m=6)
         z = np.random.default_rng(44).normal(size=256)
@@ -861,29 +900,29 @@ class TestCoordinates:
         outside = z - inside
         y = 0.6 * inside / np.linalg.norm(inside) + 0.8 * outside / np.linalg.norm(outside)
         cfg = qpea.PeaConfig(m=6, kappa=1.0, mode="biased", standard_grover=standard)
-        events = []
-        iterate, to_full = qpea._Pipeline.iterate, qpea._Pipeline.to_full
+        shapes = []
+        iterate = qpea._Pipeline.iterate
 
         def recording_iterate(self, mat, *args):
-            events.append(("iterate", mat.shape))
+            shapes.append(mat.shape)
             return iterate(self, mat, *args)
 
-        def recording_to_full(self, mat, *columns):
-            events.append(("to_full", tracemalloc.get_traced_memory()[1]))
-            return to_full(self, mat, *columns)
-
         monkeypatch.setattr(qpea._Pipeline, "iterate", recording_iterate)
-        monkeypatch.setattr(qpea._Pipeline, "to_full", recording_to_full)
         tracemalloc.start()
         try:
-            run(cfg, evo, y, max_iter=20, stop_tol=None)
+            final, _ = run(cfg, evo, y, max_iter=20, stop_tol=None)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        closed_form = standard and run is qpea.amplify  # one checked iterate on (2^m, r+1)
-        names, shapes = zip(*events[:-1])
-        assert events[-1][0] == "to_full" and names == ("iterate",) * (1 if closed_form else 20)
-        assert set(shapes) == {(2**6, 3 if closed_form else 4)}
-        assert events[-1][1] < 2**6 * 256 * 16 // 2  # the peak before the final map
+        closed_form = standard and run is qpea.amplify  # one checked iterate on (1, 2^m, r+1)
+        if closed_form:
+            assert shapes == [(1, 2**6, 3)]
+        else:
+            assert shapes == [(2**6, 4)] * 20
+        assert final.coefficients.shape == shapes[0][-2:]
+        assert peak < 2**6 * 256 * 16 // 2  # the peak before the final map
+        B = np.concatenate(final.columns, axis=1)
+        assert np.max(np.abs(final.as_matrix() - final.coefficients @ B.T)) <= 1e-15
 
     def test_batch_keeps_no_basis_copy_per_input(self):
         # near full rank, as for a graph Laplacian: N = 256, r = 240, m = 3.
@@ -918,6 +957,53 @@ class TestCoordinates:
             assert np.array_equal(traj.fidelity, same.fidelity)
 
 
+class TestFactoredState:
+    """A state held as coefficients on [V_nz, y_null] (and e_null when
+    stepped) against the dense oracle, and its observables, read on the
+    coefficients, against the same observables of its built array."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(m=st.integers(1, 5), n=st.integers(1, 5), rank_frac=st.floats(0.0, 1.0),
+           cplx=st.booleans(), mode=st.sampled_from(["qft", "biased"]),
+           kappa=st.floats(0.0, 20.0), standard=st.booleans(),
+           entry=st.sampled_from(["phase_estimation", "amplify", "amplify_stepped"]),
+           max_iter=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_oracle(self, m, n, rank_frac, cplx, mode, kappa, standard, entry,
+                                  max_iter, seed):
+        N = 2**n
+        rank = round(rank_frac * N)
+        assume(rank > 0 or entry == "phase_estimation")  # nothing to amplify at rank 0
+        rng = np.random.default_rng(seed)
+
+        def draw(*shape):
+            return rng.normal(size=shape) + (1j * rng.normal(size=shape) if cplx else 0.0)
+
+        Q, _ = np.linalg.qr(draw(N, N))
+        lam = np.zeros(N)
+        lam[:rank] = rng.uniform(0.3, 1.0, size=rank)
+        H = (Q * lam) @ Q.conj().T
+        H = (H + H.conj().T) / 2
+        evo = encoding.make_evolution(H, m=m, t=0.9)
+        y, z = draw(N), rng.normal(size=N) + 1j * rng.normal(size=N)
+        y, z = y / np.linalg.norm(y), z / np.linalg.norm(z)
+        cfg = qpea.PeaConfig(m=m, kappa=kappa if mode == "biased" else 0.0, mode=mode,
+                             standard_grover=standard)
+        if entry == "phase_estimation":
+            state = qpea.phase_estimation(cfg, evo, y)
+            vec = bpea_matrix(cfg, evo, y)[:, 0]
+        else:
+            state, _ = getattr(qpea, entry)(cfg, evo, y, max_iter=max_iter, stop_tol=None)
+            _, vec, _, _ = dense_run(cfg, evo, H, y, max_iter, None)
+        dist = state.phase_distribution()
+        sims = [readout.register_similarity(state, v) for v in (y, z)]
+        assert "amplitudes" not in vars(state)
+        mat = state.as_matrix()
+        assert np.max(np.abs(state.amplitudes - vec)) <= 1e-10
+        assert np.max(np.abs(dist - qpea.phase_distribution(mat))) <= 1e-12
+        for v, sim in zip((y, z), sims):
+            assert abs(sim - min(1.0, np.sum(np.abs(mat @ v.conj()) ** 2))) <= 1e-12
+
+
 class TestVerbatimLoad:
     """The verbatim iterate on [V_nz, y_null, e_null] at the edges of its
     load: a small null part, a load that is a phase only, and no e_null."""
@@ -942,7 +1028,8 @@ class TestVerbatimLoad:
         evo = encoding.make_evolution(H, m=4)
         y = np.exp(0.7j) * np.eye(8)[0]
         cfg = qpea.PeaConfig(m=4, kappa=kappa, mode=mode, standard_grover=False)
-        assert qpea._Pipeline(cfg, evo).span(y)[1][2] is None  # no Householder axis
+        pipe = qpea._Pipeline(cfg, evo)
+        assert pipe.span(pipe.load(y))[1][2] is None  # no Householder axis
         assert_matches_dense(cfg, evo, H, y)
 
     @pytest.mark.parametrize("mode, kappa", [("qft", 0.0), ("biased", 1.0)])
@@ -951,7 +1038,8 @@ class TestVerbatimLoad:
         evo = encoding.make_evolution(H, m=4)
         y = np.array([0.5, 0.5, -0.5, 0.5j])
         cfg = qpea.PeaConfig(m=4, kappa=kappa, mode=mode, standard_grover=False)
-        _, _, (y_null, e_null) = qpea._Pipeline(cfg, evo).span(y)
+        pipe = qpea._Pipeline(cfg, evo)
+        _, _, (_, y_null, e_null) = pipe.span(pipe.load(y))
         assert np.linalg.norm(y_null) == pytest.approx(1.0) and not np.any(e_null)
         assert_matches_dense(cfg, evo, H, y)
 

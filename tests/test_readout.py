@@ -238,18 +238,24 @@ class TestRankIndicators:
         assert len(tables) == 1
 
     def test_ranking_maps_no_candidate_back(self, monkeypatch):
-        # candidates are scored on their coordinates: no register array, no RegisterState
-        def refuse(*args):
-            raise AssertionError("mapped back to the register")
+        # candidates are scored on their coordinates: no state builds its amplitudes
+        states = []
+        amplify_many = readout.amplify_many
 
-        monkeypatch.setattr(qpea._Pipeline, "to_full", refuse)
-        monkeypatch.setattr(qpea, "RegisterState", refuse)
+        def recording(*args, **kwargs):
+            runs = amplify_many(*args, **kwargs)
+            states.extend(state for state, _ in runs)
+            return runs
+
+        monkeypatch.setattr(readout, "amplify_many", recording)
         pts, labels = gaussian_blobs((4, 4), ((1.0, 0.0), (0.0, 1.0)), 0.08, seed=3)
         true_inds = classical.indicators_from_labels(labels, 2)
         cands = true_inds + scrambled_indicators(true_inds, seed=4)
         cfg = qpea.PeaConfig(m=6, kappa=1.0, mode="biased", standard_grover=True)
         ranked = readout.rank_indicators(encoding.points_gram(pts), cands, cfg)
         assert {r.y_id for r in ranked[:2]} == {ind.name for ind in true_inds}
+        assert len(states) == len(cands)
+        assert not any("amplitudes" in vars(state) for state in states)
 
 
 class TestTiedRanks:
