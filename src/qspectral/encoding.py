@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -161,10 +162,13 @@ class EvolutionOperator:
     def nonzero_mask(self) -> np.ndarray:
         return np.abs(self.eigenvalues) > self.zero_tol
 
-    @property
+    @cached_property
     def nonzero_basis(self) -> np.ndarray:
-        """Eigenvectors of the nonzero eigenvalues, as columns."""
-        return self.eigenvectors[:, self.nonzero_mask()]
+        """Eigenvectors of the nonzero eigenvalues, as columns: selected on
+        the first read and read-only, so every later read shares the array."""
+        V = self.eigenvectors[:, self.nonzero_mask()]
+        V.flags.writeable = False
+        return V
 
 
 def make_evolution(

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .datasets import random_psd_matrix, random_range_input
 from .encoding import EvolutionOperator, make_evolution
-from .qpea import PeaConfig, Trajectory, amplify
+from .qpea import PeaConfig, Trajectory, amplify_many
 
 # (mode, kappa) runs matching the published trajectory sweep
 DEFAULT_RUNS: tuple[tuple[str, float], ...] = (("qft", 0.0), ("biased", 1.0), ("biased", 20.0))
@@ -49,15 +49,19 @@ def trace_suite(
     stop_tol: float | None = None,
     evo: EvolutionOperator | None = None,
 ) -> list[TraceResult]:
-    """Amplification trajectories for each (mode, kappa) run on one instance."""
+    """Amplification trajectories for each (mode, kappa) run on one instance.
+
+    The runs differ only in their phase gate, so they are one
+    :func:`~qspectral.qpea.amplify_many` call with one config per run: y is
+    loaded and checked once, and the standard iterate reads every run in one
+    closed form.
+    """
     if evo is None:
         evo = make_evolution(H, m)
-    out = []
-    for mode, kappa in runs:
-        cfg = PeaConfig(m=m, kappa=float(kappa), mode=mode, standard_grover=standard_grover)
-        _, traj = amplify(cfg, evo, y, max_iter=max_iter, stop_tol=stop_tol)
-        out.append(TraceResult(mode, float(kappa), traj))
-    return out
+    cfgs = [PeaConfig(m=m, kappa=float(kappa), mode=mode, standard_grover=standard_grover)
+            for mode, kappa in runs]
+    out = amplify_many(cfgs, evo, [y] * len(cfgs), max_iter=max_iter, stop_tol=stop_tol)
+    return [TraceResult(cfg.mode, cfg.kappa, traj) for cfg, (_, traj) in zip(cfgs, out)]
 
 
 def summary_rows(results: list[TraceResult]) -> list[tuple]:

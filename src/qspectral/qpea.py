@@ -36,13 +36,17 @@ holds V_nz by reference and builds the (2^m, 2^n) register array S B^T only
 when its amplitudes are read; its observables and the similarity readout
 read S.
 
-A batch of inputs shares one pipeline, and the closed form reads a chunk of
-them at once: their initial states are stacked into a (k, 2^m, r+1) array of
-at most ``_BATCH_ELEMENTS`` entries, and theta, u, v, the quadratic forms,
-the stop rule (each input keeps its own first hit) and each final state at
-its own t are computed for the whole stack.  So are the initial states and
-the one simulated iterate; every input keeps its own norm checks and its own
-rotation check.
+A batch of inputs shares one engine (V_nz, the ladder phase table, f2 and
+the phase-bit table), and each input may carry its own config: configs may
+differ in mode and kappa, which only pick the phase gate (one pipeline per
+distinct config over the shared engine), but not in m or the iterate.  The
+closed form reads a chunk of inputs at once: their initial states, each from
+its own phase gate, are stacked into a (k, 2^m, r+1) array of at most
+``_BATCH_ELEMENTS`` entries, and theta, u, v, the quadratic forms, the stop
+rule (each input keeps its own first hit) and each final state at its own t
+are computed for the whole stack.  So is the one simulated iterate, which
+reads no phase gate; every input keeps its own load check, norm checks and
+rotation check, and its trajectory its own mode and kappa.
 """
 
 from __future__ import annotations
@@ -173,40 +177,34 @@ def stagnation_kappa(m: int) -> float:
 
 class _Input(NamedTuple):
     """A checked input y and its coordinates (c, nu) on the columns
-    [V_nz, y_null]; V_nz is the pipeline's, shared by every input."""
+    [V_nz, y_null]; V_nz is the engine's, shared by every input."""
 
     y: np.ndarray
     coords: np.ndarray  # (r + 1,)
     y_null: np.ndarray  # (2^n,), zero when y has no null-space part
 
 
-class _Pipeline:
-    """Matrix-free appliers for the estimation unitary on coordinates.
+class _Engine:
+    """The part of the estimation pipeline that depends on neither the input
+    nor the phase gate: the nonzero eigenspace, the ladder phase table on it,
+    the marking vector and the phase-qubit bit table, for m phase qubits.
 
-    Holds the input-independent part (phase-register gates, marking vector,
-    nonzero eigenspace and the ladder phase table on it), built once per
-    (cfg, evo) and shared by every input loaded onto it.  On [V_nz, y_null,
-    e_null] the ladder is the phase table with ones on the last two columns.
+    Built once per call and shared by every config's :class:`_Pipeline` and
+    every input loaded onto it.  On [V_nz, y_null, e_null] the ladder is the
+    phase table with ones on the last two columns.
     """
 
-    def __init__(self, cfg: PeaConfig, evo: EvolutionOperator):
-        self.cfg, self.evo = cfg, evo
-        self.m = cfg.m
+    def __init__(self, evo: EvolutionOperator, m: int):
+        self.evo, self.m = evo, m
         self.n = evo.n_qubits
         if 2**self.n != evo.dim:
             raise ValueError(f"evolution dimension {evo.dim} is not a power of two")
-        M = 2**self.m
-        if cfg.mode == "qft":  # Hadamard wall before the ladder, inverse QFT after it
-            self.column0 = np.full(M, M**-0.5, dtype=complex)
-        else:  # the bias reflection I - 2|f><f| on both sides
-            self.bias = bias_vector(self.m, cfg.kappa)
-            self.column0 = -2.0 * self.bias[0].conj() * self.bias
-            self.column0[0] += 1.0
-        self.f2 = marking_vector(self.m)
+        M = 2**m
+        self.f2 = marking_vector(m)
         self.nonzero_basis = evo.nonzero_basis
         self.table = np.ones((M, self.nonzero_basis.shape[1] + 2), dtype=complex)
-        self.table[:, :-2] = ladder_phase_table(evo, self.m)  # y_null and e_null get phase 1
-        bits = np.arange(M)[:, None] >> np.arange(self.m)[::-1]  # msb-first phase bits
+        self.table[:, :-2] = ladder_phase_table(evo, m)  # y_null and e_null get phase 1
+        bits = np.arange(M)[:, None] >> np.arange(m)[::-1]  # msb-first phase bits
         self.zero_bits = (bits & 1 == 0).astype(float)  # (2^m, m), 1 where the bit is 0
 
     def load(self, y) -> _Input:
@@ -231,12 +229,28 @@ class _Pipeline:
         axis = None if w is None else d / np.sqrt(_norm_sq(d))
         return coords, (e0_coords, phase, axis), (self.nonzero_basis, inp.y_null, e_null)
 
+
+class _Pipeline:
+    """Matrix-free appliers for the estimation unitary of one config on
+    coordinates: the config's phase gate (QFT or bias reflection) over a
+    shared :class:`_Engine` of the same m."""
+
+    def __init__(self, cfg: PeaConfig, engine: _Engine):
+        self.cfg, self.engine = cfg, engine
+        M = 2**cfg.m
+        if cfg.mode == "qft":  # Hadamard wall before the ladder, inverse QFT after it
+            self.column0 = np.full(M, M**-0.5, dtype=complex)
+        else:  # the bias reflection I - 2|f><f| on both sides
+            self.bias = bias_vector(cfg.m, cfg.kappa)
+            self.column0 = -2.0 * self.bias[0].conj() * self.bias
+            self.column0[0] += 1.0
+
     def initial(self, coords: np.ndarray) -> np.ndarray:
         """U_pea |0,0> on an input's coordinates, or on each row of a stack of
         them.  The input load W maps |0> to y, so the ladder acts on the
         rank-one column0 (x) y, and on the eigenvector coordinates it is the
         phase table."""
-        table = self.table[:, :coords.shape[-1]]
+        table = self.engine.table[:, :coords.shape[-1]]
         return self.last(self.column0[:, None] * table * coords[..., None, :])
 
     def last(self, mat: np.ndarray) -> np.ndarray:
@@ -247,20 +261,23 @@ class _Pipeline:
         return mat - (2.0 * self.bias)[:, None] * (self.bias.conj() @ mat)[..., None, :]
 
     def forward(self, mat: np.ndarray, W: tuple) -> np.ndarray:
-        """U_pea on coordinates [V_nz, y_null, e_null]; ``W`` is from :meth:`span`.
-        The bias reflection before the ladder is :meth:`last`, its own inverse."""
+        """U_pea on coordinates [V_nz, y_null, e_null]; ``W`` is from
+        :meth:`_Engine.span`.  The bias reflection before the ladder is
+        :meth:`last`, its own inverse."""
         e0, phase, axis = W
         mat = mat + np.outer(mat @ e0.conj(), (phase - 1.0) * e0)
         if axis is not None:
             mat = mat - np.outer(mat @ axis.conj(), 2.0 * axis)
         mat = _walsh_hadamard(mat) if self.cfg.mode == "qft" else self.last(mat)
-        return self.last(mat * self.table)
+        return self.last(mat * self.engine.table)
 
     def iterate(self, mat: np.ndarray, a: np.ndarray, W: tuple | None) -> np.ndarray:
         """One iterate Q; ``a`` is the initial state, ``W`` the input load
-        (needed by the verbatim iterate only).  The standard iterate acts on
-        coordinates in any basis, and on a stack of states, each with its own a."""
-        mat = mat - self.f2[:, None] * (2.0 * (self.f2.conj() @ mat))[..., None, :]  # R_mark
+        (needed by the verbatim iterate only).  The standard iterate reads no
+        phase gate: it acts on coordinates in any basis, and on a stack of
+        states, each with its own a and of any config with this m."""
+        f2 = self.engine.f2
+        mat = mat - f2[:, None] * (2.0 * (f2.conj() @ mat))[..., None, :]  # R_mark
         if self.cfg.standard_grover:  # U_pea R_zero U_pea^dag = I - 2|a><a|
             return mat - 2.0 * (a.conj() * mat).sum(axis=(-2, -1), keepdims=True) * a
         mat = self.forward(mat, W)
@@ -276,10 +293,10 @@ def phase_estimation(cfg: PeaConfig, evo: EvolutionOperator, y) -> RegisterState
     adjoint in ``biased`` mode) around the controlled-power ladder, and
     returns the output register state.
     """
-    pipe = _Pipeline(cfg, evo)
-    inp = pipe.load(y)
-    return RegisterState(pipe.initial(inp.coords), pipe.m, pipe.n,
-                         (pipe.nonzero_basis, inp.y_null))
+    engine = _Engine(evo, cfg.m)
+    inp = engine.load(y)
+    return RegisterState(_Pipeline(cfg, engine).initial(inp.coords), cfg.m, engine.n,
+                         (engine.nonzero_basis, inp.y_null))
 
 
 # ---------------------------------------------------------------------------
@@ -356,27 +373,46 @@ def amplify(
 
 
 def amplify_many(
-    cfg: PeaConfig,
+    cfg: PeaConfig | Sequence[PeaConfig],
     evo: EvolutionOperator,
     ys: Sequence,
     max_iter: int = 40,
     stop_tol: float | None = 0.05,
 ) -> list[tuple[RegisterState, Trajectory]]:
-    """:func:`amplify` each input over one shared estimation pipeline.
+    """:func:`amplify` each input over one shared estimation engine.
 
-    Only the input load differs between inputs, so the phase-register gates,
-    the ladder phase table and the nonzero eigenspace are built once, and the
-    standard iterate reads a whole chunk of inputs in one closed form.  Every
-    input is checked (and its fidelity target formed) before any iterate
-    runs.  Each final state is held on the input's coordinates.
+    ``cfg`` is one config for every input, or a sequence of one config per
+    input: the configs may differ in mode and kappa, but not in m or
+    ``standard_grover``.  The nonzero eigenspace, the ladder phase table and
+    the marking vector are built once, each distinct config adds only its
+    phase gate, and the standard iterate reads a whole chunk of inputs, of
+    any mix of configs, in one closed form; the verbatim one steps each input.
+    Every input is checked (and its fidelity target formed) before any
+    iterate runs, once per input object however often it is passed.  Each
+    final state is held on the input's coordinates.
     """
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
-    pipe = _Pipeline(cfg, evo)
-    loaded = [(inp, _fidelity_target(inp.coords)) for inp in map(pipe.load, ys)]
-    if not cfg.standard_grover:
-        return [_step(pipe, inp, target_conj, max_iter, stop_tol) for inp, target_conj in loaded]
-    return list(_closed_form_runs(pipe, loaded, max_iter, stop_tol))
+    ys = list(ys)
+    cfgs = [cfg] * len(ys) if isinstance(cfg, PeaConfig) else list(cfg)
+    if len(cfgs) != len(ys):
+        raise ValueError(f"{len(cfgs)} configs for {len(ys)} inputs")
+    if len({(c.m, c.standard_grover) for c in cfgs}) > 1:
+        raise ValueError("the configs of one call must share m and standard_grover")
+    if not cfgs:
+        return []
+    engine = _Engine(evo, cfgs[0].m)
+    pipes, loaded, runs = {}, {}, []  # a pipeline per distinct config, a load per input object
+    for c, y in zip(cfgs, ys):
+        if c not in pipes:
+            pipes[c] = _Pipeline(c, engine)
+        if id(y) not in loaded:
+            inp = engine.load(y)
+            loaded[id(y)] = inp, _fidelity_target(inp.coords)
+        runs.append((pipes[c], *loaded[id(y)]))
+    if not cfgs[0].standard_grover:
+        return [_step(*run, max_iter, stop_tol) for run in runs]
+    return list(_closed_form_runs(runs, max_iter, stop_tol))
 
 
 def amplify_stepped(
@@ -391,9 +427,9 @@ def amplify_stepped(
     runs this way in :func:`amplify` too."""
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
-    pipe = _Pipeline(cfg, evo)
-    inp = pipe.load(y)
-    return _step(pipe, inp, _fidelity_target(inp.coords), max_iter, stop_tol)
+    engine = _Engine(evo, cfg.m)
+    inp = engine.load(y)
+    return _step(_Pipeline(cfg, engine), inp, _fidelity_target(inp.coords), max_iter, stop_tol)
 
 
 def _fidelity_target(coords: np.ndarray) -> np.ndarray:
@@ -415,28 +451,34 @@ def _check_norm(norm_sq: float, t: int) -> None:
         raise ValueError(f"state norm {norm:.12g} is not 1 at iteration {t}")
 
 
-def _closed_form_runs(pipe: _Pipeline, loaded: list, max_iter: int,
+def _closed_form_runs(runs: list, max_iter: int,
                       stop_tol: float | None) -> Iterator[tuple[RegisterState, Trajectory]]:
-    """The standard iterate's runs of loaded inputs, read in closed form a
-    chunk at a time: a chunk's stacked (k, 2^m, r+1) states hold at most
-    :data:`_BATCH_ELEMENTS` entries (one input at the least)."""
-    if not loaded:
-        return
-    size = max(1, _BATCH_ELEMENTS // (2**pipe.m * loaded[0][0].coords.size))
-    for start in range(0, len(loaded), size):
-        chunk = loaded[start:start + size]
-        A = pipe.initial(np.array([inp.coords for inp, _ in chunk]))
-        targets_conj = np.array([target_conj for _, target_conj in chunk])
-        finals, trajs = _rotate(pipe, A, targets_conj, max_iter, stop_tol)
-        for (inp, _), final, traj in zip(chunk, finals, trajs):
-            yield RegisterState(final, pipe.m, pipe.n, (pipe.nonzero_basis, inp.y_null)), traj
+    """The standard iterate's runs, each a (pipeline, loaded input, fidelity
+    target) over one shared engine, read in closed form a chunk at a time: a
+    chunk's stacked (k, 2^m, r+1) states hold at most :data:`_BATCH_ELEMENTS`
+    entries (one input at the least).  Each input's initial state comes from
+    its own pipeline's phase gate, one call per stretch of consecutive inputs
+    on the same pipeline."""
+    engine = runs[0][0].engine
+    size = max(1, _BATCH_ELEMENTS // (2**engine.m * runs[0][1].coords.size))
+    for start in range(0, len(runs), size):
+        pipes, inputs, targets_conj = zip(*runs[start:start + size])
+        coords = np.array([inp.coords for inp in inputs])
+        cuts = [j for j in range(1, len(pipes)) if pipes[j] is not pipes[j - 1]]
+        A = np.concatenate([pipes[i].initial(coords[i:j])
+                            for i, j in zip([0, *cuts], [*cuts, len(pipes)])])
+        finals, trajs = _rotate(pipes, A, np.array(targets_conj), max_iter, stop_tol)
+        for inp, final, traj in zip(inputs, finals, trajs):
+            yield (RegisterState(final, engine.m, engine.n, (engine.nonzero_basis, inp.y_null)),
+                   traj)
 
 
 def _step(pipe: _Pipeline, inp: _Input, target_conj: np.ndarray, max_iter: int,
           stop_tol: float | None) -> tuple[RegisterState, Trajectory]:
     """The amplification run of one loaded input with every iterate stepped
     on coordinates [V_nz, y_null, e_null]."""
-    coords, W, columns = pipe.span(inp)
+    engine = pipe.engine
+    coords, W, columns = engine.span(inp)
     a = pipe.initial(coords)
     target_conj = np.append(target_conj, 0.0)  # zero on e_null too
     rows = []  # per iterate: P(phase 0), marked, fidelity, P0 per phase qubit
@@ -444,8 +486,8 @@ def _step(pipe: _Pipeline, inp: _Input, target_conj: np.ndarray, max_iter: int,
     def record(mat: np.ndarray):
         pd = phase_distribution(mat)
         _check_norm(pd.sum(), len(rows))
-        rows.append([pd[0], _norm_sq(pipe.f2.conj() @ mat), _norm_sq(mat @ target_conj),
-                     *(pd @ pipe.zero_bits)])
+        rows.append([pd[0], _norm_sq(engine.f2.conj() @ mat), _norm_sq(mat @ target_conj),
+                     *(pd @ engine.zero_bits)])
 
     mat = a
     record(mat)
@@ -456,8 +498,8 @@ def _step(pipe: _Pipeline, inp: _Input, target_conj: np.ndarray, max_iter: int,
         if stop_tol is not None and abs(rows[-1][3] - 0.5) <= stop_tol:  # P0 of phase qubit 0
             stopped_at = t
             break
-    return (RegisterState(mat, pipe.m, pipe.n, columns),
-            _trajectory(pipe, np.array(rows), stopped_at))
+    return (RegisterState(mat, engine.m, engine.n, columns),
+            _trajectory(pipe.cfg, np.array(rows), stopped_at))
 
 
 _ROW_BLOCK = 64  # closed-form rows evaluated per step of the stop rule
@@ -472,12 +514,14 @@ def _norms_sq(stack: np.ndarray) -> np.ndarray:
     return (flat * flat).sum(axis=-1)
 
 
-def _rotate(pipe: _Pipeline, A: np.ndarray, targets_conj: np.ndarray, max_iter: int,
+def _rotate(pipes: Sequence[_Pipeline], A: np.ndarray, targets_conj: np.ndarray, max_iter: int,
             stop_tol: float | None) -> tuple[np.ndarray, list[Trajectory]]:
     """The standard iterate read in closed form on the plane of u and v, for
-    a stack A of initial states, each in its input's coordinates; returns
-    the stack of final states in those coordinates and one trajectory per
-    input.  ``targets_conj`` holds the conjugated fidelity targets.
+    a stack A of initial states, each in its input's coordinates and from
+    its own pipeline in ``pipes`` (all over one engine); returns the stack of
+    final states in those coordinates and one trajectory per input, with its
+    pipeline's mode and kappa.  ``targets_conj`` holds the conjugated
+    fidelity targets.
 
     With s, c = sin, cos((2t+1) theta), iterate t is (-1)^t (s u + c v), so
     any squared projection |L x|^2 is the quadratic form s^2 |Lu|^2 +
@@ -488,7 +532,8 @@ def _rotate(pipe: _Pipeline, A: np.ndarray, targets_conj: np.ndarray, max_iter: 
     the block it falls in.  A degenerate plane (theta = 0 or pi/2) leaves
     the missing direction zero and the trajectory constant.
     """
-    f2, k = pipe.f2, len(A)
+    engine, k = pipes[0].engine, len(A)
+    f2 = engine.f2
     w = f2.conj() @ A  # P_f2 a = f2 (x) w
     v = A - f2[:, None] * w[:, None]  # (1 - P_f2) a, normalized below
     w_sq, v_sq = _norms_sq(w), _norms_sq(v)
@@ -504,12 +549,12 @@ def _rotate(pipe: _Pipeline, A: np.ndarray, targets_conj: np.ndarray, max_iter: 
     quad[:, 0], quad[:, 1] = phase_distribution(u), phase_distribution(v)
     quad[:, 2] = 2.0 * (u.conj() * v).sum(axis=-1).real
     fu, fv = u @ targets_conj[:, :, None], v @ targets_conj[:, :, None]
-    forms = np.empty((k, 3, 3 + pipe.m))
+    forms = np.empty((k, 3, 3 + engine.m))
     forms[:, :, 0] = quad[:, :, 0]
     forms[:, :, 1] = (1.0, 0.0, 0.0)
     forms[:, 0, 2], forms[:, 1, 2] = _norms_sq(fu), _norms_sq(fv)
     forms[:, 2, 2] = 2.0 * (fu.conj() * fv).sum(axis=(1, 2)).real
-    forms[:, :, 3:] = quad @ pipe.zero_bits
+    forms[:, :, 3:] = quad @ engine.zero_bits
     if stop_tol is None:  # one block, every input runs to max_iter
         rows, stops = list(_rows(np.arange(max_iter + 1), theta, forms)), [None] * k
     else:
@@ -533,17 +578,20 @@ def _rotate(pipe: _Pipeline, A: np.ndarray, targets_conj: np.ndarray, max_iter: 
     angle = (2 * t + 1) * np.concatenate([theta, theta])
     sign = np.where(t % 2, -1.0, 1.0)  # (-1)^t
     sin_t, cos_t = (sign * np.sin(angle))[:, None, None], (sign * np.cos(angle))[:, None, None]
-    Q1 = pipe.iterate(A, A, None)  # runtime invariant: one simulated iterate per input
+    # runtime invariant: one simulated iterate per input; the standard iterate
+    # reads no phase gate, so one pipeline's iterate serves the whole stack
+    Q1 = pipes[0].iterate(A, A, None)
     for norm_sq in _norms_sq(Q1):
         _check_norm(norm_sq, 1)
     residuals = np.abs(Q1 - (sin_t[:k] * u + cos_t[:k] * v)).max(axis=(1, 2))
     trajs = []
-    for residual, r, stopped_at, th in zip(residuals.tolist(), rows, stops, theta.tolist()):
+    for pipe, residual, r, stopped_at, th in zip(pipes, residuals.tolist(), rows, stops,
+                                                 theta.tolist()):
         if not residual <= ROTATION_TOL:
             raise ValueError(f"iterate leaves the two-plane rotation by {residual:.3g} "
                              "at iteration 1")
         t_star = int(round(np.pi / (4.0 * th) - 0.5)) if th > 0.0 else 0
-        trajs.append(_trajectory(pipe, r, stopped_at, theta=th, optimal_iterations=t_star,
+        trajs.append(_trajectory(pipe.cfg, r, stopped_at, theta=th, optimal_iterations=t_star,
                                  rotation_residual=residual))
     return sin_t[k:] * u + cos_t[k:] * v, trajs
 
@@ -560,10 +608,10 @@ def _rows(t: np.ndarray, theta: np.ndarray, forms: np.ndarray) -> np.ndarray:
     return terms @ forms
 
 
-def _trajectory(pipe: _Pipeline, rows: np.ndarray, stopped_at: int | None,
+def _trajectory(cfg: PeaConfig, rows: np.ndarray, stopped_at: int | None,
                 **rotation) -> Trajectory:
-    """A Trajectory from per-iterate rows of P(phase 0), marked projection,
-    fidelity and the phase-qubit P0s."""
+    """A Trajectory of a run under ``cfg`` from per-iterate rows of P(phase
+    0), marked projection, fidelity and the phase-qubit P0s."""
     return Trajectory(
         iterations=np.arange(rows.shape[0]),
         success_prob=1.0 - rows[:, 0],
@@ -571,7 +619,7 @@ def _trajectory(pipe: _Pipeline, rows: np.ndarray, stopped_at: int | None,
         fidelity=rows[:, 2],
         phase_marginals=rows[:, 3:],
         stopped_at=stopped_at,
-        mode=pipe.cfg.mode,
-        kappa=pipe.cfg.kappa,
+        mode=cfg.mode,
+        kappa=cfg.kappa,
         **rotation,
     )

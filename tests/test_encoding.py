@@ -185,6 +185,17 @@ class TestMakeEvolution:
         assert np.max(np.abs(evo.unitary - expected)) <= 1e-12
         assert evo.dim == 16 and evo.n_qubits == 4
 
+    def test_nonzero_basis_is_shared_and_read_only(self):
+        # selected once: every read returns the same array, which no reader can change
+        H = random_psd_matrix(16, 6, seed=14)
+        evo = encoding.make_evolution(H, m=6)
+        V = evo.nonzero_basis
+        assert evo.nonzero_basis is V
+        assert not V.flags.writeable
+        assert np.array_equal(V, evo.eigenvectors[:, evo.nonzero_mask()])
+        with pytest.raises(ValueError, match="read-only"):
+            V[0, 0] = 1.0
+
     def test_auto_time_respects_resolution_floor(self):
         H = random_psd_matrix(16, 6, seed=1)
         m = 6

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qspectral import classical, encoding, numerics, qpea, readout
+from qspectral import classical, encoding, experiments, numerics, qpea, readout
 from qspectral.datasets import random_psd_matrix, random_range_input
 from qspectral.errors import DegenerateTargetError
 from qspectral.registers import RegisterState
@@ -574,6 +574,118 @@ class TestAmplifyMany:
             qpea.amplify_many(cfg, evo, [y], max_iter=5, stop_tol=None)
 
 
+class TestConfigPerInput:
+    """One amplify_many call with a config per input: each run against its own amplify."""
+
+    @pytest.mark.parametrize("cfgs, match", [
+        ([qpea.PeaConfig(m=3, mode="qft")], "1 configs for 2 inputs"),
+        ([qpea.PeaConfig(m=3, mode="qft"), qpea.PeaConfig(m=4, kappa=1.0, mode="biased")],
+         "share m and standard_grover"),
+        ([qpea.PeaConfig(m=3, mode="qft"),
+          qpea.PeaConfig(m=3, kappa=1.0, mode="biased", standard_grover=False)],
+         "share m and standard_grover"),
+    ])
+    def test_bad_configs_raise_before_any_work(self, cfgs, match, monkeypatch):
+        H = np.diag([0.0, 0.0, 1.0, 2.0])
+        evo = encoding.make_evolution(H, m=4)
+        ys = [np.array([0.0, 0.0, 0.6, 0.8]), np.array([0.5, 0.5, 0.5, 0.5])]
+        work = []
+        monkeypatch.setattr(qpea, "ladder_phase_table", lambda *a: work.append("table"))
+        monkeypatch.setattr(qpea._Pipeline, "iterate", lambda *a: work.append("iterate"))
+        with pytest.raises(ValueError, match=match):
+            qpea.amplify_many(cfgs, evo, ys, max_iter=3, stop_tol=None)
+        assert work == []
+
+    def test_no_inputs(self):
+        evo = encoding.make_evolution(np.diag([0.0, 1.0]), m=2)
+        cfg = qpea.PeaConfig(m=2, kappa=1.0, mode="biased")
+        assert qpea.amplify_many(cfg, evo, [], max_iter=3) == []
+        assert qpea.amplify_many([], evo, [], max_iter=3) == []
+
+    @pytest.mark.parametrize("standard", [True, False])
+    def test_repeated_input_loaded_once(self, standard, monkeypatch):
+        H = random_psd_matrix(8, 3, seed=50)
+        evo = encoding.make_evolution(H, m=4)
+        y, z = (random_range_input(H, seed=s, overlap_sq=(0.2, 0.95)) for s in (50, 51))
+        cfgs = [qpea.PeaConfig(m=4, kappa=kappa, mode=mode, standard_grover=standard)
+                for mode, kappa in (("qft", 0.0), ("biased", 1.0), ("biased", 20.0),
+                                    ("biased", 1.0))]
+        loads, engines = [], []
+        load, init = qpea._Engine.load, qpea._Engine.__init__
+        monkeypatch.setattr(qpea._Engine, "load", lambda self, v: loads.append(1) or load(self, v))
+        monkeypatch.setattr(qpea._Engine, "__init__",
+                            lambda self, *a: engines.append(1) or init(self, *a))
+        runs = qpea.amplify_many(cfgs, evo, [y, y, z, y], max_iter=6, stop_tol=None)
+        assert (len(loads), len(engines)) == (2, 1)
+        for cfg, v, (final, traj) in zip(cfgs, [y, y, z, y], runs):
+            single, straj = qpea.amplify(cfg, evo, v, max_iter=6, stop_tol=None)
+            assert (traj.mode, traj.kappa) == (cfg.mode, cfg.kappa)
+            assert np.array_equal(traj.fidelity, straj.fidelity)
+            assert np.array_equal(final.amplitudes, single.amplitudes)
+
+    def test_trace_suite_is_one_batch(self, monkeypatch):
+        # the three runs of a suite share one engine: one ladder table, y loaded once
+        tables, loads = [], []
+        build, load = qpea.ladder_phase_table, qpea._Engine.load
+        monkeypatch.setattr(qpea, "ladder_phase_table",
+                            lambda *args: tables.append(1) or build(*args))
+        monkeypatch.setattr(qpea._Engine, "load", lambda self, v: loads.append(1) or load(self, v))
+        H, y = experiments.figure_instance(3)
+        evo = encoding.make_evolution(H, m=6)
+        results = experiments.trace_suite(H, y, m=6, max_iter=20, evo=evo)
+        assert (len(tables), len(loads)) == (1, 1)
+        assert [(r.mode, r.kappa) for r in results] == list(experiments.DEFAULT_RUNS)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(1, 5),
+        n=st.integers(1, 4),
+        rank_frac=st.floats(0.0, 1.0),
+        runs=st.lists(st.tuples(st.sampled_from(["qft", "biased"]),
+                                st.floats(0.0, 50.0) | st.just("stagnation"),
+                                st.integers(0, 2)),  # which of three inputs the run reads
+                      min_size=1, max_size=6),
+        stop_tol=st.none() | st.floats(0.01, 0.3),
+        standard=st.booleans(),
+        max_iter=st.integers(0, 12),
+        chunk=st.integers(1, 5),
+        seed=st.integers(0, 2**16),
+    )
+    def test_mixed_batch_matches_each_run_alone(self, m, n, rank_frac, runs, stop_tol,
+                                                standard, max_iter, chunk, seed):
+        # chunks of 1-5 inputs split the batch anywhere, and an input object may
+        # be read by several runs of different configs
+        N = 2**n
+        H = random_psd_matrix(N, max(1, round(rank_frac * N)), seed)
+        evo = encoding.make_evolution(H, m=m, t=0.9 / np.max(np.linalg.eigvalsh(H)))
+        rng = np.random.default_rng(seed)
+        inputs = []
+        for _ in range(3):
+            z = rng.normal(size=N) + 1j * rng.normal(size=N)
+            inputs.append(z / np.linalg.norm(z))
+        cfgs = [qpea.PeaConfig(m=m, mode=mode, standard_grover=standard,
+                               kappa=0.0 if mode == "qft" else qpea.stagnation_kappa(m)
+                               if kappa == "stagnation" else kappa)
+                for mode, kappa, _ in runs]
+        ys = [inputs[j] for _, _, j in runs]
+        with mock.patch.object(qpea, "_BATCH_ELEMENTS",
+                               chunk * 2**m * (evo.nonzero_basis.shape[1] + 1)):
+            batch = qpea.amplify_many(cfgs, evo, ys, max_iter=max_iter, stop_tol=stop_tol)
+        assert len(batch) == len(runs)
+        for cfg, y, (final, traj) in zip(cfgs, ys, batch):
+            ref_final, ref = qpea.amplify(cfg, evo, y, max_iter=max_iter, stop_tol=stop_tol)
+            if stop_tol is not None:  # a marginal within rounding of the tolerance
+                assume(np.all(np.abs(np.abs(ref.qubit0_p0[1:] - 0.5) - stop_tol) > 1e-12))
+            assert traj.stopped_at == ref.stopped_at
+            assert (traj.theta, traj.optimal_iterations) == (ref.theta, ref.optimal_iterations)
+            assert (traj.mode, traj.kappa) == (ref.mode, ref.kappa) == (cfg.mode, cfg.kappa)
+            got, want = (np.column_stack([t.iterations, t.success_prob, t.marked_prob,
+                                          t.fidelity, t.phase_marginals]) for t in (traj, ref))
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-13
+            assert np.max(np.abs(final.amplitudes - ref_final.amplitudes)) <= 1e-12
+
+
 class TestAmplify:
     def test_full_rank_fidelity_high_at_start(self):
         # no zero eigenvalues: the target is y itself and fidelity starts near 1
@@ -826,7 +938,7 @@ class TestCoordinates:
         H = np.diag([0.0, 0.0, 1.0, 2.0])
         evo = encoding.make_evolution(H, m=3)
         y = np.array([0.0, 0.0, 0.6, 0.8])
-        inp = qpea._Pipeline(cfg, evo).load(y)
+        inp = qpea._Engine(evo, cfg.m).load(y)
         assert inp.coords[-1] == 0.0
         assert not np.any(inp.y_null)
         assert_matches_dense(cfg, evo, H, y)
@@ -835,7 +947,7 @@ class TestCoordinates:
         evo = encoding.make_evolution(H, m=3)
         c = np.random.default_rng(40).normal(size=3)
         y = evo.nonzero_basis @ (c / np.linalg.norm(c))
-        assert qpea._Pipeline(cfg, evo).load(y).coords[-1] <= 1e-14
+        assert qpea._Engine(evo, cfg.m).load(y).coords[-1] <= 1e-14
         assert_matches_dense(cfg, evo, H, y)
 
     @pytest.mark.parametrize("mode, kappa", [("qft", 0.0), ("biased", 1.0)])
@@ -1028,8 +1140,8 @@ class TestVerbatimLoad:
         evo = encoding.make_evolution(H, m=4)
         y = np.exp(0.7j) * np.eye(8)[0]
         cfg = qpea.PeaConfig(m=4, kappa=kappa, mode=mode, standard_grover=False)
-        pipe = qpea._Pipeline(cfg, evo)
-        assert pipe.span(pipe.load(y))[1][2] is None  # no Householder axis
+        engine = qpea._Engine(evo, cfg.m)
+        assert engine.span(engine.load(y))[1][2] is None  # no Householder axis
         assert_matches_dense(cfg, evo, H, y)
 
     @pytest.mark.parametrize("mode, kappa", [("qft", 0.0), ("biased", 1.0)])
@@ -1038,8 +1150,8 @@ class TestVerbatimLoad:
         evo = encoding.make_evolution(H, m=4)
         y = np.array([0.5, 0.5, -0.5, 0.5j])
         cfg = qpea.PeaConfig(m=4, kappa=kappa, mode=mode, standard_grover=False)
-        pipe = qpea._Pipeline(cfg, evo)
-        _, _, (_, y_null, e_null) = pipe.span(pipe.load(y))
+        engine = qpea._Engine(evo, cfg.m)
+        _, _, (_, y_null, e_null) = engine.span(engine.load(y))
         assert np.linalg.norm(y_null) == pytest.approx(1.0) and not np.any(e_null)
         assert_matches_dense(cfg, evo, H, y)
 

@@ -226,7 +226,8 @@ class TestRankIndicators:
         assert top2 == {ind.name for ind in true_inds}
 
     def test_one_pipeline_for_all_candidates(self, monkeypatch):
-        # only the input load differs between candidates; the ladder table is built once
+        # only the input load differs between candidates: one engine, built once
+        # with its ladder table (qpea._Engine), serves the whole batch
         tables = []
         build = qpea.ladder_phase_table
         monkeypatch.setattr(qpea, "ladder_phase_table",
