@@ -16,8 +16,7 @@ Usage: python scripts/reproduce_bias_figures.py [--seed 0] [--out traces]
 import argparse
 from pathlib import Path
 
-from qspectral import csvio
-from qspectral.experiments import SUMMARY_HEADER, figure_instance, summary_rows, trace_suite
+from qspectral.experiments import figure_instance, trace_suite, write_traces
 
 
 def main() -> None:
@@ -32,11 +31,7 @@ def main() -> None:
     H, y = figure_instance(args.seed)
     results = trace_suite(H, y, max_iter=args.max_iter, standard_grover=not args.verbatim)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for res in results:
-        csvio.write_trajectory(out / f"trajectory_{res.label}.csv", res.trajectory)
-    csvio.write_rows(out / "summary.csv", SUMMARY_HEADER, summary_rows(results))
+    write_traces(args.out, results)
 
     # theta and t* describe the standard iterate's rotation; the verbatim one has none
     print(f"{'run':>10} {'init success':>13} {'first peak':>11} {'peak fidelity':>14} "
@@ -50,7 +45,7 @@ def main() -> None:
             f"{traj.first_fidelity_peak():>11d} {traj.peak_fidelity:>14.4f} "
             f"{theta:>8} {t_star:>4}"
         )
-    print(f"\nwrote {len(results)} trajectories + summary.csv to {out}/")
+    print(f"\nwrote {len(results)} trajectories + summary.csv to {Path(args.out)}/")
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import classical, csvio, datasets, encoding, graph as graphmod, numerics, qpea, readout
 from .config import ExperimentConfig, load_config
-from .experiments import SUMMARY_HEADER, summary_rows, trace_suite
+from .experiments import trace_input, trace_suite, write_traces
 
 log = logging.getLogger("qspectral")
 
@@ -114,34 +114,15 @@ def cmd_cluster_classical(cfg: ExperimentConfig) -> list[Path]:
 
 
 def cmd_amplify_trace(cfg: ExperimentConfig) -> list[Path]:
-    out = Path(cfg.out_dir)
     H, _, _ = build_operator(cfg)
-    y = datasets.random_range_input(H, cfg.seed + 10_007, (cfg.overlap_min, cfg.overlap_max))
-    results = trace_suite(
-        H,
-        y,
-        m=cfg.pea.m,
-        runs=cfg.runs,
-        max_iter=cfg.amplify.max_iter,
-        standard_grover=cfg.pea.standard_grover,
-        stop_tol=cfg.amplify.stop_tol,
-    )
-    out.mkdir(parents=True, exist_ok=True)
-    paths = []
+    y = trace_input(H, cfg.seed, (cfg.overlap_min, cfg.overlap_max))
+    results = trace_suite(H, y, m=cfg.pea.m, runs=cfg.runs, max_iter=cfg.amplify.max_iter,
+                          standard_grover=cfg.pea.standard_grover, stop_tol=cfg.amplify.stop_tol)
+    paths = write_traces(cfg.out_dir, results)
     for res in results:
-        path = out / f"trajectory_{res.label}.csv"
-        csvio.write_trajectory(path, res.trajectory)
-        paths.append(path)
-        log.info(
-            "amplify-trace %s: first peak %d, peak fidelity %.4f at %d",
-            res.label,
-            res.trajectory.first_fidelity_peak(),
-            res.trajectory.peak_fidelity,
-            res.trajectory.peak_fidelity_iteration,
-        )
-    summary = out / "summary.csv"
-    csvio.write_rows(summary, SUMMARY_HEADER, summary_rows(results))
-    paths.append(summary)
+        traj = res.trajectory
+        log.info("amplify-trace %s: first peak %d, peak fidelity %.4f at %d", res.label,
+                 traj.first_fidelity_peak(), traj.peak_fidelity, traj.peak_fidelity_iteration)
     return paths
 
 
@@ -162,14 +143,8 @@ def cmd_cluster_quantum(cfg: ExperimentConfig) -> list[Path]:
     else:
         candidates = [classical.IndicatorVector(tuple(group), n_points) for group in cfg.candidates]
 
-    pea_cfg = qpea.PeaConfig(
-        m=cfg.pea.m,
-        kappa=cfg.pea.kappa,
-        mode=cfg.pea.mode,
-        standard_grover=cfg.pea.standard_grover,
-    )
     ranked, direct, labels_q = readout.cluster_quantum(
-        H, candidates, pea_cfg, max_iter=cfg.amplify.max_iter, stop_tol=cfg.amplify.stop_tol
+        H, candidates, cfg.pea, max_iter=cfg.amplify.max_iter, stop_tol=cfg.amplify.stop_tol
     )
     agreement = 0.0
     if cfg.candidates == "auto":
@@ -180,8 +155,7 @@ def cmd_cluster_quantum(cfg: ExperimentConfig) -> list[Path]:
     # the Householder terms and gate bound describe the Gram operator only
     gates = terms = "not_applicable"
     if cfg.target == "gram":
-        data = points - points.mean(axis=0) if cfg.gram_centered else points
-        hsum = encoding.householder_decompose(data.T)  # feature columns build the N x N operator
+        hsum = encoding.householder_decompose(encoding.gram_columns(points, cfg.gram_centered))
         gates = encoding.gate_count_estimate(len(hsum), H.shape[0], cfg.pea.m)
         terms = len(hsum)
 

@@ -4,20 +4,27 @@ The default configuration is the trajectory-reproduction preset: a seeded
 random 16x16 PSD matrix with six nonzero eigenvalues, a 6-qubit phase
 register, and amplification runs with the plain QFT mode and bias values
 1 and 20.
+
+The ``pea`` section is a :class:`~qspectral.qpea.PeaConfig`, and each entry
+of ``runs`` is checked as that section with the run's own mode and kappa.
+Keys a section leaves out keep the default section's values.  Errors name
+``<section>.<field>`` (a top-level field by its bare name) or ``runs[i]``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import yaml
+
+from .experiments import DEFAULT_RUNS
+from .qpea import PeaConfig
 
 DATASET_KINDS = ("random_psd", "blobs", "moons", "csv")
 GRAPH_KINDS = ("full", "epsilon", "knn")
 TARGETS = ("laplacian", "normalized_laplacian", "gram", "matrix")
 VARIANTS = ("unnormalized", "normalized", "row_normalized")
-MODES = ("qft", "biased")
 # libyaml's loader when pyyaml was built with it; same safe subset, parsed in C
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 # YAML types accepted per scalar field annotation; a bool is refused where a number is due
@@ -45,21 +52,22 @@ class DatasetSpec:
 
     def __post_init__(self):
         if self.kind not in DATASET_KINDS:
-            raise ValueError(f"dataset.kind must be one of {DATASET_KINDS}, got {self.kind!r}")
+            raise ValueError(f"kind must be one of {DATASET_KINDS}, got {self.kind!r}")
         if self.kind == "csv" and not self.path:
-            raise ValueError("dataset.kind = csv requires dataset.path")
+            raise ValueError("path is required when kind = csv")
         if not 1 <= self.rank <= self.dim:
-            raise ValueError(f"dataset.rank must lie in [1, dim], got {self.rank}")
+            raise ValueError(f"rank must lie in [1, dim], got {self.rank}")
         if not 0.0 < self.eig_min <= self.eig_max:
-            raise ValueError("dataset eigenvalue range must satisfy 0 < eig_min <= eig_max")
+            raise ValueError(f"eig_min must satisfy 0 < eig_min <= eig_max = {self.eig_max}, "
+                             f"got {self.eig_min}")
         if not (isinstance(self.sizes, tuple) and self.sizes
                 and all(_is_int(s) and s > 0 for s in self.sizes)):
-            raise ValueError(f"dataset.sizes must be a list of positive ints, got {self.sizes!r}")
+            raise ValueError(f"sizes must be a list of positive ints, got {self.sizes!r}")
         rows = self.centers if isinstance(self.centers, tuple) else ()
         if not (len(rows) == len(self.sizes)
                 and all(isinstance(r, tuple) and len(r) == len(rows[0]) > 0
                         and all(_is_number(x) for x in r) for r in rows)):
-            raise ValueError(f"dataset.centers must be a list of equal-length number lists, "
+            raise ValueError(f"centers must be a list of equal-length number lists, "
                              f"one per size, got {self.centers!r}")
 
 
@@ -73,25 +81,10 @@ class GraphSpec:
 
     def __post_init__(self):
         if self.kind not in GRAPH_KINDS:
-            raise ValueError(f"graph.kind must be one of {GRAPH_KINDS}, got {self.kind!r}")
-        if self.sigma <= 0 or self.eps <= 0 or self.k < 1:
-            raise ValueError("graph parameters must be positive")
-
-
-@dataclass(frozen=True)
-class PeaSpec:
-    m: int = 6
-    mode: str = "biased"
-    kappa: float = 1.0
-    standard_grover: bool = True
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"pea.m must be >= 1, got {self.m}")
-        if self.kappa < 0:
-            raise ValueError(f"pea.kappa must be >= 0, got {self.kappa}")
-        if self.mode not in MODES:
-            raise ValueError(f"pea.mode must be one of {MODES}, got {self.mode!r}")
+            raise ValueError(f"kind must be one of {GRAPH_KINDS}, got {self.kind!r}")
+        for name in ("sigma", "eps", "k"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -101,9 +94,9 @@ class AmplifySpec:
 
     def __post_init__(self):
         if self.max_iter < 0:
-            raise ValueError(f"amplify.max_iter must be >= 0, got {self.max_iter}")
+            raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
         if self.stop_tol is not None and not 0.0 <= self.stop_tol <= 0.5:
-            raise ValueError(f"amplify.stop_tol must lie in [0, 0.5], got {self.stop_tol}")
+            raise ValueError(f"stop_tol must lie in [0, 0.5], got {self.stop_tol}")
 
 
 @dataclass(frozen=True)
@@ -116,9 +109,9 @@ class ExperimentConfig:
     k: int | str = "auto"
     k_max: int = 8
     variant: str = "unnormalized"
-    pea: PeaSpec = field(default_factory=PeaSpec)
+    pea: PeaConfig = field(default_factory=lambda: PeaConfig(m=6, kappa=1.0, mode="biased"))
     amplify: AmplifySpec = field(default_factory=AmplifySpec)
-    runs: tuple = (("qft", 0.0), ("biased", 1.0), ("biased", 20.0))
+    runs: tuple = DEFAULT_RUNS
     candidates: str | tuple = "auto"
     scrambled: int = 1
     overlap_min: float = 0.25
@@ -138,10 +131,11 @@ class ExperimentConfig:
             raise ValueError("overlap window must satisfy 0 < min <= max <= 1")
         if self.scrambled < 0:
             raise ValueError(f"scrambled must be >= 0, got {self.scrambled}")
-        for run in self.runs:
-            mode, kappa = run
-            if mode not in MODES or float(kappa) < 0:
-                raise ValueError(f"invalid run spec {run!r}")
+        for i, (mode, kappa) in enumerate(self.runs):
+            try:
+                replace(self.pea, mode=mode, kappa=kappa)
+            except ValueError as exc:
+                raise ValueError(f"runs[{i}].{exc}") from None
 
 
 def _is_int(x) -> bool:
@@ -158,19 +152,26 @@ def _check_type(name: str, value, annotation: str):
         raise ValueError(f"{name} must be {annotation}, got {value!r}")
 
 
-def _build(cls, data: dict, context: str):
-    types = {f.name: f.type for f in fields(cls)}
+_DEFAULTS = ExperimentConfig()
+
+
+def _build(base, data: dict, context: str):
+    """``base`` with the keys of ``data`` replaced, type-checked and validated;
+    every error is prefixed with ``<context>.`` here (nothing for top-level)."""
+    types = {f.name: f.type for f in fields(base)}
     unknown = set(data) - set(types)
     if unknown:
         raise ValueError(f"unknown {context} keys: {sorted(unknown)}")
-    prefix = "" if context == "top-level" else f"{context}."
     converted = {}
-    for key, value in data.items():
-        _check_type(prefix + key, value, types[key])
-        if isinstance(value, list):
-            value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
-        converted[key] = value
-    return cls(**converted)
+    try:
+        for key, value in data.items():
+            _check_type(key, value, types[key])
+            if isinstance(value, list):
+                value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
+            converted[key] = value
+        return replace(base, **converted)
+    except ValueError as exc:
+        raise ValueError(("" if context == "top-level" else f"{context}.") + str(exc)) from None
 
 
 def load_config(path=None, seed: int | None = None, out_dir: str | None = None) -> ExperimentConfig:
@@ -189,18 +190,12 @@ def load_config(path=None, seed: int | None = None, out_dir: str | None = None) 
             raise ValueError(f"{path}: top level must be a mapping")
         data = loaded
 
-    sections = {
-        "dataset": DatasetSpec,
-        "graph": GraphSpec,
-        "pea": PeaSpec,
-        "amplify": AmplifySpec,
-    }
     kwargs = {}
     for key, value in data.items():
-        if key in sections:
+        if key in ("dataset", "graph", "pea", "amplify"):
             if not isinstance(value, dict):
                 raise ValueError(f"config section {key!r} must be a mapping")
-            kwargs[key] = _build(sections[key], value, key)
+            kwargs[key] = _build(getattr(_DEFAULTS, key), value, key)
         elif key == "runs":
             if not isinstance(value, list):
                 raise ValueError(f"runs must be a list of runs, got {value!r}")
@@ -232,4 +227,4 @@ def load_config(path=None, seed: int | None = None, out_dir: str | None = None) 
         kwargs["seed"] = int(seed)
     if out_dir is not None:
         kwargs["out_dir"] = str(out_dir)
-    return _build(ExperimentConfig, kwargs, "top-level")
+    return _build(_DEFAULTS, kwargs, "top-level")

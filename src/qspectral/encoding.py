@@ -70,20 +70,24 @@ def gram_matrix(points) -> np.ndarray:
     return (H + H.T) / 2.0
 
 
+def gram_columns(points, centered: bool = False) -> np.ndarray:
+    """Feature columns of the (N, d) points, optionally centered: a (d, N)
+    array whose rows are the Householder terms of :func:`points_gram`."""
+    X = np.asarray(points, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"expected a 2-d data array, got shape {X.shape}")
+    return (X - X.mean(axis=0) if centered else X).T
+
+
 def points_gram(points, centered: bool = False) -> np.ndarray:
     """Pairwise inner-product matrix of the points (order N).
 
     This is the clustering-facing orientation of :func:`gram_matrix`: the
     operator acts on the point-index space where cluster indicators live, and
     its Householder terms are the feature columns (``householder_decompose``
-    of the transposed, optionally centered, data matrix).
+    of :func:`gram_columns`).
     """
-    X = np.asarray(points, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"expected a 2-d data array, got shape {X.shape}")
-    if centered:
-        X = X - X.mean(axis=0)
-    return gram_matrix(X.T)
+    return gram_matrix(gram_columns(points, centered))
 
 
 def householder_decompose(points) -> HouseholderSum:

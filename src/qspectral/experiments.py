@@ -1,12 +1,14 @@
 """Seeded experiment presets shared by the command line, the scripts, and the
-acceptance suite: the rank-deficient figure instance and trajectory sweeps
-over estimation modes and bias values.
+acceptance suite: the rank-deficient figure instance, trajectory sweeps over
+estimation modes and bias values, and the files a sweep is written to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
+from . import csvio
 from .datasets import random_psd_matrix, random_range_input
 from .encoding import EvolutionOperator, make_evolution
 from .qpea import PeaConfig, Trajectory, amplify_many
@@ -35,8 +37,13 @@ def figure_instance(seed: int):
     the nonzero eigenspace lies in (0.25, 0.9).
     """
     H = random_psd_matrix(16, 6, seed, (0.3, 1.0))
-    y = random_range_input(H, seed + 10_007, (0.25, 0.9))
-    return H, y
+    return H, trace_input(H, seed)
+
+
+def trace_input(H, seed: int, overlap_sq=(0.25, 0.9)):
+    """The trajectory experiments' input for H under ``seed``: a random real
+    unit vector whose squared overlap onto range(H) lies in ``overlap_sq``."""
+    return random_range_input(H, seed + 10_007, overlap_sq)
 
 
 def trace_suite(
@@ -64,31 +71,30 @@ def trace_suite(
     return [TraceResult(cfg.mode, cfg.kappa, traj) for cfg, (_, traj) in zip(cfgs, out)]
 
 
-def summary_rows(results: list[TraceResult]) -> list[tuple]:
-    """Per-run summary: initial success, first/peak fidelity iterations."""
+_SUMMARY_HEADER = ("mode", "kappa", "initial_success_prob", "first_peak_iteration",
+                   "peak_fidelity_iteration", "peak_fidelity", "stopped_at")
+
+
+def write_traces(out, results: list[TraceResult]) -> list[Path]:
+    """Write ``trajectory_<label>.csv`` per run and ``summary.csv`` into ``out``.
+
+    Runs whose labels collide would overwrite each other's file, so they are
+    refused before any file is written.
+    """
+    labels = [res.label for res in results]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ValueError(f"runs share the trajectory label {label!r}; "
+                             f"give each run a distinct (mode, kappa)")
+    out = Path(out)
+    paths = [out / f"trajectory_{label}.csv" for label in labels]
     rows = []
-    for res in results:
+    for path, res in zip(paths, results):
         traj = res.trajectory
-        rows.append(
-            (
-                res.mode,
-                float(res.kappa),
-                float(traj.success_prob[0]),
-                int(traj.first_fidelity_peak()),
-                int(traj.peak_fidelity_iteration),
-                float(traj.peak_fidelity),
-                -1 if traj.stopped_at is None else int(traj.stopped_at),
-            )
-        )
-    return rows
-
-
-SUMMARY_HEADER = [
-    "mode",
-    "kappa",
-    "initial_success_prob",
-    "first_peak_iteration",
-    "peak_fidelity_iteration",
-    "peak_fidelity",
-    "stopped_at",
-]
+        csvio.write_trajectory(path, traj)
+        stopped_at = -1 if traj.stopped_at is None else int(traj.stopped_at)
+        rows.append((res.mode, float(res.kappa), float(traj.success_prob[0]),
+                     int(traj.first_fidelity_peak()), int(traj.peak_fidelity_iteration),
+                     float(traj.peak_fidelity), stopped_at))
+    csvio.write_rows(out / "summary.csv", _SUMMARY_HEADER, rows)
+    return paths + [out / "summary.csv"]

@@ -132,11 +132,11 @@ class PeaConfig:
 
     def __post_init__(self):
         if self.m < 1:
-            raise ValueError(f"need m >= 1 phase qubits, got {self.m}")
+            raise ValueError(f"m must be >= 1, got {self.m}")
         if self.kappa < 0:
-            raise ValueError(f"bias coefficient must be nonnegative, got {self.kappa}")
+            raise ValueError(f"kappa must be >= 0, got {self.kappa}")
         if self.mode not in ("qft", "biased"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise ValueError(f"mode must be one of ('qft', 'biased'), got {self.mode!r}")
 
 
 def _norm_sq(v: np.ndarray) -> float:

@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
-from qspectral import cli, csvio, datasets, graph as graphmod, numerics, qpea, readout
+from qspectral import cli, csvio, datasets, encoding, graph as graphmod, numerics, qpea, readout
 from qspectral.classical import IndicatorVector
 from qspectral.config import load_config
 from qspectral.datasets import gaussian_blobs
+from qspectral.experiments import figure_instance, trace_suite, write_traces
 
 
 BLOBS_YAML = """
@@ -78,6 +81,26 @@ class TestConfig:
                 load_config(write_config(tmp_path, f"runs: [{bad}]\n"))
         cfg = load_config(write_config(tmp_path, "runs: [{mode: qft}, {kappa: 2.0}, [biased, 3]]\n"))
         assert cfg.runs == (("qft", 0.0), ("biased", 2.0), ("biased", 3.0))
+
+    @pytest.mark.parametrize("text, key", [
+        ("pea: {kappa: -1}", "pea.kappa"),
+        ("pea: {mode: bogus}", "pea.mode"),
+        ("runs: [{mode: bogus}]", "runs[0].mode"),
+        ("runs: [{kappa: -1.0}]", "runs[0].kappa"),
+        ("runs: [[qft, 0.0], [biased, -2]]", "runs[1].kappa"),
+        ("graph: {sigma: 0}", "graph.sigma"),
+        ("dataset: {eig_min: 2.0}", "dataset.eig_min"),
+    ])
+    def test_value_errors_name_the_field(self, tmp_path, capsys, text, key):
+        p = write_config(tmp_path, text + "\n")
+        with pytest.raises(ValueError, match=re.escape(key)):
+            load_config(p)
+        assert cli.main(["amplify-trace", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} ")
+
+    def test_missing_pea_keys_keep_the_default_section(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, "pea: {m: 8}\n"))
+        assert cfg.pea == qpea.PeaConfig(m=8, kappa=1.0, mode="biased", standard_grover=True)
 
     @pytest.mark.parametrize("text, key", [
         ("runs: 5", "runs"),
@@ -239,6 +262,25 @@ class TestCmdAmplifyTrace:
                      "trajectory_biased_20.csv", "summary.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_colliding_labels_refused(self, tmp_path, capsys):
+        # kappa 1 and 1.0 both label their run biased_1
+        p = write_config(tmp_path, "runs: [{mode: biased, kappa: 1}, {mode: biased, kappa: 1.0}]\n")
+        out = tmp_path / "out"
+        assert cli.main(["amplify-trace", "--config", str(p), "--out", str(out)]) == 2
+        assert "'biased_1'" in capsys.readouterr().err
+        assert list(tmp_path.glob("**/trajectory_*.csv")) == []
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_no_config_writes_the_figure_preset(self, tmp_path, seed):
+        cli_out, script_out = tmp_path / "cli", tmp_path / "script"
+        assert cli.main(["amplify-trace", "--seed", str(seed), "--out", str(cli_out)]) == 0
+        write_traces(script_out, trace_suite(*figure_instance(seed)))
+        names = sorted(path.name for path in script_out.iterdir())
+        assert names == sorted(path.name for path in cli_out.iterdir())
+        assert len(names) == 4
+        for name in names:
+            assert (cli_out / name).read_bytes() == (script_out / name).read_bytes(), name
+
     def test_stagnation_visible_in_summary(self, tmp_path):
         cfg_path = write_config(
             tmp_path,
@@ -324,6 +366,38 @@ class TestCmdClusterQuantum:
         assert cli.main(["cluster-quantum", "--config", str(cfg_path),
                          "--out", str(tmp_path / "out")]) == 0
         assert seen == [(0, None)]
+
+    def test_pea_section_passed_as_is(self, tmp_path, monkeypatch):
+        seen = []
+        run = readout.cluster_quantum
+
+        def recording(H, candidates, cfg, **kwargs):
+            seen.append(cfg)
+            return run(H, candidates, cfg, **kwargs)
+
+        monkeypatch.setattr(readout, "cluster_quantum", recording)
+        cfg = load_config(write_config(tmp_path, BLOBS_YAML), out_dir=tmp_path / "out")
+        cli.cmd_cluster_quantum(cfg)
+        assert len(seen) == 1 and seen[0] is cfg.pea
+
+    @pytest.mark.parametrize("centered", [False, True])
+    def test_householder_terms_rebuild_the_operator(self, tmp_path, monkeypatch, centered):
+        # the reported terms come from the same centering as the operator; the
+        # ranking is stubbed because the centered Gram needs more than m = 6
+        cfg = load_config(write_config(tmp_path, BLOBS_YAML + f"gram_centered: {centered}\n"),
+                          out_dir=tmp_path / "out")
+        H, _, _ = cli.build_operator(cfg)
+        sums = []
+        decompose = encoding.householder_decompose
+        monkeypatch.setattr(encoding, "householder_decompose",
+                            lambda X: sums.append(decompose(X)) or sums[-1])
+        monkeypatch.setattr(readout, "cluster_quantum",
+                            lambda H, cands, *a, **k: ([], [], [-1] * H.shape[0]))
+        cli.cmd_cluster_quantum(cfg)
+        assert len(sums) == 1
+        assert np.max(np.abs(sums[0].reconstruct() - H)) < 1e-10
+        comparison = (tmp_path / "out" / "comparison.txt").read_text()
+        assert f"householder_terms: {len(sums[0])}\n" in comparison
 
     def test_one_eigendecomposition_of_operator(self, tmp_path, monkeypatch):
         cfg_path = write_config(tmp_path, BLOBS_YAML)
