@@ -52,7 +52,6 @@ from .qpea import (
 )
 from .readout import (
     SimilarityReport,
-    approx_cluster_readout,
     cluster_quantum,
     direct_similarity,
     householder_similarity,

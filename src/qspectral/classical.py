@@ -137,13 +137,17 @@ def eigengap_select(eigenvalues, k_max: int) -> int:
     return int(np.argmax(gaps)) + 1
 
 
-def laplacian_eig(g, variant: str = "unnormalized") -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of the variant's Laplacian: D - W for
-    ``unnormalized``, the symmetric normalized one for ``normalized`` and ``row_normalized``."""
+def laplacian_matrix(g, variant: str = "unnormalized") -> np.ndarray:
+    """The variant's Laplacian: D - W for ``unnormalized``, the symmetric
+    normalized one for ``normalized`` and ``row_normalized``."""
     if variant not in ("unnormalized", "normalized", "row_normalized"):
         raise ValueError(f"unknown variant {variant!r}")
-    L = graphmod.laplacian(g) if variant == "unnormalized" else graphmod.normalized_laplacian(g)
-    return numerics.hermitian_eig(L)
+    return graphmod.laplacian(g) if variant == "unnormalized" else graphmod.normalized_laplacian(g)
+
+
+def laplacian_eig(g, variant: str = "unnormalized") -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of :func:`laplacian_matrix`."""
+    return numerics.hermitian_eig(laplacian_matrix(g, variant))
 
 
 def embedding_kmeans(V, k: int, variant: str = "unnormalized",

@@ -46,6 +46,12 @@ def build_graph(cfg: ExperimentConfig, points):
     return graphmod.build_knn_graph(points, g.k)
 
 
+def _target_variant(cfg: ExperimentConfig) -> str:
+    """The Laplacian variant the target names: ``normalized`` for
+    ``normalized_laplacian``, ``unnormalized`` for every other target."""
+    return "normalized" if cfg.target == "normalized_laplacian" else "unnormalized"
+
+
 def build_operator(cfg: ExperimentConfig):
     """Hermitian operator fed to phase estimation, per the configured target."""
     if cfg.target == "matrix":
@@ -57,10 +63,8 @@ def build_operator(cfg: ExperimentConfig):
     points, labels = build_points(cfg)
     if cfg.target == "gram":
         return encoding.points_gram(points, centered=cfg.gram_centered), points, labels
-    g = build_graph(cfg, points)
-    if cfg.target == "laplacian":
-        return graphmod.laplacian(g), points, labels
-    return graphmod.normalized_laplacian(g), points, labels
+    L = classical.laplacian_matrix(build_graph(cfg, points), _target_variant(cfg))
+    return L, points, labels
 
 
 def select_k(cfg: ExperimentConfig, eigenvalues) -> int:
@@ -85,8 +89,7 @@ def cmd_graph(cfg: ExperimentConfig) -> list[Path]:
     out = Path(cfg.out_dir)
     points, _ = build_points(cfg)
     g = build_graph(cfg, points)
-    variant = "normalized" if cfg.target == "normalized_laplacian" else "unnormalized"
-    w, _ = classical.laplacian_eig(g, variant)
+    w, _ = classical.laplacian_eig(g, _target_variant(cfg))
     k = select_k(cfg, w)
     out.mkdir(parents=True, exist_ok=True)
     csvio.write_matrix(out / "W.csv", g.weights)

@@ -13,6 +13,7 @@ Keys a section leaves out keep the default section's values.  Errors name
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -83,8 +84,9 @@ class GraphSpec:
         if self.kind not in GRAPH_KINDS:
             raise ValueError(f"kind must be one of {GRAPH_KINDS}, got {self.kind!r}")
         for name in ("sigma", "eps", "k"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)

@@ -71,8 +71,8 @@ def bias_vector(m: int, kappa: float) -> np.ndarray:
     """Biased superposition (kappa, 1, ..., 1) / sqrt(kappa^2 + 2^m - 1)."""
     if m < 1:
         raise ValueError(f"need m >= 1 phase qubits, got {m}")
-    if kappa < 0:
-        raise ValueError(f"bias coefficient must be nonnegative, got {kappa}")
+    if not (math.isfinite(kappa) and kappa >= 0):
+        raise ValueError(f"bias coefficient must be finite and nonnegative, got {kappa}")
     M = 2**m
     f = np.ones(M, dtype=complex)
     f[0] = kappa
@@ -92,17 +92,10 @@ def bias_reflection(m: int, kappa: float) -> np.ndarray:
     return numerics.proj_reflection(bias_vector(m, kappa))
 
 
-def hadamard_wall(m: int) -> np.ndarray:
-    H1 = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-    out = np.array([[1.0]], dtype=complex)
-    for _ in range(m):
-        out = np.kron(out, H1)
-    return out
-
-
 def _walsh_hadamard(mat: np.ndarray) -> np.ndarray:
-    """hadamard_wall(m) @ mat, in place on a C-contiguous (2^m, ...) array:
-    one butterfly pass per phase qubit, O(m 2^m) per column."""
+    """H^{(x)m} @ mat, the Hadamard gate on each of the m phase qubits, in
+    place on a C-contiguous (2^m, ...) array: one butterfly pass per phase
+    qubit, O(m 2^m) per column."""
     if not mat.flags.c_contiguous:
         raise ValueError("the Walsh-Hadamard transform needs a C-contiguous array")
     M, half = mat.shape[0], 1
@@ -133,8 +126,8 @@ class PeaConfig:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
-        if self.kappa < 0:
-            raise ValueError(f"kappa must be >= 0, got {self.kappa}")
+        if not (math.isfinite(self.kappa) and self.kappa >= 0):
+            raise ValueError(f"kappa must be finite and >= 0, got {self.kappa}")
         if self.mode not in ("qft", "biased"):
             raise ValueError(f"mode must be one of ('qft', 'biased'), got {self.mode!r}")
 

@@ -3,8 +3,9 @@
 Similarity of a candidate vector to the amplified output is measured by
 mapping the candidate onto |0> with a Householder reflection and reading the
 probability of |0>; the classical projector route provides the oracle value.
-An approximate whole-register readout through exp(i * sum_i X_i) is also
-provided.
+The state is read only against given candidates.  ``x_sum_exponential``
+builds exp(i * sum_i X_i); it cannot serve as a candidate-free readout mixer,
+since the uniform superposition is its eigenvector (a global phase e^{in}).
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import numpy as np
 from . import numerics
 from .classical import IndicatorVector, nonzero_eigenvectors
 from .encoding import EvolutionOperator, make_evolution
-from .qpea import PeaConfig, amplify, amplify_many
-from .registers import RegisterState, system_distribution
+from .qpea import PeaConfig, amplify_many
+from .registers import RegisterState
 
 TIE_TOL = 1e-12  # similarities closer than this rank as equal, in input order
 
@@ -87,28 +88,6 @@ def x_sum_exponential(n: int) -> np.ndarray:
     for _ in range(n):
         out = np.kron(out, single)
     return out
-
-
-def approx_cluster_readout(
-    cfg: PeaConfig,
-    evo: EvolutionOperator,
-    max_iter: int = 40,
-    stop_tol: float | None = 0.05,
-) -> np.ndarray:
-    """Approximate clustering readout through the X-sum exponential.
-
-    Starts the system register in the uniform superposition, applies
-    exp(i sum X), runs the amplified pipeline, applies the exponential again,
-    and returns the resulting computational-basis distribution of the system
-    register.  The argmax is the approximate cluster index.
-    """
-    n = evo.n_qubits
-    mixer = x_sum_exponential(n)
-    plus = np.full(2**n, 1.0 / np.sqrt(2**n), dtype=complex)
-    y_in = mixer @ plus
-    state, _ = amplify(cfg, evo, y_in, max_iter=max_iter, stop_tol=stop_tol)
-    dist = system_distribution(state.as_matrix() @ mixer.T)
-    return dist / dist.sum()
 
 
 def rank_indicators(

@@ -1,12 +1,13 @@
 """Dense matrices of the operators the engine applies on coordinates, for tests:
 the 2^(m+n) iterate and the N x N input load W; the phase gates come from the
-public gate builders and the dense QFT below, so no engine code is shared."""
+public gate builders and the dense QFT and Hadamard wall below, so no engine
+code is shared.  :func:`full_state` holds a full register array as a state."""
 
 import numpy as np
 
 from qspectral import numerics
 from qspectral.encoding import EvolutionOperator
-from qspectral.qpea import PeaConfig, bias_reflection, hadamard_wall, marking_vector
+from qspectral.qpea import PeaConfig, bias_reflection, marking_vector
 from qspectral.registers import RegisterState
 
 
@@ -19,6 +20,21 @@ def qft_matrix(m: int) -> np.ndarray:
     M = 2**m
     j = np.arange(M)
     return np.exp(2j * np.pi * np.outer(j, j) / M) / np.sqrt(M)
+
+
+def hadamard_wall(m: int) -> np.ndarray:
+    """Hadamard gate on each of m qubits: the tensor power of H."""
+    H1 = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+    out = np.array([[1.0]], dtype=complex)
+    for _ in range(m):
+        out = np.kron(out, H1)
+    return out
+
+
+def full_state(amps, m: int, n: int) -> RegisterState:
+    """The state with the given 2^(m+n) amplitudes: coefficients on the
+    identity columns of the system register."""
+    return RegisterState(amps, m, n, (np.eye(2**n),))
 
 
 def marking_reflection(m: int, n: int = 0) -> np.ndarray:
@@ -95,7 +111,7 @@ def controlled_power_apply(evo: EvolutionOperator, j: int, state: RegisterState,
     if j < 0:
         raise ValueError(f"power exponent must be nonnegative, got {j}")
     V = evo.eigenvectors
-    mat = state.as_matrix().copy()
+    mat = state.amplitudes.reshape(2**m, 2**state.n).copy()
     mask = (np.arange(2**m) >> (m - 1 - control_qubit)) & 1 == 1
     mat[mask] = ((mat[mask] @ V.conj()) * np.exp(2j * np.pi * evo.eigenphases * float(2**j))) @ V.T
-    return RegisterState(mat.reshape(-1), m, state.n)
+    return full_state(mat.reshape(-1), m, state.n)

@@ -89,6 +89,12 @@ class TestConfig:
         ("runs: [{kappa: -1.0}]", "runs[0].kappa"),
         ("runs: [[qft, 0.0], [biased, -2]]", "runs[1].kappa"),
         ("graph: {sigma: 0}", "graph.sigma"),
+        ("pea: {kappa: .nan}", "pea.kappa"),
+        ("pea: {kappa: .inf}", "pea.kappa"),
+        ("runs: [[biased, .nan]]", "runs[0].kappa"),
+        ("runs: [[qft, 0.0], [biased, .inf]]", "runs[1].kappa"),
+        ("graph: {sigma: .nan}", "graph.sigma"),
+        ("graph: {eps: .inf}", "graph.eps"),
         ("dataset: {eig_min: 2.0}", "dataset.eig_min"),
     ])
     def test_value_errors_name_the_field(self, tmp_path, capsys, text, key):

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from qspectral import encoding, numerics, qpea
 from qspectral.datasets import random_psd_matrix
 from qspectral.errors import PhaseResolutionError
-from qspectral.registers import RegisterState
-
-from dense_reference import controlled_power_apply
+from dense_reference import controlled_power_apply, full_state
 
 
 def random_hermitian(dim, seed):
@@ -237,7 +235,7 @@ class TestControlledPower:
         evo = encoding.make_evolution(H, m=2, t=0.5)
         amps = np.zeros(8, dtype=complex)
         amps[0] = 1.0
-        state = RegisterState(amps, 2, 1)  # phase |00>, system |0>
+        state = full_state(amps, 2, 1)  # phase |00>, system |0>
         out = controlled_power_apply(evo, 0, state, control_qubit=0)
         assert np.array_equal(out.amplitudes, state.amplitudes)
 
@@ -245,7 +243,7 @@ class TestControlledPower:
         evo = encoding.make_evolution(np.zeros((2, 2)), m=1)
         amps = np.zeros(4, dtype=complex)
         amps[2] = 1.0  # control |1>, system |0>
-        state = RegisterState(amps, 1, 1)
+        state = full_state(amps, 1, 1)
         out = controlled_power_apply(evo, 3, state, control_qubit=0)
         assert np.allclose(out.amplitudes, amps)
 
@@ -255,7 +253,7 @@ class TestControlledPower:
         evo = encoding.make_evolution(H, m=2, t=0.25)
         amps = np.zeros(8, dtype=complex)
         amps[2 * 2 + 1] = 1.0  # phase |10> (qubit 0 set), system |1>
-        state = RegisterState(amps, 2, 1)
+        state = full_state(amps, 2, 1)
         out = controlled_power_apply(evo, 1, state, control_qubit=0)
         assert out.amplitudes[2 * 2 + 1] == pytest.approx(-1.0)
 
@@ -265,7 +263,7 @@ class TestControlledPower:
         rng = np.random.default_rng(4)
         amps = rng.normal(size=64) + 1j * rng.normal(size=64)
         amps /= np.linalg.norm(amps)
-        state = RegisterState(amps, 3, 3)
+        state = full_state(amps, 3, 3)
         out = controlled_power_apply(evo, 2, state, control_qubit=1)
         assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-10
 

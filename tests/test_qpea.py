@@ -12,8 +12,9 @@ from qspectral.datasets import random_psd_matrix, random_range_input
 from qspectral.errors import DegenerateTargetError
 from qspectral.registers import RegisterState
 
-from dense_reference import (_with_system, bpea_matrix, controlled_power_apply, iteration_matrix,
-                             ladder_matrix, marking_reflection, prepare_unitary, zero_reflection)
+from dense_reference import (_with_system, bpea_matrix, controlled_power_apply, full_state,
+                             hadamard_wall, iteration_matrix, ladder_matrix, marking_reflection,
+                             prepare_unitary, zero_reflection)
 
 
 def involutory_reflection(R, tol=1e-10):
@@ -42,6 +43,13 @@ class TestBiasVector:
     def test_rejects_negative_kappa(self):
         with pytest.raises(ValueError, match="nonnegative"):
             qpea.bias_vector(3, -1.0)
+
+    @pytest.mark.parametrize("kappa", [np.nan, np.inf])
+    def test_rejects_non_finite_kappa(self, kappa):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            qpea.bias_vector(3, kappa)
+        with pytest.raises(ValueError, match="kappa must be finite"):
+            qpea.PeaConfig(m=3, kappa=kappa, mode="biased")
 
 
 class TestReflections:
@@ -103,18 +111,18 @@ class TestSuccessProbability:
     def test_zero_phase_register(self):
         amps = np.zeros(8, dtype=complex)
         amps[1] = 1.0  # phase |00>, system |1>
-        assert qpea.success_probability(RegisterState(amps, 2, 1)) == 0.0
+        assert qpea.success_probability(full_state(amps, 2, 1)) == 0.0
 
     def test_marking_vector_phase(self):
         f2 = qpea.marking_vector(2)
         sys = np.array([1.0, 0.0], dtype=complex)
-        state = RegisterState(np.kron(f2, sys), 2, 1)
+        state = full_state(np.kron(f2, sys), 2, 1)
         assert qpea.success_probability(state) == pytest.approx(1.0)
 
     def test_uniform_phase(self):
         m = 3
         amps = np.kron(np.full(2**m, 1.0 / np.sqrt(2**m)), np.array([1.0, 0.0]))
-        state = RegisterState(amps.astype(complex), m, 1)
+        state = full_state(amps.astype(complex), m, 1)
         assert qpea.success_probability(state) == pytest.approx(1.0 - 1.0 / 2**m)
 
 
@@ -123,45 +131,32 @@ class TestWalshHadamard:
     def test_matches_hadamard_wall(self, m):
         rng = np.random.default_rng(m)
         mat = rng.normal(size=(2**m, 3)) + 1j * rng.normal(size=(2**m, 3))
-        want = qpea.hadamard_wall(m) @ mat
+        want = hadamard_wall(m) @ mat
         assert np.max(np.abs(qpea._walsh_hadamard(mat.copy()) - want)) <= 1e-12
-
-    def test_verbatim_qft_iterate_builds_no_dense_wall(self, monkeypatch):
-        H = random_psd_matrix(8, 3, seed=48)
-        y = random_range_input(H, seed=48, overlap_sq=(0.2, 0.95))
-        evo = encoding.make_evolution(H, m=4)
-        cfg = qpea.PeaConfig(m=4, mode="qft", standard_grover=False)
-        wall = qpea.hadamard_wall(4)
-
-        def refuse(m):
-            raise AssertionError("dense Hadamard wall built")
-
-        monkeypatch.setattr(qpea, "hadamard_wall", refuse)
-        assert_matches_dense(cfg, evo, H, y)
-        monkeypatch.undo()
-        assert np.array_equal(wall, qpea.hadamard_wall(4))
 
 
 class TestRegisterStateOwnership:
     def test_later_writes_to_the_callers_array_do_not_reach_the_state(self):
         amps = np.zeros(8, dtype=complex)
         amps[3] = 1.0
-        state = RegisterState(amps, 2, 1)
+        state = full_state(amps, 2, 1)
         amps[3], amps[0] = 0.0, 1.0
-        assert (state.amplitudes[3], state.amplitudes[0]) == (1.0, 0.0)
+        assert (state.coefficients.flat[3], state.coefficients.flat[0]) == (1.0, 0.0)
         # a read-only view of a writeable array can still change: copied too
         base = np.zeros(8, dtype=complex)
         base[5] = 1.0
         view = base.view()
         view.flags.writeable = False
-        state = RegisterState(view, 2, 1)
+        state = full_state(view, 2, 1)
         base[5], base[1] = 0.0, 1.0
+        assert (state.coefficients.flat[5], state.coefficients.flat[1]) == (1.0, 0.0)
         assert (state.amplitudes[5], state.amplitudes[1]) == (1.0, 0.0)
+        assert not state.coefficients.flags.writeable
         assert not state.amplitudes.flags.writeable
 
     def test_nan_state_rejected(self):
         with pytest.raises(ValueError, match="is not 1"):
-            RegisterState(np.full(8, np.nan, dtype=complex), 2, 1)
+            full_state(np.full(8, np.nan, dtype=complex), 2, 1)
         with pytest.raises(ValueError, match="is not 1"):
             RegisterState(np.full((4, 2), np.nan, dtype=complex), 2, 2, (np.eye(4)[:, :2],))
         with pytest.raises(ValueError, match="is not 1 at iteration 0"):
@@ -172,6 +167,13 @@ class TestRegisterStateOwnership:
             RegisterState(np.eye(4, 2), 2, 2, (np.eye(8)[:, :2],))
         with pytest.raises(ValueError, match="expected 8 coefficients, got 6"):
             RegisterState(np.eye(2, 3), 2, 2, (np.eye(4)[:, :2],))
+
+    def test_empty_columns_rejected(self):
+        # a state always lives on columns; there is no implicit identity basis
+        with pytest.raises(ValueError, match="columns must hold at least one block"):
+            RegisterState(np.eye(4, 1).ravel(), 2, 0, columns=())
+        with pytest.raises(TypeError, match="columns"):
+            RegisterState(np.eye(8, 1).ravel(), 2, 1)
 
     @pytest.mark.parametrize("entry", ["phase_estimation", "amplify", "amplify_many",
                                        "amplify_stepped"])
@@ -204,7 +206,7 @@ class TestRegisterStateOwnership:
             sims = [readout.register_similarity(state, v) for v in (y, z)]
             peak = tracemalloc.get_traced_memory()[1]
             assert "amplitudes" not in vars(state)
-            mat = state.as_matrix()
+            mat = state.amplitudes.reshape(2**state.m, 2**state.n)
             built = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -318,7 +320,7 @@ class TestDenseBuilders:
         rng = np.random.default_rng(11)
         mat = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
         mat /= np.linalg.norm(mat)
-        out = RegisterState(mat.reshape(-1), 3, 2)
+        out = full_state(mat.reshape(-1), 3, 2)
         for q in range(3):
             out = controlled_power_apply(evo, 3 - 1 - q, out, control_qubit=q)
         assert np.max(np.abs(out.amplitudes - dense @ mat.reshape(-1))) <= 1e-12
@@ -553,8 +555,9 @@ class TestAmplifyMany:
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-10
             assert np.max(np.abs(final.amplitudes - ref_final.amplitudes)) <= 1e-10
+            mat = final.amplitudes.reshape(2**final.m, 2**final.n)
             assert abs(readout.register_similarity(final, y)
-                       - np.sum(np.abs(final.as_matrix() @ y.conj()) ** 2)) <= 1e-12
+                       - np.sum(np.abs(mat @ y.conj()) ** 2)) <= 1e-12
 
     def test_final_coordinate_state_norm_checked(self, monkeypatch):
         # the final state is held on coordinates, and RegisterState holds
@@ -799,7 +802,7 @@ class TestAmplify:
             vec[0] = 1.0
             vec = A @ vec
             for _ in range(5):
-                state = RegisterState(vec, 3, 2)
+                state = full_state(vec, 3, 2)
                 assert qpea.success_probability(state) <= 1e-12
                 vec = Q @ vec
 
@@ -865,7 +868,8 @@ class TestClosedForm:
         assert traj.theta == pytest.approx(np.pi / 2 if marked else 0.0, abs=1e-12)
         assert traj.rotation_residual <= 1e-12
         sign = 1.0 if marked else -1.0  # seven iterates of Q a = -a flip the sign
-        assert np.max(np.abs(final.as_matrix() - sign * a)) <= 1e-12
+        mat = final.amplitudes.reshape(2**final.m, 2**final.n)
+        assert np.max(np.abs(mat - sign * a)) <= 1e-12
 
     def test_iterate_without_marking_raises(self, monkeypatch):
         H = random_psd_matrix(8, 3, seed=30)
@@ -1034,7 +1038,8 @@ class TestCoordinates:
         assert final.coefficients.shape == shapes[0][-2:]
         assert peak < 2**6 * 256 * 16 // 2  # the peak before the final map
         B = np.concatenate(final.columns, axis=1)
-        assert np.max(np.abs(final.as_matrix() - final.coefficients @ B.T)) <= 1e-15
+        mat = final.amplitudes.reshape(2**final.m, 2**final.n)
+        assert np.max(np.abs(mat - final.coefficients @ B.T)) <= 1e-15
 
     def test_batch_keeps_no_basis_copy_per_input(self):
         # near full rank, as for a graph Laplacian: N = 256, r = 240, m = 3.
@@ -1109,7 +1114,7 @@ class TestFactoredState:
         dist = state.phase_distribution()
         sims = [readout.register_similarity(state, v) for v in (y, z)]
         assert "amplitudes" not in vars(state)
-        mat = state.as_matrix()
+        mat = state.amplitudes.reshape(2**state.m, 2**state.n)
         assert np.max(np.abs(state.amplitudes - vec)) <= 1e-10
         assert np.max(np.abs(dist - qpea.phase_distribution(mat))) <= 1e-12
         for v, sim in zip((y, z), sims):
