@@ -8,6 +8,7 @@ they favor clarity and verifiability over speed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -54,11 +55,18 @@ class IndicatorVector:
         object.__setattr__(self, "members", members)
 
     def vector(self) -> np.ndarray:
+        """The unit indicator, built on the first call and read-only, so that
+        every call returns the same array."""
+        return self._vector
+
+    @cached_property
+    def _vector(self) -> np.ndarray:
         v = np.zeros(self.dim)
         v[list(self.members)] = 1.0 / np.sqrt(len(self.members))
+        v.flags.writeable = False
         return v
 
-    @property
+    @cached_property
     def name(self) -> str:
         return "ind_" + "-".join(str(i) for i in self.members)
 

@@ -150,10 +150,11 @@ def cmd_cluster_quantum(cfg: ExperimentConfig) -> list[Path]:
         H, candidates, cfg.pea, max_iter=cfg.amplify.max_iter, stop_tol=cfg.amplify.stop_tol
     )
     agreement = 0.0
-    if cfg.candidates == "auto":
-        true_names = [true_inds[c].name for c in assignment.labels]
-        hits = sum(i >= 0 and ranked[i].y_id == name for i, name in zip(labels_q, true_names))
-        agreement = hits / n_points
+    if cfg.candidates == "auto":  # each point's quantum candidate against its classical cluster
+        quantum_names = np.array([r.y_id for r in ranked] + [""])  # label -1 reads ""
+        true_names = np.array([ind.name for ind in true_inds])
+        agreement = np.count_nonzero(quantum_names[labels_q] == true_names[assignment.labels])
+        agreement /= n_points
 
     # the Householder terms and gate bound describe the Gram operator only
     gates = terms = "not_applicable"

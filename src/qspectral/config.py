@@ -61,6 +61,8 @@ class DatasetSpec:
         if not 0.0 < self.eig_min <= self.eig_max:
             raise ValueError(f"eig_min must satisfy 0 < eig_min <= eig_max = {self.eig_max}, "
                              f"got {self.eig_min}")
+        if not (math.isfinite(self.noise) and self.noise >= 0.0):
+            raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
         if not (isinstance(self.sizes, tuple) and self.sizes
                 and all(_is_int(s) and s > 0 for s in self.sizes)):
             raise ValueError(f"sizes must be a list of positive ints, got {self.sizes!r}")

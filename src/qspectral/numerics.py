@@ -10,6 +10,8 @@ always complex.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConvergenceError
@@ -34,7 +36,7 @@ def as_matrix(A) -> np.ndarray:
 
 
 def is_normalized(v, tol: float = VEC_TOL) -> bool:
-    return abs(np.linalg.norm(v) - 1.0) <= tol
+    return abs(math.sqrt(np.vdot(v, v).real) - 1.0) <= tol
 
 
 def is_hermitian(A, tol: float = VEC_TOL) -> bool:

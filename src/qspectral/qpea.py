@@ -39,21 +39,31 @@ read S.
 A batch of inputs shares one engine (V_nz, the ladder phase table, f2 and
 the phase-bit table), and each input may carry its own config: configs may
 differ in mode and kappa, which only pick the phase gate (one pipeline per
-distinct config over the shared engine), but not in m or the iterate.  The
-closed form reads a chunk of inputs at once: their initial states, each from
-its own phase gate, are stacked into a (k, 2^m, r+1) array of at most
-``_BATCH_ELEMENTS`` entries, and theta, u, v, the quadratic forms, the stop
-rule (each input keeps its own first hit) and each final state at its own t
-are computed for the whole stack.  So is the one simulated iterate, which
-reads no phase gate; every input keeps its own load check, norm checks and
-rotation check, and its trajectory its own mode and kappa.
+config object over the shared engine), but not in m or the iterate.  Each
+input is loaded (checked for its dimension and unit norm) on its own, and
+the loaded inputs are projected onto [V_nz, y_null] together; a real V_nz
+multiplies the real and imaginary parts of an input as the two columns of
+one real product, so it is never cast to complex.  The closed form reads a
+chunk of inputs at once: their initial states, each from its own phase
+gate, are stacked into a (k, 2^m, r+1) array of at most ``_BATCH_ELEMENTS``
+entries, and theta, the quadratic forms, the stop rule (each input keeps its
+own first hit), the one simulated iterate and each final state at its own
+t are computed for the whole stack.  Every check (nothing to amplify, norm,
+rotation) is one array test over the inputs that raises the error of the
+first failing one.  What stays per input is its load call, its trajectory,
+with its own mode and kappa, and its RegisterState.
+
+No product of a batch mixes inputs: the projection and every read of the
+stack are stacks of per-input products, not one (N x K) GEMM, whose column j
+can differ in its last bits from the product of input j alone.  So each run
+of a batch is bit for bit the run of its input alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -136,17 +146,35 @@ def _norm_sq(v: np.ndarray) -> float:
     return float(np.vdot(v, v).real)
 
 
-def _extend(B: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The coordinates of v on [B, u] and the unit column u of v off the
-    orthonormal columns B, projected off them twice; a remainder the second
-    pass more than halves is rounding in span B, and u is zero."""
-    coords, rest, norms_sq = 0.0, v, []
-    for _ in range(2):
+def _extend(B: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row v of a (k, n) stack: its coordinates on [B, u] and the
+    unit column u of v off the orthonormal columns B, projected off them
+    twice; a remainder the second pass more than halves is rounding in
+    span B, and u is zero.  A real B works on the real and imaginary parts
+    of v as the two columns of an (n, 2) real array, so it is never cast to
+    complex.  Each row's products are its own, whatever the stack holds."""
+    if B.dtype == np.float64:
+        rest = np.ascontiguousarray(V).view(np.float64).reshape(len(V), -1, 2)
+        d = B.T @ rest
+        rest = rest - B @ d
+        norm0_sq = (rest * rest).sum(axis=(1, 2))
+        d2 = B.T @ rest
+        rest -= B @ d2
+        norm_sq = (rest * rest).sum(axis=(1, 2))
+        coords, rest = (d + d2).view(complex)[..., 0], rest.view(complex)[..., 0]
+    else:  # rows as (1, n) matrices, so that each row's products are its own
+        rest = V[:, None, :]
         d = (rest.conj() @ B).conj()
-        coords, rest = coords + d, rest - B @ d
-        norms_sq.append(_norm_sq(rest))
-    nu = math.sqrt(norms_sq[1]) if norms_sq[1] > 0.25 * norms_sq[0] else 0.0
-    return np.concatenate([coords, [nu]]), rest / nu if nu else np.zeros_like(rest)
+        rest = rest - d @ B.T
+        norm0_sq = _norms_sq(rest)
+        d2 = (rest.conj() @ B).conj()
+        rest -= d2 @ B.T
+        norm_sq = _norms_sq(rest)
+        coords, rest = (d + d2)[:, 0], rest[:, 0]
+    keep = norm_sq > 0.25 * norm0_sq
+    nu = np.sqrt(norm_sq, out=np.zeros(len(V)), where=keep)
+    return (np.concatenate([coords, nu[:, None]], axis=1),
+            np.divide(rest, nu[:, None], out=np.zeros_like(rest), where=keep[:, None]))
 
 
 def success_probability(state: RegisterState) -> float:
@@ -168,13 +196,22 @@ def stagnation_kappa(m: int) -> float:
 # the estimation pipeline
 
 
-class _Input(NamedTuple):
-    """A checked input y and its coordinates (c, nu) on the columns
-    [V_nz, y_null]; V_nz is the engine's, shared by every input."""
+class _Input:
+    """An input loaded by :meth:`_Engine.load`: y, checked to be a unit
+    vector of the system dimension, its coordinates ``coords`` = (c, nu) on
+    the columns [V_nz, y_null] (V_nz is the engine's, shared by every input)
+    and ``y_null``, zero when y has no null-space part.  The inputs one
+    engine loads are projected together, in one stacked product, on the
+    first read of either attribute of any of them."""
 
-    y: np.ndarray
-    coords: np.ndarray  # (r + 1,)
-    y_null: np.ndarray  # (2^n,), zero when y has no null-space part
+    def __init__(self, y: np.ndarray, engine: _Engine):
+        self.y, self._engine = y, engine
+
+    def __getattr__(self, name: str):  # only until the projection sets both attributes
+        if name not in ("coords", "y_null"):
+            raise AttributeError(name)
+        self._engine.project()
+        return self.__dict__[name]
 
 
 class _Engine:
@@ -189,7 +226,7 @@ class _Engine:
 
     def __init__(self, evo: EvolutionOperator, m: int):
         self.evo, self.m = evo, m
-        self.n = evo.n_qubits
+        self.n = int(evo.dim).bit_length() - 1
         if 2**self.n != evo.dim:
             raise ValueError(f"evolution dimension {evo.dim} is not a power of two")
         M = 2**m
@@ -197,18 +234,33 @@ class _Engine:
         self.nonzero_basis = evo.nonzero_basis
         self.table = np.ones((M, self.nonzero_basis.shape[1] + 2), dtype=complex)
         self.table[:, :-2] = ladder_phase_table(evo, m)  # y_null and e_null get phase 1
-        bits = np.arange(M)[:, None] >> np.arange(m)[::-1]  # msb-first phase bits
-        self.zero_bits = (bits & 1 == 0).astype(float)  # (2^m, m), 1 where the bit is 0
+        phases = np.arange(M)[:, None]
+        bits = phases >> np.arange(m)[::-1]  # msb-first phase bits
+        # the phase-register columns of a trajectory row as weights on the
+        # phase rows: success (phase != 0), then each qubit's P0
+        self.observables = np.concatenate([phases > 0, bits & 1 == 0], axis=1).astype(float)
+        self.marked_observables = self.f2.real ** 2 @ self.observables  # f2 is real
+        self.unprojected: list[_Input] = []
 
     def load(self, y) -> _Input:
-        """The input checked to be a unit vector of the system dimension, with
-        its coordinates on [V_nz, y_null]."""
+        """The input checked to be a unit vector of the system dimension; its
+        coordinates on [V_nz, y_null] come with the next :meth:`project`."""
         y = numerics.as_vector(y)
         if y.size != self.evo.dim:
             raise ValueError(f"input dim {y.size} does not match operator dim {self.evo.dim}")
         if not numerics.is_normalized(y, 1e-10):
             raise ValueError("input state must be unit norm")
-        return _Input(y, *_extend(self.nonzero_basis, y))
+        inp = _Input(y, self)
+        self.unprojected.append(inp)
+        return inp
+
+    def project(self) -> None:
+        """Give every input loaded since the last call its coordinates and
+        y_null, all from one stacked projection."""
+        inputs, self.unprojected = self.unprojected, []
+        coords, y_null = _extend(self.nonzero_basis, np.array([inp.y for inp in inputs]))
+        for inp, c, u in zip(inputs, coords, y_null):
+            inp.coords, inp.y_null = c, u
 
     def span(self, inp: _Input) -> tuple[np.ndarray, tuple, tuple]:
         """A loaded input's coordinates on [V_nz, y_null, e_null], the input
@@ -216,7 +268,8 @@ class _Engine:
         or None), and the columns (V_nz, y_null, e_null)."""
         w, phase = numerics.householder_axis(inp.y)
         e0 = np.eye(1, inp.y.size, dtype=complex)[0]
-        e0_coords, e_null = _extend(np.column_stack([self.nonzero_basis, inp.y_null]), e0)
+        (e0_coords,), (e_null,) = _extend(np.column_stack([self.nonzero_basis, inp.y_null]),
+                                          e0[None])
         coords = np.append(inp.coords, 0.0)
         d = coords - phase * e0_coords  # y - phase e0, the axis unnormalized
         axis = None if w is None else d / np.sqrt(_norm_sq(d))
@@ -377,12 +430,13 @@ def amplify_many(
     ``cfg`` is one config for every input, or a sequence of one config per
     input: the configs may differ in mode and kappa, but not in m or
     ``standard_grover``.  The nonzero eigenspace, the ladder phase table and
-    the marking vector are built once, each distinct config adds only its
+    the marking vector are built once, each config object adds only its
     phase gate, and the standard iterate reads a whole chunk of inputs, of
     any mix of configs, in one closed form; the verbatim one steps each input.
-    Every input is checked (and its fidelity target formed) before any
-    iterate runs, once per input object however often it is passed.  Each
-    final state is held on the input's coordinates.
+    Every input is loaded once per input object however often it is passed,
+    all of them are projected onto the eigenspace together, and every check
+    runs before any iterate; a failing batch raises the error of its first
+    failing input.  Each final state is held on the input's coordinates.
     """
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
@@ -395,14 +449,20 @@ def amplify_many(
     if not cfgs:
         return []
     engine = _Engine(evo, cfgs[0].m)
-    pipes, loaded, runs = {}, {}, []  # a pipeline per distinct config, a load per input object
-    for c, y in zip(cfgs, ys):
-        if c not in pipes:
-            pipes[c] = _Pipeline(c, engine)
-        if id(y) not in loaded:
-            inp = engine.load(y)
-            loaded[id(y)] = inp, _fidelity_target(inp.coords)
-        runs.append((pipes[c], *loaded[id(y)]))
+    loaded = {}  # a load per input object
+    try:
+        for y in ys:
+            if id(y) not in loaded:
+                loaded[id(y)] = engine.load(y)
+    except ValueError:  # an earlier input with nothing to amplify fails first
+        _check_targets(list(loaded.values()))
+        raise
+    _check_targets(list(loaded.values()))
+    pipes = {}  # a pipeline per config object
+    for c in cfgs:
+        if id(c) not in pipes:
+            pipes[id(c)] = _Pipeline(c, engine)
+    runs = [(pipes[id(c)], loaded[id(y)]) for c, y in zip(cfgs, ys)]
     if not cfgs[0].standard_grover:
         return [_step(*run, max_iter, stop_tol) for run in runs]
     return list(_closed_form_runs(runs, max_iter, stop_tol))
@@ -422,65 +482,75 @@ def amplify_stepped(
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     engine = _Engine(evo, cfg.m)
     inp = engine.load(y)
-    return _step(_Pipeline(cfg, engine), inp, _fidelity_target(inp.coords), max_iter, stop_tol)
+    _check_targets([inp])
+    return _step(_Pipeline(cfg, engine), inp, max_iter, stop_tol)
 
 
-def _fidelity_target(coords: np.ndarray) -> np.ndarray:
-    """The conjugated fidelity target (c* / |c|, 0) on an input's coordinates:
-    the normalized projection of y onto the nonzero eigenspace."""
-    c = coords[:-1]
-    if c.size == 0:
+def _check_targets(inputs: Sequence[_Input]) -> None:
+    """Raise unless every loaded input has a projection onto the nonzero
+    eigenspace to amplify, one array test over all of them."""
+    if not inputs:
+        return
+    coords = np.array([inp.coords for inp in inputs])
+    if coords.shape[1] == 1:
         raise DegenerateTargetError("operator has no nonzero eigenvalues")
-    amplitude = np.sqrt(_norm_sq(c))
-    if amplitude <= 1e-12:
+    if np.count_nonzero(_norms_sq(coords[:, :-1]) > 1e-24) < len(coords):  # |c| > 1e-12
         raise DegenerateTargetError("input lies in the null space of the operator")
-    return np.concatenate([c.conj(), [0.0]]) / amplitude
 
 
-def _check_norm(norm_sq: float, t: int) -> None:
-    """Raise unless iterate t, of squared norm ``norm_sq``, is a unit vector."""
-    norm = np.sqrt(norm_sq)
-    if not abs(norm - 1.0) <= NORM_TOL:
+def _fidelity_targets(coords: np.ndarray) -> np.ndarray:
+    """The conjugated fidelity targets (c* / |c|, 0), one per row of a stack
+    of input coordinates (c, nu): the normalized projection of each input
+    onto the nonzero eigenspace."""
+    targets = coords.conj()
+    targets[:, -1] = 0.0
+    targets /= np.sqrt(_norms_sq(targets))[:, None]
+    return targets
+
+
+def _check_norm(norm_sq, t: int) -> None:
+    """Raise unless iterate t, of squared norm ``norm_sq``, is a unit vector;
+    ``norm_sq`` may hold one value per input, and the first failing input's
+    norm is named.  |norm - 1| <= NORM_TOL is tested on the square, as
+    |norm^2 - (1 + NORM_TOL^2)| <= 2 NORM_TOL."""
+    ok = np.abs(norm_sq - (1.0 + NORM_TOL**2)) <= 2.0 * NORM_TOL
+    if np.count_nonzero(ok) < ok.size:
+        norm = math.sqrt(np.ravel(norm_sq)[np.argmin(ok)])
         raise ValueError(f"state norm {norm:.12g} is not 1 at iteration {t}")
 
 
 def _closed_form_runs(runs: list, max_iter: int,
                       stop_tol: float | None) -> Iterator[tuple[RegisterState, Trajectory]]:
-    """The standard iterate's runs, each a (pipeline, loaded input, fidelity
-    target) over one shared engine, read in closed form a chunk at a time: a
-    chunk's stacked (k, 2^m, r+1) states hold at most :data:`_BATCH_ELEMENTS`
-    entries (one input at the least).  Each input's initial state comes from
-    its own pipeline's phase gate, one call per stretch of consecutive inputs
-    on the same pipeline."""
+    """The standard iterate's runs, each a (pipeline, loaded input) over one
+    shared engine, read in closed form a chunk at a time: a chunk's stacked
+    (k, 2^m, r+1) states hold at most :data:`_BATCH_ELEMENTS` entries (one
+    input at the least)."""
     engine = runs[0][0].engine
     size = max(1, _BATCH_ELEMENTS // (2**engine.m * runs[0][1].coords.size))
     for start in range(0, len(runs), size):
-        pipes, inputs, targets_conj = zip(*runs[start:start + size])
-        coords = np.array([inp.coords for inp in inputs])
-        cuts = [j for j in range(1, len(pipes)) if pipes[j] is not pipes[j - 1]]
-        A = np.concatenate([pipes[i].initial(coords[i:j])
-                            for i, j in zip([0, *cuts], [*cuts, len(pipes)])])
-        finals, trajs = _rotate(pipes, A, np.array(targets_conj), max_iter, stop_tol)
+        pipes, inputs = zip(*runs[start:start + size])
+        finals, trajs = _rotate(pipes, np.array([inp.coords for inp in inputs]), max_iter,
+                                stop_tol)
         for inp, final, traj in zip(inputs, finals, trajs):
             yield (RegisterState(final, engine.m, engine.n, (engine.nonzero_basis, inp.y_null)),
                    traj)
 
 
-def _step(pipe: _Pipeline, inp: _Input, target_conj: np.ndarray, max_iter: int,
+def _step(pipe: _Pipeline, inp: _Input, max_iter: int,
           stop_tol: float | None) -> tuple[RegisterState, Trajectory]:
     """The amplification run of one loaded input with every iterate stepped
     on coordinates [V_nz, y_null, e_null]."""
     engine = pipe.engine
     coords, W, columns = engine.span(inp)
     a = pipe.initial(coords)
-    target_conj = np.append(target_conj, 0.0)  # zero on e_null too
-    rows = []  # per iterate: P(phase 0), marked, fidelity, P0 per phase qubit
+    target_conj = np.append(_fidelity_targets(inp.coords[None])[0], 0.0)  # zero on e_null too
+    rows = []  # per iterate: success, P0 per phase qubit, marked, fidelity
 
     def record(mat: np.ndarray):
         pd = phase_distribution(mat)
         _check_norm(pd.sum(), len(rows))
-        rows.append([pd[0], _norm_sq(engine.f2.conj() @ mat), _norm_sq(mat @ target_conj),
-                     *(pd @ engine.zero_bits)])
+        rows.append([*(pd @ engine.observables), _norm_sq(engine.f2.conj() @ mat),
+                     _norm_sq(mat @ target_conj)])
 
     mat = a
     record(mat)
@@ -488,7 +558,7 @@ def _step(pipe: _Pipeline, inp: _Input, target_conj: np.ndarray, max_iter: int,
     for t in range(1, max_iter + 1):
         mat = pipe.iterate(mat, a, W)
         record(mat)
-        if stop_tol is not None and abs(rows[-1][3] - 0.5) <= stop_tol:  # P0 of phase qubit 0
+        if stop_tol is not None and abs(rows[-1][1] - 0.5) <= stop_tol:  # P0 of phase qubit 0
             stopped_at = t
             break
     return (RegisterState(mat, engine.m, engine.n, columns),
@@ -497,8 +567,9 @@ def _step(pipe: _Pipeline, inp: _Input, target_conj: np.ndarray, max_iter: int,
 
 _ROW_BLOCK = 64  # closed-form rows evaluated per step of the stop rule
 _TINY = np.finfo(float).tiny
-_BATCH_ELEMENTS = 2**12  # coordinate entries per (k, 2^m, r+1) stack read in closed form
+_BATCH_ELEMENTS = 2**13  # coordinate entries per (k, 2^m, r+1) stack read in closed form
 ROTATION_TOL = 1e-10  # largest distance of one simulated iterate from the closed form
+_FIRST_AND_LAST = np.array([[True], [False]])  # rows of the iterates read back: 1 and the last
 
 
 def _norms_sq(stack: np.ndarray) -> np.ndarray:
@@ -507,86 +578,121 @@ def _norms_sq(stack: np.ndarray) -> np.ndarray:
     return (flat * flat).sum(axis=-1)
 
 
-def _rotate(pipes: Sequence[_Pipeline], A: np.ndarray, targets_conj: np.ndarray, max_iter: int,
+def _rotate(pipes: Sequence[_Pipeline], coords: np.ndarray, max_iter: int,
             stop_tol: float | None) -> tuple[np.ndarray, list[Trajectory]]:
     """The standard iterate read in closed form on the plane of u and v, for
-    a stack A of initial states, each in its input's coordinates and from
-    its own pipeline in ``pipes`` (all over one engine); returns the stack of
-    final states in those coordinates and one trajectory per input, with its
-    pipeline's mode and kappa.  ``targets_conj`` holds the conjugated
-    fidelity targets.
+    a stack of input coordinates (k, r+1) on [V_nz, y_null], each input run
+    under its own pipeline in ``pipes`` (all over one engine); returns the
+    stack of final states in those coordinates and one trajectory per input,
+    with its pipeline's mode and kappa.  Each input's initial state comes
+    from its own pipeline's phase gate, one call per stretch of consecutive
+    inputs on the same pipeline (the stack is built here, so that it is freed
+    once read).
 
     With s, c = sin, cos((2t+1) theta), iterate t is (-1)^t (s u + c v), so
     any squared projection |L x|^2 is the quadratic form s^2 |Lu|^2 +
     c^2 |Lv|^2 + 2 s c Re<Lu, Lv>; the coefficient columns below hold it for
-    P(phase 0), the marked projection (s^2), the fidelity and each phase
-    qubit's P0.  Under a stop rule, rows are evaluated a block at a time for
-    the inputs that have not stopped, so an input's early stop computes only
-    the block it falls in.  A degenerate plane (theta = 0 or pi/2) leaves
-    the missing direction zero and the trajectory constant.
+    the success probability and each phase qubit's P0 (read per phase row),
+    the marked projection (s^2) and the fidelity.  The marked part
+    P_f2 a = f2 (x) w, w = f2^dag a, is rank one: per phase row |u|^2 =
+    |f2|^2 and <u, v> = f2 <w, v> / sin, and <Lu, Lv> = 0 for the fidelity,
+    which acts on the system register only.  u and v are kept unnormalized
+    and scaled where read, and the simulated iterate's buffer becomes its
+    distance from the closed form, so that few state-sized arrays are alive
+    at once.  Every input's numbers come from its own rows of each stack,
+    whatever else the batch holds, and each check is one array test that
+    names the first failing input.
+
+    Under a stop rule, rows are evaluated a block at a time for the inputs
+    that have not stopped, so an input's early stop computes only the block
+    it falls in.  A degenerate plane (theta = 0 or pi/2) leaves the missing
+    direction zero and the trajectory constant.
     """
-    engine, k = pipes[0].engine, len(A)
-    f2 = engine.f2
-    w = f2.conj() @ A  # P_f2 a = f2 (x) w
-    v = A - f2[:, None] * w[:, None]  # (1 - P_f2) a, normalized below
-    w_sq, v_sq = _norms_sq(w), _norms_sq(v)
-    for norm_sq in w_sq + v_sq:  # |a|^2 = |P_f2 a|^2 + |(1 - P_f2) a|^2, as |f2| = 1
-        _check_norm(norm_sq, 0)
-    sin0, cos0 = np.sqrt(w_sq), np.sqrt(v_sq)
+    engine, (k, R) = pipes[0].engine, coords.shape
+    f2, m = engine.f2.real, engine.m  # the marking vector is real
+    M = f2.size
+    cuts = [j for j in range(1, k) if pipes[j] is not pipes[j - 1]]
+    A = np.concatenate([pipes[i].initial(coords[i:j]) for i, j in zip([0, *cuts], [*cuts, k])])
+    targets_conj = _fidelity_targets(coords)
+    # runtime invariant: one simulated iterate per input, checked below; the
+    # standard iterate reads no phase gate, so one pipeline's serves the stack
+    Q1 = pipes[0].iterate(A, A, None)
+    w = engine.f2.conj() @ A
+    u = engine.f2[:, None] * w[:, None]  # P_f2 a = f2 (x) w, normalized below
+    v = A - u  # (1 - P_f2) a, normalized below
+    del A  # few state-sized arrays are alive at once
+    sin_sq, cos_sq = _norms_sq(w), _norms_sq(v)
+    v_rows = np.einsum("kmj,kmj->km", v.view(np.float64), v.view(np.float64))  # |v|^2 per phase row
+    # <w| and <target| on v, per phase row, as matrix-vector products
+    w_v, target_v = ((v @ x[:, :, None])[..., 0] for x in (w.conj(), targets_conj))
+    _check_norm(sin_sq + cos_sq, 0)  # |a|^2 = |P_f2 a|^2 + |(1 - P_f2) a|^2, as |f2| = 1
+    sin0, cos0 = np.sqrt(sin_sq), np.sqrt(cos_sq)
     theta = np.arctan2(sin0, cos0)
     # a zero part stays zero; a part below _TINY has theta 0 or pi/2 and no weight
-    u = f2[:, None] * (w / np.maximum(sin0, _TINY)[:, None])[:, None]
-    v /= np.maximum(cos0, _TINY)[:, None, None]
-
-    quad = np.empty((k, 3, f2.size))  # per phase row: <u,u>, <v,v>, 2 Re<u,v>
-    quad[:, 0], quad[:, 1] = phase_distribution(u), phase_distribution(v)
-    quad[:, 2] = 2.0 * (u.conj() * v).sum(axis=-1).real
-    fu, fv = u @ targets_conj[:, :, None], v @ targets_conj[:, :, None]
-    forms = np.empty((k, 3, 3 + engine.m))
-    forms[:, :, 0] = quad[:, :, 0]
-    forms[:, :, 1] = (1.0, 0.0, 0.0)
-    forms[:, 0, 2], forms[:, 1, 2] = _norms_sq(fu), _norms_sq(fv)
-    forms[:, 2, 2] = 2.0 * (fu.conj() * fv).sum(axis=(1, 2)).real
-    forms[:, :, 3:] = quad @ engine.zero_bits
+    s, c = np.maximum(sin0, _TINY), np.maximum(cos0, _TINY)
+    fu = (w * targets_conj).sum(axis=-1)  # <target|P_f2 a>, the same in every marked row
+    read = (np.concatenate([v_rows, w_v.real * (2.0 * f2)], axis=-1).reshape(k, 2, M)
+            @ engine.observables) / c[:, None, None]
+    forms = np.empty((k, 3, m + 3))  # columns: success, P0 per phase qubit, marked, fidelity
+    forms[:, 0, :m + 1] = engine.marked_observables * (sin0 > 0.0)[:, None]
+    forms[:, 1, :m + 1] = read[:, 0] / c[:, None]
+    forms[:, 2, :m + 1] = read[:, 1] / s[:, None]
+    forms[:, :, m + 1] = (1.0, 0.0, 0.0)
+    forms[:, 0, m + 2] = (fu.real ** 2 + fu.imag ** 2) / s / s
+    forms[:, 1, m + 2] = _norms_sq(target_v) / c / c
+    forms[:, 2, m + 2] = 0.0
+    del v_rows, w_v, target_v, read
+    stops = np.zeros(k, dtype=int) + (max_iter + 1)  # each input's stopping iterate, or beyond
     if stop_tol is None:  # one block, every input runs to max_iter
-        rows, stops = list(_rows(np.arange(max_iter + 1), theta, forms)), [None] * k
+        blocks = [(range(k), _rows(np.arange(max_iter + 1), theta, forms))]
     else:
-        blocks, stops = [[] for _ in range(k)], [None] * k
-        live = np.arange(k)  # the inputs still running
+        blocks, live, live_theta, live_forms = [], np.arange(k), theta, forms
         for start in range(0, max_iter + 1, _ROW_BLOCK):
             t = np.arange(start, min(start + _ROW_BLOCK, max_iter + 1))
-            block = _rows(t, theta[live], forms[live])
-            hits = (t >= 1) & (np.abs(block[:, :, 3] - 0.5) <= stop_tol)
-            first = np.where(hits.any(axis=1), hits.argmax(axis=1), -1)  # first stop, or -1
-            for j, block_rows, hit in zip(live.tolist(), block, first.tolist()):
-                blocks[j].append(block_rows if hit < 0 else block_rows[:hit + 1])
-                stops[j] = None if hit < 0 else int(t[hit])
-            live = live[first < 0]
-            if not live.size:
-                break
-        rows = [b[0] if len(b) == 1 else np.concatenate(b) for b in blocks]
+            block = _rows(t, live_theta, live_forms)
+            hits = np.abs(block[:, :, 1] - 0.5) <= stop_tol  # P0 of phase qubit 0
+            hits[:, 0] &= start > 0  # iterate 0 never stops
+            stopped = hits.any(axis=1)
+            blocks.append((live.tolist(), block))
+            if stopped.any():
+                stops[live[stopped]] = t[hits.argmax(axis=1)[stopped]]
+                if stopped.all():
+                    break
+                live, live_theta, live_forms = (x[~stopped] for x in (live, live_theta, live_forms))
 
-    # iterate t of each input: its first (the check) and its last (the final state)
-    t = np.array([1] * k + [len(r) - 1 for r in rows])
-    angle = (2 * t + 1) * np.concatenate([theta, theta])
+    # iterate 1 (the check) and the last one (the final state) of each input:
+    # (-1)^t (s u + c v), with u and v the parts above over sin and cos
+    _check_norm(_norms_sq(Q1), 1)
+    t = np.where(_FIRST_AND_LAST, 1, np.minimum(stops, max_iter))  # (2, k)
+    angle = (2 * t + 1) * theta
     sign = np.where(t % 2, -1.0, 1.0)  # (-1)^t
-    sin_t, cos_t = (sign * np.sin(angle))[:, None, None], (sign * np.cos(angle))[:, None, None]
-    # runtime invariant: one simulated iterate per input; the standard iterate
-    # reads no phase gate, so one pipeline's iterate serves the whole stack
-    Q1 = pipes[0].iterate(A, A, None)
-    for norm_sq in _norms_sq(Q1):
-        _check_norm(norm_sq, 1)
-    residuals = np.abs(Q1 - (sin_t[:k] * u + cos_t[:k] * v)).max(axis=(1, 2))
+    along_u = (sign * np.sin(angle) / s)[..., None, None]
+    along_v = (sign * np.cos(angle) / c)[..., None, None]
+    u, v = u.view(np.float64), v.view(np.float64)
+    drift = Q1.view(np.float64)  # the simulated iterate 1 less the closed form's, in its place
+    del Q1
+    drift -= along_u[0] * u
+    drift -= along_v[0] * v
+    residuals = np.abs(drift.view(complex)).max(axis=(1, 2))
+    del drift
+    ok = residuals <= ROTATION_TOL
+    if np.count_nonzero(ok) < k:
+        raise ValueError(f"iterate leaves the two-plane rotation by {residuals[np.argmin(ok)]:.3g} "
+                         "at iteration 1")
+    parts = [[] for _ in range(k)]
+    for live, block in blocks:
+        for j, block_rows in zip(live, block):
+            parts[j].append(block_rows)
     trajs = []
-    for pipe, residual, r, stopped_at, th in zip(pipes, residuals.tolist(), rows, stops,
-                                                 theta.tolist()):
-        if not residual <= ROTATION_TOL:
-            raise ValueError(f"iterate leaves the two-plane rotation by {residual:.3g} "
-                             "at iteration 1")
-        t_star = int(round(np.pi / (4.0 * th) - 0.5)) if th > 0.0 else 0
-        trajs.append(_trajectory(pipe.cfg, r, stopped_at, theta=th, optimal_iterations=t_star,
-                                 rotation_residual=residual))
-    return sin_t[k:] * u + cos_t[k:] * v, trajs
+    for pipe, rows, last, stop, th, residual in zip(pipes, parts, t[1].tolist(), stops.tolist(),
+                                                    theta.tolist(), residuals.tolist()):
+        rows = (rows[0] if len(rows) == 1 else np.concatenate(rows))[:last + 1]
+        t_star = round(math.pi / (4.0 * th) - 0.5) if th > 0.0 else 0
+        trajs.append(_trajectory(pipe.cfg, rows, stop if stop <= max_iter else None, theta=th,
+                                 optimal_iterations=t_star, rotation_residual=residual))
+    u *= along_u[1]  # the last iterate, the final state, in u's place
+    u += along_v[1] * v
+    return u.view(complex), trajs
 
 
 def _rows(t: np.ndarray, theta: np.ndarray, forms: np.ndarray) -> np.ndarray:
@@ -603,14 +709,15 @@ def _rows(t: np.ndarray, theta: np.ndarray, forms: np.ndarray) -> np.ndarray:
 
 def _trajectory(cfg: PeaConfig, rows: np.ndarray, stopped_at: int | None,
                 **rotation) -> Trajectory:
-    """A Trajectory of a run under ``cfg`` from per-iterate rows of P(phase
-    0), marked projection, fidelity and the phase-qubit P0s."""
+    """A Trajectory of a run under ``cfg`` from per-iterate rows of the
+    success probability, the phase-qubit P0s, the marked projection and the
+    fidelity."""
     return Trajectory(
         iterations=np.arange(rows.shape[0]),
-        success_prob=1.0 - rows[:, 0],
-        marked_prob=rows[:, 1],
-        fidelity=rows[:, 2],
-        phase_marginals=rows[:, 3:],
+        success_prob=rows[:, 0],
+        marked_prob=rows[:, -2],
+        fidelity=rows[:, -1],
+        phase_marginals=rows[:, 1:-2],
         stopped_at=stopped_at,
         mode=cfg.mode,
         kappa=cfg.kappa,

@@ -62,8 +62,29 @@ def register_similarity(state: RegisterState, y) -> float:
     reflection, with the phase register traced out.  It is |S conj(B^dag y)|^2
     on the state's coefficients S and columns B, so no register array is built.
     """
-    overlaps = state.system_overlaps(numerics.as_vector(y))
-    return float(min(1.0, np.vdot(overlaps, overlaps).real))
+    return _register_similarities([state], [y])[0]
+
+
+def _register_similarities(states: Sequence[RegisterState], ys: Sequence) -> list[float]:
+    """:func:`register_similarity` of each state with its candidate, for
+    states on column blocks of equal shapes, as one :func:`amplify_many` call
+    returns them: a block that is one array for every state (V_nz there) is
+    read in one call for all candidates, each candidate's product its own."""
+    Y = np.asarray(ys, dtype=complex).conj()  # (K, 2^n)
+    if Y.ndim != 2 or Y.shape[0] != len(states):
+        raise ValueError(f"expected {len(states)} candidate vectors, got shape {Y.shape}")
+    overlaps = []  # conj(B^dag y), block by block, (K, width)
+    for blocks in zip(*(state.columns for state in states)):
+        if blocks[0].shape[0] != Y.shape[1]:
+            raise ValueError(f"system dim {blocks[0].shape[0]} does not match candidate dim "
+                             f"{Y.shape[1]}")
+        if all(b is blocks[0] for b in blocks):  # row by row, as vector-matrix products
+            overlaps.append((Y[:, None, :] @ blocks[0])[:, 0])
+        else:
+            overlaps.append((Y[:, :, None] * np.array(blocks)).sum(axis=1))
+    reads = (np.array([state.coefficients for state in states])
+             @ np.concatenate(overlaps, axis=1)[:, :, None])  # <y|psi_p> per phase row
+    return np.minimum(1.0, (reads.real ** 2 + reads.imag ** 2).sum(axis=(1, 2))).tolist()
 
 
 def direct_similarity(H, y) -> float:
@@ -110,9 +131,10 @@ def rank_indicators(
         evo = make_evolution(H, cfg.m)
     ys = [c.vector() for c in candidates]
     runs = amplify_many(cfg, evo, ys, max_iter=max_iter, stop_tol=stop_tol)
+    if not runs:
+        return []
     return _ranked([c.name for c in candidates],
-                   [register_similarity(state, y) for (state, _), y in zip(runs, ys)],
-                   "householder")
+                   _register_similarities([state for state, _ in runs], ys), "householder")
 
 
 def _ranked(names, similarities, method: str) -> list[SimilarityReport]:
@@ -139,8 +161,10 @@ def cluster_quantum(H, candidates: Sequence[IndicatorVector], cfg: PeaConfig, ma
     ranked = rank_indicators(H, candidates, cfg, max_iter=max_iter, stop_tol=stop_tol, evo=evo)
     oracle = span_similarities(evo.nonzero_basis, [c.vector() for c in candidates])
     direct = _ranked([c.name for c in candidates], oracle, "direct")
-    by_name = {c.name: c for c in candidates}
-    labels = np.full(evo.dim, -1, dtype=int)
-    for i in reversed(range(len(ranked))):  # better ranks overwrite worse ones
-        labels[list(by_name[ranked[i].y_id].members)] = i
+    members = {c.name: c.members for c in candidates}
+    groups = [members[r.y_id] for r in ranked]
+    labels = np.full(evo.dim, len(ranked), dtype=int)  # the best rank over each point's candidates
+    np.minimum.at(labels, np.array([p for group in groups for p in group], dtype=int),
+                  np.repeat(np.arange(len(ranked)), [len(group) for group in groups]))
+    labels[labels == len(ranked)] = -1
     return ranked, direct, labels

@@ -10,6 +10,7 @@ unless its amplitudes are read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -44,17 +45,17 @@ class RegisterState:
     def __post_init__(self):
         if self.m < 0 or self.n < 0 or self.m + self.n < 1:
             raise ValueError(f"invalid register sizes m={self.m}, n={self.n}")
-        blocks = tuple(c if c.ndim == 2 else c[:, None] for c in map(np.asarray, self.columns))
+        blocks = tuple([c if c.ndim == 2 else c[:, None] for c in map(np.asarray, self.columns)])
         if not blocks:
             raise ValueError("columns must hold at least one block")
-        if any(b.shape[0] != 2**self.n for b in blocks):
+        if any([b.shape[0] != 2**self.n for b in blocks]):
             raise ValueError(f"columns must have {2**self.n} rows")
-        width = sum(b.shape[1] for b in blocks)
+        width = sum([b.shape[1] for b in blocks])
         S = np.array(self.coefficients, dtype=complex)
         if S.size != 2**self.m * width:
             raise ValueError(f"expected {2**self.m * width} coefficients, got {S.size}")
         S = S.reshape(2**self.m, width)
-        norm = np.sqrt(np.vdot(S, S).real)
+        norm = math.sqrt(np.vdot(S, S).real)
         if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state norm {norm:.12g} is not 1")
         S.flags.writeable = False
@@ -76,11 +77,3 @@ class RegisterState:
         """Probability of each phase-register basis state, |S_p|^2 per row
         since B is orthonormal."""
         return phase_distribution(self.coefficients)
-
-    def system_overlaps(self, y: np.ndarray) -> np.ndarray:
-        """<y|psi_p> for each phase row psi_p of the register array, read as
-        S B^T conj(y)."""
-        if y.size != 2**self.n:
-            raise ValueError(f"system dim {2**self.n} does not match candidate dim {y.size}")
-        yc = y.conj()
-        return self.coefficients @ np.concatenate([yc @ b for b in self.columns])

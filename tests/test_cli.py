@@ -96,6 +96,8 @@ class TestConfig:
         ("graph: {sigma: .nan}", "graph.sigma"),
         ("graph: {eps: .inf}", "graph.eps"),
         ("dataset: {eig_min: 2.0}", "dataset.eig_min"),
+        ("dataset: {kind: blobs, noise: -0.08}", "dataset.noise"),
+        ("dataset: {kind: blobs, noise: .nan}", "dataset.noise"),
     ])
     def test_value_errors_name_the_field(self, tmp_path, capsys, text, key):
         p = write_config(tmp_path, text + "\n")

@@ -488,6 +488,57 @@ class TestAmplifyMany:
                 qpea.amplify_many(cfg, evo, ys, max_iter=3, stop_tol=None)
         assert iterates == []
 
+    @pytest.mark.parametrize("first, second, error, match", [
+        ("null", "unit", DegenerateTargetError, "null"),
+        ("unit", "null", ValueError, "unit norm"),
+        ("null", "dim", DegenerateTargetError, "null"),
+        ("dim", "unit", ValueError, "does not match"),
+    ])
+    def test_earlier_bad_input_raises_first(self, first, second, error, match):
+        # two different bad inputs in one batch: the error is the earlier one's
+        H = np.diag([0.0, 0.0, 1.0, 2.0])
+        evo = encoding.make_evolution(H, m=3)
+        cfg = qpea.PeaConfig(m=3, kappa=1.0, mode="biased", standard_grover=True)
+        bad = {"unit": np.array([0.0, 0.0, 1.0, 1.0]), "null": np.array([0.6, 0.8, 0.0, 0.0]),
+               "dim": np.ones(8) / np.sqrt(8)}
+        good = np.array([0.5, 0.5, 0.5, 0.5])
+        with pytest.raises(error, match=match):
+            qpea.amplify_many(cfg, evo, [good, bad[first], good, bad[second]], max_iter=3)
+
+    def test_failure_in_third_input_of_a_chunk(self, monkeypatch):
+        # four inputs in one chunk; a norm or rotation failure of the third one
+        # raises the message that input raises when it runs alone
+        H = random_psd_matrix(8, 3, seed=29)
+        evo = encoding.make_evolution(H, m=4)
+        cfg = qpea.PeaConfig(m=4, kappa=1.0, mode="biased", standard_grover=True)
+        ys = [random_range_input(H, seed=s, overlap_sq=(0.2, 0.95)) for s in (29, 30, 31, 32)]
+        assert 4 * 2**4 * 4 <= qpea._BATCH_ELEMENTS
+        rotate = qpea._rotate
+
+        def leaky(*args):
+            finals, trajs = rotate(*args)
+            finals[2] *= 1.0 + 1e-8
+            return finals, trajs
+
+        monkeypatch.setattr(qpea, "_rotate", leaky)
+        with pytest.raises(ValueError, match=r"^state norm 1.00000001 is not 1$"):
+            qpea.amplify_many(cfg, evo, ys, max_iter=5, stop_tol=None)
+        monkeypatch.setattr(qpea, "_rotate", rotate)
+
+        step = qpea._Pipeline.iterate
+        messages = []
+        for batch, index in ((ys, 2), (ys[2:3], 0)):
+            def turned(self, mat, a, W, index=index):  # unit norm, off the two-plane rotation
+                out = step(self, mat, a, W)
+                out[index] *= np.exp(0.1j)
+                return out
+
+            monkeypatch.setattr(qpea._Pipeline, "iterate", turned)
+            with pytest.raises(ValueError, match="leaves the two-plane rotation") as err:
+                qpea.amplify_many(cfg, evo, batch, max_iter=5, stop_tol=None)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
     def test_amplify_is_single_input_case(self):
         H = random_psd_matrix(8, 3, seed=25)
         evo = encoding.make_evolution(H, m=4)
@@ -930,6 +981,76 @@ def assert_matches_dense(cfg, evo, H, y, max_iter=8, run=qpea.amplify):
     assert got.shape == rows.shape
     assert np.max(np.abs(got - rows)) <= 1e-10
     assert np.max(np.abs(final.amplitudes - vec)) <= 1e-10
+
+
+def complex_product_load(V, y):
+    """An input's coordinates (c, nu) on [V, y_null] and y_null from complex
+    products with V, projected off it twice, under the same halving rule."""
+    coords, rest, norms_sq = 0.0, y, []
+    for _ in range(2):
+        d = (rest.conj() @ V.astype(complex)).conj()
+        coords, rest = coords + d, rest - V.astype(complex) @ d
+        norms_sq.append(np.vdot(rest, rest).real)
+    nu = np.sqrt(norms_sq[1]) if norms_sq[1] > 0.25 * norms_sq[0] else 0.0
+    return np.append(coords, nu), rest / nu if nu else np.zeros_like(rest)
+
+
+class TestLoad:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 6), rank_frac=st.floats(0.0, 1.0), cplx=st.booleans(),
+           kind=st.sampled_from(["generic", "near", "inside"]), seed=st.integers(0, 2**32 - 1))
+    def test_real_arithmetic_load_matches_complex_product(self, n, rank_frac, cplx, kind, seed):
+        # a real V_nz multiplies the real and imaginary parts of y as one real
+        # product; against complex products: coordinates and nu y_null within
+        # 1e-14 (y_null itself when nu is not small) and the same nu = 0
+        # decision.  An input inside span V_nz has a remainder of pure
+        # rounding, so its eigenvectors are exact here (a permuted diagonal H)
+        N = 2**n
+        rank = max(1, round(rank_frac * N))
+        rng = np.random.default_rng(seed)
+        if kind == "inside":
+            Q = np.eye(N)[rng.permutation(N)] * (1j if cplx else 1.0)
+        else:
+            Q, _ = np.linalg.qr(rng.normal(size=(N, N))
+                                + (1j * rng.normal(size=(N, N)) if cplx else 0.0))
+        lam = np.zeros(N)
+        lam[:rank] = rng.uniform(0.3, 1.0, size=rank)
+        H = (Q * lam) @ Q.conj().T
+        evo = encoding.make_evolution((H + H.conj().T) / 2, m=3, t=0.9 / lam.max())
+        V = evo.nonzero_basis
+        z = V @ (rng.normal(size=V.shape[1]) + 1j * rng.normal(size=V.shape[1]))
+        if kind != "inside":
+            w = rng.normal(size=N) + 1j * rng.normal(size=N)
+            z = z + (1e-4 if kind == "near" else 1.0) * np.linalg.norm(z) * w / np.linalg.norm(w)
+        y = z / np.linalg.norm(z)
+        inp = qpea._Engine(evo, 3).load(y)
+        coords, y_null = complex_product_load(V, y)
+        assert (inp.coords[-1] == 0.0) == (coords[-1] == 0.0)
+        assert np.max(np.abs(inp.coords - coords)) <= 1e-14
+        assert np.max(np.abs(inp.coords[-1] * inp.y_null - coords[-1] * y_null)) <= 1e-14
+        if kind == "generic":
+            assert np.max(np.abs(inp.y_null - y_null)) <= 1e-14
+        if kind == "inside":
+            assert coords[-1] == 0.0
+
+    def test_inputs_loaded_together_are_projected_together(self, monkeypatch):
+        # one stacked projection for every loaded input, each row its own:
+        # the same coordinates as each input loaded alone
+        H = random_psd_matrix(16, 5, seed=51)
+        ys = [random_range_input(H, seed=s, overlap_sq=(0.2, 0.95)) for s in range(51, 55)]
+        evo = encoding.make_evolution(H, m=4)
+        projections = []
+        extend = qpea._extend
+        monkeypatch.setattr(qpea, "_extend",
+                            lambda B, V: projections.append(len(V)) or extend(B, V))
+        engine = qpea._Engine(evo, 4)
+        inputs = [engine.load(y) for y in ys]
+        assert projections == []
+        together = [(inp.coords, inp.y_null) for inp in inputs]
+        assert projections == [4]
+        for y, (coords, y_null) in zip(ys, together):
+            alone = qpea._Engine(evo, 4).load(y)
+            assert np.array_equal(alone.coords, coords) and np.array_equal(alone.y_null, y_null)
 
 
 class TestCoordinates:
