@@ -118,9 +118,11 @@ def cmd_cluster_classical(cfg: ExperimentConfig) -> list[Path]:
 
 def cmd_amplify_trace(cfg: ExperimentConfig) -> list[Path]:
     H, _, _ = build_operator(cfg)
-    y = trace_input(H, cfg.seed, (cfg.overlap_min, cfg.overlap_max))
+    evo = encoding.make_evolution(H, cfg.pea.m)  # its nonzero basis is range(H): one eigh
+    y = trace_input(evo.nonzero_basis, cfg.seed, (cfg.overlap_min, cfg.overlap_max))
     results = trace_suite(H, y, m=cfg.pea.m, runs=cfg.runs, max_iter=cfg.amplify.max_iter,
-                          standard_grover=cfg.pea.standard_grover, stop_tol=cfg.amplify.stop_tol)
+                          standard_grover=cfg.pea.standard_grover, stop_tol=cfg.amplify.stop_tol,
+                          evo=evo)
     paths = write_traces(cfg.out_dir, results)
     for res in results:
         traj = res.trajectory

@@ -46,6 +46,13 @@ def random_psd_matrix(dim: int = 16, rank: int = 6, seed: int = 0,
     nonzero eigenvalues are drawn uniformly from ``eig_range``, which keeps
     the spectrum resolvable by a moderate phase register.
     """
+    return random_psd_range(dim, rank, seed, eig_range)[0]
+
+
+def random_psd_range(dim: int = 16, rank: int = 6, seed: int = 0,
+                     eig_range: tuple[float, float] = (0.3, 1.0)) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`random_psd_matrix` and an orthonormal basis of its range, the
+    ``rank`` drawn eigenvectors of its nonzero eigenvalues as columns."""
     if not 1 <= rank <= dim:
         raise ValueError(f"rank must satisfy 1 <= rank <= dim={dim}, got {rank}")
     lo, hi = eig_range
@@ -58,23 +65,29 @@ def random_psd_matrix(dim: int = 16, rank: int = 6, seed: int = 0,
     lam = np.zeros(dim)
     lam[:rank] = rng.uniform(lo, hi, size=rank)
     H = (Q * lam) @ Q.T
-    return (H + H.T) / 2.0
+    return (H + H.T) / 2.0, Q[:, :rank]
 
 
 def random_range_input(H, seed: int = 0,
                        overlap_sq: tuple[float, float] = (0.25, 0.9)) -> np.ndarray:
-    """Random real unit vector whose squared projection onto the nonzero
-    eigenspace of H falls inside ``overlap_sq`` (rejection sampling over at
-    most :data:`MAX_TRIES` draws; a window no draw meets is a ``ValueError``)."""
-    _, V = nonzero_eigenvectors(H)
+    """:func:`range_input` on the eigenvectors of the nonzero eigenvalues of H."""
+    return range_input(nonzero_eigenvectors(H)[1], seed, overlap_sq)
+
+
+def range_input(V, seed: int = 0, overlap_sq: tuple[float, float] = (0.25, 0.9)) -> np.ndarray:
+    """Random real unit vector whose squared projection onto the span of the
+    orthonormal columns V falls inside ``overlap_sq`` (rejection sampling over
+    at most :data:`MAX_TRIES` draws; a window no draw meets is a
+    ``ValueError``)."""
     if V.shape[1] == 0:
         raise ValueError("operator has no nonzero eigenvalues")
     rng = np.random.default_rng(seed)
     lo, hi = overlap_sq
+    V_dag = V.conj().T
     for _ in range(MAX_TRIES):
-        y = rng.normal(size=H.shape[0])
+        y = rng.normal(size=V.shape[0])
         y /= np.linalg.norm(y)
-        p = float(np.linalg.norm(V.conj().T @ y) ** 2)
+        p = float(np.linalg.norm(V_dag @ y) ** 2)
         if lo <= p <= hi:
             return y
     raise ValueError(f"no input with squared overlap in [{lo}, {hi}] found in "

@@ -117,13 +117,13 @@ def linearize(H) -> tuple[np.ndarray, float]:
     phases of the surrogate approximate eigenvalue/k to third order.
     """
     H = numerics.as_matrix(H)
-    k = _linear_scale(H)
+    k = _linear_scale(numerics.matrix_1norm(H))
     return np.eye(H.shape[0], dtype=complex) - 1j * H / k, k
 
 
-def _linear_scale(H: np.ndarray) -> float:
-    """The divisor k = 10 * ||H||_1 of :func:`linearize`."""
-    k = 10.0 * numerics.matrix_1norm(H)
+def _linear_scale(norm1: float) -> float:
+    """The divisor k = 10 * ||H||_1 of :func:`linearize`, from ``norm1`` = ||H||_1."""
+    k = 10.0 * norm1
     if k == 0.0:
         raise ValueError("zero matrix cannot be linearized (k = 0)")
     return k
@@ -136,9 +136,11 @@ class EvolutionOperator:
     Backends: ``exact_exponential`` is U = exp(2*pi*i*t*H) with eigenphase
     t*lambda_j; ``linearized`` unitarizes I - iH/k so the eigenphase is
     -arctan(lambda_j/k)/(2*pi).  Eigenvalues within ``zero_tol`` (always
-    ``default_zero_tol(H)``) of zero are pinned to phase exactly 0 in both
-    backends.  The eigenvectors are real for a real H; the unitary itself is
-    built only when :attr:`unitary` is read.
+    ``default_zero_tol`` of ||H||_1) of zero are pinned to phase exactly 0 in
+    both backends.  The eigenvectors are real for a real H; the unitary itself
+    is built only when :attr:`unitary` is read.  :func:`make_evolution`
+    returns its arrays read-only, since what is cached on the operator is
+    built from them.
     """
 
     backend: str
@@ -167,6 +169,15 @@ class EvolutionOperator:
         return np.abs(self.eigenvalues) > self.zero_tol
 
     @cached_property
+    def engines(self) -> dict:
+        """The phase-estimation engines built on this operator, by phase
+        width m, filled by :mod:`qspectral.qpea` on first use.  An engine
+        holds this operator's arrays but no reference to the operator, so the
+        two form no reference cycle and both are freed with the last
+        reference to the operator."""
+        return {}
+
+    @cached_property
     def nonzero_basis(self) -> np.ndarray:
         """Eigenvectors of the nonzero eigenvalues, as columns: selected on
         the first read and read-only, so every later read shares the array."""
@@ -192,14 +203,15 @@ def make_evolution(
     H = numerics.as_matrix(H)
     if m < 1:
         raise ValueError(f"need at least one phase qubit, got m={m}")
-    zero_tol = default_zero_tol(H)
-    w, V = numerics.hermitian_eig(H)
+    norm1 = numerics.matrix_1norm(H)  # one norm for the zero threshold and the solve's check
+    zero_tol = default_zero_tol(norm1)
+    w, V = numerics.hermitian_eig(H, norm1=norm1)
     nz = np.abs(w) > zero_tol
     M = 2**m
 
     if backend == "exact_exponential":
         if t is None:
-            if not np.any(nz):
+            if not nz.any():
                 t = 1.0
             else:
                 if w[0] < -zero_tol:
@@ -213,7 +225,7 @@ def make_evolution(
                         f"m={m} leaves no resolvable phase window (cap {cap:.4g} < {2.0 / M:.4g})"
                     )
                 lam_max = float(w[-1])
-                lam_min = float(np.min(np.abs(w[nz])))
+                lam_min = float(np.abs(w[nz]).min())
                 t = cap / lam_max
                 if t * lam_min < 2.0 / M - 1e-12:
                     raise PhaseResolutionError(
@@ -221,17 +233,19 @@ def make_evolution(
                         f"< 2/2^m = {2.0 / M:.6g}; not separable from the zero bin"
                     )
         phases = np.where(nz, t * w, 0.0)
-        if np.any(phases < 0.0) or np.any(phases >= 1.0):
+        if (phases < 0.0).any() or (phases >= 1.0).any():
             bad = phases[(phases < 0.0) | (phases >= 1.0)][0]
             raise PhaseResolutionError(f"eigenphase {bad:.6g} outside [0, 1) at t={t:.6g}")
         scale = None
     elif backend == "linearized":
-        k = _linear_scale(H)
+        k = _linear_scale(norm1)
         phases = np.where(nz, -np.arctan(w / k) / (2.0 * np.pi), 0.0)
         t, scale = None, k
     else:
         raise ValueError(f"unknown backend {backend!r}")
 
+    for array in (w, V, phases):  # the engines kept on the operator read them
+        array.flags.writeable = False
     return EvolutionOperator(
         backend=backend,
         time=t,

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import csvio
-from .datasets import random_psd_matrix, random_range_input
+from .datasets import random_psd_range, range_input
 from .encoding import EvolutionOperator, make_evolution
 from .qpea import PeaConfig, Trajectory, amplify_many
 
@@ -34,16 +34,18 @@ def figure_instance(seed: int):
 
     H is a random 16 x 16 PSD matrix of rank 6 with nonzero eigenvalues drawn
     from (0.3, 1); y is a random real unit input whose squared overlap onto
-    the nonzero eigenspace lies in (0.25, 0.9).
+    the nonzero eigenspace lies in (0.25, 0.9), drawn against the eigenbasis
+    H was built from, so that H is not diagonalized here.
     """
-    H = random_psd_matrix(16, 6, seed, (0.3, 1.0))
-    return H, trace_input(H, seed)
+    H, V = random_psd_range(16, 6, seed, (0.3, 1.0))
+    return H, trace_input(V, seed)
 
 
-def trace_input(H, seed: int, overlap_sq=(0.25, 0.9)):
-    """The trajectory experiments' input for H under ``seed``: a random real
-    unit vector whose squared overlap onto range(H) lies in ``overlap_sq``."""
-    return random_range_input(H, seed + 10_007, overlap_sq)
+def trace_input(V, seed: int, overlap_sq=(0.25, 0.9)):
+    """The trajectory experiments' input under ``seed`` for an operator whose
+    range has the orthonormal columns V: a random real unit vector whose
+    squared overlap onto range(H) lies in ``overlap_sq``."""
+    return range_input(V, seed + 10_007, overlap_sq)
 
 
 def trace_suite(

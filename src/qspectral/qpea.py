@@ -36,22 +36,26 @@ holds V_nz by reference and builds the (2^m, 2^n) register array S B^T only
 when its amplitudes are read; its observables and the similarity readout
 read S.
 
-A batch of inputs shares one engine (V_nz, the ladder phase table, f2 and
-the phase-bit table), and each input may carry its own config: configs may
-differ in mode and kappa, which only pick the phase gate (one pipeline per
-config object over the shared engine), but not in m or the iterate.  Each
-input is loaded (checked for its dimension and unit norm) on its own, and
-the loaded inputs are projected onto [V_nz, y_null] together; a real V_nz
-multiplies the real and imaginary parts of an input as the two columns of
-one real product, so it is never cast to complex.  The closed form reads a
-chunk of inputs at once: their initial states, each from its own phase
-gate, are stacked into a (k, 2^m, r+1) array of at most ``_BATCH_ELEMENTS``
-entries, and theta, the quadratic forms, the stop rule (each input keeps its
-own first hit), the one simulated iterate and each final state at its own
-t are computed for the whole stack.  Every check (nothing to amplify, norm,
-rotation) is one array test over the inputs that raises the error of the
-first failing one.  What stays per input is its load call, its trajectory,
-with its own mode and kappa, and its RegisterState.
+Every call on one operator and m shares one engine (V_nz, the ladder phase
+table, f2 and the phase-bit table): it is built on the first call and kept
+on the operator, and it holds the operator's arrays but no reference back,
+so the operator is still freed with its last reference.  The engine is
+read-only; what a call loads stays in the call.  Within a call each input
+may carry its own config: configs may differ in mode and kappa, which only
+pick the phase gate (one pipeline per config object over the shared engine;
+the gate's arrays are cached per (m, mode, kappa)), but not in m or the
+iterate.  Each input is loaded (checked for its dimension and unit norm) on
+its own, and once all are loaded they are projected onto [V_nz, y_null]
+together; a real V_nz multiplies the real and imaginary parts of an input as
+the two columns of one real product, so it is never cast to complex.  The
+closed form reads a chunk of inputs at once: their initial states, each from
+its own phase gate, are stacked into a (k, 2^m, r+1) array of at most
+``_BATCH_ELEMENTS`` entries, and theta, the quadratic forms, the stop rule
+(each input keeps its own first hit), the one simulated iterate and each
+final state at its own t are computed for the whole stack.  Every check
+(nothing to amplify, norm, rotation) is one array test over the inputs that
+raises the error of the first failing one.  What stays per input is its load
+call, its trajectory, with its own mode and kappa, and its RegisterState.
 
 No product of a batch mixes inputs: the projection and every read of the
 stack are stacks of per-input products, not one (N x K) GEMM, whose column j
@@ -61,9 +65,10 @@ of a batch is bit for bit the run of its input alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -157,10 +162,10 @@ def _extend(B: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rest = np.ascontiguousarray(V).view(np.float64).reshape(len(V), -1, 2)
         d = B.T @ rest
         rest = rest - B @ d
-        norm0_sq = (rest * rest).sum(axis=(1, 2))
+        norm0_sq = np.add.reduce(rest * rest, axis=(1, 2))
         d2 = B.T @ rest
         rest -= B @ d2
-        norm_sq = (rest * rest).sum(axis=(1, 2))
+        norm_sq = np.add.reduce(rest * rest, axis=(1, 2))
         coords, rest = (d + d2).view(complex)[..., 0], rest.view(complex)[..., 0]
     else:  # rows as (1, n) matrices, so that each row's products are its own
         rest = V[:, None, :]
@@ -174,7 +179,7 @@ def _extend(B: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     keep = norm_sq > 0.25 * norm0_sq
     nu = np.sqrt(norm_sq, out=np.zeros(len(V)), where=keep)
     return (np.concatenate([coords, nu[:, None]], axis=1),
-            np.divide(rest, nu[:, None], out=np.zeros_like(rest), where=keep[:, None]))
+            np.divide(rest, nu[:, None], out=np.zeros(rest.shape, complex), where=keep[:, None]))
 
 
 def success_probability(state: RegisterState) -> float:
@@ -196,22 +201,15 @@ def stagnation_kappa(m: int) -> float:
 # the estimation pipeline
 
 
-class _Input:
-    """An input loaded by :meth:`_Engine.load`: y, checked to be a unit
-    vector of the system dimension, its coordinates ``coords`` = (c, nu) on
+class _Inputs(NamedTuple):
+    """Inputs projected together by :meth:`_Engine.project`, one row per
+    input: y (checked by :meth:`_Engine.load`), its coordinates (c, nu) on
     the columns [V_nz, y_null] (V_nz is the engine's, shared by every input)
-    and ``y_null``, zero when y has no null-space part.  The inputs one
-    engine loads are projected together, in one stacked product, on the
-    first read of either attribute of any of them."""
+    and y_null, zero when y has no null-space part."""
 
-    def __init__(self, y: np.ndarray, engine: _Engine):
-        self.y, self._engine = y, engine
-
-    def __getattr__(self, name: str):  # only until the projection sets both attributes
-        if name not in ("coords", "y_null"):
-            raise AttributeError(name)
-        self._engine.project()
-        return self.__dict__[name]
+    ys: np.ndarray  # (K, N)
+    coords: np.ndarray  # (K, r+1)
+    y_null: np.ndarray  # (K, N)
 
 
 class _Engine:
@@ -219,61 +217,85 @@ class _Engine:
     nor the phase gate: the nonzero eigenspace, the ladder phase table on it,
     the marking vector and the phase-qubit bit table, for m phase qubits.
 
-    Built once per call and shared by every config's :class:`_Pipeline` and
-    every input loaded onto it.  On [V_nz, y_null, e_null] the ladder is the
-    phase table with ones on the last two columns.
+    Built on the first call for an operator and m (:func:`_engine`) and kept
+    on the operator, so every later call on it, of any config, shares it;
+    every config's :class:`_Pipeline` and every input is read against it.  It
+    holds the operator's arrays but no reference to the operator, and no
+    per-call state: its arrays are read-only.  On [V_nz, y_null, e_null] the
+    ladder is the phase table with ones on the last two columns.
     """
 
     def __init__(self, evo: EvolutionOperator, m: int):
-        self.evo, self.m = evo, m
+        self.m, self.dim = m, evo.dim
         self.n = int(evo.dim).bit_length() - 1
         if 2**self.n != evo.dim:
             raise ValueError(f"evolution dimension {evo.dim} is not a power of two")
-        M = 2**m
-        self.f2 = marking_vector(m)
+        (self.f2, self.f2_conj, self.f2_col, self.two_f2, self.observables,
+         self.marked_observables) = _phase_register_tables(m)
         self.nonzero_basis = evo.nonzero_basis
-        self.table = np.ones((M, self.nonzero_basis.shape[1] + 2), dtype=complex)
+        self.table = np.ones((2**m, self.nonzero_basis.shape[1] + 2), dtype=complex)
         self.table[:, :-2] = ladder_phase_table(evo, m)  # y_null and e_null get phase 1
-        phases = np.arange(M)[:, None]
-        bits = phases >> np.arange(m)[::-1]  # msb-first phase bits
-        # the phase-register columns of a trajectory row as weights on the
-        # phase rows: success (phase != 0), then each qubit's P0
-        self.observables = np.concatenate([phases > 0, bits & 1 == 0], axis=1).astype(float)
-        self.marked_observables = self.f2.real ** 2 @ self.observables  # f2 is real
-        self.unprojected: list[_Input] = []
+        self.table.flags.writeable = False
 
-    def load(self, y) -> _Input:
-        """The input checked to be a unit vector of the system dimension; its
-        coordinates on [V_nz, y_null] come with the next :meth:`project`."""
+    def load(self, y) -> np.ndarray:
+        """The input checked to be a unit vector of the system dimension;
+        :meth:`project` gives it its coordinates."""
         y = numerics.as_vector(y)
-        if y.size != self.evo.dim:
-            raise ValueError(f"input dim {y.size} does not match operator dim {self.evo.dim}")
+        if y.size != self.dim:
+            raise ValueError(f"input dim {y.size} does not match operator dim {self.dim}")
         if not numerics.is_normalized(y, 1e-10):
             raise ValueError("input state must be unit norm")
-        inp = _Input(y, self)
-        self.unprojected.append(inp)
-        return inp
+        return y
 
-    def project(self) -> None:
-        """Give every input loaded since the last call its coordinates and
-        y_null, all from one stacked projection."""
-        inputs, self.unprojected = self.unprojected, []
-        coords, y_null = _extend(self.nonzero_basis, np.array([inp.y for inp in inputs]))
-        for inp, c, u in zip(inputs, coords, y_null):
-            inp.coords, inp.y_null = c, u
+    def project(self, ys: Sequence[np.ndarray]) -> _Inputs:
+        """Loaded inputs with their coordinates and y_null, all from one
+        stacked projection."""
+        stack = np.array(ys)
+        return _Inputs(stack, *_extend(self.nonzero_basis, stack))
 
-    def span(self, inp: _Input) -> tuple[np.ndarray, tuple, tuple]:
+    def span(self, y: np.ndarray, coords: np.ndarray,
+             y_null: np.ndarray) -> tuple[np.ndarray, tuple, tuple]:
         """A loaded input's coordinates on [V_nz, y_null, e_null], the input
         load W on them as (coordinates of e0, phase on e0, Householder axis
-        or None), and the columns (V_nz, y_null, e_null)."""
-        w, phase = numerics.householder_axis(inp.y)
-        e0 = np.eye(1, inp.y.size, dtype=complex)[0]
-        (e0_coords,), (e_null,) = _extend(np.column_stack([self.nonzero_basis, inp.y_null]),
+        or None), and the columns (V_nz, y_null, e_null); ``coords`` and
+        ``y_null`` are the input's row of :meth:`project`."""
+        w, phase = numerics.householder_axis(y)
+        e0 = np.eye(1, y.size, dtype=complex)[0]
+        (e0_coords,), (e_null,) = _extend(np.column_stack([self.nonzero_basis, y_null]),
                                           e0[None])
-        coords = np.append(inp.coords, 0.0)
+        coords = np.append(coords, 0.0)
         d = coords - phase * e0_coords  # y - phase e0, the axis unnormalized
         axis = None if w is None else d / np.sqrt(_norm_sq(d))
-        return coords, (e0_coords, phase, axis), (self.nonzero_basis, inp.y_null, e_null)
+        return coords, (e0_coords, phase, axis), (self.nonzero_basis, y_null, e_null)
+
+
+@functools.lru_cache(maxsize=16)
+def _phase_register_tables(m: int) -> tuple[np.ndarray, ...]:
+    """The read-only tables of an engine that depend on m alone: the marking
+    vector f2, its conjugate, f2 as a column and 2 f2 (real), and the
+    phase-register columns of a trajectory row as weights on the phase rows
+    (success, phase != 0, then each qubit's P0) with their values on f2."""
+    M = 2**m
+    f2 = marking_vector(m)
+    phases = np.arange(M)[:, None]
+    bits = phases >> np.arange(m)[::-1]  # msb-first phase bits
+    observables = np.concatenate([phases > 0, bits & 1 == 0], axis=1).astype(float)
+    tables = (f2, f2.conj(), f2[:, None], 2.0 * f2.real, observables,
+              f2.real ** 2 @ observables)  # f2 is real
+    for array in tables:
+        array.flags.writeable = False
+    return tables
+
+
+def _engine(evo: EvolutionOperator, m: int) -> _Engine:
+    """The engine of ``evo`` for m phase qubits: built on the first call and
+    kept in the operator's ``engines`` for as long as the operator lives.  An
+    operator whose dimension is not a power of two gets none, so every call
+    on it raises."""
+    engine = evo.engines.get(m)
+    if engine is None:
+        engine = evo.engines[m] = _Engine(evo, m)
+    return engine
 
 
 class _Pipeline:
@@ -283,13 +305,8 @@ class _Pipeline:
 
     def __init__(self, cfg: PeaConfig, engine: _Engine):
         self.cfg, self.engine = cfg, engine
-        M = 2**cfg.m
-        if cfg.mode == "qft":  # Hadamard wall before the ladder, inverse QFT after it
-            self.column0 = np.full(M, M**-0.5, dtype=complex)
-        else:  # the bias reflection I - 2|f><f| on both sides
-            self.bias = bias_vector(cfg.m, cfg.kappa)
-            self.column0 = -2.0 * self.bias[0].conj() * self.bias
-            self.column0[0] += 1.0
+        self.column0, self.bias_conj, self.two_bias = _phase_gate(
+            cfg.m, cfg.mode, cfg.kappa, math.copysign(1.0, cfg.kappa))
 
     def initial(self, coords: np.ndarray) -> np.ndarray:
         """U_pea |0,0> on an input's coordinates, or on each row of a stack of
@@ -297,14 +314,14 @@ class _Pipeline:
         rank-one column0 (x) y, and on the eigenvector coordinates it is the
         phase table."""
         table = self.engine.table[:, :coords.shape[-1]]
-        return self.last(self.column0[:, None] * table * coords[..., None, :])
+        return self.last(self.column0 * table * coords[..., None, :])
 
     def last(self, mat: np.ndarray) -> np.ndarray:
         """The phase gate after the ladder, QFT^dag or the bias reflection, on
         a (2^m, R) array or a stack of them."""
         if self.cfg.mode == "qft":
-            return np.fft.fft(mat, axis=-2) / np.sqrt(mat.shape[-2])
-        return mat - (2.0 * self.bias)[:, None] * (self.bias.conj() @ mat)[..., None, :]
+            return np.fft.fft(mat, axis=-2) / math.sqrt(mat.shape[-2])
+        return mat - self.two_bias * (self.bias_conj @ mat)[..., None, :]
 
     def forward(self, mat: np.ndarray, W: tuple) -> np.ndarray:
         """U_pea on coordinates [V_nz, y_null, e_null]; ``W`` is from
@@ -322,13 +339,36 @@ class _Pipeline:
         (needed by the verbatim iterate only).  The standard iterate reads no
         phase gate: it acts on coordinates in any basis, and on a stack of
         states, each with its own a and of any config with this m."""
-        f2 = self.engine.f2
-        mat = mat - f2[:, None] * (2.0 * (f2.conj() @ mat))[..., None, :]  # R_mark
+        engine = self.engine
+        mat = mat - engine.f2_col * (2.0 * (engine.f2_conj @ mat))[..., None, :]  # R_mark
         if self.cfg.standard_grover:  # U_pea R_zero U_pea^dag = I - 2|a><a|
-            return mat - 2.0 * (a.conj() * mat).sum(axis=(-2, -1), keepdims=True) * a
+            return mat - 2.0 * np.add.reduce(a.conj() * mat, axis=(-2, -1), keepdims=True) * a
         mat = self.forward(mat, W)
         mat[0] -= 2.0 * (mat[0] @ W[0].conj()) * W[0]  # R_zero
         return self.forward(mat, W)
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _phase_gate(m: int, mode: str, kappa: float,
+                sign: float) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """A phase gate's read-only arrays: the column of |0> under the gate
+    before the ladder, as a (2^m, 1) column, and for the bias reflection
+    I - 2|f><f| the conjugate of f and the column 2 f (None for the QFT).
+    They depend on the config alone, so every pipeline of one (m, mode,
+    kappa) shares them; ``sign`` is kappa's, which tells -0.0 from 0.0, as
+    the cache's typed keys tell an integer kappa from a float."""
+    M = 2**m
+    if mode == "qft":  # Hadamard wall before the ladder, inverse QFT after it
+        column0, bias_conj, two_bias = np.full(M, M**-0.5, dtype=complex), None, None
+    else:  # the bias reflection on both sides
+        bias = bias_vector(m, kappa)
+        column0 = -2.0 * bias[0].conj() * bias
+        column0[0] += 1.0
+        bias_conj, two_bias = bias.conj(), (2.0 * bias)[:, None]
+        bias_conj.flags.writeable = two_bias.flags.writeable = False
+    column0 = column0[:, None]
+    column0.flags.writeable = False
+    return column0, bias_conj, two_bias
 
 
 def phase_estimation(cfg: PeaConfig, evo: EvolutionOperator, y) -> RegisterState:
@@ -339,10 +379,10 @@ def phase_estimation(cfg: PeaConfig, evo: EvolutionOperator, y) -> RegisterState
     adjoint in ``biased`` mode) around the controlled-power ladder, and
     returns the output register state.
     """
-    engine = _Engine(evo, cfg.m)
-    inp = engine.load(y)
-    return RegisterState(_Pipeline(cfg, engine).initial(inp.coords), cfg.m, engine.n,
-                         (engine.nonzero_basis, inp.y_null))
+    engine = _engine(evo, cfg.m)
+    inputs = engine.project([engine.load(y)])
+    return RegisterState(_Pipeline(cfg, engine).initial(inputs.coords[0]), cfg.m, engine.n,
+                         (engine.nonzero_basis, inputs.y_null[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -448,24 +488,27 @@ def amplify_many(
         raise ValueError("the configs of one call must share m and standard_grover")
     if not cfgs:
         return []
-    engine = _Engine(evo, cfgs[0].m)
-    loaded = {}  # a load per input object
+    engine = _engine(evo, cfgs[0].m)
+    loaded = {}  # a load per input object, by its row of the projection
     try:
         for y in ys:
             if id(y) not in loaded:
                 loaded[id(y)] = engine.load(y)
     except ValueError:  # an earlier input with nothing to amplify fails first
-        _check_targets(list(loaded.values()))
+        if loaded:
+            _check_targets(engine.project(list(loaded.values())).coords)
         raise
-    _check_targets(list(loaded.values()))
+    inputs = engine.project(list(loaded.values()))
+    _check_targets(inputs.coords)
+    rows = {key: row for row, key in enumerate(loaded)}
     pipes = {}  # a pipeline per config object
     for c in cfgs:
         if id(c) not in pipes:
             pipes[id(c)] = _Pipeline(c, engine)
-    runs = [(pipes[id(c)], loaded[id(y)]) for c, y in zip(cfgs, ys)]
+    runs = [(pipes[id(c)], rows[id(y)]) for c, y in zip(cfgs, ys)]
     if not cfgs[0].standard_grover:
-        return [_step(*run, max_iter, stop_tol) for run in runs]
-    return list(_closed_form_runs(runs, max_iter, stop_tol))
+        return [_step(pipe, inputs, row, max_iter, stop_tol) for pipe, row in runs]
+    return list(_closed_form_runs(runs, inputs, max_iter, stop_tol))
 
 
 def amplify_stepped(
@@ -480,18 +523,16 @@ def amplify_stepped(
     runs this way in :func:`amplify` too."""
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
-    engine = _Engine(evo, cfg.m)
-    inp = engine.load(y)
-    _check_targets([inp])
-    return _step(_Pipeline(cfg, engine), inp, max_iter, stop_tol)
+    engine = _engine(evo, cfg.m)
+    inputs = engine.project([engine.load(y)])
+    _check_targets(inputs.coords)
+    return _step(_Pipeline(cfg, engine), inputs, 0, max_iter, stop_tol)
 
 
-def _check_targets(inputs: Sequence[_Input]) -> None:
-    """Raise unless every loaded input has a projection onto the nonzero
-    eigenspace to amplify, one array test over all of them."""
-    if not inputs:
-        return
-    coords = np.array([inp.coords for inp in inputs])
+def _check_targets(coords: np.ndarray) -> None:
+    """Raise unless every projected input, a row (c, nu) of ``coords``, has a
+    projection onto the nonzero eigenspace to amplify, one array test over
+    all of them."""
     if coords.shape[1] == 1:
         raise DegenerateTargetError("operator has no nonzero eigenvalues")
     if np.count_nonzero(_norms_sq(coords[:, :-1]) > 1e-24) < len(coords):  # |c| > 1e-12
@@ -519,31 +560,30 @@ def _check_norm(norm_sq, t: int) -> None:
         raise ValueError(f"state norm {norm:.12g} is not 1 at iteration {t}")
 
 
-def _closed_form_runs(runs: list, max_iter: int,
+def _closed_form_runs(runs: list, inputs: _Inputs, max_iter: int,
                       stop_tol: float | None) -> Iterator[tuple[RegisterState, Trajectory]]:
-    """The standard iterate's runs, each a (pipeline, loaded input) over one
-    shared engine, read in closed form a chunk at a time: a chunk's stacked
-    (k, 2^m, r+1) states hold at most :data:`_BATCH_ELEMENTS` entries (one
-    input at the least)."""
+    """The standard iterate's runs, each a (pipeline, row of ``inputs``) over
+    one shared engine, read in closed form a chunk at a time: a chunk's
+    stacked (k, 2^m, r+1) states hold at most :data:`_BATCH_ELEMENTS` entries
+    (one input at the least)."""
     engine = runs[0][0].engine
-    size = max(1, _BATCH_ELEMENTS // (2**engine.m * runs[0][1].coords.size))
+    size = max(1, _BATCH_ELEMENTS // (2**engine.m * inputs.coords.shape[1]))
     for start in range(0, len(runs), size):
-        pipes, inputs = zip(*runs[start:start + size])
-        finals, trajs = _rotate(pipes, np.array([inp.coords for inp in inputs]), max_iter,
-                                stop_tol)
-        for inp, final, traj in zip(inputs, finals, trajs):
-            yield (RegisterState(final, engine.m, engine.n, (engine.nonzero_basis, inp.y_null)),
-                   traj)
+        pipes, rows = zip(*runs[start:start + size])
+        finals, trajs = _rotate(pipes, inputs.coords[list(rows)], max_iter, stop_tol)
+        for row, final, traj in zip(rows, finals, trajs):
+            yield (RegisterState(final, engine.m, engine.n,
+                                 (engine.nonzero_basis, inputs.y_null[row])), traj)
 
 
-def _step(pipe: _Pipeline, inp: _Input, max_iter: int,
+def _step(pipe: _Pipeline, inputs: _Inputs, row: int, max_iter: int,
           stop_tol: float | None) -> tuple[RegisterState, Trajectory]:
-    """The amplification run of one loaded input with every iterate stepped
-    on coordinates [V_nz, y_null, e_null]."""
+    """The amplification run of row ``row`` of the projected inputs with
+    every iterate stepped on coordinates [V_nz, y_null, e_null]."""
     engine = pipe.engine
-    coords, W, columns = engine.span(inp)
+    coords, W, columns = engine.span(inputs.ys[row], inputs.coords[row], inputs.y_null[row])
     a = pipe.initial(coords)
-    target_conj = np.append(_fidelity_targets(inp.coords[None])[0], 0.0)  # zero on e_null too
+    target_conj = np.append(_fidelity_targets(inputs.coords[row:row + 1])[0], 0.0)  # e_null: 0
     rows = []  # per iterate: success, P0 per phase qubit, marked, fidelity
 
     def record(mat: np.ndarray):
@@ -575,7 +615,7 @@ _FIRST_AND_LAST = np.array([[True], [False]])  # rows of the iterates read back:
 def _norms_sq(stack: np.ndarray) -> np.ndarray:
     """The squared norm of each complex128 array in a stack."""
     flat = stack.reshape(len(stack), -1).view(np.float64)  # real and imaginary parts
-    return (flat * flat).sum(axis=-1)
+    return np.add.reduce(flat * flat, axis=-1)
 
 
 def _rotate(pipes: Sequence[_Pipeline], coords: np.ndarray, max_iter: int,
@@ -608,41 +648,42 @@ def _rotate(pipes: Sequence[_Pipeline], coords: np.ndarray, max_iter: int,
     it falls in.  A degenerate plane (theta = 0 or pi/2) leaves the missing
     direction zero and the trajectory constant.
     """
-    engine, (k, R) = pipes[0].engine, coords.shape
-    f2, m = engine.f2.real, engine.m  # the marking vector is real
-    M = f2.size
+    engine, k = pipes[0].engine, len(coords)
+    m, M = engine.m, engine.f2.size
     cuts = [j for j in range(1, k) if pipes[j] is not pipes[j - 1]]
-    A = np.concatenate([pipes[i].initial(coords[i:j]) for i, j in zip([0, *cuts], [*cuts, k])])
+    A = (np.concatenate([pipes[i].initial(coords[i:j]) for i, j in zip([0, *cuts], [*cuts, k])])
+         if cuts else pipes[0].initial(coords))
     targets_conj = _fidelity_targets(coords)
     # runtime invariant: one simulated iterate per input, checked below; the
     # standard iterate reads no phase gate, so one pipeline's serves the stack
     Q1 = pipes[0].iterate(A, A, None)
-    w = engine.f2.conj() @ A
-    u = engine.f2[:, None] * w[:, None]  # P_f2 a = f2 (x) w, normalized below
+    w = engine.f2_conj @ A
+    u = engine.f2_col * w[:, None]  # P_f2 a = f2 (x) w, normalized below
     v = A - u  # (1 - P_f2) a, normalized below
     del A  # few state-sized arrays are alive at once
     sin_sq, cos_sq = _norms_sq(w), _norms_sq(v)
-    v_rows = np.einsum("kmj,kmj->km", v.view(np.float64), v.view(np.float64))  # |v|^2 per phase row
+    v_real = v.view(np.float64)
+    v_rows = np.einsum("kmj,kmj->km", v_real, v_real)  # |v|^2 per phase row
     # <w| and <target| on v, per phase row, as matrix-vector products
-    w_v, target_v = ((v @ x[:, :, None])[..., 0] for x in (w.conj(), targets_conj))
+    w_v = (v @ w.conj()[:, :, None])[..., 0]
+    target_v = (v @ targets_conj[:, :, None])[..., 0]
     _check_norm(sin_sq + cos_sq, 0)  # |a|^2 = |P_f2 a|^2 + |(1 - P_f2) a|^2, as |f2| = 1
     sin0, cos0 = np.sqrt(sin_sq), np.sqrt(cos_sq)
     theta = np.arctan2(sin0, cos0)
     # a zero part stays zero; a part below _TINY has theta 0 or pi/2 and no weight
     s, c = np.maximum(sin0, _TINY), np.maximum(cos0, _TINY)
-    fu = (w * targets_conj).sum(axis=-1)  # <target|P_f2 a>, the same in every marked row
-    read = (np.concatenate([v_rows, w_v.real * (2.0 * f2)], axis=-1).reshape(k, 2, M)
+    fu = np.add.reduce(w * targets_conj, axis=-1)  # <target|P_f2 a>, the same in every marked row
+    read = (np.concatenate([v_rows, w_v.real * engine.two_f2], axis=-1).reshape(k, 2, M)
             @ engine.observables) / c[:, None, None]
-    forms = np.empty((k, 3, m + 3))  # columns: success, P0 per phase qubit, marked, fidelity
-    forms[:, 0, :m + 1] = engine.marked_observables * (sin0 > 0.0)[:, None]
-    forms[:, 1, :m + 1] = read[:, 0] / c[:, None]
-    forms[:, 2, :m + 1] = read[:, 1] / s[:, None]
-    forms[:, :, m + 1] = (1.0, 0.0, 0.0)
-    forms[:, 0, m + 2] = (fu.real ** 2 + fu.imag ** 2) / s / s
-    forms[:, 1, m + 2] = _norms_sq(target_v) / c / c
-    forms[:, 2, m + 2] = 0.0
+    forms = np.zeros((k, 3, m + 3))  # columns: success, P0 per phase qubit, marked, fidelity
+    np.multiply(engine.marked_observables, (sin0 > 0.0)[:, None], out=forms[:, 0, :m + 1])
+    np.divide(read[:, 0], c[:, None], out=forms[:, 1, :m + 1])
+    np.divide(read[:, 1], s[:, None], out=forms[:, 2, :m + 1])
+    forms[:, 0, m + 1] = 1.0
+    np.divide((fu.real ** 2 + fu.imag ** 2) / s, s, out=forms[:, 0, m + 2])
+    np.divide(_norms_sq(target_v) / c, c, out=forms[:, 1, m + 2])
     del v_rows, w_v, target_v, read
-    stops = np.zeros(k, dtype=int) + (max_iter + 1)  # each input's stopping iterate, or beyond
+    stops = np.full(k, max_iter + 1)  # each input's stopping iterate, or beyond
     if stop_tol is None:  # one block, every input runs to max_iter
         blocks = [(range(k), _rows(np.arange(max_iter + 1), theta, forms))]
     else:
@@ -673,7 +714,7 @@ def _rotate(pipes: Sequence[_Pipeline], coords: np.ndarray, max_iter: int,
     del Q1
     drift -= along_u[0] * u
     drift -= along_v[0] * v
-    residuals = np.abs(drift.view(complex)).max(axis=(1, 2))
+    residuals = np.maximum.reduce(np.abs(drift.view(complex)), axis=(1, 2))
     del drift
     ok = residuals <= ROTATION_TOL
     if np.count_nonzero(ok) < k:

@@ -262,6 +262,23 @@ class TestCmdAmplifyTrace:
         assert cli.main(["amplify-trace", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert "MAX_TRIES" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config", [None, BLOBS_YAML], ids=["preset", "blobs"])
+    def test_one_eigendecomposition_of_operator(self, tmp_path, monkeypatch, config):
+        # the input is drawn against the nonzero basis of the suite's operator
+        cfg_path = None if config is None else write_config(tmp_path, config)
+        H, _, _ = cli.build_operator(load_config(cfg_path))
+        solves = []
+        eig = numerics.hermitian_eig
+
+        def counting(A, *args, **kwargs):
+            solves.append(np.shape(A) == H.shape and np.array_equal(A, H))
+            return eig(A, *args, **kwargs)
+
+        monkeypatch.setattr(numerics, "hermitian_eig", counting)
+        args = ["amplify-trace", "--out", str(tmp_path / "out")]
+        assert cli.main(args + ([] if cfg_path is None else ["--config", str(cfg_path)])) == 0
+        assert solves == [True]
+
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert cli.main(["amplify-trace", "--seed", "7", "--out", str(out1)]) == 0

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -15,6 +17,13 @@ from qspectral.registers import RegisterState
 from dense_reference import (_with_system, bpea_matrix, controlled_power_apply, full_state,
                              hadamard_wall, iteration_matrix, ladder_matrix, marking_reflection,
                              prepare_unitary, zero_reflection)
+
+
+def load_one(evo, m, y):
+    """One input loaded and projected on its own: its rows (y, coords, y_null)."""
+    engine = qpea._engine(evo, m)
+    inputs = engine.project([engine.load(y)])
+    return inputs.ys[0], inputs.coords[0], inputs.y_null[0]
 
 
 def involutory_reflection(R, tol=1e-10):
@@ -1023,13 +1032,13 @@ class TestLoad:
             w = rng.normal(size=N) + 1j * rng.normal(size=N)
             z = z + (1e-4 if kind == "near" else 1.0) * np.linalg.norm(z) * w / np.linalg.norm(w)
         y = z / np.linalg.norm(z)
-        inp = qpea._Engine(evo, 3).load(y)
+        _, got_coords, got_y_null = load_one(evo, 3, y)
         coords, y_null = complex_product_load(V, y)
-        assert (inp.coords[-1] == 0.0) == (coords[-1] == 0.0)
-        assert np.max(np.abs(inp.coords - coords)) <= 1e-14
-        assert np.max(np.abs(inp.coords[-1] * inp.y_null - coords[-1] * y_null)) <= 1e-14
+        assert (got_coords[-1] == 0.0) == (coords[-1] == 0.0)
+        assert np.max(np.abs(got_coords - coords)) <= 1e-14
+        assert np.max(np.abs(got_coords[-1] * got_y_null - coords[-1] * y_null)) <= 1e-14
         if kind == "generic":
-            assert np.max(np.abs(inp.y_null - y_null)) <= 1e-14
+            assert np.max(np.abs(got_y_null - y_null)) <= 1e-14
         if kind == "inside":
             assert coords[-1] == 0.0
 
@@ -1043,14 +1052,69 @@ class TestLoad:
         extend = qpea._extend
         monkeypatch.setattr(qpea, "_extend",
                             lambda B, V: projections.append(len(V)) or extend(B, V))
-        engine = qpea._Engine(evo, 4)
-        inputs = [engine.load(y) for y in ys]
+        engine = qpea._engine(evo, 4)
+        loaded = [engine.load(y) for y in ys]
         assert projections == []
-        together = [(inp.coords, inp.y_null) for inp in inputs]
+        together = engine.project(loaded)
         assert projections == [4]
-        for y, (coords, y_null) in zip(ys, together):
-            alone = qpea._Engine(evo, 4).load(y)
-            assert np.array_equal(alone.coords, coords) and np.array_equal(alone.y_null, y_null)
+        for y, coords, y_null in zip(ys, together.coords, together.y_null):
+            _, alone_coords, alone_y_null = load_one(evo, 4, y)
+            assert np.array_equal(alone_coords, coords) and np.array_equal(alone_y_null, y_null)
+
+
+class TestEngineCache:
+    """One estimation engine per (operator, m), kept on the operator."""
+
+    def test_engine_frees_the_operator(self):
+        # the engine holds no reference to its operator, so reference counting
+        # alone frees the operator (and its engines) with its last reference
+        H, y = experiments.figure_instance(4)
+        evo = encoding.make_evolution(H, m=6)
+        cfg = qpea.PeaConfig(m=6, kappa=1.0, mode="biased", standard_grover=True)
+        qpea.amplify(cfg, evo, y, max_iter=1)
+        assert set(evo.engines) == {6}
+        ref = weakref.ref(evo)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del evo
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_one_ladder_table_per_operator_and_width(self, monkeypatch):
+        tables = []
+        build = qpea.ladder_phase_table
+        monkeypatch.setattr(qpea, "ladder_phase_table",
+                            lambda *args: tables.append(args[1]) or build(*args))
+        H, y = experiments.figure_instance(5)
+        evo = encoding.make_evolution(H, m=6)
+        experiments.trace_suite(H, y, m=6, max_iter=20, evo=evo)
+        stall = qpea.PeaConfig(m=6, kappa=8.0, mode="biased", standard_grover=True)
+        qpea.amplify(stall, evo, y, max_iter=1, stop_tol=None)
+        assert tables == [6]
+        qpea.amplify(dataclasses.replace(stall, m=7), evo, y, max_iter=1, stop_tol=None)
+        assert tables == [6, 7]
+        qpea.phase_estimation(stall, evo, y)
+        qpea.amplify_stepped(stall, evo, y, max_iter=1)
+        assert tables == [6, 7]
+
+    def test_operator_arrays_are_read_only(self):
+        # the cached engine is built from them, so they cannot change under it
+        evo = encoding.make_evolution(random_psd_matrix(8, 3, seed=7), m=4)
+        for array in (evo.eigenvalues, evo.eigenvectors, evo.eigenphases):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    def test_non_power_of_two_raises_on_every_call(self):
+        evo = encoding.make_evolution(np.diag([0.0, 1.0, 2.0]), m=3)
+        cfg = qpea.PeaConfig(m=3, kappa=1.0, mode="biased", standard_grover=True)
+        y = np.array([0.0, 0.6, 0.8])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not a power of two"):
+                qpea.amplify(cfg, evo, y, max_iter=2)
+        assert evo.engines == {}
 
 
 class TestCoordinates:
@@ -1063,16 +1127,16 @@ class TestCoordinates:
         H = np.diag([0.0, 0.0, 1.0, 2.0])
         evo = encoding.make_evolution(H, m=3)
         y = np.array([0.0, 0.0, 0.6, 0.8])
-        inp = qpea._Engine(evo, cfg.m).load(y)
-        assert inp.coords[-1] == 0.0
-        assert not np.any(inp.y_null)
+        _, coords, y_null = load_one(evo, cfg.m, y)
+        assert coords[-1] == 0.0
+        assert not np.any(y_null)
         assert_matches_dense(cfg, evo, H, y)
         # a random eigenspace: the null-space part is rounding only
         H = random_psd_matrix(8, 3, seed=40)
         evo = encoding.make_evolution(H, m=3)
         c = np.random.default_rng(40).normal(size=3)
         y = evo.nonzero_basis @ (c / np.linalg.norm(c))
-        assert qpea._Engine(evo, cfg.m).load(y).coords[-1] <= 1e-14
+        assert load_one(evo, cfg.m, y)[1][-1] <= 1e-14
         assert_matches_dense(cfg, evo, H, y)
 
     @pytest.mark.parametrize("mode, kappa", [("qft", 0.0), ("biased", 1.0)])
@@ -1266,8 +1330,8 @@ class TestVerbatimLoad:
         evo = encoding.make_evolution(H, m=4)
         y = np.exp(0.7j) * np.eye(8)[0]
         cfg = qpea.PeaConfig(m=4, kappa=kappa, mode=mode, standard_grover=False)
-        engine = qpea._Engine(evo, cfg.m)
-        assert engine.span(engine.load(y))[1][2] is None  # no Householder axis
+        engine = qpea._engine(evo, cfg.m)
+        assert engine.span(*load_one(evo, cfg.m, y))[1][2] is None  # no Householder axis
         assert_matches_dense(cfg, evo, H, y)
 
     @pytest.mark.parametrize("mode, kappa", [("qft", 0.0), ("biased", 1.0)])
@@ -1276,8 +1340,8 @@ class TestVerbatimLoad:
         evo = encoding.make_evolution(H, m=4)
         y = np.array([0.5, 0.5, -0.5, 0.5j])
         cfg = qpea.PeaConfig(m=4, kappa=kappa, mode=mode, standard_grover=False)
-        engine = qpea._Engine(evo, cfg.m)
-        _, _, (_, y_null, e_null) = engine.span(engine.load(y))
+        engine = qpea._engine(evo, cfg.m)
+        _, _, (_, y_null, e_null) = engine.span(*load_one(evo, cfg.m, y))
         assert np.linalg.norm(y_null) == pytest.approx(1.0) and not np.any(e_null)
         assert_matches_dense(cfg, evo, H, y)
 
