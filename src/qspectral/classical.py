@@ -183,19 +183,15 @@ def spectral_cluster(
     return embedding_kmeans(laplacian_eig(g, variant)[1], k, variant, init)
 
 
-def default_zero_tol(norm1: float) -> float:
-    """Threshold below which an eigenvalue of H counts as zero, from
-    ``norm1`` = ||H||_1 (which the eigendecomposition's check reads too):
-    1e-8 * ||H||_1."""
-    return 1e-8 * max(norm1, 1e-300)
+def default_zero_tol(H) -> float:
+    """Threshold below which an eigenvalue counts as zero: 1e-8 * ||H||_1."""
+    return 1e-8 * max(numerics.matrix_1norm(H), 1e-300)
 
 
 def nonzero_eigenvectors(H) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues above :func:`default_zero_tol` and their eigenvectors."""
-    H = numerics.as_matrix(H)
-    norm1 = numerics.matrix_1norm(H)
-    w, V = numerics.hermitian_eig(H, norm1=norm1)
-    keep = np.abs(w) > default_zero_tol(norm1)
+    w, V = numerics.hermitian_eig(H)
+    keep = np.abs(w) > default_zero_tol(H)
     return w[keep], V[:, keep]
 
 

@@ -117,13 +117,13 @@ def linearize(H) -> tuple[np.ndarray, float]:
     phases of the surrogate approximate eigenvalue/k to third order.
     """
     H = numerics.as_matrix(H)
-    k = _linear_scale(numerics.matrix_1norm(H))
+    k = _linear_scale(H)
     return np.eye(H.shape[0], dtype=complex) - 1j * H / k, k
 
 
-def _linear_scale(norm1: float) -> float:
-    """The divisor k = 10 * ||H||_1 of :func:`linearize`, from ``norm1`` = ||H||_1."""
-    k = 10.0 * norm1
+def _linear_scale(H: np.ndarray) -> float:
+    """The divisor k = 10 * ||H||_1 of :func:`linearize`."""
+    k = 10.0 * numerics.matrix_1norm(H)
     if k == 0.0:
         raise ValueError("zero matrix cannot be linearized (k = 0)")
     return k
@@ -136,9 +136,9 @@ class EvolutionOperator:
     Backends: ``exact_exponential`` is U = exp(2*pi*i*t*H) with eigenphase
     t*lambda_j; ``linearized`` unitarizes I - iH/k so the eigenphase is
     -arctan(lambda_j/k)/(2*pi).  Eigenvalues within ``zero_tol`` (always
-    ``default_zero_tol`` of ||H||_1) of zero are pinned to phase exactly 0 in
-    both backends.  The eigenvectors are real for a real H; the unitary itself
-    is built only when :attr:`unitary` is read.  :func:`make_evolution`
+    ``default_zero_tol(H)``) of zero are pinned to phase exactly 0 in both
+    backends.  The eigenvectors are real for a real H; the unitary itself is
+    built only when :attr:`unitary` is read.  :func:`make_evolution`
     returns its arrays read-only, since what is cached on the operator is
     built from them.
     """
@@ -203,9 +203,8 @@ def make_evolution(
     H = numerics.as_matrix(H)
     if m < 1:
         raise ValueError(f"need at least one phase qubit, got m={m}")
-    norm1 = numerics.matrix_1norm(H)  # one norm for the zero threshold and the solve's check
-    zero_tol = default_zero_tol(norm1)
-    w, V = numerics.hermitian_eig(H, norm1=norm1)
+    zero_tol = default_zero_tol(H)
+    w, V = numerics.hermitian_eig(H)
     nz = np.abs(w) > zero_tol
     M = 2**m
 
@@ -238,7 +237,7 @@ def make_evolution(
             raise PhaseResolutionError(f"eigenphase {bad:.6g} outside [0, 1) at t={t:.6g}")
         scale = None
     elif backend == "linearized":
-        k = _linear_scale(norm1)
+        k = _linear_scale(H)
         phases = np.where(nz, -np.arctan(w / k) / (2.0 * np.pi), 0.0)
         t, scale = None, k
     else:

@@ -60,16 +60,14 @@ def matrix_1norm(A) -> float:
     return float(np.abs(A).sum(axis=0).max())
 
 
-def hermitian_eig(A, *, norm1: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(A) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(eigenvalues, eigenvectors)`` with real eigenvalues sorted
     ascending and orthonormal eigenvectors as columns, real for a real
     (symmetric) input and complex otherwise.  The input must be
     Hermitian (checked); the residual ``A V - V diag(w)`` is verified against
-    ``OP_TOL * max(1, ||A||_1)`` after the solve.  A caller that has
-    ``||A||_1`` already passes it as ``norm1``, so that it is not computed
-    twice.
+    ``OP_TOL * max(1, ||A||_1)`` after the solve.
     """
     A = as_matrix(A)
     if A.shape[0] != A.shape[1]:
@@ -80,7 +78,7 @@ def hermitian_eig(A, *, norm1: float | None = None) -> tuple[np.ndarray, np.ndar
         w, V = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
-    scale = max(1.0, matrix_1norm(A) if norm1 is None else norm1)
+    scale = max(1.0, matrix_1norm(A))
     R = A @ V
     R -= V * w
     residual = float(np.abs(R).max())

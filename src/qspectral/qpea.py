@@ -305,8 +305,7 @@ class _Pipeline:
 
     def __init__(self, cfg: PeaConfig, engine: _Engine):
         self.cfg, self.engine = cfg, engine
-        self.column0, self.bias_conj, self.two_bias = _phase_gate(
-            cfg.m, cfg.mode, cfg.kappa, math.copysign(1.0, cfg.kappa))
+        self.column0, self.bias_conj, self.two_bias = _phase_gate(cfg.m, cfg.mode, cfg.kappa)
 
     def initial(self, coords: np.ndarray) -> np.ndarray:
         """U_pea |0,0> on an input's coordinates, or on each row of a stack of
@@ -349,14 +348,16 @@ class _Pipeline:
 
 
 @functools.lru_cache(maxsize=64, typed=True)
-def _phase_gate(m: int, mode: str, kappa: float,
-                sign: float) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+def _phase_gate(m: int, mode: str,
+                kappa: float) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """A phase gate's read-only arrays: the column of |0> under the gate
     before the ladder, as a (2^m, 1) column, and for the bias reflection
     I - 2|f><f| the conjugate of f and the column 2 f (None for the QFT).
     They depend on the config alone, so every pipeline of one (m, mode,
-    kappa) shares them; ``sign`` is kappa's, which tells -0.0 from 0.0, as
-    the cache's typed keys tell an integer kappa from a float."""
+    kappa) shares them.  The cache's keys are typed: a large integer kappa
+    can give other bits than the equal float (``kappa**2`` is exact for an
+    int), while -0.0 and 0.0 give the same (dividing the bias by its norm
+    drops the sign of zero)."""
     M = 2**m
     if mode == "qft":  # Hadamard wall before the ladder, inverse QFT after it
         column0, bias_conj, two_bias = np.full(M, M**-0.5, dtype=complex), None, None

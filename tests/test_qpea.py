@@ -1100,6 +1100,30 @@ class TestEngineCache:
         qpea.amplify_stepped(stall, evo, y, max_iter=1)
         assert tables == [6, 7]
 
+    @pytest.mark.parametrize("first, second", [(0.0, -0.0), (1, 1.0),
+                                               (189812546, 189812546.0)])
+    def test_phase_gate_cache_keeps_each_kappa_bits(self, first, second):
+        # kappas that compare equal share no gate unless their gates have the
+        # same bits: the last int gives other bits than its float
+        H, y = experiments.figure_instance(2)
+        evo = encoding.make_evolution(H, m=6)
+
+        def run(kappa):
+            cfg = qpea.PeaConfig(m=6, kappa=kappa, mode="biased", standard_grover=True)
+            state, traj = qpea.amplify(cfg, evo, y, max_iter=3, stop_tol=None)
+            return [state.coefficients.tobytes()] + [
+                np.asarray(getattr(traj, f.name)).tobytes() for f in dataclasses.fields(traj)]
+
+        qpea._phase_gate.cache_clear()
+        shared = [run(first), run(second)]
+        fresh = []
+        for kappa in (first, second):
+            qpea._phase_gate.cache_clear()
+            fresh.append(run(kappa))
+        assert shared == fresh
+        if first == 189812546:
+            assert fresh[0] != fresh[1]
+
     def test_operator_arrays_are_read_only(self):
         # the cached engine is built from them, so they cannot change under it
         evo = encoding.make_evolution(random_psd_matrix(8, 3, seed=7), m=4)
