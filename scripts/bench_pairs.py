@@ -6,8 +6,9 @@
     python3 scripts/bench_pairs.py --parent <commit> --workload rank_candidates \\
         --seeds 1001-1003 --key rank_candidates_heldout_seed --out BENCH_18.json
 
-The parent commit is checked out with ``git worktree add`` in a temporary
-directory (removed afterwards); the change is this checkout's working tree.
+The parent commit's files are written with ``git archive`` into a temporary
+directory (removed afterwards), so the repository itself is not touched; the
+change is this checkout's working tree.
 Pair i runs seed i of ``--seeds`` (cycled to ``--pairs`` pairs) on both
 sides, the parent first in odd pairs and the change first in even ones, each
 as the benchmark's command with ``--workload W --seed S --seconds T --trace
@@ -33,6 +34,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+from compare_outputs import export_commit  # this directory is on sys.path
 
 ROOT = Path(__file__).resolve().parent.parent
 STDERR_LINES = 20
@@ -112,28 +115,23 @@ def main(argv=None) -> int:
     runs, failures, env = [], [], None
     with tempfile.TemporaryDirectory() as tmp:
         parent_dir = Path(tmp) / "parent"
-        subprocess.run(["git", "worktree", "add", "--detach", str(parent_dir), parent_commit],
-                       cwd=ROOT, check=True, capture_output=True)
-        try:
-            for i in range(pairs):
-                seed = args.seeds[i % len(args.seeds)]
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                for side in order:
-                    checkout = parent_dir if side == "parent" else ROOT
-                    final, report = run_side(checkout, benchmark["command"], args.workload, seed,
-                                             args.seconds)
-                    if final is None:
-                        failures.append({"pair": i + 1, "seed": seed, "side": side, **report})
-                        break
-                    env = env or report.get("env")
-                    runs.append({"pair": i + 1, "seed": seed, "side": side, "report": final})
-                    print(f"pair {i + 1} seed {seed} {side}: ops_per_s "
-                          f"{final['metrics']['ops_per_s']['value']:.4g}", file=sys.stderr)
-                if failures:
+        export_commit(parent_commit, parent_dir)
+        for i in range(pairs):
+            seed = args.seeds[i % len(args.seeds)]
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                checkout = parent_dir if side == "parent" else ROOT
+                final, report = run_side(checkout, benchmark["command"], args.workload, seed,
+                                         args.seconds)
+                if final is None:
+                    failures.append({"pair": i + 1, "seed": seed, "side": side, **report})
                     break
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", str(parent_dir)], cwd=ROOT,
-                           capture_output=True)
+                env = env or report.get("env")
+                runs.append({"pair": i + 1, "seed": seed, "side": side, "report": final})
+                print(f"pair {i + 1} seed {seed} {side}: ops_per_s "
+                      f"{final['metrics']['ops_per_s']['value']:.4g}", file=sys.stderr)
+            if failures:
+                break
 
     record = json.loads(args.out.read_text()) if args.out.is_file() else {}
     record.update({

@@ -3,8 +3,9 @@
 
     python3 scripts/compare_outputs.py --parent <commit>
 
-The parent commit is checked out with ``git worktree add`` in a temporary
-directory (removed afterwards); the change is this checkout's working tree.
+The parent commit's files are written with ``git archive`` into a temporary
+directory (removed afterwards), so the repository itself is not touched; the
+change is this checkout's working tree.
 On each side, with that side's ``src`` on PYTHONPATH, it runs:
 
 - every CLI verb on ``configs/two_blobs.yaml`` and ``configs/figure_preset.yaml``;
@@ -22,15 +23,26 @@ library only.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 VERBS = ("graph", "cluster-classical", "amplify-trace", "cluster-quantum")
 CONFIGS = ("two_blobs", "figure_preset")
+
+
+def export_commit(commit: str, dest: Path) -> None:
+    """Write the files of ``commit`` into the new directory ``dest``."""
+    archive = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    dest.mkdir(parents=True)
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
 
 
 def runs() -> list[tuple[str, list[str]]]:
@@ -77,15 +89,10 @@ def main(argv=None) -> int:
                                    capture_output=True, text=True).stdout.strip()
     with tempfile.TemporaryDirectory() as tmp:
         parent_dir, outputs = Path(tmp) / "parent", Path(tmp) / "outputs"
-        subprocess.run(["git", "worktree", "add", "--detach", str(parent_dir), parent_commit],
-                       cwd=ROOT, check=True, capture_output=True)
-        try:
-            for side, checkout in (("parent", parent_dir), ("change", ROOT)):
-                (outputs / side).mkdir(parents=True)
-                run_side(checkout, outputs / side)
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", str(parent_dir)], cwd=ROOT,
-                           capture_output=True)
+        export_commit(parent_commit, parent_dir)
+        for side, checkout in (("parent", parent_dir), ("change", ROOT)):
+            (outputs / side).mkdir(parents=True)
+            run_side(checkout, outputs / side)
         names = differing(outputs / "parent", outputs / "change")
         compared = sum(1 for p in (outputs / "parent").rglob("*") if p.is_file())
     for name in names:

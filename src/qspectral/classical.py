@@ -7,8 +7,8 @@ they favor clarity and verifiability over speed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -41,34 +41,43 @@ class ClusterAssignment:
 
 @dataclass(frozen=True)
 class IndicatorVector:
-    """Unit vector that is constant on one cluster and zero elsewhere."""
+    """Unit vector that is constant on one cluster and zero elsewhere.
+
+    ``members`` are point indices, each an ``int`` or ``np.integer`` (not a
+    ``bool``); they are kept sorted, without repeats, as Python ints.  The
+    name and the read-only vector are built once, on construction.
+    """
 
     members: tuple[int, ...]
     dim: int
+    name: str = field(init=False, compare=False, repr=False)
+    _vector: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        members = tuple(sorted(set(int(i) for i in self.members)))
+        given = tuple(self.members)
+        kinds = set(map(type, given))
+        if kinds != {int}:  # one test per distinct type, then Python ints
+            for kind in kinds:
+                if issubclass(kind, bool) or not issubclass(kind, (int, np.integer)):
+                    bad = next(i for i in given if type(i) is kind)
+                    raise ValueError(f"indicator member {bad!r} is not an integer")
+            given = map(int, given)
+        members = tuple(sorted(set(given)))
         if not members:
             raise ValueError("indicator must have at least one member")
         if members[0] < 0 or members[-1] >= self.dim:
             raise ValueError(f"members {members} out of range for dim {self.dim}")
+        v = np.zeros(self.dim)
+        v.put(members, 1.0 / math.sqrt(len(members)))
+        v.flags.writeable = False
         object.__setattr__(self, "members", members)
+        object.__setattr__(self, "name", "ind_" + "-".join(map(str, members)))
+        object.__setattr__(self, "_vector", v)
 
     def vector(self) -> np.ndarray:
-        """The unit indicator, built on the first call and read-only, so that
-        every call returns the same array."""
+        """The unit indicator, read-only, so that every call returns the same
+        array."""
         return self._vector
-
-    @cached_property
-    def _vector(self) -> np.ndarray:
-        v = np.zeros(self.dim)
-        v[list(self.members)] = 1.0 / np.sqrt(len(self.members))
-        v.flags.writeable = False
-        return v
-
-    @cached_property
-    def name(self) -> str:
-        return "ind_" + "-".join(str(i) for i in self.members)
 
 
 def indicators_from_labels(labels, k: int) -> list[IndicatorVector]:

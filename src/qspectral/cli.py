@@ -294,7 +294,7 @@ def cmd_selftest(cfg: ExperimentConfig) -> int:
 # entry point
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qspectral",
                                      description="spectral clustering via biased phase estimation")
     parser.add_argument("command", choices=[
@@ -304,7 +304,14 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="override the configured seed")
     parser.add_argument("--out", type=str, default=None, help="output directory")
     parser.add_argument("--verbose", action="store_true")
-    args = parser.parse_args(argv)
+    return parser
+
+
+PARSER = _parser()  # built once; each parse_args call returns a fresh namespace
+
+
+def main(argv=None) -> int:
+    args = PARSER.parse_args(argv)
 
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,

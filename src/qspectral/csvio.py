@@ -22,13 +22,17 @@ def fmt(x) -> str:
 
 
 def write_rows(path, header, rows) -> None:
+    _write_text_rows(path, header, ([fmt(x) for x in row] for row in rows))
+
+
+def _write_text_rows(path, header, rows) -> None:
+    """Write rows whose fields are already the strings :func:`fmt` gives."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(x) for x in row])
+        writer.writerows(rows)
 
 
 def write_matrix(path, A) -> None:
@@ -101,10 +105,13 @@ def read_trajectory(path) -> dict[str, np.ndarray]:
 
 
 def write_ranking(path, reports) -> None:
-    write_rows(
+    """One row per report; each column is formatted by its type, as :func:`fmt`
+    formats it."""
+    _write_text_rows(
         path,
         ["y_id", "method", "similarity", "rank"],
-        [(r.y_id, r.method, float(r.similarity), int(r.rank)) for r in reports],
+        [(str(r.y_id), str(r.method), repr(float(r.similarity)), str(int(r.rank)))
+         for r in reports],
     )
 
 

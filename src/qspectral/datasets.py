@@ -99,10 +99,10 @@ def scrambled_indicators(indicators, seed: int = 0) -> list[IndicatorVector]:
     rng = np.random.default_rng(seed)
     dim = indicators[0].dim
     pool = [i for ind in indicators for i in ind.members]
-    perm = rng.permutation(pool)
+    perm = rng.permutation(pool).tolist()
     out, start = [], 0
     for ind in indicators:
         size = len(ind.members)
-        out.append(IndicatorVector(tuple(int(i) for i in perm[start:start + size]), dim))
+        out.append(IndicatorVector(tuple(perm[start:start + size]), dim))
         start += size
     return out

@@ -68,7 +68,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -509,7 +509,7 @@ def amplify_many(
     runs = [(pipes[id(c)], rows[id(y)]) for c, y in zip(cfgs, ys)]
     if not cfgs[0].standard_grover:
         return [_step(pipe, inputs, row, max_iter, stop_tol) for pipe, row in runs]
-    return list(_closed_form_runs(runs, inputs, max_iter, stop_tol))
+    return _closed_form_runs(runs, inputs, max_iter, stop_tol)
 
 
 def amplify_stepped(
@@ -562,19 +562,22 @@ def _check_norm(norm_sq, t: int) -> None:
 
 
 def _closed_form_runs(runs: list, inputs: _Inputs, max_iter: int,
-                      stop_tol: float | None) -> Iterator[tuple[RegisterState, Trajectory]]:
+                      stop_tol: float | None) -> list[tuple[RegisterState, Trajectory]]:
     """The standard iterate's runs, each a (pipeline, row of ``inputs``) over
     one shared engine, read in closed form a chunk at a time: a chunk's
     stacked (k, 2^m, r+1) states hold at most :data:`_BATCH_ELEMENTS` entries
-    (one input at the least)."""
+    (one input at the least).  Each final state is on [V_nz, y_null], its
+    y_null a (N, 1) row of one view of the batch's null columns."""
     engine = runs[0][0].engine
     size = max(1, _BATCH_ELEMENTS // (2**engine.m * inputs.coords.shape[1]))
+    y_null = inputs.y_null[:, :, None]
+    out = []
     for start in range(0, len(runs), size):
         pipes, rows = zip(*runs[start:start + size])
         finals, trajs = _rotate(pipes, inputs.coords[list(rows)], max_iter, stop_tol)
-        for row, final, traj in zip(rows, finals, trajs):
-            yield (RegisterState(final, engine.m, engine.n,
-                                 (engine.nonzero_basis, inputs.y_null[row])), traj)
+        out += [(RegisterState(final, engine.m, engine.n, (engine.nonzero_basis, y_null[row])),
+                 traj) for row, final, traj in zip(rows, finals, trajs)]
+    return out
 
 
 def _step(pipe: _Pipeline, inputs: _Inputs, row: int, max_iter: int,

@@ -62,40 +62,53 @@ def register_similarity(state: RegisterState, y) -> float:
     reflection, with the phase register traced out.  It is |S conj(B^dag y)|^2
     on the state's coefficients S and columns B, so no register array is built.
     """
-    return _register_similarities([state], [y])[0]
+    return float(_register_similarities([state], [y])[0])
 
 
-def _register_similarities(states: Sequence[RegisterState], ys: Sequence) -> list[float]:
-    """:func:`register_similarity` of each state with its candidate, for
-    states on column blocks of equal shapes, as one :func:`amplify_many` call
-    returns them: a block that is one array for every state (V_nz there) is
-    read in one call for all candidates, each candidate's product its own."""
+def _register_similarities(states: Sequence[RegisterState], ys) -> np.ndarray:
+    """:func:`register_similarity` of each state with its candidate, a row of
+    ``ys``, for states on column blocks of equal shapes, as one
+    :func:`amplify_many` call returns them.  A first block that is one array
+    for every state (V_nz there) is read in one broadcast product, every other
+    block per state; each candidate's products are its own, so its value does
+    not depend on the rest of the batch."""
     Y = np.asarray(ys, dtype=complex).conj()  # (K, 2^n)
     if Y.ndim != 2 or Y.shape[0] != len(states):
         raise ValueError(f"expected {len(states)} candidate vectors, got shape {Y.shape}")
     overlaps = []  # conj(B^dag y), block by block, (K, width)
-    for blocks in zip(*(state.columns for state in states)):
+    for index, blocks in enumerate(zip(*[state.columns for state in states])):
         if blocks[0].shape[0] != Y.shape[1]:
             raise ValueError(f"system dim {blocks[0].shape[0]} does not match candidate dim "
                              f"{Y.shape[1]}")
-        if all(b is blocks[0] for b in blocks):  # row by row, as vector-matrix products
+        if index == 0 and all([b is blocks[0] for b in blocks]):  # rows as vector-matrix products
             overlaps.append((Y[:, None, :] @ blocks[0])[:, 0])
         else:
             overlaps.append((Y[:, :, None] * np.array(blocks)).sum(axis=1))
     reads = (np.array([state.coefficients for state in states])
              @ np.concatenate(overlaps, axis=1)[:, :, None])  # <y|psi_p> per phase row
-    return np.minimum(1.0, (reads.real ** 2 + reads.imag ** 2).sum(axis=(1, 2))).tolist()
+    return np.minimum(1.0, (reads.real ** 2 + reads.imag ** 2).sum(axis=(1, 2)))
 
 
 def direct_similarity(H, y) -> float:
     """Classical oracle <y| V V^dag |y> over the nonzero eigenspace of H."""
-    return span_similarities(nonzero_eigenvectors(H)[1], [y])[0]
+    return float(span_similarities(nonzero_eigenvectors(H)[1], [y])[0])
 
 
-def span_similarities(V, ys: Sequence) -> list[float]:
-    """<y| V V^dag |y> of each candidate, for orthonormal columns V."""
-    Vh = V.conj().T
-    return [float(min(1.0, np.linalg.norm(Vh @ numerics.as_vector(y)) ** 2)) for y in ys]
+def span_similarities(V, ys) -> np.ndarray:
+    """<y| V V^dag |y> of each candidate, a row of ``ys``, for orthonormal
+    columns V, in one stacked product whose item for each candidate is its own
+    product ``V^dag y``.  Each squared norm is read bit for bit as
+    ``np.linalg.norm(p) ** 2`` reads it: the dot product of the real parts
+    plus that of the imaginary parts, its square root, and that squared by C
+    ``pow`` (which ``**`` calls on a numpy scalar and ``float_power`` on each
+    element; ``**`` on an array multiplies instead, and that can differ in the
+    last bit)."""
+    Y = np.asarray(ys, dtype=complex)
+    if Y.ndim != 2:
+        raise ValueError(f"expected a stack of candidate vectors, got shape {Y.shape}")
+    P = V.conj().T @ Y[:, :, None]  # (K, r, 1)
+    sq = P.real.transpose(0, 2, 1) @ P.real + P.imag.transpose(0, 2, 1) @ P.imag
+    return np.minimum(1.0, np.float_power(np.sqrt(sq[:, 0, 0]), 2))
 
 
 def x_sum_exponential(n: int) -> np.ndarray:
@@ -140,11 +153,14 @@ def rank_indicators(
 def _ranked(names, similarities, method: str) -> list[SimilarityReport]:
     """Reports sorted by descending similarity, with 1-based ranks; neighbours in
     that order within :data:`TIE_TOL` tie, and a tie group keeps the input order."""
-    order = sorted(range(len(names)), key=lambda i: -similarities[i])
-    gaps = [similarities[a] - similarities[b] > TIE_TOL for a, b in zip(order, order[1:])]
-    order = [i for _, i in sorted(zip(np.cumsum([0, *gaps]), order))]
-    return [SimilarityReport(names[i], similarities[i], method, rank + 1)
-            for rank, i in enumerate(order)]
+    similarities = np.asarray(similarities, dtype=float)
+    order = np.argsort(-similarities, kind="stable")
+    ranked = similarities[order]
+    groups = np.cumsum(np.diff(ranked, prepend=ranked[:1]) < -TIE_TOL)  # a gap opens a group
+    order = order[np.lexsort((order, groups))]
+    return [SimilarityReport(names[i], value, method, rank)
+            for rank, (i, value) in enumerate(zip(order.tolist(),
+                                                  similarities[order].tolist()), 1)]
 
 
 def cluster_quantum(H, candidates: Sequence[IndicatorVector], cfg: PeaConfig, max_iter: int = 60,
@@ -159,12 +175,12 @@ def cluster_quantum(H, candidates: Sequence[IndicatorVector], cfg: PeaConfig, ma
     """
     evo = make_evolution(H, cfg.m)
     ranked = rank_indicators(H, candidates, cfg, max_iter=max_iter, stop_tol=stop_tol, evo=evo)
-    oracle = span_similarities(evo.nonzero_basis, [c.vector() for c in candidates])
-    direct = _ranked([c.name for c in candidates], oracle, "direct")
-    members = {c.name: c.members for c in candidates}
-    groups = [members[r.y_id] for r in ranked]
-    labels = np.full(evo.dim, len(ranked), dtype=int)  # the best rank over each point's candidates
-    np.minimum.at(labels, np.array([p for group in groups for p in group], dtype=int),
-                  np.repeat(np.arange(len(ranked)), [len(group) for group in groups]))
-    labels[labels == len(ranked)] = -1
-    return ranked, direct, labels
+    K = len(candidates)
+    Y = np.array([c.vector() for c in candidates], dtype=complex).reshape(K, evo.dim)  # K >= 0
+    names = [c.name for c in candidates]
+    direct = _ranked(names, span_similarities(evo.nonzero_basis, Y), "direct")
+    index = {name: i for i, name in enumerate(names)}
+    members = np.ones((K + 1, evo.dim), dtype=bool)  # rows in ranked order, then "in none"
+    members[:K] = Y[[index[r.y_id] for r in ranked]] != 0.0
+    best = members.argmax(axis=0)  # the best-ranked candidate holding each point
+    return ranked, direct, np.where(best < K, best, -1)

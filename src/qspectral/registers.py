@@ -48,9 +48,11 @@ class RegisterState:
         blocks = tuple([c if c.ndim == 2 else c[:, None] for c in map(np.asarray, self.columns)])
         if not blocks:
             raise ValueError("columns must hold at least one block")
-        if any([b.shape[0] != 2**self.n for b in blocks]):
-            raise ValueError(f"columns must have {2**self.n} rows")
-        width = sum([b.shape[1] for b in blocks])
+        rows, width = 2**self.n, 0
+        for b in blocks:
+            if b.shape[0] != rows:
+                raise ValueError(f"columns must have {rows} rows")
+            width += b.shape[1]
         S = np.array(self.coefficients, dtype=complex)
         if S.size != 2**self.m * width:
             raise ValueError(f"expected {2**self.m * width} coefficients, got {S.size}")

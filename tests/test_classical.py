@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,6 +243,22 @@ class TestIndicatorVector:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             classical.IndicatorVector((5,), 4)
+
+    @pytest.mark.parametrize("members, bad", [
+        ((1.5, 2.9), "1.5"), ((True, 2), "True"), ((np.float64(1.0),), "np.float64(1.0)"),
+        ((np.bool_(True), 1), "np.True_"), ((0, "2"), "'2'"),
+    ])
+    def test_rejects_non_integer_members(self, members, bad):
+        # a float or bool member is refused, not truncated to an index
+        message = f"indicator member {bad} is not an integer"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            classical.IndicatorVector(members, 4)
+
+    def test_integer_members_become_python_ints(self):
+        ind = classical.IndicatorVector((np.int64(3), 1, np.uint8(1)), 4)
+        assert ind.members == (1, 3) and all(type(i) is int for i in ind.members)
+        assert ind.name == "ind_1-3"
+        assert not ind.vector().flags.writeable
 
     def test_from_labels(self):
         inds = classical.indicators_from_labels([0, 1, 0, 1], 2)

@@ -531,3 +531,24 @@ class TestCsvRoundTrips:
         pts = np.array([[0.5, 1.5], [2.5, 3.5]])
         csvio.write_rows(tmp_path / "p.csv", ["x", "y"], pts.tolist())
         assert np.array_equal(load_points_csv(tmp_path / "p.csv"), pts)
+
+
+class TestParser:
+    def test_built_once_and_keeps_no_state_between_calls(self, monkeypatch, capsys):
+        # main parses with the parser built at import, and a call's --seed and
+        # --out do not carry over into the next in-process call
+        def refuse(*args, **kwargs):
+            raise AssertionError("main built a parser")
+
+        seen = []
+
+        def stop(path, seed=None, out_dir=None):
+            seen.append((path, seed, out_dir))
+            raise ValueError("stop")
+
+        monkeypatch.setattr(cli.argparse, "ArgumentParser", refuse)
+        monkeypatch.setattr(cli, "load_config", stop)
+        assert cli.main(["graph", "--config", "a.yaml", "--seed", "5", "--out", "first"]) == 2
+        assert cli.main(["graph"]) == 2
+        assert seen == [("a.yaml", 5, "first"), (None, None, None)]
+        assert capsys.readouterr().err == "error: stop\nerror: stop\n"

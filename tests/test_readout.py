@@ -62,6 +62,19 @@ class TestDirectSimilarity:
         y = np.array([1.0, 0.0, 0.0])
         assert readout.direct_similarity(H, y) == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("complex_v", [False, True])
+    def test_stack_matches_each_norm(self, complex_v):
+        # one stacked product gives each candidate np.linalg.norm(V^dag y) ** 2, bit
+        # for bit; a last-bit difference shows in about one candidate of a thousand
+        rng = np.random.default_rng(7)
+        A = rng.normal(size=(32, 32)) + (1j * rng.normal(size=(32, 32)) if complex_v else 0.0)
+        V = np.linalg.qr(A)[0][:, :9]
+        imag = rng.normal(size=(4000, 32)) * (rng.random((4000, 1)) < 0.5)  # half real
+        Y = rng.normal(size=(4000, 32)) + 1j * imag
+        Y /= np.linalg.norm(Y, axis=1, keepdims=True)
+        expected = [min(1.0, np.linalg.norm(V.conj().T @ y) ** 2) for y in Y]
+        assert readout.span_similarities(V, Y).tolist() == expected
+
     def test_matches_projection_norm(self):
         H = random_psd_matrix(16, 6, seed=5)
         y = random_unit(16, 6, complex_=False)
@@ -222,6 +235,18 @@ class TestRankIndicators:
 
 
 class TestTiedRanks:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.5 + 4e-16, 0.5 - 2e-12, 0.5 + 1e-12,
+                                     0.75, 1.0]), max_size=16))
+    def test_order_matches_sorted_reference(self, sims):
+        # the array order against the rule written as Python sorts
+        order = sorted(range(len(sims)), key=lambda i: -sims[i])
+        gaps = [sims[a] - sims[b] > readout.TIE_TOL for a, b in zip(order, order[1:])]
+        order = [i for _, i in sorted(zip(np.cumsum([0, *gaps]), order))]
+        ranked = readout._ranked([str(i) for i in range(len(sims))], sims, "direct")
+        assert [r.y_id for r in ranked] == [str(i) for i in order]
+        assert [r.similarity for r in ranked] == [sims[i] for i in order]
+
     @pytest.mark.parametrize("first, second", [(0.5, 0.5 + 4e-16), (0.5 + 4e-16, 0.5)])
     def test_near_ties_keep_input_order(self, first, second):
         sims = [first, 0.9, second, 0.5 - 3e-12, 0.5 - 2.5e-12, 0.5 + 1e-9]
@@ -273,6 +298,37 @@ class TestClusterQuantum:
             containing = [i for i, r in enumerate(ranked) if p in members[r.y_id]]
             assert labels_q[p] == (containing[0] if containing else -1)
         assert (-1 in labels_q) == partial
+
+
+class TestBatchInvariance:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 5),  # N = 4 .. 32
+        rank_frac=st.floats(0.0, 1.0),
+        complex_h=st.booleans(),
+        groups=st.lists(st.lists(st.integers(0, 31), min_size=1, max_size=12),
+                        min_size=1, max_size=12),
+        seed=st.integers(0, 2**16),
+    )
+    def test_each_candidate_reads_as_alone(self, n, rank_frac, complex_h, groups, seed):
+        # a candidate's householder and direct similarity do not depend on the
+        # other candidates of the call, to the last bit
+        N = 2**n
+        rank = max(1, round(rank_frac * N))
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(N, N)) + (1j * rng.normal(size=(N, N)) if complex_h else 0.0)
+        Q, _ = np.linalg.qr(A)
+        H = (Q[:, :rank] * rng.uniform(0.3, 1.0, size=rank)) @ Q[:, :rank].conj().T
+        H = (H + H.conj().T) / 2
+        cands = [classical.IndicatorVector(tuple(i % N for i in g), N) for g in groups]
+        cfg = qpea.PeaConfig(m=6, kappa=1.0, mode="biased", standard_grover=True)
+        ranked, direct, _ = readout.cluster_quantum(H, cands, cfg, max_iter=20)
+        together = {(r.method, r.y_id): r.similarity for r in ranked + direct}
+        for c in cands:
+            alone, alone_direct, _ = readout.cluster_quantum(H, [c], cfg, max_iter=20)
+            assert alone[0].similarity == together["householder", c.name]
+            assert alone_direct[0].similarity == together["direct", c.name]
+
 
 def test_similarity_report_validates_range():
     with pytest.raises(ValueError, match="outside"):
