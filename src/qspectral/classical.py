@@ -82,7 +82,8 @@ class IndicatorVector:
 
 def indicators_from_labels(labels, k: int) -> list[IndicatorVector]:
     labels = np.asarray(labels, dtype=int)
-    return [IndicatorVector(tuple(np.flatnonzero(labels == c)), labels.size) for c in range(k)]
+    return [IndicatorVector(tuple(np.flatnonzero(labels == c).tolist()), labels.size)
+            for c in range(k)]
 
 
 def _farthest_point_init(points: np.ndarray, k: int, seed: int) -> np.ndarray:
