@@ -21,7 +21,6 @@ from .encoding import (
     gate_count_estimate,
     gram_matrix,
     householder_decompose,
-    linearize,
     make_evolution,
     points_gram,
 )

@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import classical, csvio, datasets, encoding, graph as graphmod, numerics, qpea, readout
+from . import (classical, csvio, datasets, encoding, graph as graphmod, numerics, qpea, readout,
+               registers)
 from .config import ExperimentConfig, load_config
 from .experiments import trace_input, trace_suite, write_traces
 
@@ -25,15 +26,15 @@ log = logging.getLogger("qspectral")
 # dataset materialization
 
 
-def build_points(cfg: ExperimentConfig):
-    """Point set (and ground-truth labels where known) for the configured dataset."""
+def build_points(cfg: ExperimentConfig) -> np.ndarray:
+    """Point set of the configured dataset."""
     ds = cfg.dataset
     if ds.kind == "blobs":
-        return datasets.gaussian_blobs(ds.sizes, ds.centers, ds.noise, cfg.seed)
+        return datasets.gaussian_blobs(ds.sizes, ds.centers, ds.noise, cfg.seed)[0]
     if ds.kind == "moons":
-        return datasets.two_moons(ds.n, ds.noise, cfg.seed)
+        return datasets.two_moons(ds.n, ds.noise, cfg.seed)[0]
     if ds.kind == "csv":
-        return graphmod.load_points_csv(ds.path), None
+        return graphmod.load_points_csv(ds.path)
     raise ValueError(f"dataset kind {ds.kind!r} does not provide points")
 
 
@@ -53,18 +54,19 @@ def _target_variant(cfg: ExperimentConfig) -> str:
 
 
 def build_operator(cfg: ExperimentConfig):
-    """Hermitian operator fed to phase estimation, per the configured target."""
+    """Hermitian operator fed to phase estimation, per the configured target,
+    and the points it is built from (None for the ``matrix`` target)."""
     if cfg.target == "matrix":
         ds = cfg.dataset
         if ds.kind != "random_psd":
             raise ValueError("target 'matrix' requires the random_psd dataset")
         H = datasets.random_psd_matrix(ds.dim, ds.rank, cfg.seed, (ds.eig_min, ds.eig_max))
-        return H, None, None
-    points, labels = build_points(cfg)
+        return H, None
+    points = build_points(cfg)
     if cfg.target == "gram":
-        return encoding.points_gram(points, centered=cfg.gram_centered), points, labels
+        return encoding.points_gram(points, centered=cfg.gram_centered), points
     L = classical.laplacian_matrix(build_graph(cfg, points), _target_variant(cfg))
-    return L, points, labels
+    return L, points
 
 
 def select_k(cfg: ExperimentConfig, eigenvalues) -> int:
@@ -87,7 +89,7 @@ def _spectral_assignment(cfg: ExperimentConfig, points):
 
 def cmd_graph(cfg: ExperimentConfig) -> list[Path]:
     out = Path(cfg.out_dir)
-    points, _ = build_points(cfg)
+    points = build_points(cfg)
     g = build_graph(cfg, points)
     w, _ = classical.laplacian_eig(g, _target_variant(cfg))
     k = select_k(cfg, w)
@@ -101,7 +103,7 @@ def cmd_graph(cfg: ExperimentConfig) -> list[Path]:
 
 def cmd_cluster_classical(cfg: ExperimentConfig) -> list[Path]:
     out = Path(cfg.out_dir)
-    points, _ = build_points(cfg)
+    points = build_points(cfg)
     V, k, assignment = _spectral_assignment(cfg, points)
     # clustering objective of the emitted labels on the input points
     centroids = np.vstack([points[assignment.labels == c].mean(axis=0) for c in range(k)])
@@ -117,7 +119,7 @@ def cmd_cluster_classical(cfg: ExperimentConfig) -> list[Path]:
 
 
 def cmd_amplify_trace(cfg: ExperimentConfig) -> list[Path]:
-    H, _, _ = build_operator(cfg)
+    H, _ = build_operator(cfg)
     evo = encoding.make_evolution(H, cfg.pea.m)  # its nonzero basis is range(H): one eigh
     y = trace_input(evo.nonzero_basis, cfg.seed, (cfg.overlap_min, cfg.overlap_max))
     results = trace_suite(H, y, m=cfg.pea.m, runs=cfg.runs, max_iter=cfg.amplify.max_iter,
@@ -135,7 +137,7 @@ def cmd_cluster_quantum(cfg: ExperimentConfig) -> list[Path]:
     out = Path(cfg.out_dir)
     if cfg.target == "matrix":
         raise ValueError("cluster-quantum requires a point dataset target (gram or laplacian)")
-    H, points, _ = build_operator(cfg)
+    H, points = build_operator(cfg)
     n_points = points.shape[0]
 
     # only auto candidates (and the agreement with them) need the classical clustering
@@ -227,7 +229,7 @@ def _check_encoding(rng) -> bool:
     ok = np.max(np.abs(hs.reconstruct() - encoding.gram_matrix(X))) < 1e-10
     H = rng.normal(size=(8, 8))
     H = (H + H.T) / 2
-    _, kdiv = encoding.linearize(H)
+    kdiv = encoding.make_evolution(H, m=4, backend="linearized").scale
     ok = ok and np.max(np.abs(np.linalg.eigvalsh(H))) / kdiv <= 0.1 + 1e-12
     evo = encoding.make_evolution(datasets.random_psd_matrix(8, 3, 5), m=4)
     return ok and numerics.is_unitary(evo.unitary)
@@ -259,6 +261,27 @@ def _check_readout(rng) -> bool:
     yv = rng.normal(size=8) + 1j * rng.normal(size=8)
     yv /= np.linalg.norm(yv)
     ok = abs(readout.householder_similarity(psi, yv) - abs(np.vdot(yv, psi)) ** 2) < 1e-12
+    # the register readout of an amplified state against its phase rows, read one
+    # by one.  Three standard iterates are, up to sign, a rotation by 6 theta in the
+    # plane of the marked part; it is done here, not by amplify, so that a faulty
+    # qpea iterate fails the qpea check only
+    H = datasets.random_psd_matrix(8, 3, 5)
+    y = datasets.random_range_input(H, 5)
+    cfg = qpea.PeaConfig(m=3, kappa=1.0, mode="biased", standard_grover=True)
+    start = qpea.phase_estimation(cfg, encoding.make_evolution(H, m=3), y)
+    f2 = qpea.marking_vector(3)
+    u = np.outer(f2, f2.conj() @ start.coefficients)
+    v = start.coefficients - u
+    sin0, cos0 = np.linalg.norm(u), np.linalg.norm(v)
+    theta = np.arctan2(sin0, cos0)
+    S = np.sin(7 * theta) / sin0 * u + np.cos(7 * theta) / cos0 * v
+    state = registers.RegisterState(S, start.m, start.n, start.columns)
+    expected = 0.0
+    for row in state.amplitudes.reshape(2**state.m, 2**state.n):
+        weight = np.vdot(row, row).real
+        if weight > 0.0:
+            expected += weight * readout.householder_similarity(row / np.sqrt(weight), y)
+    ok = ok and abs(readout.register_similarity(state, y) - expected) < 1e-12
     mix = readout.x_sum_exponential(3)
     ok = ok and numerics.is_unitary(mix, 1e-12)
     single = readout.x_sum_exponential(1)

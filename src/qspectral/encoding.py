@@ -1,9 +1,10 @@
 """Data-matrix encodings for phase estimation.
 
 Provides the outer-product (Gram) matrix of a point set, its decomposition
-into a weighted sum of Householder reflections, the linearized surrogate
-I - iH/k, and unitary evolution operators whose eigenphases carry the
-eigenvalues of H into the phase-estimation register.
+into a weighted sum of Householder reflections, and unitary evolution
+operators (the exact exponential, or the unitarized linear surrogate
+I - iH/k) whose eigenphases carry the eigenvalues of H into the
+phase-estimation register.
 """
 
 from __future__ import annotations
@@ -110,19 +111,9 @@ def householder_decompose(points) -> HouseholderSum:
     return HouseholderSum(X / norms[:, None], norms**2, X.shape[1])
 
 
-def linearize(H) -> tuple[np.ndarray, float]:
-    """Linear surrogate (I - iH/k, k) with k = 10 * ||H||_1.
-
-    The choice of k bounds every |eigenvalue|/k by 0.1, so the eigenvalue
-    phases of the surrogate approximate eigenvalue/k to third order.
-    """
-    H = numerics.as_matrix(H)
-    k = _linear_scale(H)
-    return np.eye(H.shape[0], dtype=complex) - 1j * H / k, k
-
-
 def _linear_scale(H: np.ndarray) -> float:
-    """The divisor k = 10 * ||H||_1 of :func:`linearize`."""
+    """The divisor k = 10 * ||H||_1 of the linearized backend, which bounds
+    every |eigenvalue|/k by 0.1."""
     k = 10.0 * numerics.matrix_1norm(H)
     if k == 0.0:
         raise ValueError("zero matrix cannot be linearized (k = 0)")
@@ -160,10 +151,6 @@ class EvolutionOperator:
     @property
     def dim(self) -> int:
         return self.eigenvectors.shape[0]
-
-    @property
-    def n_qubits(self) -> int:
-        return int(round(np.log2(self.dim)))
 
     def nonzero_mask(self) -> np.ndarray:
         return np.abs(self.eigenvalues) > self.zero_tol

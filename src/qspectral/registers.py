@@ -64,10 +64,6 @@ class RegisterState:
         object.__setattr__(self, "coefficients", S)
         object.__setattr__(self, "columns", blocks)
 
-    @property
-    def dim(self) -> int:
-        return 2 ** (self.m + self.n)
-
     @cached_property
     def amplitudes(self) -> np.ndarray:
         """The flat amplitudes S B^T, built on the first read."""

@@ -77,7 +77,7 @@ def ladder_matrix(evo: EvolutionOperator, m: int, sign: int = 1) -> np.ndarray:
 
 def bpea_matrix(cfg: PeaConfig, evo: EvolutionOperator, y) -> np.ndarray:
     """Dense estimation unitary, input preparation included."""
-    n = evo.n_qubits
+    n = evo.dim.bit_length() - 1
     W = prepare_unitary(numerics.as_vector(y))
     if cfg.mode == "qft":
         first, last = hadamard_wall(cfg.m), qft_matrix(cfg.m).conj().T
@@ -94,7 +94,7 @@ def iteration_matrix(cfg: PeaConfig, evo: EvolutionOperator, y) -> np.ndarray:
     """Dense amplification iterate Q for the given configuration."""
     A = bpea_matrix(cfg, evo, y)
     inner = A.conj().T if cfg.standard_grover else A
-    n = evo.n_qubits
+    n = evo.dim.bit_length() - 1
     Us = zero_reflection(cfg.m, n)
     Uf2 = marking_reflection(cfg.m, n)
     return A @ Us @ inner @ Uf2

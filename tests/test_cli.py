@@ -182,7 +182,7 @@ target: laplacian
         text = BLOBS_YAML.replace("target: gram", f"target: {target}") + "variant: normalized\n"
         cfg_path = write_config(tmp_path, text)
         cfg = load_config(cfg_path)
-        g = cli.build_graph(cfg, cli.build_points(cfg)[0])
+        g = cli.build_graph(cfg, cli.build_points(cfg))
         unnormalized = np.linalg.eigvalsh(graphmod.laplacian(g))
         normalized = np.linalg.eigvalsh(graphmod.normalized_laplacian(g))
         assert not np.allclose(unnormalized, normalized, atol=1e-6)
@@ -197,7 +197,7 @@ target: laplacian
 def test_one_laplacian_eigendecomposition(tmp_path, monkeypatch, verb, variant):
     # every solve that is not of the operator H is a solve of the Laplacian
     cfg_path = write_config(tmp_path, BLOBS_YAML + f"variant: {variant}\n")
-    H, _, _ = cli.build_operator(load_config(cfg_path))
+    H, _ = cli.build_operator(load_config(cfg_path))
     solves = []
     eig = numerics.hermitian_eig
 
@@ -266,7 +266,7 @@ class TestCmdAmplifyTrace:
     def test_one_eigendecomposition_of_operator(self, tmp_path, monkeypatch, config):
         # the input is drawn against the nonzero basis of the suite's operator
         cfg_path = None if config is None else write_config(tmp_path, config)
-        H, _, _ = cli.build_operator(load_config(cfg_path))
+        H, _ = cli.build_operator(load_config(cfg_path))
         solves = []
         eig = numerics.hermitian_eig
 
@@ -411,7 +411,7 @@ class TestCmdClusterQuantum:
         # ranking is stubbed because the centered Gram needs more than m = 6
         cfg = load_config(write_config(tmp_path, BLOBS_YAML + f"gram_centered: {centered}\n"),
                           out_dir=tmp_path / "out")
-        H, _, _ = cli.build_operator(cfg)
+        H, _ = cli.build_operator(cfg)
         sums = []
         decompose = encoding.householder_decompose
         monkeypatch.setattr(encoding, "householder_decompose",
@@ -426,7 +426,7 @@ class TestCmdClusterQuantum:
 
     def test_one_eigendecomposition_of_operator(self, tmp_path, monkeypatch):
         cfg_path = write_config(tmp_path, BLOBS_YAML)
-        H, _, _ = cli.build_operator(load_config(cfg_path))
+        H, _ = cli.build_operator(load_config(cfg_path))
         solves = []
         eig = numerics.hermitian_eig
 
@@ -507,6 +507,18 @@ class TestSelftest:
             "PASS readout"]
         assert lines[4].startswith("FAIL qpea: state norm 1.01")
 
+    def test_fails_on_register_readout_off_its_phase_rows(self, capsys, monkeypatch):
+        # the readout cluster-quantum ranks with, off by 1% from its row-by-row value
+        similarities = readout._register_similarities
+        monkeypatch.setattr(readout, "_register_similarities",
+                            lambda *args: 1.01 * similarities(*args))
+        assert cli.main(["selftest"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "PASS numerics", "PASS graph", "PASS classical", "PASS encoding", "PASS qpea",
+            "FAIL readout"]
+        assert lines[5] == "FAIL readout: similarity identity, mixer separability"
+
 
 class TestCsvRoundTrips:
     def test_matrix(self, tmp_path):
@@ -531,6 +543,35 @@ class TestCsvRoundTrips:
         pts = np.array([[0.5, 1.5], [2.5, 3.5]])
         csvio.write_rows(tmp_path / "p.csv", ["x", "y"], pts.tolist())
         assert np.array_equal(load_points_csv(tmp_path / "p.csv"), pts)
+
+    def test_trajectory_of_an_amplify_run(self, tmp_path):
+        H = datasets.random_psd_matrix(8, 3, seed=4)
+        y = datasets.random_range_input(H, seed=4)
+        cfg = qpea.PeaConfig(m=4, kappa=1.0, mode="biased", standard_grover=True)
+        _, traj = qpea.amplify(cfg, encoding.make_evolution(H, m=4), y, max_iter=12,
+                               stop_tol=None)
+        csvio.write_trajectory(tmp_path / "t.csv", traj)
+        back = csvio.read_trajectory(tmp_path / "t.csv")
+        assert list(back) == ["iteration", "success_prob", "fidelity", "qubit0_p0"]
+        assert back["iteration"].dtype.kind == "i"
+        for column, expected in [("iteration", traj.iterations),
+                                 ("success_prob", traj.success_prob),
+                                 ("fidelity", traj.fidelity), ("qubit0_p0", traj.qubit0_p0)]:
+            assert np.array_equal(back[column], expected)
+
+    def test_ranking_rewrites_the_same_bytes(self, tmp_path):
+        points, _ = gaussian_blobs([4, 4], [[1.0, 0.0], [0.0, 1.0]], 0.08, seed=3)
+        H = encoding.points_gram(points)
+        candidates = [IndicatorVector(group, 8) for group in
+                      [(0, 1, 2, 3), (4, 5, 6, 7), (0, 2, 4, 6), (1, 3, 5, 7)]]
+        cfg = qpea.PeaConfig(m=6, kappa=1.0, mode="biased", standard_grover=True)
+        ranked, direct, _ = readout.cluster_quantum(H, candidates, cfg, max_iter=40)
+        csvio.write_ranking(tmp_path / "first.csv", ranked + direct)
+        reports = [readout.SimilarityReport(**row)
+                   for row in csvio.read_ranking(tmp_path / "first.csv")]
+        csvio.write_ranking(tmp_path / "second.csv", reports)
+        assert len(reports) == 8
+        assert (tmp_path / "second.csv").read_bytes() == (tmp_path / "first.csv").read_bytes()
 
 
 class TestParser:

@@ -91,37 +91,47 @@ class TestHouseholderDecompose:
 
 
 class TestLinearize:
+    """The linearized backend: k = 10 ||H||_1, and phase -atan(lambda/k)/2pi,
+    the phase of the unitarized eigenvalue 1 - i lambda/k."""
+
+    @staticmethod
+    def linearized(H):
+        return encoding.make_evolution(H, m=4, backend="linearized")
+
     def test_diagonal_example(self):
-        Ht, k = encoding.linearize(np.diag([2.0, 0.0]))
-        assert k == pytest.approx(20.0)
-        eigs = np.linalg.eigvals(Ht)
-        assert sorted(np.round(eigs, 12).tolist(), key=lambda z: z.imag) == [
-            pytest.approx(1.0 - 0.1j),
+        evo = self.linearized(np.diag([2.0, 0.0]))
+        assert evo.scale == pytest.approx(20.0)
+        # I - iH/k has eigenvalues 1 - 0.1i and 1; U carries their phases
+        z = np.exp(2j * np.pi * evo.eigenphases)
+        assert sorted(np.round(z, 12).tolist(), key=lambda z: z.imag) == [
+            pytest.approx((1.0 - 0.1j) / abs(1.0 - 0.1j)),
             pytest.approx(1.0 + 0.0j),
         ]
 
     def test_normalized_eigenvalue_phase(self):
-        z = (1.0 - 0.1j) / abs(1.0 - 0.1j)
-        phase = np.angle(z)
+        evo = self.linearized(np.diag([2.0, 0.0]))
+        phase = 2.0 * np.pi * evo.eigenphases[np.argmax(evo.eigenvalues)]
+        assert phase == pytest.approx(np.angle((1.0 - 0.1j) / abs(1.0 - 0.1j)))
         assert phase == pytest.approx(-math.atan(0.1))
         assert phase == pytest.approx(-0.0996687, abs=1e-7)
         assert abs(phase - (-0.1)) <= 3.4e-4
 
     def test_scale_invariance(self):
         H = random_hermitian(6, 9)
-        Ht1, _ = encoding.linearize(H)
-        Ht2, _ = encoding.linearize(0.5 * H)
-        assert np.max(np.abs(Ht1 - Ht2)) <= 1e-12
+        evo1, evo2 = self.linearized(H), self.linearized(0.5 * H)
+        assert evo2.scale == pytest.approx(0.5 * evo1.scale)
+        assert np.max(np.abs(evo1.eigenphases - evo2.eigenphases)) <= 1e-12
+        assert np.max(np.abs(evo1.unitary - evo2.unitary)) <= 1e-12
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError, match="k = 0"):
-            encoding.linearize(np.zeros((3, 3)))
+            self.linearized(np.zeros((3, 3)))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 16))
     def test_eigenvalue_ratio_bounded(self, seed, dim):
         H = random_hermitian(dim, seed)
-        _, k = encoding.linearize(H)
+        k = self.linearized(H).scale
         assert np.max(np.abs(np.linalg.eigvalsh(H))) / k <= 0.1 + 1e-12
 
 
@@ -181,7 +191,7 @@ class TestMakeEvolution:
         expected = sum(np.exp(2j * np.pi * phi) * np.outer(v, v.conj())
                        for phi, v in zip(evo.eigenphases, evo.eigenvectors.T))
         assert np.max(np.abs(evo.unitary - expected)) <= 1e-12
-        assert evo.dim == 16 and evo.n_qubits == 4
+        assert evo.dim == 16
 
     def test_nonzero_basis_is_shared_and_read_only(self):
         # selected once: every read returns the same array, which no reader can change

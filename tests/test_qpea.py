@@ -399,7 +399,7 @@ def dense_observables(vec, m, n, target):
 def dense_run(cfg, evo, H, y, max_iter, stop_tol):
     """Observables per iterate, final state and stopping iterate (on phase
     qubit 0) from stepping the dense iterate Q from A |0,0>."""
-    m, n = cfg.m, evo.n_qubits
+    m, n = cfg.m, evo.dim.bit_length() - 1
     target, _ = classical.projector_target(H, y)
     Q = iteration_matrix(cfg, evo, y)
     vec = bpea_matrix(cfg, evo, y)[:, 0]
