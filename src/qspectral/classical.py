@@ -18,6 +18,7 @@ from . import numerics
 from .errors import DegenerateTargetError
 
 KMEANS_MAX_ITER = 200  # Lloyd iterations per k-means run, at most
+VARIANTS = ("unnormalized", "normalized", "row_normalized")  # Laplacian variants
 
 
 @dataclass
@@ -158,7 +159,7 @@ def eigengap_select(eigenvalues, k_max: int) -> int:
 def laplacian_matrix(g, variant: str = "unnormalized") -> np.ndarray:
     """The variant's Laplacian: D - W for ``unnormalized``, the symmetric
     normalized one for ``normalized`` and ``row_normalized``."""
-    if variant not in ("unnormalized", "normalized", "row_normalized"):
+    if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     return graphmod.laplacian(g) if variant == "unnormalized" else graphmod.normalized_laplacian(g)
 

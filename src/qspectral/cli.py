@@ -14,8 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import (classical, csvio, datasets, encoding, graph as graphmod, numerics, qpea, readout,
-               registers)
+from . import classical, csvio, datasets, encoding, graph as graphmod, numerics, qpea, readout
 from .config import ExperimentConfig, load_config
 from .experiments import trace_input, trace_suite, write_traces
 
@@ -153,12 +152,12 @@ def cmd_cluster_quantum(cfg: ExperimentConfig) -> list[Path]:
     ranked, direct, labels_q = readout.cluster_quantum(
         H, candidates, cfg.pea, max_iter=cfg.amplify.max_iter, stop_tol=cfg.amplify.stop_tol
     )
-    agreement = 0.0
+    agreement = "not_applicable"  # explicit candidates have no classical clustering to agree with
     if cfg.candidates == "auto":  # each point's quantum candidate against its classical cluster
         quantum_names = np.array([r.y_id for r in ranked] + [""])  # label -1 reads ""
         true_names = np.array([ind.name for ind in true_inds])
-        agreement = np.count_nonzero(quantum_names[labels_q] == true_names[assignment.labels])
-        agreement /= n_points
+        agreement = csvio.fmt(
+            np.count_nonzero(quantum_names[labels_q] == true_names[assignment.labels]) / n_points)
 
     # the Householder terms and gate bound describe the Gram operator only
     gates = terms = "not_applicable"
@@ -171,11 +170,11 @@ def cmd_cluster_quantum(cfg: ExperimentConfig) -> list[Path]:
     csvio.write_ranking(out / "similarity_ranking.csv", ranked + direct)
     csvio.write_labels(out / "labels_quantum.csv", labels_q)
     (out / "comparison.txt").write_text(
-        f"agreement_rate: {csvio.fmt(agreement)}\n"
+        f"agreement_rate: {agreement}\n"
         f"gate_count_estimate: {gates}\n"
         f"householder_terms: {terms}\n"
     )
-    log.info("cluster-quantum: %d candidates, agreement %.3f", len(candidates), agreement)
+    log.info("cluster-quantum: %d candidates, agreement %s", len(candidates), agreement)
     return [out / "similarity_ranking.csv", out / "labels_quantum.csv", out / "comparison.txt"]
 
 
@@ -261,21 +260,13 @@ def _check_readout(rng) -> bool:
     yv = rng.normal(size=8) + 1j * rng.normal(size=8)
     yv /= np.linalg.norm(yv)
     ok = abs(readout.householder_similarity(psi, yv) - abs(np.vdot(yv, psi)) ** 2) < 1e-12
-    # the register readout of an amplified state against its phase rows, read one
-    # by one.  Three standard iterates are, up to sign, a rotation by 6 theta in the
-    # plane of the marked part; it is done here, not by amplify, so that a faulty
-    # qpea iterate fails the qpea check only
+    # the register readout of an estimation output, on the [V_nz, y_null] columns
+    # amplify's states sit on, against its phase rows, read one by one; phase
+    # estimation runs no iterate, so a faulty qpea iterate fails the qpea check only
     H = datasets.random_psd_matrix(8, 3, 5)
     y = datasets.random_range_input(H, 5)
     cfg = qpea.PeaConfig(m=3, kappa=1.0, mode="biased", standard_grover=True)
-    start = qpea.phase_estimation(cfg, encoding.make_evolution(H, m=3), y)
-    f2 = qpea.marking_vector(3)
-    u = np.outer(f2, f2.conj() @ start.coefficients)
-    v = start.coefficients - u
-    sin0, cos0 = np.linalg.norm(u), np.linalg.norm(v)
-    theta = np.arctan2(sin0, cos0)
-    S = np.sin(7 * theta) / sin0 * u + np.cos(7 * theta) / cos0 * v
-    state = registers.RegisterState(S, start.m, start.n, start.columns)
+    state = qpea.phase_estimation(cfg, encoding.make_evolution(H, m=3), y)
     expected = 0.0
     for row in state.amplitudes.reshape(2**state.m, 2**state.n):
         weight = np.vdot(row, row).real
@@ -340,12 +331,6 @@ def main(argv=None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(name)s %(levelname)s %(message)s",
     )
-    try:
-        cfg = load_config(args.config, seed=args.seed, out_dir=args.out)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
     commands = {
         "graph": cmd_graph,
         "cluster-classical": cmd_cluster_classical,
@@ -353,6 +338,7 @@ def main(argv=None) -> int:
         "cluster-quantum": cmd_cluster_quantum,
     }
     try:
+        cfg = load_config(args.config, seed=args.seed, out_dir=args.out)
         if args.command == "selftest":
             return cmd_selftest(cfg)
         paths = commands[args.command](cfg)

@@ -19,13 +19,13 @@ from pathlib import Path
 
 import yaml
 
+from .classical import VARIANTS
 from .experiments import DEFAULT_RUNS
 from .qpea import PeaConfig
 
 DATASET_KINDS = ("random_psd", "blobs", "moons", "csv")
 GRAPH_KINDS = ("full", "epsilon", "knn")
 TARGETS = ("laplacian", "normalized_laplacian", "gram", "matrix")
-VARIANTS = ("unnormalized", "normalized", "row_normalized")
 # libyaml's loader when pyyaml was built with it; same safe subset, parsed in C
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 # YAML types accepted per scalar field annotation; a bool is refused where a number is due
@@ -217,9 +217,9 @@ def load_config(path=None, seed: int | None = None, out_dir: str | None = None) 
                 _check_type("runs kappa", runs[-1][1], "float")
             kwargs["runs"] = tuple((mode, float(kappa)) for mode, kappa in runs)
         elif key == "candidates" and value != "auto":
-            if not (isinstance(value, list) and all(isinstance(group, list) for group in value)):
-                raise ValueError(f"candidates must be 'auto' or a list of integer lists, "
-                                 f"got {value!r}")
+            if not (isinstance(value, list) and value and all(isinstance(g, list) for g in value)):
+                raise ValueError(f"candidates must be 'auto' or a non-empty list of integer "
+                                 f"lists, got {value!r}")
             for group in value:
                 for i in group:
                     _check_type("candidates member", i, "int")

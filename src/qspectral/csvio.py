@@ -45,12 +45,16 @@ def write_matrix(path, A) -> None:
     write_rows(path, header, A.tolist())
 
 
-def read_matrix(path) -> np.ndarray:
+def _read(path) -> tuple[list[str], list[list[str]]]:
+    """The header and the non-empty rows of a CSV file."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)  # header
-        rows = [[float(c) for c in row] for row in reader if row]
-    return np.asarray(rows, dtype=float)
+        header = next(reader)
+        return header, [row for row in reader if row]
+
+
+def read_matrix(path) -> np.ndarray:
+    return np.asarray([[float(c) for c in row] for row in _read(path)[1]], dtype=float)
 
 
 def write_labels(path, labels) -> None:
@@ -58,10 +62,7 @@ def write_labels(path, labels) -> None:
 
 
 def read_labels(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        rows = sorted((int(r[0]), int(r[1])) for r in reader if r)
+    rows = sorted((int(r[0]), int(r[1])) for r in _read(path)[1])
     return np.asarray([l for _, l in rows], dtype=int)
 
 
@@ -71,10 +72,7 @@ def write_eigenvalues(path, eigenvalues) -> None:
 
 
 def read_eigenvalues(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        rows = sorted((int(r[0]), float(r[1])) for r in reader if r)
+    rows = sorted((int(r[0]), float(r[1])) for r in _read(path)[1])
     return np.asarray([w for _, w in rows], dtype=float)
 
 
@@ -90,15 +88,11 @@ def write_trajectory(path, traj) -> None:
 
 
 def read_trajectory(path) -> dict[str, np.ndarray]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        cols = {name: [] for name in header}
-        for row in reader:
-            if not row:
-                continue
-            for name, val in zip(header, row):
-                cols[name].append(float(val))
+    header, rows = _read(path)
+    cols = {name: [] for name in header}
+    for row in rows:
+        for name, val in zip(header, row):
+            cols[name].append(float(val))
     out = {name: np.asarray(vals) for name, vals in cols.items()}
     out["iteration"] = out["iteration"].astype(int)
     return out
@@ -116,11 +110,5 @@ def write_ranking(path, reports) -> None:
 
 
 def read_ranking(path) -> list[dict]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        return [
-            {"y_id": r[0], "method": r[1], "similarity": float(r[2]), "rank": int(r[3])}
-            for r in reader
-            if r
-        ]
+    return [{"y_id": r[0], "method": r[1], "similarity": float(r[2]), "rank": int(r[3])}
+            for r in _read(path)[1]]

@@ -58,15 +58,21 @@ class HouseholderSum:
         return out
 
 
+def _data_array(points) -> np.ndarray:
+    """The data rows as a 2-d float array."""
+    X = np.asarray(points, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"expected a 2-d data array, got shape {X.shape}")
+    return X
+
+
 def gram_matrix(points) -> np.ndarray:
     """Sum of outer products of the data rows.
 
     For an (L, N) array X of row vectors this is X^T X: symmetric, positive
     semidefinite, of order N.
     """
-    X = np.asarray(points, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"expected a 2-d data array, got shape {X.shape}")
+    X = _data_array(points)
     H = X.T @ X
     return (H + H.T) / 2.0
 
@@ -74,9 +80,7 @@ def gram_matrix(points) -> np.ndarray:
 def gram_columns(points, centered: bool = False) -> np.ndarray:
     """Feature columns of the (N, d) points, optionally centered: a (d, N)
     array whose rows are the Householder terms of :func:`points_gram`."""
-    X = np.asarray(points, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"expected a 2-d data array, got shape {X.shape}")
+    X = _data_array(points)
     return (X - X.mean(axis=0) if centered else X).T
 
 
@@ -98,9 +102,7 @@ def householder_decompose(points) -> HouseholderSum:
     reconstruction equals :func:`gram_matrix`.  Rows of zero norm carry no
     weight and are dropped with a warning.
     """
-    X = np.asarray(points, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"expected a 2-d data array, got shape {X.shape}")
+    X = _data_array(points)
     norms = np.linalg.norm(X, axis=1)
     keep = norms > 0.0
     if not np.any(keep):

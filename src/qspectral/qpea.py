@@ -688,22 +688,24 @@ def _rotate(pipes: Sequence[_Pipeline], coords: np.ndarray, max_iter: int,
     np.divide(_norms_sq(target_v) / c, c, out=forms[:, 1, m + 2])
     del v_rows, w_v, target_v, read
     stops = np.full(k, max_iter + 1)  # each input's stopping iterate, or beyond
-    if stop_tol is None:  # one block, every input runs to max_iter
-        blocks = [(range(k), _rows(np.arange(max_iter + 1), theta, forms))]
-    else:
-        blocks, live, live_theta, live_forms = [], np.arange(k), theta, forms
-        for start in range(0, max_iter + 1, _ROW_BLOCK):
-            t = np.arange(start, min(start + _ROW_BLOCK, max_iter + 1))
-            block = _rows(t, live_theta, live_forms)
-            hits = np.abs(block[:, :, 1] - 0.5) <= stop_tol  # P0 of phase qubit 0
-            hits[:, 0] &= start > 0  # iterate 0 never stops
-            stopped = hits.any(axis=1)
-            blocks.append((live.tolist(), block))
-            if stopped.any():
-                stops[live[stopped]] = t[hits.argmax(axis=1)[stopped]]
-                if stopped.all():
-                    break
-                live, live_theta, live_forms = (x[~stopped] for x in (live, live_theta, live_forms))
+    parts = [[] for _ in range(k)]  # each input's rows, a block at a time
+    live, live_theta, live_forms = np.arange(k), theta, forms
+    size = max_iter + 1 if stop_tol is None else _ROW_BLOCK  # no stop rule: one block
+    for start in range(0, max_iter + 1, size):
+        t = np.arange(start, min(start + size, max_iter + 1))
+        block = _rows(t, live_theta, live_forms)
+        for j, block_rows in zip(live.tolist(), block):
+            parts[j].append(block_rows)
+        if stop_tol is None:
+            break
+        hits = np.abs(block[:, :, 1] - 0.5) <= stop_tol  # P0 of phase qubit 0
+        hits[:, 0] &= start > 0  # iterate 0 never stops
+        stopped = hits.any(axis=1)
+        if stopped.any():
+            stops[live[stopped]] = t[hits.argmax(axis=1)[stopped]]
+            if stopped.all():
+                break
+            live, live_theta, live_forms = (x[~stopped] for x in (live, live_theta, live_forms))
 
     # iterate 1 (the check) and the last one (the final state) of each input:
     # (-1)^t (s u + c v), with u and v the parts above over sin and cos
@@ -724,10 +726,6 @@ def _rotate(pipes: Sequence[_Pipeline], coords: np.ndarray, max_iter: int,
     if np.count_nonzero(ok) < k:
         raise ValueError(f"iterate leaves the two-plane rotation by {residuals[np.argmin(ok)]:.3g} "
                          "at iteration 1")
-    parts = [[] for _ in range(k)]
-    for live, block in blocks:
-        for j, block_rows in zip(live, block):
-            parts[j].append(block_rows)
     trajs = []
     for pipe, rows, last, stop, th, residual in zip(pipes, parts, t[1].tolist(), stops.tolist(),
                                                     theta.tolist(), residuals.tolist()):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qspectral import classical, graph, numerics
-from qspectral.datasets import gaussian_blobs
+from qspectral.datasets import gaussian_blobs, two_moons
 from qspectral.errors import DegenerateTargetError
 
 
@@ -264,3 +264,22 @@ class TestIndicatorVector:
         inds = classical.indicators_from_labels([0, 1, 0, 1], 2)
         assert inds[0].members == (0, 2)
         assert inds[1].members == (1, 3)
+
+
+class TestTwoMoons:
+    def test_seeded(self):
+        a, labels_a = two_moons(15, 0.1, seed=4)
+        b, labels_b = two_moons(15, 0.1, seed=4)
+        assert np.array_equal(a, b) and np.array_equal(labels_a, labels_b)
+        assert not np.array_equal(a, two_moons(15, 0.1, seed=5)[0])
+
+    @pytest.mark.parametrize("n", [2, 15, 16])
+    def test_labels_follow_the_half_split(self, n):
+        # without noise, label 0 is the upper unit half-circle about (0, 0) and
+        # label 1 the lower one about (1, 0.5)
+        points, labels = two_moons(n, 0.0, seed=1)
+        assert points.shape == (n, 2)
+        assert labels.tolist() == [0] * (n // 2) + [1] * (n - n // 2)
+        upper, lower = points[labels == 0], points[labels == 1] - [1.0, 0.5]
+        assert np.allclose(np.hypot(*upper.T), 1.0) and np.all(upper[:, 1] >= 0.0)
+        assert np.allclose(np.hypot(*lower.T), 1.0) and np.all(lower[:, 1] <= 0.0)

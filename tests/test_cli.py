@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from qspectral.datasets import gaussian_blobs
 from qspectral.experiments import figure_instance, trace_suite, write_traces
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 BLOBS_YAML = """
 seed: 3
 dataset:
@@ -98,6 +100,7 @@ class TestConfig:
         ("dataset: {eig_min: 2.0}", "dataset.eig_min"),
         ("dataset: {kind: blobs, noise: -0.08}", "dataset.noise"),
         ("dataset: {kind: blobs, noise: .nan}", "dataset.noise"),
+        ("candidates: []", "candidates"),
     ])
     def test_value_errors_name_the_field(self, tmp_path, capsys, text, key):
         p = write_config(tmp_path, text + "\n")
@@ -191,6 +194,36 @@ target: laplacian
         expected = normalized if target == "normalized_laplacian" else unnormalized
         assert np.allclose(csvio.read_eigenvalues(out / "laplacian_eigs.csv"), expected, atol=1e-12)
 
+    def test_point_target_refused_on_random_psd(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, "target: gram\n")  # the default random_psd dataset
+        assert cli.main(["graph", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert "dataset kind 'random_psd' does not provide points" in capsys.readouterr().err
+
+
+MOONS_YAML = """
+seed: 2
+dataset: {kind: moons, n: 16, noise: 0.05}
+target: laplacian
+k: 2
+"""
+
+
+@pytest.mark.parametrize("kind, build", [
+    ("full", lambda pts: graphmod.build_full_graph(pts, 1.0)),
+    ("epsilon", lambda pts: graphmod.build_epsilon_graph(pts, 1.0)),
+    ("knn", lambda pts: graphmod.build_knn_graph(pts, 3)),
+])
+def test_moons_graph_kinds(tmp_path, kind, build):
+    # the moons points under each graph kind, at the default sigma, eps and k
+    cfg_path = write_config(tmp_path, MOONS_YAML + f"graph: {{kind: {kind}}}\n")
+    points, _ = datasets.two_moons(16, 0.05, seed=2)
+    out = tmp_path / "out"
+    assert cli.main(["graph", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert np.array_equal(csvio.read_matrix(out / "W.csv"), build(points).weights)
+    assert cli.main(["cluster-classical", "--config", str(cfg_path), "--out", str(out)]) == 0
+    labels = csvio.read_labels(out / "labels_classical.csv")
+    assert labels.shape == (16,) and set(labels.tolist()) == {0, 1}
+
 
 @pytest.mark.parametrize("variant", ["unnormalized", "normalized", "row_normalized"])
 @pytest.mark.parametrize("verb", ["graph", "cluster-classical", "cluster-quantum"])
@@ -280,12 +313,20 @@ class TestCmdAmplifyTrace:
         assert solves == [True]
 
     def test_byte_identical_reruns(self, tmp_path):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert cli.main(["amplify-trace", "--seed", "7", "--out", str(out1)]) == 0
-        assert cli.main(["amplify-trace", "--seed", "7", "--out", str(out2)]) == 0
-        for name in ("trajectory_qft_0.csv", "trajectory_biased_1.csv",
-                     "trajectory_biased_20.csv", "summary.csv"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        traces = ("trajectory_qft_0.csv", "trajectory_biased_1.csv", "trajectory_biased_20.csv",
+                  "summary.csv")
+        for i, (verb, args, names) in enumerate([
+            ("amplify-trace", ["--seed", "7"], traces),
+            ("amplify-trace", ["--config", str(CONFIGS / "figure_preset.yaml")], traces),
+            ("cluster-quantum", ["--config", str(CONFIGS / "two_blobs.yaml")],
+             ("similarity_ranking.csv", "labels_quantum.csv", "comparison.txt")),
+        ]):
+            out1, out2 = tmp_path / f"{i}a", tmp_path / f"{i}b"
+            assert cli.main([verb, *args, "--out", str(out1)]) == 0
+            assert cli.main([verb, *args, "--out", str(out2)]) == 0
+            assert sorted(path.name for path in out1.iterdir()) == sorted(names)
+            for name in names:
+                assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), (verb, name)
 
     def test_colliding_labels_refused(self, tmp_path, capsys):
         # kappa 1 and 1.0 both label their run biased_1
@@ -350,7 +391,7 @@ class TestCmdClusterQuantum:
         for p in range(8):
             containing = [rank[name] for name, members in groups.items() if p in members]
             assert labels[p] == (min(containing) - 1 if containing else -1)
-        assert "agreement_rate: 0.0" in (out / "comparison.txt").read_text()
+        assert "agreement_rate: not_applicable\n" in (out / "comparison.txt").read_text()
 
     def test_explicit_candidates_need_no_cluster_count(self, tmp_path, monkeypatch):
         # with explicit candidates k: auto is never resolved, so it cannot fail
