@@ -9,7 +9,9 @@ change is this checkout's working tree.
 On each side, with that side's ``src`` on PYTHONPATH, it runs:
 
 - every CLI verb on ``configs/two_blobs.yaml`` and ``configs/figure_preset.yaml``;
-- ``scripts/reproduce_bias_figures.py`` with and without ``--verbatim``;
+- ``amplify-trace`` on the figure preset under the verbatim iterate, the
+  one-line config ``pea: {standard_grover: false}``, which the script writes
+  into the temporary tree so that both sides run the same file;
 - ``python -m qspectral.cli selftest``.
 
 Each run writes into its own directory of the side's output tree, and its exit
@@ -34,6 +36,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 VERBS = ("graph", "cluster-classical", "amplify-trace", "cluster-quantum")
 CONFIGS = ("two_blobs", "figure_preset")
+VERBATIM_CONFIG = "pea: {standard_grover: false}\n"  # the figure preset, verbatim iterate
 
 
 def export_commit(commit: str, dest: Path) -> None:
@@ -45,23 +48,22 @@ def export_commit(commit: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def runs() -> list[tuple[str, list[str]]]:
-    """(name, arguments after the interpreter) of every run; ``{out}`` is the
-    run's output directory."""
+def runs(verbatim: Path) -> list[tuple[str, list[str]]]:
+    """(name, arguments after the interpreter) of every run, with the verbatim
+    config at ``verbatim``; ``{out}`` is the run's output directory."""
     out = [(f"{verb}_{config}", ["-m", "qspectral.cli", verb, "--config",
                                  f"configs/{config}.yaml", "--out", "{out}"])
            for config in CONFIGS for verb in VERBS]
-    out.append(("figures", ["scripts/reproduce_bias_figures.py", "--out", "{out}"]))
-    out.append(("figures_verbatim",
-                ["scripts/reproduce_bias_figures.py", "--verbatim", "--out", "{out}"]))
+    out.append(("amplify-trace_verbatim", ["-m", "qspectral.cli", "amplify-trace", "--config",
+                                           str(verbatim), "--out", "{out}"]))
     out.append(("selftest", ["-m", "qspectral.cli", "selftest"]))
     return out
 
 
-def run_side(checkout: Path, out_root: Path) -> None:
+def run_side(checkout: Path, out_root: Path, verbatim: Path) -> None:
     """Every run of :func:`runs` in ``checkout``, written under ``out_root``."""
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
-    for name, args in runs():
+    for name, args in runs(verbatim):
         out = out_root / name
         done = subprocess.run([sys.executable, *(a.replace("{out}", str(out)) for a in args)],
                               cwd=checkout, env=env, capture_output=True, text=True)
@@ -90,9 +92,11 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         parent_dir, outputs = Path(tmp) / "parent", Path(tmp) / "outputs"
         export_commit(parent_commit, parent_dir)
+        verbatim = Path(tmp) / "verbatim.yaml"
+        verbatim.write_text(VERBATIM_CONFIG)
         for side, checkout in (("parent", parent_dir), ("change", ROOT)):
             (outputs / side).mkdir(parents=True)
-            run_side(checkout, outputs / side)
+            run_side(checkout, outputs / side, verbatim)
         names = differing(outputs / "parent", outputs / "change")
         compared = sum(1 for p in (outputs / "parent").rglob("*") if p.is_file())
     for name in names:

@@ -146,14 +146,13 @@ def eigengap_select(eigenvalues, k_max: int) -> int:
     """Cluster count with the largest eigengap |lambda_k - lambda_{k+1}|.
 
     ``eigenvalues`` must be sorted ascending; k is 1-indexed and searched over
-    1 <= k < min(k_max, len(eigenvalues)); ties pick the smallest k.
+    2 <= k < min(k_max, len(eigenvalues)), as a clustering needs two
+    clusters; ties pick the smallest k, and an empty range gives 2.  (k = 1
+    would win on every connected graph, whose first gap is its spectral gap.)
     """
     w = np.asarray(eigenvalues, dtype=float)
-    upper = min(int(k_max), w.size)
-    if upper < 2:
-        raise ValueError("need at least two eigenvalues and k_max >= 2")
-    gaps = np.abs(np.diff(w[:upper]))
-    return int(np.argmax(gaps)) + 1
+    gaps = np.abs(np.diff(w[1:min(int(k_max), w.size)]))
+    return int(np.argmax(gaps)) + 2 if gaps.size else 2
 
 
 def laplacian_matrix(g, variant: str = "unnormalized") -> np.ndarray:

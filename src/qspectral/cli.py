@@ -127,15 +127,22 @@ def cmd_amplify_trace(cfg: ExperimentConfig) -> list[Path]:
     paths = write_traces(cfg.out_dir, results)
     for res in results:
         traj = res.trajectory
-        log.info("amplify-trace %s: first peak %d, peak fidelity %.4f at %d", res.label,
-                 traj.first_fidelity_peak(), traj.peak_fidelity, traj.peak_fidelity_iteration)
+        # theta and t* describe the standard iterate's rotation; the verbatim one has none
+        theta = "-" if traj.theta is None else f"{traj.theta:.4f}"
+        t_star = "-" if traj.optimal_iterations is None else str(traj.optimal_iterations)
+        log.info("amplify-trace %s: initial success %.4f, first peak %d, peak fidelity %.4f "
+                 "at %d, theta %s, t* %s", res.label, traj.success_prob[0],
+                 traj.first_fidelity_peak(), traj.peak_fidelity, traj.peak_fidelity_iteration,
+                 theta, t_star)
     return paths
 
 
 def cmd_cluster_quantum(cfg: ExperimentConfig) -> list[Path]:
     out = Path(cfg.out_dir)
-    if cfg.target == "matrix":
-        raise ValueError("cluster-quantum requires a point dataset target (gram or laplacian)")
+    # on a Laplacian the nonzero eigenspace scores every s-member indicator
+    # 1 - s/N, so only the gram target ranks candidates by cluster content
+    if cfg.target != "gram":
+        raise ValueError(f"cluster-quantum ranks on the gram target only, got {cfg.target!r}")
     H, points = build_operator(cfg)
     n_points = points.shape[0]
 
@@ -159,12 +166,8 @@ def cmd_cluster_quantum(cfg: ExperimentConfig) -> list[Path]:
         agreement = csvio.fmt(
             np.count_nonzero(quantum_names[labels_q] == true_names[assignment.labels]) / n_points)
 
-    # the Householder terms and gate bound describe the Gram operator only
-    gates = terms = "not_applicable"
-    if cfg.target == "gram":
-        hsum = encoding.householder_decompose(encoding.gram_columns(points, cfg.gram_centered))
-        gates = encoding.gate_count_estimate(len(hsum), H.shape[0], cfg.pea.m)
-        terms = len(hsum)
+    hsum = encoding.householder_decompose(encoding.gram_columns(points, cfg.gram_centered))
+    gates = encoding.gate_count_estimate(len(hsum), H.shape[0], cfg.pea.m)
 
     out.mkdir(parents=True, exist_ok=True)
     csvio.write_ranking(out / "similarity_ranking.csv", ranked + direct)
@@ -172,7 +175,7 @@ def cmd_cluster_quantum(cfg: ExperimentConfig) -> list[Path]:
     (out / "comparison.txt").write_text(
         f"agreement_rate: {agreement}\n"
         f"gate_count_estimate: {gates}\n"
-        f"householder_terms: {terms}\n"
+        f"householder_terms: {len(hsum)}\n"
     )
     log.info("cluster-quantum: %d candidates, agreement %s", len(candidates), agreement)
     return [out / "similarity_ranking.csv", out / "labels_quantum.csv", out / "comparison.txt"]

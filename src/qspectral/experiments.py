@@ -1,4 +1,4 @@
-"""Seeded experiment presets shared by the command line, the scripts, and the
+"""Seeded experiment presets shared by the command line, the benchmark, and the
 acceptance suite: the rank-deficient figure instance, trajectory sweeps over
 estimation modes and bias values, and the files a sweep is written to.
 """

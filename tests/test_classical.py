@@ -80,14 +80,22 @@ class TestEigengap:
         assert classical.eigengap_select([0.0, 0.01, 0.02, 5.0, 5.1], k_max=8) == 3
 
     def test_all_equal_tie_break(self):
-        assert classical.eigengap_select([1.0, 1.0, 1.0, 1.0], k_max=8) == 1
+        assert classical.eigengap_select([1.0, 1.0, 1.0, 1.0], k_max=8) == 2
 
     def test_two_zeros(self):
         assert classical.eigengap_select([0.0, 0.0, 3.0], k_max=8) == 2
 
     def test_k_max_bounds_search(self):
         # largest gap sits at k=3 but search stops below min(k_max, len)
-        assert classical.eigengap_select([0.0, 0.2, 0.21, 5.0], k_max=3) == 1
+        assert classical.eigengap_select([0.0, 0.2, 0.21, 5.0], k_max=3) == 2
+
+    def test_connected_graph_gets_two_clusters(self):
+        # the spectral gap of a connected graph (k = 1) is not a cluster count
+        assert classical.eigengap_select([0.0, 6.7, 7.9, 8.0], k_max=8) == 2
+
+    @pytest.mark.parametrize("eigenvalues", [[], [0.0], [0.0, 1.0]])
+    def test_empty_search_range_gives_two(self, eigenvalues):
+        assert classical.eigengap_select(eigenvalues, k_max=8) == 2
 
 
 class TestSpectralCluster:

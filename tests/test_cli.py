@@ -1,3 +1,4 @@
+import logging
 import re
 from pathlib import Path
 
@@ -34,6 +35,10 @@ amplify:
   max_iter: 40
   stop_tol: 0.05
 """
+
+
+# the figure preset under the verbatim iterate
+VERBATIM_YAML = "pea: {standard_grover: false}\n"
 
 
 def write_config(tmp_path, text):
@@ -225,6 +230,25 @@ def test_moons_graph_kinds(tmp_path, kind, build):
     assert labels.shape == (16,) and set(labels.tolist()) == {0, 1}
 
 
+def test_auto_k_on_connected_moons(tmp_path):
+    # the full moons graph is connected (Laplacian eigenvalues 0, 6.735, 7.934, ...):
+    # k: auto selects two clusters, and graph reports the k the clustering verbs use
+    auto = MOONS_YAML.replace("k: 2\n", "")
+    out = tmp_path / "out"
+    assert cli.main(["graph", "--config", str(write_config(tmp_path, auto)), "--out", str(out)]) == 0
+    assert (out / "eigengap.txt").read_text() == "2\n"
+    assert cli.main(["cluster-classical", "--config", str(write_config(tmp_path, auto)),
+                     "--out", str(out)]) == 0
+    assert set(csvio.read_labels(out / "labels_classical.csv").tolist()) == {0, 1}
+    gram = auto.replace("target: laplacian", "target: gram") + "scrambled: 0\n"
+    assert cli.main(["cluster-quantum", "--config", str(write_config(tmp_path, gram)),
+                     "--out", str(out)]) == 0
+    ranking = csvio.read_ranking(out / "similarity_ranking.csv")
+    assert len([r for r in ranking if r["method"] == "householder"]) == 2
+    assert set(csvio.read_labels(out / "labels_quantum.csv").tolist()) == {0, 1}
+    assert (out / "comparison.txt").read_text().startswith("agreement_rate: 1.0\n")
+
+
 @pytest.mark.parametrize("variant", ["unnormalized", "normalized", "row_normalized"])
 @pytest.mark.parametrize("verb", ["graph", "cluster-classical", "cluster-quantum"])
 def test_one_laplacian_eigendecomposition(tmp_path, monkeypatch, verb, variant):
@@ -315,9 +339,11 @@ class TestCmdAmplifyTrace:
     def test_byte_identical_reruns(self, tmp_path):
         traces = ("trajectory_qft_0.csv", "trajectory_biased_1.csv", "trajectory_biased_20.csv",
                   "summary.csv")
+        verbatim = write_config(tmp_path, VERBATIM_YAML)
         for i, (verb, args, names) in enumerate([
             ("amplify-trace", ["--seed", "7"], traces),
             ("amplify-trace", ["--config", str(CONFIGS / "figure_preset.yaml")], traces),
+            ("amplify-trace", ["--config", str(verbatim)], traces),
             ("cluster-quantum", ["--config", str(CONFIGS / "two_blobs.yaml")],
              ("similarity_ranking.csv", "labels_quantum.csv", "comparison.txt")),
         ]):
@@ -346,6 +372,35 @@ class TestCmdAmplifyTrace:
         assert len(names) == 4
         for name in names:
             assert (cli_out / name).read_bytes() == (script_out / name).read_bytes(), name
+
+    def test_verbatim_config_writes_the_verbatim_figure(self, tmp_path):
+        # omitted keys keep the preset: the one line only swaps the iterate
+        cli_out, lib_out = tmp_path / "cli", tmp_path / "lib"
+        cfg_path = write_config(tmp_path, VERBATIM_YAML)
+        assert cli.main(["amplify-trace", "--config", str(cfg_path), "--out", str(cli_out)]) == 0
+        paths = write_traces(lib_out, trace_suite(*figure_instance(0), standard_grover=False))
+        assert sorted(path.name for path in cli_out.iterdir()) == sorted(p.name for p in paths)
+        for path in paths:
+            assert (cli_out / path.name).read_bytes() == path.read_bytes(), path.name
+
+    @pytest.mark.parametrize("config, rows", [
+        (None, [("qft_0", "0.3461", "0.0742", "10"), ("biased_1", "0.0419", "0.1442", "5"),
+                ("biased_20", "0.2517", "0.3030", "2")]),
+        # the verbatim iterate is no rotation: it has no theta and no t*
+        (VERBATIM_YAML, [("qft_0", "0.3461", "-", "-"), ("biased_1", "0.0419", "-", "-"),
+                         ("biased_20", "0.2517", "-", "-")]),
+    ], ids=["standard", "verbatim"])
+    def test_verbose_line_per_run(self, tmp_path, caplog, config, rows):
+        caplog.set_level(logging.INFO, logger="qspectral")
+        args = ["amplify-trace", "--verbose", "--out", str(tmp_path / "out")]
+        if config is not None:
+            args += ["--config", str(write_config(tmp_path, config))]
+        assert cli.main(args) == 0
+        lines = [r.getMessage() for r in caplog.records if r.name == "qspectral"]
+        assert len(lines) == len(rows)
+        for line, (label, success, theta, t_star) in zip(lines, rows):
+            assert line.startswith(f"amplify-trace {label}: initial success {success}, ")
+            assert line.endswith(f", theta {theta}, t* {t_star}")
 
     def test_stagnation_visible_in_summary(self, tmp_path):
         cfg_path = write_config(
@@ -412,9 +467,10 @@ class TestCmdClusterQuantum:
         assert cli.main(["cluster-quantum", "--config", str(cfg_path),
                          "--out", str(tmp_path / "out_again")]) == 0
 
-    def test_matrix_target_rejected(self, tmp_path):
+    def test_matrix_target_rejected(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert cli.main(["cluster-quantum", "--out", str(out)]) == 2
+        assert "gram target only, got 'matrix'" in capsys.readouterr().err
 
     def test_amplify_config_passed_through(self, tmp_path, monkeypatch):
         # stop_tol: null and max_iter: 0 reach the ranking as configured
@@ -490,8 +546,6 @@ class TestCmdClusterQuantum:
 
     @pytest.mark.parametrize("target, gates, terms", [
         ("gram", "1024", "2"),  # two feature columns, N = 8, m = 6: 2^6 * 2 * 8 gates
-        ("laplacian", "not_applicable", "not_applicable"),
-        ("normalized_laplacian", "not_applicable", "not_applicable"),
     ])
     def test_gram_report_only_for_gram_target(self, tmp_path, target, gates, terms):
         cfg_path = write_config(tmp_path, BLOBS_YAML.replace("target: gram", f"target: {target}"))
@@ -500,6 +554,16 @@ class TestCmdClusterQuantum:
         comparison = (out / "comparison.txt").read_text()
         assert f"gate_count_estimate: {gates}\n" in comparison
         assert f"householder_terms: {terms}\n" in comparison
+
+    @pytest.mark.parametrize("target", ["laplacian", "normalized_laplacian"])
+    def test_laplacian_target_refused(self, tmp_path, capsys, target):
+        # its nonzero eigenspace scores every s-member candidate 1 - s/N, so a
+        # ranking would be decided by the tie rule: nothing is written
+        cfg_path = write_config(tmp_path, BLOBS_YAML.replace("target: gram", f"target: {target}"))
+        out = tmp_path / "out"
+        assert cli.main(["cluster-quantum", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert f"gram target only, got '{target}'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSelftest:
