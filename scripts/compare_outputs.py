@@ -9,9 +9,11 @@ change is this checkout's working tree.
 On each side, with that side's ``src`` on PYTHONPATH, it runs:
 
 - every CLI verb on ``configs/two_blobs.yaml`` and ``configs/figure_preset.yaml``;
-- ``amplify-trace`` on the figure preset under the verbatim iterate, the
-  one-line config ``pea: {standard_grover: false}``, which the script writes
-  into the temporary tree so that both sides run the same file;
+- on two configs that the script writes into the temporary tree, so that both
+  sides run the same file: ``amplify-trace`` on the figure preset under the
+  verbatim iterate (the one-line config ``pea: {standard_grover: false}``),
+  and ``graph`` and ``cluster-classical`` on 16 moons points with a laplacian
+  target and the normalized Laplacian variant;
 - ``python -m qspectral.cli selftest``.
 
 Each run writes into its own directory of the side's output tree, and its exit
@@ -36,7 +38,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 VERBS = ("graph", "cluster-classical", "amplify-trace", "cluster-quantum")
 CONFIGS = ("two_blobs", "figure_preset")
-VERBATIM_CONFIG = "pea: {standard_grover: false}\n"  # the figure preset, verbatim iterate
+# name: (config text, the verbs run on it)
+WRITTEN_CONFIGS = {
+    "verbatim": ("pea: {standard_grover: false}\n", ("amplify-trace",)),
+    "normalized": ("seed: 2\ndataset: {kind: moons, n: 16, noise: 0.2}\n"
+                   "target: laplacian\nvariant: normalized\n", ("graph", "cluster-classical")),
+}
 
 
 def export_commit(commit: str, dest: Path) -> None:
@@ -48,22 +55,23 @@ def export_commit(commit: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def runs(verbatim: Path) -> list[tuple[str, list[str]]]:
-    """(name, arguments after the interpreter) of every run, with the verbatim
-    config at ``verbatim``; ``{out}`` is the run's output directory."""
-    out = [(f"{verb}_{config}", ["-m", "qspectral.cli", verb, "--config",
-                                 f"configs/{config}.yaml", "--out", "{out}"])
-           for config in CONFIGS for verb in VERBS]
-    out.append(("amplify-trace_verbatim", ["-m", "qspectral.cli", "amplify-trace", "--config",
-                                           str(verbatim), "--out", "{out}"]))
+def runs(written: Path) -> list[tuple[str, list[str]]]:
+    """(name, arguments after the interpreter) of every run, with each of
+    :data:`WRITTEN_CONFIGS` at ``written/<name>.yaml``; ``{out}`` is the run's
+    output directory."""
+    plan = [(config, f"configs/{config}.yaml", VERBS) for config in CONFIGS]
+    plan += [(config, str(written / f"{config}.yaml"), verbs)
+             for config, (_, verbs) in WRITTEN_CONFIGS.items()]
+    out = [(f"{verb}_{config}", ["-m", "qspectral.cli", verb, "--config", path, "--out", "{out}"])
+           for config, path, verbs in plan for verb in verbs]
     out.append(("selftest", ["-m", "qspectral.cli", "selftest"]))
     return out
 
 
-def run_side(checkout: Path, out_root: Path, verbatim: Path) -> None:
+def run_side(checkout: Path, out_root: Path, written: Path) -> None:
     """Every run of :func:`runs` in ``checkout``, written under ``out_root``."""
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
-    for name, args in runs(verbatim):
+    for name, args in runs(written):
         out = out_root / name
         done = subprocess.run([sys.executable, *(a.replace("{out}", str(out)) for a in args)],
                               cwd=checkout, env=env, capture_output=True, text=True)
@@ -92,11 +100,11 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         parent_dir, outputs = Path(tmp) / "parent", Path(tmp) / "outputs"
         export_commit(parent_commit, parent_dir)
-        verbatim = Path(tmp) / "verbatim.yaml"
-        verbatim.write_text(VERBATIM_CONFIG)
+        for config, (text, _) in WRITTEN_CONFIGS.items():
+            (Path(tmp) / f"{config}.yaml").write_text(text)
         for side, checkout in (("parent", parent_dir), ("change", ROOT)):
             (outputs / side).mkdir(parents=True)
-            run_side(checkout, outputs / side, verbatim)
+            run_side(checkout, outputs / side, Path(tmp))
         names = differing(outputs / "parent", outputs / "change")
         compared = sum(1 for p in (outputs / "parent").rglob("*") if p.is_file())
     for name in names:

@@ -90,7 +90,7 @@ def cmd_graph(cfg: ExperimentConfig) -> list[Path]:
     out = Path(cfg.out_dir)
     points = build_points(cfg)
     g = build_graph(cfg, points)
-    w, _ = classical.laplacian_eig(g, _target_variant(cfg))
+    w, _ = classical.laplacian_eig(g, cfg.variant)  # the spectrum the clustering verbs pick k on
     k = select_k(cfg, w)
     out.mkdir(parents=True, exist_ok=True)
     csvio.write_matrix(out / "W.csv", g.weights)

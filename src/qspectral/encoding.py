@@ -130,8 +130,9 @@ class EvolutionOperator:
     t*lambda_j; ``linearized`` unitarizes I - iH/k so the eigenphase is
     -arctan(lambda_j/k)/(2*pi).  Eigenvalues within ``zero_tol`` (always
     ``default_zero_tol(H)``) of zero are pinned to phase exactly 0 in both
-    backends.  The eigenvectors are real for a real H; the unitary itself is
-    built only when :attr:`unitary` is read.  :func:`make_evolution`
+    backends, so U is the identity off the nonzero eigenspace, whose (N, r)
+    basis (real for a real H) is all of the eigenbasis the operator keeps;
+    U itself is built only when :attr:`unitary` is read.  :func:`make_evolution`
     returns its arrays read-only, since what is cached on the operator is
     built from them.
     """
@@ -140,19 +141,20 @@ class EvolutionOperator:
     time: float | None  # phase scaling t (exact backend)
     scale: float | None  # divisor k (linearized backend)
     eigenvalues: np.ndarray  # of the Hamiltonian, ascending
-    eigenvectors: np.ndarray
+    nonzero_basis: np.ndarray  # (N, r) eigenvectors of the nonzero eigenvalues, as columns
     eigenphases: np.ndarray  # signed; equal mod 1 to the phases of U
     zero_tol: float
 
     @property
     def unitary(self) -> np.ndarray:
-        """U = V diag(exp(2 pi i phi)) V^dag, computed on each read."""
-        V = self.eigenvectors
-        return (V * np.exp(2j * np.pi * self.eigenphases)) @ V.conj().T
+        """U = I + V_nz diag(exp(2 pi i phi_nz) - 1) V_nz^dag, computed on each read."""
+        V = self.nonzero_basis
+        rotation = np.exp(2j * np.pi * self.eigenphases[self.nonzero_mask()]) - 1.0
+        return np.eye(self.dim) + (V * rotation) @ V.conj().T
 
     @property
     def dim(self) -> int:
-        return self.eigenvectors.shape[0]
+        return self.nonzero_basis.shape[0]
 
     def nonzero_mask(self) -> np.ndarray:
         return np.abs(self.eigenvalues) > self.zero_tol
@@ -165,14 +167,6 @@ class EvolutionOperator:
         two form no reference cycle and both are freed with the last
         reference to the operator."""
         return {}
-
-    @cached_property
-    def nonzero_basis(self) -> np.ndarray:
-        """Eigenvectors of the nonzero eigenvalues, as columns: selected on
-        the first read and read-only, so every later read shares the array."""
-        V = self.eigenvectors[:, self.nonzero_mask()]
-        V.flags.writeable = False
-        return V
 
 
 def make_evolution(
@@ -232,14 +226,15 @@ def make_evolution(
     else:
         raise ValueError(f"unknown backend {backend!r}")
 
-    for array in (w, V, phases):  # the engines kept on the operator read them
+    V_nz = V[:, nz]  # a copy: the full eigenbasis is freed on return
+    for array in (w, V_nz, phases):  # the engines kept on the operator read them
         array.flags.writeable = False
     return EvolutionOperator(
         backend=backend,
         time=t,
         scale=scale,
         eigenvalues=w,
-        eigenvectors=V,
+        nonzero_basis=V_nz,
         eigenphases=phases,
         zero_tol=zero_tol,
     )

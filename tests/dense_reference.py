@@ -1,7 +1,8 @@
 """Dense matrices of the operators the engine applies on coordinates, for tests:
-the 2^(m+n) iterate and the N x N input load W; the phase gates come from the
-public gate builders and the dense QFT and Hadamard wall below, so no engine
-code is shared.  :func:`full_state` holds a full register array as a state."""
+the 2^(m+n) iterate and the N x N input load W; the ladder is built from powers
+of the operator's dense unitary, and the phase gates come from the public gate
+builders and the dense QFT and Hadamard wall below, so no engine code is
+shared.  :func:`full_state` holds a full register array as a state."""
 
 import numpy as np
 
@@ -65,13 +66,13 @@ def prepare_unitary(y) -> np.ndarray:
 
 
 def ladder_matrix(evo: EvolutionOperator, m: int, sign: int = 1) -> np.ndarray:
-    """Dense controlled-power ladder: block p applies U^p to the system."""
+    """Dense controlled-power ladder: block p applies U^p (U^-p = (U^dag)^p
+    for ``sign`` -1) to the system, as a product of p copies of the unitary."""
     M, N = 2**m, evo.dim
     out = np.zeros((M * N, M * N), dtype=complex)
-    V = evo.eigenvectors
+    U = evo.unitary if sign > 0 else evo.unitary.conj().T
     for p in range(M):
-        block = (V * np.exp(2j * np.pi * sign * evo.eigenphases * p)) @ V.conj().T
-        out[p * N:(p + 1) * N, p * N:(p + 1) * N] = block
+        out[p * N:(p + 1) * N, p * N:(p + 1) * N] = np.linalg.matrix_power(U, p)
     return out
 
 
@@ -110,8 +111,16 @@ def controlled_power_apply(evo: EvolutionOperator, j: int, state: RegisterState,
         raise ValueError(f"control qubit {control_qubit} outside phase register of {m} qubits")
     if j < 0:
         raise ValueError(f"power exponent must be nonnegative, got {j}")
-    V = evo.eigenvectors
+    power = np.linalg.matrix_power(evo.unitary, 2**j)
     mat = state.amplitudes.reshape(2**m, 2**state.n).copy()
     mask = (np.arange(2**m) >> (m - 1 - control_qubit)) & 1 == 1
-    mat[mask] = ((mat[mask] @ V.conj()) * np.exp(2j * np.pi * evo.eigenphases * float(2**j))) @ V.T
+    mat[mask] = mat[mask] @ power.T
     return full_state(mat.reshape(-1), m, state.n)
+
+
+def null_space_vectors(evo: EvolutionOperator, rng, count: int) -> np.ndarray:
+    """``count`` random complex vectors, as columns, with their part in
+    span(``evo.nonzero_basis``) projected off: vectors U leaves as they are."""
+    V = evo.nonzero_basis
+    Z = rng.normal(size=(evo.dim, count)) + 1j * rng.normal(size=(evo.dim, count))
+    return Z - V @ (V.conj().T @ Z)

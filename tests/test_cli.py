@@ -186,7 +186,8 @@ target: laplacian
 
 
     @pytest.mark.parametrize("target", ["gram", "laplacian", "normalized_laplacian"])
-    def test_spectrum_follows_target_not_variant(self, tmp_path, target):
+    def test_spectrum_follows_variant_not_target(self, tmp_path, target):
+        # graph reports the Laplacian the clustering verbs pick k on, whatever the target
         text = BLOBS_YAML.replace("target: gram", f"target: {target}") + "variant: normalized\n"
         cfg_path = write_config(tmp_path, text)
         cfg = load_config(cfg_path)
@@ -196,8 +197,8 @@ target: laplacian
         assert not np.allclose(unnormalized, normalized, atol=1e-6)
         out = tmp_path / "out"
         assert cli.main(["graph", "--config", str(cfg_path), "--out", str(out)]) == 0
-        expected = normalized if target == "normalized_laplacian" else unnormalized
-        assert np.allclose(csvio.read_eigenvalues(out / "laplacian_eigs.csv"), expected, atol=1e-12)
+        assert np.allclose(csvio.read_eigenvalues(out / "laplacian_eigs.csv"), normalized,
+                           atol=1e-12)
 
     def test_point_target_refused_on_random_psd(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, "target: gram\n")  # the default random_psd dataset
@@ -247,6 +248,27 @@ def test_auto_k_on_connected_moons(tmp_path):
     assert len([r for r in ranking if r["method"] == "householder"]) == 2
     assert set(csvio.read_labels(out / "labels_quantum.csv").tolist()) == {0, 1}
     assert (out / "comparison.txt").read_text().startswith("agreement_rate: 1.0\n")
+
+
+# the normalized Laplacian variant on a laplacian target, with k: auto
+NORMALIZED_MOONS_YAML = """
+seed: 2
+dataset: {kind: moons, n: 16, noise: 0.2}
+target: laplacian
+variant: normalized
+"""
+
+
+def test_graph_reports_the_k_cluster_classical_uses(tmp_path):
+    # a laplacian target with the normalized variant: graph used to pick k = 3
+    # on the target's unnormalized Laplacian, while cluster-classical picked k = 2
+    cfg_path = write_config(tmp_path, NORMALIZED_MOONS_YAML)
+    out = tmp_path / "out"
+    assert cli.main(["graph", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert cli.main(["cluster-classical", "--config", str(cfg_path), "--out", str(out)]) == 0
+    labels = csvio.read_labels(out / "labels_classical.csv")
+    assert (out / "eigengap.txt").read_text() == "2\n"
+    assert set(labels.tolist()) == {0, 1}
 
 
 @pytest.mark.parametrize("variant", ["unnormalized", "normalized", "row_normalized"])

@@ -1,15 +1,16 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qspectral import encoding, numerics, qpea
-from qspectral.datasets import random_psd_matrix
+from qspectral.datasets import random_psd_matrix, random_range_input
 from qspectral.errors import PhaseResolutionError
-from dense_reference import controlled_power_apply, full_state
+from dense_reference import controlled_power_apply, full_state, null_space_vectors
 
 
 def random_hermitian(dim, seed):
@@ -157,9 +158,9 @@ class TestMakeEvolution:
             evo = encoding.make_evolution(H, m=4, backend=backend)
             zero_idx = np.abs(evo.eigenvalues) <= evo.zero_tol
             assert np.all(evo.eigenphases[zero_idx] == 0.0)
-            # the zero eigenvectors are fixed points of U
-            V0 = evo.eigenvectors[:, zero_idx]
-            assert np.max(np.abs(evo.unitary @ V0 - V0)) <= 1e-10
+            # vectors off the nonzero eigenspace are fixed points of U
+            Z = null_space_vectors(evo, np.random.default_rng(11), 5)
+            assert np.max(np.abs(evo.unitary @ Z - Z)) <= 1e-10
 
     def test_unitary_and_commutes_with_h(self):
         H = random_psd_matrix(16, 6, seed=0)
@@ -177,7 +178,7 @@ class TestMakeEvolution:
             Q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
             H = Q @ H @ Q.conj().T
         evo = encoding.make_evolution(H, m=5, backend=backend)
-        assert evo.eigenvectors.dtype == (np.complex128 if cplx else np.float64)
+        assert evo.nonzero_basis.dtype == (np.complex128 if cplx else np.float64)
         assert evo.eigenvalues.dtype == evo.eigenphases.dtype == np.float64
 
     def test_unitary_built_only_when_read(self):
@@ -189,20 +190,83 @@ class TestMakeEvolution:
         held = [v for v in vars(evo).values() if isinstance(v, np.ndarray)]
         assert held and all(v.dtype == np.float64 for v in held)
         expected = sum(np.exp(2j * np.pi * phi) * np.outer(v, v.conj())
-                       for phi, v in zip(evo.eigenphases, evo.eigenvectors.T))
+                       for phi, v in zip(evo.eigenphases, numerics.hermitian_eig(H)[1].T))
         assert np.max(np.abs(evo.unitary - expected)) <= 1e-12
         assert evo.dim == 16
 
     def test_nonzero_basis_is_shared_and_read_only(self):
-        # selected once: every read returns the same array, which no reader can change
+        # selected once: the engine reads the same array, which no reader can change
         H = random_psd_matrix(16, 6, seed=14)
         evo = encoding.make_evolution(H, m=6)
         V = evo.nonzero_basis
-        assert evo.nonzero_basis is V
+        assert qpea._engine(evo, 6).nonzero_basis is V
         assert not V.flags.writeable
-        assert np.array_equal(V, evo.eigenvectors[:, evo.nonzero_mask()])
+        assert np.array_equal(V, numerics.hermitian_eig(H)[1][:, evo.nonzero_mask()])
         with pytest.raises(ValueError, match="read-only"):
             V[0, 0] = 1.0
+
+    def test_no_held_array_is_n_by_n(self):
+        # after a run, neither the operator nor its engine holds an N x N array
+        H = random_psd_matrix(64, 3, seed=15)
+        evo = encoding.make_evolution(H, m=4)
+        cfg = qpea.PeaConfig(m=4, kappa=1.0, mode="biased", standard_grover=True)
+        qpea.amplify(cfg, evo, random_range_input(H, seed=15), max_iter=3)
+        held = [v for obj in (evo, *evo.engines.values()) for v in vars(obj).values()
+                if isinstance(v, np.ndarray)]
+        assert evo.engines and held
+        assert max(v.size for v in held) < 64 * 64
+
+    def test_large_operator_retains_its_nonzero_basis_only(self):
+        # N = 2048, r = 8: the full eigenbasis would be 32 MiB, the (N, r)
+        # basis is 128 KiB; the operator, its engine and one run keep under 1 MiB
+        N, r, m = 2048, 8, 4
+        rng = np.random.default_rng(16)
+        Q, _ = np.linalg.qr(rng.normal(size=(N, r)))
+        H = (Q * rng.uniform(0.3, 1.0, size=r)) @ Q.T
+        H = (H + H.T) / 2
+        z = rng.normal(size=N)
+        inside = Q @ (Q.T @ z)
+        y = 0.6 * inside / np.linalg.norm(inside) + 0.8 * (z - inside) / np.linalg.norm(z - inside)
+        cfg = qpea.PeaConfig(m=m, kappa=1.0, mode="biased", standard_grover=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            evo = encoding.make_evolution(H, m=m)
+            qpea.amplify(cfg, evo, y, max_iter=5, stop_tol=None)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert evo.nonzero_basis.shape == (N, r) and evo.engines
+        assert retained < 2**20
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 16), rank_frac=st.floats(0.0, 1.0), cplx=st.booleans(),
+           backend=st.sampled_from(["exact_exponential", "linearized"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_unitary_matches_full_eigenbasis_reference(self, n, rank_frac, cplx, backend, seed):
+        # U from the (N, r) basis equals V diag(exp(2 pi i phi)) V^dag over a
+        # full eigenbasis of the test's own, and is the identity off span(V_nz)
+        rank = round(rank_frac * n)
+        assume(rank > 0 or backend == "exact_exponential")  # k = 0 cannot be linearized
+        rng = np.random.default_rng(seed)
+        gauss = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if cplx else 0.0)
+        Q, _ = np.linalg.qr(gauss)
+        lam = np.zeros(n)
+        lam[:rank] = rng.uniform(0.3, 1.0, size=rank)
+        H = (Q * lam) @ Q.conj().T
+        H = (H + H.conj().T) / 2
+        evo = encoding.make_evolution(H, m=5, backend=backend)
+        assert evo.nonzero_basis.shape == (n, rank)
+        w, V = np.linalg.eigh(H)
+        nz = np.abs(w) > evo.zero_tol
+        if backend == "exact_exponential":
+            phases = np.where(nz, evo.time * w, 0.0)
+        else:
+            phases = np.where(nz, -np.arctan(w / evo.scale) / (2.0 * np.pi), 0.0)
+        reference = (V * np.exp(2j * np.pi * phases)) @ V.conj().T
+        assert np.max(np.abs(evo.unitary - reference)) <= 1e-12
+        Z = null_space_vectors(evo, rng, 3)
+        assert np.max(np.abs(evo.unitary @ Z - Z)) <= 1e-12
 
     def test_auto_time_respects_resolution_floor(self):
         H = random_psd_matrix(16, 6, seed=1)
