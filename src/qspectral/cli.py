@@ -152,7 +152,8 @@ def cmd_cluster_quantum(cfg: ExperimentConfig) -> list[Path]:
         true_inds = classical.indicators_from_labels(assignment.labels, k)
         candidates = list(true_inds)
         for s in range(cfg.scrambled):
-            candidates.extend(datasets.scrambled_indicators(true_inds, cfg.seed + 31 * (s + 1)))
+            candidates.extend(datasets.scrambled_indicators(true_inds, cfg.seed + 31 * (s + 1),
+                                                            candidates))
     else:
         candidates = [classical.IndicatorVector(tuple(group), n_points) for group in cfg.candidates]
 
@@ -253,7 +254,7 @@ def _check_qpea(rng) -> bool:
     # the closed form against the same iterates stepped one by one
     ref_final, ref = qpea.amplify_stepped(cfg, evo, y, max_iter=steps, stop_tol=None)
     gap = max(np.max(np.abs(getattr(traj, f) - getattr(ref, f)))
-              for f in ("success_prob", "marked_prob", "fidelity", "phase_marginals"))
+              for f in ("success_prob", "marked_prob", "fidelity", "qubit0_p0"))
     return ok and gap < 1e-9 and np.max(np.abs(final.amplitudes - ref_final.amplitudes)) < 1e-9
 
 

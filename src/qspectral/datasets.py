@@ -8,7 +8,7 @@ import numpy as np
 
 from .classical import IndicatorVector, nonzero_eigenvectors
 
-MAX_TRIES = 10_000  # rejection-sampling draws of random_range_input
+MAX_TRIES = 10_000  # rejection-sampling draws of random_range_input and scrambled_indicators
 
 
 def gaussian_blobs(sizes, centers, noise: float = 0.1, seed: int = 0):
@@ -94,15 +94,22 @@ def range_input(V, seed: int = 0, overlap_sq: tuple[float, float] = (0.25, 0.9))
                      f"MAX_TRIES = {MAX_TRIES} draws")
 
 
-def scrambled_indicators(indicators, seed: int = 0) -> list[IndicatorVector]:
-    """Same-size indicators over a random permutation of all member points."""
+def scrambled_indicators(indicators, seed: int = 0, taken=()) -> list[IndicatorVector]:
+    """Same-size indicators over a random permutation of all member points,
+    none of which repeats the member set of one of ``indicators`` or of
+    ``taken`` (the candidates drawn before it).  A permutation that repeats
+    one is drawn again from the same generator, at most :data:`MAX_TRIES`
+    times, so a first draw that repeats none is the one kept; when no draw
+    repeats none (every indicator a singleton, say), it is a ``ValueError``."""
     rng = np.random.default_rng(seed)
     dim = indicators[0].dim
     pool = [i for ind in indicators for i in ind.members]
-    perm = rng.permutation(pool).tolist()
-    out, start = [], 0
-    for ind in indicators:
-        size = len(ind.members)
-        out.append(IndicatorVector(tuple(perm[start:start + size]), dim))
-        start += size
-    return out
+    ends = np.cumsum([len(ind.members) for ind in indicators]).tolist()
+    seen = {ind.members for ind in [*indicators, *taken]}  # members are kept sorted
+    for _ in range(MAX_TRIES):
+        perm = rng.permutation(pool).tolist()
+        groups = [tuple(sorted(perm[start:end])) for start, end in zip([0, *ends], ends)]
+        if seen.isdisjoint(groups):
+            return [IndicatorVector(group, dim) for group in groups]
+    raise ValueError(f"scrambled: all MAX_TRIES = {MAX_TRIES} draws of {len(ends)} indicators "
+                     "repeat a candidate's member set")

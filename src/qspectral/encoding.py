@@ -181,7 +181,8 @@ def make_evolution(
     that all eigenphases lie in [0, 1) and every nonzero eigenphase is at
     least 2/2**m (two phase bins away from zero, on both ends of the
     interval); pass ``t`` explicitly to override, in which case only the
-    [0, 1) window is enforced.
+    [0, 1) window is enforced.  The linearized backend has no time scaling
+    and refuses a ``t``.
     """
     H = numerics.as_matrix(H)
     if m < 1:
@@ -220,6 +221,9 @@ def make_evolution(
             raise PhaseResolutionError(f"eigenphase {bad:.6g} outside [0, 1) at t={t:.6g}")
         scale = None
     elif backend == "linearized":
+        if t is not None:
+            raise ValueError(f"t={t} has no effect on the linearized backend, "
+                             "which divides H by k = 10 ||H||_1")
         k = _linear_scale(H)
         phases = np.where(nz, -np.arctan(w / k) / (2.0 * np.pi), 0.0)
         t, scale = None, k

@@ -37,7 +37,7 @@ when its amplitudes are read; its observables and the similarity readout
 read S.
 
 Every call on one operator and m shares one engine (V_nz, the ladder phase
-table, f2 and the phase-bit table): it is built on the first call and kept
+table, f2 and the phase-row weights): it is built on the first call and kept
 on the operator, and it holds the operator's arrays but no reference back,
 so the operator is still freed with its last reference.  The engine is
 read-only; what a call loads stays in the call.  Within a call each input
@@ -215,7 +215,7 @@ class _Inputs(NamedTuple):
 class _Engine:
     """The part of the estimation pipeline that depends on neither the input
     nor the phase gate: the nonzero eigenspace, the ladder phase table on it,
-    the marking vector and the phase-qubit bit table, for m phase qubits.
+    the marking vector and the phase-row weights, for m phase qubits.
 
     Built on the first call for an operator and m (:func:`_engine`) and kept
     on the operator, so every later call on it, of any config, shares it;
@@ -272,14 +272,14 @@ class _Engine:
 @functools.lru_cache(maxsize=16)
 def _phase_register_tables(m: int) -> tuple[np.ndarray, ...]:
     """The read-only tables of an engine that depend on m alone: the marking
-    vector f2, its conjugate, f2 as a column and 2 f2 (real), and the
-    phase-register columns of a trajectory row as weights on the phase rows
-    (success, phase != 0, then each qubit's P0) with their values on f2."""
+    vector f2, its conjugate, f2 as a column and 2 f2 (real), and the two
+    phase-register columns of a trajectory row as (2^m, 2) weights on the
+    phase rows, with their values on f2: success (phase != 0) and qubit 0's
+    P0 (the top, msb-first qubit in |0>, which is phase < 2^m / 2)."""
     M = 2**m
     f2 = marking_vector(m)
-    phases = np.arange(M)[:, None]
-    bits = phases >> np.arange(m)[::-1]  # msb-first phase bits
-    observables = np.concatenate([phases > 0, bits & 1 == 0], axis=1).astype(float)
+    phases = np.arange(M)
+    observables = np.column_stack([phases > 0, phases < M // 2]).astype(float)
     tables = (f2, f2.conj(), f2[:, None], 2.0 * f2.real, observables,
               f2.real ** 2 @ observables)  # f2 is real
     for array in tables:
@@ -402,7 +402,7 @@ class Trajectory:
     success_prob: np.ndarray
     marked_prob: np.ndarray
     fidelity: np.ndarray
-    phase_marginals: np.ndarray  # (T, m) P0 of each phase qubit
+    qubit0_p0: np.ndarray  # P0 of the top phase qubit, which the stop rule reads
     stopped_at: int | None = None
     mode: str = ""
     kappa: float = 0.0
@@ -415,10 +415,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return self.iterations.size
-
-    @property
-    def qubit0_p0(self) -> np.ndarray:
-        return self.phase_marginals[:, 0]
 
     @property
     def peak_fidelity_iteration(self) -> int:
@@ -450,11 +446,11 @@ def amplify(
 
     Applies the iterate Q up to ``max_iter`` times, recording success
     probability, marked-vector projection, fidelity against the normalized
-    projection of y onto the nonzero eigenspace, and every phase qubit's
-    marginal.  When ``stop_tol`` is set, iteration stops once the top phase
-    qubit's P0 is within ``stop_tol`` of 1/2.  Raises before iterating if y
-    has no component in the nonzero eigenspace.  The standard iterate is read
-    in closed form (see the module docstring); the verbatim one is simulated.
+    projection of y onto the nonzero eigenspace, and the top phase qubit's
+    P0.  When ``stop_tol`` is set, iteration stops once that P0 is within
+    ``stop_tol`` of 1/2.  Raises before iterating if y has no component in
+    the nonzero eigenspace.  The standard iterate is read in closed form (see
+    the module docstring); the verbatim one is simulated.
     """
     return amplify_many(cfg, evo, [y], max_iter, stop_tol)[0]
 
@@ -588,12 +584,12 @@ def _step(pipe: _Pipeline, inputs: _Inputs, row: int, max_iter: int,
     coords, W, columns = engine.span(inputs.ys[row], inputs.coords[row], inputs.y_null[row])
     a = pipe.initial(coords)
     target_conj = np.append(_fidelity_targets(inputs.coords[row:row + 1])[0], 0.0)  # e_null: 0
-    rows = []  # per iterate: success, P0 per phase qubit, marked, fidelity
+    rows = []  # per iterate: success, qubit 0's P0, marked, fidelity
 
     def record(mat: np.ndarray):
         pd = phase_distribution(mat)
         _check_norm(pd.sum(), len(rows))
-        rows.append([*(pd @ engine.observables), _norm_sq(engine.f2.conj() @ mat),
+        rows.append([*(pd @ engine.observables), _norm_sq(engine.f2_conj @ mat),
                      _norm_sq(mat @ target_conj)])
 
     mat = a
@@ -602,7 +598,7 @@ def _step(pipe: _Pipeline, inputs: _Inputs, row: int, max_iter: int,
     for t in range(1, max_iter + 1):
         mat = pipe.iterate(mat, a, W)
         record(mat)
-        if stop_tol is not None and abs(rows[-1][1] - 0.5) <= stop_tol:  # P0 of phase qubit 0
+        if stop_tol is not None and abs(rows[-1][1] - 0.5) <= stop_tol:
             stopped_at = t
             break
     return (RegisterState(mat, engine.m, engine.n, columns),
@@ -636,16 +632,16 @@ def _rotate(pipes: Sequence[_Pipeline], coords: np.ndarray, max_iter: int,
     With s, c = sin, cos((2t+1) theta), iterate t is (-1)^t (s u + c v), so
     any squared projection |L x|^2 is the quadratic form s^2 |Lu|^2 +
     c^2 |Lv|^2 + 2 s c Re<Lu, Lv>; the coefficient columns below hold it for
-    the success probability and each phase qubit's P0 (read per phase row),
-    the marked projection (s^2) and the fidelity.  The marked part
-    P_f2 a = f2 (x) w, w = f2^dag a, is rank one: per phase row |u|^2 =
-    |f2|^2 and <u, v> = f2 <w, v> / sin, and <Lu, Lv> = 0 for the fidelity,
-    which acts on the system register only.  u and v are kept unnormalized
-    and scaled where read, and the simulated iterate's buffer becomes its
-    distance from the closed form, so that few state-sized arrays are alive
-    at once.  Every input's numbers come from its own rows of each stack,
-    whatever else the batch holds, and each check is one array test that
-    names the first failing input.
+    the four columns of a row: the success probability and qubit 0's P0
+    (both read per phase row), the marked projection (s^2) and the fidelity.
+    The marked part P_f2 a = f2 (x) w, w = f2^dag a, is rank one: per phase
+    row |u|^2 = |f2|^2 and <u, v> = f2 <w, v> / sin, and <Lu, Lv> = 0 for
+    the fidelity, which acts on the system register only.  u and v are kept
+    unnormalized and scaled where read, and the simulated iterate's buffer
+    becomes its distance from the closed form, so that few state-sized
+    arrays are alive at once.  Every input's numbers come from its own rows
+    of each stack, whatever else the batch holds, and each check is one
+    array test that names the first failing input.
 
     Under a stop rule, rows are evaluated a block at a time for the inputs
     that have not stopped, so an input's early stop computes only the block
@@ -653,7 +649,7 @@ def _rotate(pipes: Sequence[_Pipeline], coords: np.ndarray, max_iter: int,
     direction zero and the trajectory constant.
     """
     engine, k = pipes[0].engine, len(coords)
-    m, M = engine.m, engine.f2.size
+    M = engine.f2.size
     cuts = [j for j in range(1, k) if pipes[j] is not pipes[j - 1]]
     A = (np.concatenate([pipes[i].initial(coords[i:j]) for i, j in zip([0, *cuts], [*cuts, k])])
          if cuts else pipes[0].initial(coords))
@@ -679,13 +675,13 @@ def _rotate(pipes: Sequence[_Pipeline], coords: np.ndarray, max_iter: int,
     fu = np.add.reduce(w * targets_conj, axis=-1)  # <target|P_f2 a>, the same in every marked row
     read = (np.concatenate([v_rows, w_v.real * engine.two_f2], axis=-1).reshape(k, 2, M)
             @ engine.observables) / c[:, None, None]
-    forms = np.zeros((k, 3, m + 3))  # columns: success, P0 per phase qubit, marked, fidelity
-    np.multiply(engine.marked_observables, (sin0 > 0.0)[:, None], out=forms[:, 0, :m + 1])
-    np.divide(read[:, 0], c[:, None], out=forms[:, 1, :m + 1])
-    np.divide(read[:, 1], s[:, None], out=forms[:, 2, :m + 1])
-    forms[:, 0, m + 1] = 1.0
-    np.divide((fu.real ** 2 + fu.imag ** 2) / s, s, out=forms[:, 0, m + 2])
-    np.divide(_norms_sq(target_v) / c, c, out=forms[:, 1, m + 2])
+    forms = np.zeros((k, 3, 4))  # columns: success, qubit 0's P0, marked, fidelity
+    np.multiply(engine.marked_observables, (sin0 > 0.0)[:, None], out=forms[:, 0, :2])
+    np.divide(read[:, 0], c[:, None], out=forms[:, 1, :2])
+    np.divide(read[:, 1], s[:, None], out=forms[:, 2, :2])
+    forms[:, 0, 2] = 1.0
+    np.divide((fu.real ** 2 + fu.imag ** 2) / s, s, out=forms[:, 0, 3])
+    np.divide(_norms_sq(target_v) / c, c, out=forms[:, 1, 3])
     del v_rows, w_v, target_v, read
     stops = np.full(k, max_iter + 1)  # each input's stopping iterate, or beyond
     parts = [[] for _ in range(k)]  # each input's rows, a block at a time
@@ -698,7 +694,7 @@ def _rotate(pipes: Sequence[_Pipeline], coords: np.ndarray, max_iter: int,
             parts[j].append(block_rows)
         if stop_tol is None:
             break
-        hits = np.abs(block[:, :, 1] - 0.5) <= stop_tol  # P0 of phase qubit 0
+        hits = np.abs(block[:, :, 1] - 0.5) <= stop_tol
         hits[:, 0] &= start > 0  # iterate 0 never stops
         stopped = hits.any(axis=1)
         if stopped.any():
@@ -753,14 +749,14 @@ def _rows(t: np.ndarray, theta: np.ndarray, forms: np.ndarray) -> np.ndarray:
 def _trajectory(cfg: PeaConfig, rows: np.ndarray, stopped_at: int | None,
                 **rotation) -> Trajectory:
     """A Trajectory of a run under ``cfg`` from per-iterate rows of the
-    success probability, the phase-qubit P0s, the marked projection and the
+    success probability, qubit 0's P0, the marked projection and the
     fidelity."""
     return Trajectory(
         iterations=np.arange(rows.shape[0]),
         success_prob=rows[:, 0],
-        marked_prob=rows[:, -2],
-        fidelity=rows[:, -1],
-        phase_marginals=rows[:, 1:-2],
+        marked_prob=rows[:, 2],
+        fidelity=rows[:, 3],
+        qubit0_p0=rows[:, 1],
         stopped_at=stopped_at,
         mode=cfg.mode,
         kappa=cfg.kappa,

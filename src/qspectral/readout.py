@@ -97,18 +97,15 @@ def direct_similarity(H, y) -> float:
 def span_similarities(V, ys) -> np.ndarray:
     """<y| V V^dag |y> of each candidate, a row of ``ys``, for orthonormal
     columns V, in one stacked product whose item for each candidate is its own
-    product ``V^dag y``.  Each squared norm is read bit for bit as
-    ``np.linalg.norm(p) ** 2`` reads it: the dot product of the real parts
-    plus that of the imaginary parts, its square root, and that squared by C
-    ``pow`` (which ``**`` calls on a numpy scalar and ``float_power`` on each
-    element; ``**`` on an array multiplies instead, and that can differ in the
-    last bit)."""
+    product ``p = V^dag y``, so a candidate reads the same bits alone and in a
+    batch: |p|^2 is the dot product of the real parts of p plus that of its
+    imaginary parts, clamped to 1."""
     Y = np.asarray(ys, dtype=complex)
     if Y.ndim != 2:
         raise ValueError(f"expected a stack of candidate vectors, got shape {Y.shape}")
     P = V.conj().T @ Y[:, :, None]  # (K, r, 1)
     sq = P.real.transpose(0, 2, 1) @ P.real + P.imag.transpose(0, 2, 1) @ P.imag
-    return np.minimum(1.0, np.float_power(np.sqrt(sq[:, 0, 0]), 2))
+    return np.minimum(1.0, sq[:, 0, 0])
 
 
 def x_sum_exponential(n: int) -> np.ndarray:
@@ -139,15 +136,20 @@ def rank_indicators(
     final system register is recorded (:func:`register_similarity`, which
     builds no register array); reports come back sorted descending with
     1-based ranks.  ``evo`` reuses an evolution operator already built from H.
+    Candidates must be distinct: a list that repeats a member set is refused
+    before any amplification.
     """
+    names = [c.name for c in candidates]
+    if len(set(names)) < len(names):  # a name is its sorted member set
+        repeat = next(name for i, name in enumerate(names) if name in names[:i])
+        raise ValueError(f"candidate {repeat} is repeated; candidates must be distinct")
     if evo is None:
         evo = make_evolution(H, cfg.m)
     ys = [c.vector() for c in candidates]
     runs = amplify_many(cfg, evo, ys, max_iter=max_iter, stop_tol=stop_tol)
     if not runs:
         return []
-    return _ranked([c.name for c in candidates],
-                   _register_similarities([state for state, _ in runs], ys), "householder")
+    return _ranked(names, _register_similarities([state for state, _ in runs], ys), "householder")
 
 
 def _ranked(names, similarities, method: str) -> list[SimilarityReport]:

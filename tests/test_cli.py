@@ -457,6 +457,31 @@ class TestCmdClusterQuantum:
         assert "agreement_rate: 1" in comparison or "agreement_rate: 1.0" in comparison
         assert "gate_count_estimate:" in comparison
 
+    def test_auto_candidates_are_distinct(self, tmp_path):
+        # seed 10's first scrambled draw is the true partition; it is drawn again
+        out = tmp_path / "out"
+        assert cli.main(["cluster-quantum", "--config", str(CONFIGS / "two_blobs.yaml"),
+                         "--seed", "10", "--out", str(out)]) == 0
+        ranking = csvio.read_ranking(out / "similarity_ranking.csv")
+        for method in ("householder", "direct"):
+            names = [r["y_id"] for r in ranking if r["method"] == method]
+            assert len(set(names)) == len(names) == 4
+
+    def test_singleton_clusters_have_no_scrambled_set(self, tmp_path, capsys):
+        text = (CONFIGS / "two_blobs.yaml").read_text().replace("\nk: 2\n", "\nk: 8\n")
+        cfg_path = write_config(tmp_path, text)
+        assert cli.main(["cluster-quantum", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert "error: scrambled: " in capsys.readouterr().err
+
+    def test_repeated_candidate_refused(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, BLOBS_YAML + "candidates: [[0, 1, 2, 3], [3, 2, 1, 0], "
+                                                     "[4, 5, 6, 7]]\n")
+        out = tmp_path / "out"
+        assert cli.main(["cluster-quantum", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "candidate ind_0-1-2-3 is repeated" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_explicit_candidates_label_by_best_rank(self, tmp_path):
         cfg_path = write_config(tmp_path, BLOBS_YAML + "candidates: [[0, 1, 2, 3], [0, 1, 4]]\n")
         out = tmp_path / "out"

@@ -128,6 +128,11 @@ class TestLinearize:
         with pytest.raises(ValueError, match="k = 0"):
             self.linearized(np.zeros((3, 3)))
 
+    def test_time_rejected(self):
+        # the linearized phases do not depend on t, so a given t would be ignored
+        with pytest.raises(ValueError, match="t=0.5 .*linearized backend"):
+            encoding.make_evolution(np.diag([2.0, 0.0]), m=4, backend="linearized", t=0.5)
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 16))
     def test_eigenvalue_ratio_bounded(self, seed, dim):

@@ -387,13 +387,13 @@ def reshaped_p0(vec, nq, q):
 
 
 def dense_observables(vec, m, n, target):
-    """Success, marked, fidelity and phase-qubit P0s of a flat state, computed
-    independently of the engine's helpers."""
+    """Success, marked, fidelity and phase qubit 0's P0 of a flat state,
+    computed independently of the engine's helpers."""
     mat = vec.reshape(2**m, 2**n)
-    marginals = [reshaped_p0(vec, m + n, q) for q in range(m)]
     marked = np.linalg.norm(qpea.marking_vector(m).conj() @ mat) ** 2
     fid = np.linalg.norm(mat @ target.conj()) ** 2
-    return np.array([1.0 - np.sum(np.abs(mat[0]) ** 2), marked, fid, *marginals])
+    return np.array([1.0 - np.sum(np.abs(mat[0]) ** 2), marked, fid,
+                     reshaped_p0(vec, m + n, 0)])
 
 
 def dense_run(cfg, evo, H, y, max_iter, stop_tol):
@@ -435,11 +435,10 @@ class TestEngineMatchesDenseOracle:
 
         rows, vec, _, _ = dense_run(cfg, evo, H, y, steps, None)
         got = np.column_stack([traj.success_prob, traj.marked_prob, traj.fidelity,
-                               traj.phase_marginals])
+                               traj.qubit0_p0])
         assert got.shape == rows.shape
         assert np.max(np.abs(got - rows)) <= 1e-10
         assert np.max(np.abs(final.amplitudes - vec)) <= 1e-10
-        assert np.array_equal(traj.qubit0_p0, traj.phase_marginals[:, 0])
 
 
 class TestAmplifyMany:
@@ -473,7 +472,7 @@ class TestAmplifyMany:
             # a marginal within rounding of the tolerance may stop either way
             assume(all(abs(g - stop_tol) > 1e-9 for g in gaps))
             got = np.column_stack([traj.success_prob, traj.marked_prob, traj.fidelity,
-                                   traj.phase_marginals])
+                                   traj.qubit0_p0])
             assert traj.stopped_at == stopped_at
             assert got.shape == rows.shape
             assert np.max(np.abs(got - rows)) <= 1e-10
@@ -610,7 +609,7 @@ class TestAmplifyMany:
             if stop_tol is not None:
                 assume(np.all(np.abs(np.abs(ref.qubit0_p0[1:] - 0.5) - stop_tol) > 1e-9))
             got, want = (np.column_stack([t.success_prob, t.marked_prob, t.fidelity,
-                                          t.phase_marginals]) for t in (traj, ref))
+                                          t.qubit0_p0]) for t in (traj, ref))
             assert traj.stopped_at == ref.stopped_at
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-10
@@ -743,7 +742,7 @@ class TestConfigPerInput:
             assert (traj.theta, traj.optimal_iterations) == (ref.theta, ref.optimal_iterations)
             assert (traj.mode, traj.kappa) == (ref.mode, ref.kappa) == (cfg.mode, cfg.kappa)
             got, want = (np.column_stack([t.iterations, t.success_prob, t.marked_prob,
-                                          t.fidelity, t.phase_marginals]) for t in (traj, ref))
+                                          t.fidelity, t.qubit0_p0]) for t in (traj, ref))
             assert got.shape == want.shape
             assert np.max(np.abs(got - want), initial=0.0) <= 1e-13
             assert np.max(np.abs(final.amplitudes - ref_final.amplitudes)) <= 1e-12
@@ -921,7 +920,7 @@ class TestClosedForm:
                             lambda self, coords: (phase[:, None] * coords[..., None, :]) + 0j)
         final, traj = qpea.amplify(cfg, evo, y, max_iter=7, stop_tol=None)
         got = np.column_stack([traj.success_prob, traj.marked_prob, traj.fidelity,
-                               traj.phase_marginals])
+                               traj.qubit0_p0])
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(got - got[0])) <= 1e-12
         assert traj.marked_prob[0] == pytest.approx(float(marked), abs=1e-12)
@@ -955,7 +954,7 @@ class TestClosedForm:
         final, traj = qpea.amplify(cfg, evo, y, max_iter=40, stop_tol=0.02)
         assert traj.stopped_at == stop
         got = np.column_stack([traj.success_prob, traj.marked_prob, traj.fidelity,
-                               traj.phase_marginals])
+                               traj.qubit0_p0])
         assert got.shape == rows.shape
         assert np.max(np.abs(got - rows)) <= 1e-10
         assert np.max(np.abs(final.amplitudes - vec)) <= 1e-10
@@ -986,7 +985,7 @@ def assert_matches_dense(cfg, evo, H, y, max_iter=8, run=qpea.amplify):
     final, traj = run(cfg, evo, y, max_iter=max_iter, stop_tol=None)
     rows, vec, _, _ = dense_run(cfg, evo, H, y, max_iter, None)
     got = np.column_stack([traj.success_prob, traj.marked_prob, traj.fidelity,
-                           traj.phase_marginals])
+                           traj.qubit0_p0])
     assert got.shape == rows.shape
     assert np.max(np.abs(got - rows)) <= 1e-10
     assert np.max(np.abs(final.amplitudes - vec)) <= 1e-10
@@ -1204,7 +1203,7 @@ class TestCoordinates:
             rows, vec, stop, gaps = dense_run(cfg, evo, H, y, 40, 0.02)
             assert all(abs(g - 0.02) > 1e-9 for g in gaps)
             got = np.column_stack([traj.success_prob, traj.marked_prob, traj.fidelity,
-                                   traj.phase_marginals])
+                                   traj.qubit0_p0])
             assert traj.stopped_at == stop
             assert got.shape == rows.shape
             assert np.max(np.abs(got - rows)) <= 1e-10
@@ -1395,7 +1394,7 @@ class TestTrajectory:
             success_prob=np.zeros(6),
             marked_prob=np.zeros(6),
             fidelity=np.array([0.1, 0.4, 0.9, 0.5, 0.95, 0.2]),
-            phase_marginals=np.zeros((6, 2)),
+            qubit0_p0=np.zeros(6),
         )
         assert traj.first_fidelity_peak() == 2
         assert traj.peak_fidelity_iteration == 4
@@ -1407,6 +1406,6 @@ class TestTrajectory:
             success_prob=np.zeros(4),
             marked_prob=np.zeros(4),
             fidelity=np.array([0.1, 0.2, 0.3, 0.4]),
-            phase_marginals=np.zeros((4, 2)),
+            qubit0_p0=np.zeros(4),
         )
         assert traj.first_fidelity_peak() == 3

@@ -64,16 +64,18 @@ class TestDirectSimilarity:
 
     @pytest.mark.parametrize("complex_v", [False, True])
     def test_stack_matches_each_norm(self, complex_v):
-        # one stacked product gives each candidate np.linalg.norm(V^dag y) ** 2, bit
-        # for bit; a last-bit difference shows in about one candidate of a thousand
+        # one stacked product gives each candidate the bits of its own one-row
+        # call, and |V^dag y|^2 to rounding
         rng = np.random.default_rng(7)
         A = rng.normal(size=(32, 32)) + (1j * rng.normal(size=(32, 32)) if complex_v else 0.0)
         V = np.linalg.qr(A)[0][:, :9]
         imag = rng.normal(size=(4000, 32)) * (rng.random((4000, 1)) < 0.5)  # half real
         Y = rng.normal(size=(4000, 32)) + 1j * imag
         Y /= np.linalg.norm(Y, axis=1, keepdims=True)
-        expected = [min(1.0, np.linalg.norm(V.conj().T @ y) ** 2) for y in Y]
-        assert readout.span_similarities(V, Y).tolist() == expected
+        stacked = readout.span_similarities(V, Y)
+        assert stacked.tolist() == [readout.span_similarities(V, [y])[0] for y in Y]
+        norms = np.array([min(1.0, np.linalg.norm(V.conj().T @ y) ** 2) for y in Y])
+        assert np.max(np.abs(stacked - norms)) <= 1e-15
 
     def test_matches_projection_norm(self):
         H = random_psd_matrix(16, 6, seed=5)
@@ -233,6 +235,32 @@ class TestRankIndicators:
         assert len(states) == len(cands)
         assert not any("amplitudes" in vars(state) for state in states)
 
+    def test_repeated_candidate_refused_before_amplifying(self, monkeypatch):
+        monkeypatch.setattr(readout, "amplify_many", lambda *args, **kwargs: pytest.fail())
+        H = np.diag([0.0, 0.0, 1.0, 2.0])
+        cfg = qpea.PeaConfig(m=4, kappa=1.0, mode="biased", standard_grover=True)
+        cands = [classical.IndicatorVector(g, 4) for g in ((2, 3), (1, 3), (3, 2))]
+        with pytest.raises(ValueError, match="candidate ind_2-3 is repeated"):
+            readout.rank_indicators(H, cands, cfg)
+
+
+class TestScrambledIndicators:
+    TRUE = [classical.IndicatorVector(g, 8) for g in ((0, 1, 2, 3), (4, 5, 6, 7))]
+
+    def test_first_draw_kept(self):
+        perm = np.random.default_rng(4).permutation(range(8)).tolist()
+        assert [c.members for c in scrambled_indicators(self.TRUE, seed=4)] == [
+            tuple(sorted(perm[:4])), tuple(sorted(perm[4:]))]
+
+    def test_draw_repeating_a_candidate_is_drawn_again(self):
+        # seed 41 first draws the true partition
+        perm = np.random.default_rng(41).permutation(range(8)).tolist()
+        assert sorted(perm[:4]) == [0, 1, 2, 3]
+        first = scrambled_indicators(self.TRUE, seed=41)
+        second = scrambled_indicators(self.TRUE, seed=41, taken=first)
+        members = [c.members for c in self.TRUE + first + second]
+        assert len(set(members)) == len(members) == 6
+
 
 class TestTiedRanks:
     @settings(max_examples=60, deadline=None)
@@ -306,21 +334,22 @@ class TestBatchInvariance:
         n=st.integers(2, 5),  # N = 4 .. 32
         rank_frac=st.floats(0.0, 1.0),
         complex_h=st.booleans(),
-        groups=st.lists(st.lists(st.integers(0, 31), min_size=1, max_size=12),
-                        min_size=1, max_size=12),
+        data=st.data(),
         seed=st.integers(0, 2**16),
     )
-    def test_each_candidate_reads_as_alone(self, n, rank_frac, complex_h, groups, seed):
+    def test_each_candidate_reads_as_alone(self, n, rank_frac, complex_h, data, seed):
         # a candidate's householder and direct similarity do not depend on the
         # other candidates of the call, to the last bit
         N = 2**n
+        groups = data.draw(st.lists(st.frozensets(st.integers(0, N - 1), min_size=1, max_size=12),
+                                    min_size=1, max_size=12, unique=True))  # distinct candidates
         rank = max(1, round(rank_frac * N))
         rng = np.random.default_rng(seed)
         A = rng.normal(size=(N, N)) + (1j * rng.normal(size=(N, N)) if complex_h else 0.0)
         Q, _ = np.linalg.qr(A)
         H = (Q[:, :rank] * rng.uniform(0.3, 1.0, size=rank)) @ Q[:, :rank].conj().T
         H = (H + H.conj().T) / 2
-        cands = [classical.IndicatorVector(tuple(i % N for i in g), N) for g in groups]
+        cands = [classical.IndicatorVector(tuple(g), N) for g in groups]
         cfg = qpea.PeaConfig(m=6, kappa=1.0, mode="biased", standard_grover=True)
         ranked, direct, _ = readout.cluster_quantum(H, cands, cfg, max_iter=20)
         together = {(r.method, r.y_id): r.similarity for r in ranked + direct}
