@@ -193,16 +193,11 @@ def spectral_cluster(
     return embedding_kmeans(laplacian_eig(g, variant)[1], k, variant, init)
 
 
-def default_zero_tol(H) -> float:
-    """Threshold below which an eigenvalue counts as zero: 1e-8 * ||H||_1."""
-    return 1e-8 * max(numerics.matrix_1norm(H), 1e-300)
-
-
 def nonzero_eigenvectors(H) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues above :func:`default_zero_tol` and their eigenvectors."""
-    w, V = numerics.hermitian_eig(H)
-    keep = np.abs(w) > default_zero_tol(H)
-    return w[keep], V[:, keep]
+    """The eigenvalues of H above its zero tolerance and their eigenvectors
+    (:func:`numerics.nonzero_eigh`)."""
+    w, V, zero_tol, _ = numerics.nonzero_eigh(H)
+    return w[np.abs(w) > zero_tol], V
 
 
 def projector_target(H, y) -> tuple[np.ndarray, float]:

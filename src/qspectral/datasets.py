@@ -100,7 +100,12 @@ def scrambled_indicators(indicators, seed: int = 0, taken=()) -> list[IndicatorV
     ``taken`` (the candidates drawn before it).  A permutation that repeats
     one is drawn again from the same generator, at most :data:`MAX_TRIES`
     times, so a first draw that repeats none is the one kept; when no draw
-    repeats none (every indicator a singleton, say), it is a ``ValueError``."""
+    repeats none, it is a ``ValueError``, raised before any draw when every
+    indicator is a singleton or one indicator holds every member (every draw
+    then gives back the same member sets)."""
+    if len(indicators) == 1 or all(len(ind.members) == 1 for ind in indicators):
+        raise ValueError(f"scrambled: every draw of {len(indicators)} indicators repeats their "
+                         "member sets (one indicator, or every indicator a singleton)")
     rng = np.random.default_rng(seed)
     dim = indicators[0].dim
     pool = [i for ind in indicators for i in ind.members]

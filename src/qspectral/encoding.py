@@ -16,7 +16,6 @@ from functools import cached_property
 import numpy as np
 
 from . import numerics
-from .classical import default_zero_tol
 from .errors import PhaseResolutionError
 
 
@@ -113,15 +112,6 @@ def householder_decompose(points) -> HouseholderSum:
     return HouseholderSum(X / norms[:, None], norms**2, X.shape[1])
 
 
-def _linear_scale(H: np.ndarray) -> float:
-    """The divisor k = 10 * ||H||_1 of the linearized backend, which bounds
-    every |eigenvalue|/k by 0.1."""
-    k = 10.0 * numerics.matrix_1norm(H)
-    if k == 0.0:
-        raise ValueError("zero matrix cannot be linearized (k = 0)")
-    return k
-
-
 @dataclass(frozen=True)
 class EvolutionOperator:
     """Unitary whose eigenphases encode the spectrum of a Hermitian matrix.
@@ -129,8 +119,8 @@ class EvolutionOperator:
     Backends: ``exact_exponential`` is U = exp(2*pi*i*t*H) with eigenphase
     t*lambda_j; ``linearized`` unitarizes I - iH/k so the eigenphase is
     -arctan(lambda_j/k)/(2*pi).  Eigenvalues within ``zero_tol`` (always
-    ``default_zero_tol(H)``) of zero are pinned to phase exactly 0 in both
-    backends, so U is the identity off the nonzero eigenspace, whose (N, r)
+    ``numerics.ZERO_RTOL * ||H||_1``) of zero are pinned to phase exactly 0 in
+    both backends, so U is the identity off the nonzero eigenspace, whose (N, r)
     basis (real for a real H) is all of the eigenbasis the operator keeps;
     U itself is built only when :attr:`unitary` is read.  :func:`make_evolution`
     returns its arrays read-only, since what is cached on the operator is
@@ -182,13 +172,17 @@ def make_evolution(
     least 2/2**m (two phase bins away from zero, on both ends of the
     interval); pass ``t`` explicitly to override, in which case only the
     [0, 1) window is enforced.  The linearized backend has no time scaling
-    and refuses a ``t``.
+    and refuses a ``t``; it divides H by k = 10 ||H||_1, which bounds every
+    |eigenvalue|/k by 0.1.  The spectrum comes from
+    :func:`numerics.nonzero_eigh`, which also supplies ||H||_1.
     """
     H = numerics.as_matrix(H)
     if m < 1:
         raise ValueError(f"need at least one phase qubit, got m={m}")
-    zero_tol = default_zero_tol(H)
-    w, V = numerics.hermitian_eig(H)
+    if backend == "linearized" and t is not None:
+        raise ValueError(f"t={t} has no effect on the linearized backend, "
+                         "which divides H by k = 10 ||H||_1")
+    w, V_nz, zero_tol, norm1 = numerics.nonzero_eigh(H)
     nz = np.abs(w) > zero_tol
     M = 2**m
 
@@ -221,16 +215,14 @@ def make_evolution(
             raise PhaseResolutionError(f"eigenphase {bad:.6g} outside [0, 1) at t={t:.6g}")
         scale = None
     elif backend == "linearized":
-        if t is not None:
-            raise ValueError(f"t={t} has no effect on the linearized backend, "
-                             "which divides H by k = 10 ||H||_1")
-        k = _linear_scale(H)
+        k = 10.0 * norm1
+        if k == 0.0:
+            raise ValueError("zero matrix cannot be linearized (k = 0)")
         phases = np.where(nz, -np.arctan(w / k) / (2.0 * np.pi), 0.0)
         t, scale = None, k
     else:
         raise ValueError(f"unknown backend {backend!r}")
 
-    V_nz = V[:, nz]  # a copy: the full eigenbasis is freed on return
     for array in (w, V_nz, phases):  # the engines kept on the operator read them
         array.flags.writeable = False
     return EvolutionOperator(

@@ -1,9 +1,10 @@
 """Dense linear algebra kernel.
 
 Everything else in the package is built on (and verified against) these
-routines: Hermitian eigendecomposition, the induced 1-norm and Householder-style
-reflections.  All functions are pure and operate on plain numpy arrays.  Matrices keep their own
-arithmetic: a real input stays float64 (so a real symmetric matrix gets a real
+routines: Hermitian eigendecomposition (the full spectrum, or the nonzero
+eigenpairs of a large low-rank matrix from a pivoted-Cholesky factor), the
+induced 1-norm and Householder-style reflections.  All functions are pure
+and operate on plain numpy arrays.  Matrices keep their own arithmetic: a real input stays float64 (so a real symmetric matrix gets a real
 eigendecomposition) and a complex one is complex128.  State vectors are
 always complex.
 """
@@ -11,6 +12,7 @@ always complex.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,6 +20,15 @@ from .errors import ConvergenceError
 
 OP_TOL = 1e-10   # default tolerance for operator identities (unitarity etc.)
 VEC_TOL = 1e-12  # default tolerance for vector norms
+ZERO_RTOL = 1e-8  # an eigenvalue within ZERO_RTOL * ||A||_1 of zero counts as zero
+# nonzero_eigh tries the factor route from order FACTOR_MIN_DIM up and abandons
+# it once the factor's rank passes FACTOR_MAX_RANK * N: the measured crossovers
+# with a full eigh (2-core x86, OpenBLAS 0.3.31).  At N=64 the two routes are
+# within 0.13 ms of each other; at N=128 and rank 16 the factor route takes
+# 0.36 ms against 1.17 ms; the two tie near rank 0.4 N at N=128 and N=256.
+FACTOR_MIN_DIM = 128
+FACTOR_MAX_RANK = 0.4
+PIVOT_RTOL = 1e-2  # pivoted Cholesky stops once its remainder's trace is below this * zero_tol
 
 
 def as_vector(v) -> np.ndarray:
@@ -60,6 +71,32 @@ def matrix_1norm(A) -> float:
     return float(np.abs(A).sum(axis=0).max())
 
 
+def _hermitian_matrix(A) -> np.ndarray:
+    A = as_matrix(A)
+    if A.shape[0] != A.shape[1]:
+        raise ValueError(f"matrix must be square, got {A.shape}")
+    if not is_hermitian(A):
+        raise ValueError("matrix is not Hermitian within tolerance")
+    return A
+
+
+def _checked_eigh(A: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of a checked Hermitian A, with its residual
+    ``A V - V diag(w)`` verified against ``OP_TOL * scale``."""
+    try:
+        w, V = np.linalg.eigh(A)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
+    R = A @ V
+    R -= V * w
+    residual = float(np.abs(R).max())
+    if residual > OP_TOL * scale:
+        raise ConvergenceError(
+            f"eigendecomposition residual {residual:.3e} exceeds {OP_TOL:.1e} * {scale:.3e}"
+        )
+    return w, V
+
+
 def hermitian_eig(A) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
@@ -69,23 +106,107 @@ def hermitian_eig(A) -> tuple[np.ndarray, np.ndarray]:
     Hermitian (checked); the residual ``A V - V diag(w)`` is verified against
     ``OP_TOL * max(1, ||A||_1)`` after the solve.
     """
-    A = as_matrix(A)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError(f"matrix must be square, got {A.shape}")
-    if not is_hermitian(A):
-        raise ValueError("matrix is not Hermitian within tolerance")
+    A = _hermitian_matrix(A)
+    return _checked_eigh(A, max(1.0, matrix_1norm(A)))
+
+
+class NonzeroEigh(NamedTuple):
+    """What :func:`nonzero_eigh` returns."""
+
+    eigenvalues: np.ndarray  # all N, ascending
+    basis: np.ndarray  # (N, r) orthonormal eigenvectors of the nonzero eigenvalues, in that order
+    zero_tol: float  # ZERO_RTOL * ||A||_1: an eigenvalue at most this far from 0 is null
+    norm1: float  # ||A||_1
+
+
+def nonzero_eigh(A) -> NonzeroEigh:
+    """Eigenvalues of a Hermitian matrix and the eigenvectors of its nonzero ones.
+
+    An eigenvalue is null when its magnitude is at most ``zero_tol`` =
+    ``ZERO_RTOL * ||A||_1``; ||A||_1 is computed once and also sets the
+    residual scale ``max(1, ||A||_1)``.  Below order :data:`FACTOR_MIN_DIM`
+    this is :func:`hermitian_eig` with its columns of the nonzero eigenvalues
+    sliced out.  From that order up the factor route (:func:`_factor_eigh`) is
+    tried first; its null eigenvalues are exactly 0.0, and any result it
+    cannot certify is discarded for the full solve.
+    """
+    A = _hermitian_matrix(A)
+    norm1 = matrix_1norm(A)
+    zero_tol = ZERO_RTOL * max(norm1, 1e-300)
+    scale = max(1.0, norm1)
+    found = _factor_eigh(A, zero_tol, scale) if A.shape[0] >= FACTOR_MIN_DIM else None
+    if found is None:
+        w, V = _checked_eigh(A, scale)
+        found = w, V[:, np.abs(w) > zero_tol]
+    return NonzeroEigh(*found, zero_tol, norm1)
+
+
+def _pivoted_cholesky(A: np.ndarray, tol: float, max_rank: int) -> np.ndarray | None:
+    """Columns f_k of a factor with A = sum_k f_k f_k^H + S, as the rows of a
+    (k, N) array, built by diagonal pivoting until the remainder S has trace
+    at most ``tol`` (for a PSD A, every eigenvalue of S is then at most
+    ``tol``).  None when a diagonal entry of S drops below ``-tol`` (A is
+    indefinite) or the rank would pass ``max_rank``."""
+    d = A.diagonal().real.copy()  # diagonal of the remainder
+    F = np.zeros((max_rank, A.shape[0]), dtype=A.dtype)
+    for k in range(max_rank + 1):
+        if d.min() < -tol:
+            return None
+        if d.sum() <= tol:
+            return F[:k]
+        if k < max_rank:
+            p = int(np.argmax(d))
+            column = A[p].conj() - F[:k, p].conj() @ F[:k]  # column p of the remainder
+            F[k] = column / math.sqrt(d[p])
+            d -= (F[k] * F[k].conj()).real
+            d[p] = 0.0
+    return None
+
+
+def _orthonormal_columns(X: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of the columns of X by CholeskyQR2, which raises
+    ``LinAlgError`` when X is too ill-conditioned for it."""
+    for _ in range(2):
+        C = np.linalg.cholesky(X.conj().T @ X)  # X^H X = C C^H
+        X = X @ np.linalg.inv(C).conj().T
+    return X
+
+
+def _factor_eigh(A: np.ndarray, zero_tol: float, scale: float
+                 ) -> tuple[np.ndarray, np.ndarray] | None:
+    """Eigenvalues and nonzero basis of the Hermitian A from its pivoted-Cholesky
+    factor: an orthonormal basis Q of the factor's columns, then Rayleigh-Ritz
+    on Q^H A Q, keeping the pairs with |theta| > ``zero_tol``.  The result is
+    returned only when the kept pairs' residual is at most ``OP_TOL * scale``,
+    their basis is orthonormal within ``OP_TOL`` and ||A - V diag(theta) V^H||_F
+    is at most ``zero_tol`` (nothing non-null was dropped); otherwise, and
+    when the factor is abandoned or a LAPACK call fails, it is None."""
+    n = A.shape[0]
+    F = _pivoted_cholesky(A, PIVOT_RTOL * zero_tol, int(FACTOR_MAX_RANK * n))
+    if F is None:
+        return None
     try:
-        w, V = np.linalg.eigh(A)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
-    scale = max(1.0, matrix_1norm(A))
-    R = A @ V
-    R -= V * w
-    residual = float(np.abs(R).max())
-    if residual > OP_TOL * scale:
-        raise ConvergenceError(
-            f"eigendecomposition residual {residual:.3e} exceeds {OP_TOL:.1e} * {scale:.3e}"
-        )
+        Q = _orthonormal_columns(F.T)
+        AQ = A @ Q
+        theta, Z = np.linalg.eigh(Q.conj().T @ AQ)
+    except np.linalg.LinAlgError:
+        return None
+    keep = np.abs(theta) > zero_tol
+    theta, Z = theta[keep], Z[:, keep]
+    V = Q @ Z
+    VL = V * theta
+    R = AQ @ Z
+    R -= VL
+    D = VL @ V.conj().T
+    np.subtract(A, D, out=D)
+    if (float(np.abs(R).max(initial=0.0)) > OP_TOL * scale
+            or float(np.abs(V.conj().T @ V - np.eye(V.shape[1])).max(initial=0.0)) > OP_TOL
+            or float(np.linalg.norm(D)) > zero_tol):
+        return None
+    w = np.zeros(n)
+    negative = int(np.count_nonzero(theta < 0.0))
+    w[:negative] = theta[:negative]
+    w[n - theta.size + negative:] = theta[negative:]
     return w, V
 
 

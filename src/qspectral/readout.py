@@ -139,10 +139,7 @@ def rank_indicators(
     Candidates must be distinct: a list that repeats a member set is refused
     before any amplification.
     """
-    names = [c.name for c in candidates]
-    if len(set(names)) < len(names):  # a name is its sorted member set
-        repeat = next(name for i, name in enumerate(names) if name in names[:i])
-        raise ValueError(f"candidate {repeat} is repeated; candidates must be distinct")
+    names = _distinct_names(candidates)
     if evo is None:
         evo = make_evolution(H, cfg.m)
     ys = [c.vector() for c in candidates]
@@ -150,6 +147,15 @@ def rank_indicators(
     if not runs:
         return []
     return _ranked(names, _register_similarities([state for state, _ in runs], ys), "householder")
+
+
+def _distinct_names(candidates: Sequence[IndicatorVector]) -> list[str]:
+    """The candidates' names; a list that repeats a member set is refused."""
+    names = [c.name for c in candidates]
+    if len(set(names)) < len(names):  # a name is its sorted member set
+        repeat = next(name for i, name in enumerate(names) if name in names[:i])
+        raise ValueError(f"candidate {repeat} is repeated; candidates must be distinct")
+    return names
 
 
 def _ranked(names, similarities, method: str) -> list[SimilarityReport]:
@@ -173,13 +179,14 @@ def cluster_quantum(H, candidates: Sequence[IndicatorVector], cfg: PeaConfig, ma
     Returns ``(ranked, direct, labels)``: the :func:`rank_indicators` reports; the
     oracle <y| V V^dag |y> over the nonzero eigenspace of H, ranked the same way;
     and per point the index in ``ranked`` of the best-ranked candidate containing
-    it, or -1.  One eigendecomposition of H serves both rankings.
+    it, or -1.  One eigendecomposition of H serves both rankings; a candidate
+    list that repeats a member set is refused before it.
     """
+    names = _distinct_names(candidates)
     evo = make_evolution(H, cfg.m)
     ranked = rank_indicators(H, candidates, cfg, max_iter=max_iter, stop_tol=stop_tol, evo=evo)
     K = len(candidates)
     Y = np.array([c.vector() for c in candidates], dtype=complex).reshape(K, evo.dim)  # K >= 0
-    names = [c.name for c in candidates]
     direct = _ranked(names, span_similarities(evo.nonzero_basis, Y), "direct")
     index = {name: i for i, name in enumerate(names)}
     members = np.ones((K + 1, evo.dim), dtype=bool)  # rows in ranked order, then "in none"

@@ -347,13 +347,13 @@ class TestCmdAmplifyTrace:
         cfg_path = None if config is None else write_config(tmp_path, config)
         H, _ = cli.build_operator(load_config(cfg_path))
         solves = []
-        eig = numerics.hermitian_eig
+        eig = numerics.nonzero_eigh
 
         def counting(A, *args, **kwargs):
             solves.append(np.shape(A) == H.shape and np.array_equal(A, H))
             return eig(A, *args, **kwargs)
 
-        monkeypatch.setattr(numerics, "hermitian_eig", counting)
+        monkeypatch.setattr(numerics, "nonzero_eigh", counting)
         args = ["amplify-trace", "--out", str(tmp_path / "out")]
         assert cli.main(args + ([] if cfg_path is None else ["--config", str(cfg_path)])) == 0
         assert solves == [True]
@@ -572,14 +572,14 @@ class TestCmdClusterQuantum:
         cfg_path = write_config(tmp_path, BLOBS_YAML)
         H, _ = cli.build_operator(load_config(cfg_path))
         solves = []
-        eig = numerics.hermitian_eig
+        eig = numerics.nonzero_eigh
 
         def counting(A, *args, **kwargs):
             if np.shape(A) == H.shape and np.array_equal(A, H):
                 solves.append(1)
             return eig(A, *args, **kwargs)
 
-        monkeypatch.setattr(numerics, "hermitian_eig", counting)
+        monkeypatch.setattr(numerics, "nonzero_eigh", counting)
         out = tmp_path / "out"
         assert cli.main(["cluster-quantum", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert len(solves) == 1

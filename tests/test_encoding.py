@@ -244,6 +244,26 @@ class TestMakeEvolution:
         assert evo.nonzero_basis.shape == (N, r) and evo.engines
         assert retained < 2**20
 
+    def test_low_rank_operator_makes_no_full_eigh(self, monkeypatch):
+        # N = 512, rank 128: the spectrum comes from the factor route, whose one
+        # eigh is of the 128 x 128 Rayleigh-Ritz block
+        H = random_psd_matrix(512, 128, seed=17)
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def counting(A, *args, **kwargs):
+            shapes.append(np.shape(A))
+            return eigh(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        evo = encoding.make_evolution(H, m=8)
+        monkeypatch.undo()
+        assert shapes == [(128, 128)]
+        assert evo.nonzero_basis.shape == (512, 128)
+        assert np.count_nonzero(evo.eigenvalues) == 128  # the null ones are exact zeros
+        w = np.linalg.eigvalsh(H)
+        assert np.max(np.abs(evo.eigenvalues - w)) <= 1e-12 * w[-1]
+
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 16), rank_frac=st.floats(0.0, 1.0), cplx=st.booleans(),
            backend=st.sampled_from(["exact_exponential", "linearized"]),

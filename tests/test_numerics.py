@@ -53,6 +53,87 @@ class TestHermitianEig:
         assert np.max(np.abs((V * w) @ V.conj().T - A)) <= 1e-10
 
 
+def low_rank_psd(dim, rank, seed, cplx=False, scale=1.0, extra=()):
+    """PSD matrix with ``rank`` eigenvalues in [0.3, 1] * scale, then the values
+    of ``extra``, and zeros elsewhere, in a random eigenbasis the seed fixes;
+    returns it and its eigenvalues."""
+    rng = np.random.default_rng(seed)
+    gauss = rng.normal(size=(dim, dim)) + (1j * rng.normal(size=(dim, dim)) if cplx else 0.0)
+    Q, _ = np.linalg.qr(gauss)
+    lam = np.zeros(dim)
+    lam[:rank] = scale * rng.uniform(0.3, 1.0, size=rank)
+    lam[rank:rank + len(extra)] = extra
+    H = (Q * lam) @ Q.conj().T
+    return (H + H.conj().T) / 2, lam
+
+
+def eigh_route(A):
+    """nonzero_eigh's result on the full-eigh route, with its columns sliced out."""
+    w, V = numerics.hermitian_eig(A)
+    return w, V[:, np.abs(w) > numerics.ZERO_RTOL * numerics.matrix_1norm(A)]
+
+
+class TestNonzeroEigh:
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(1, 40), rank_frac=st.floats(0.0, numerics.FACTOR_MAX_RANK),
+           cplx=st.booleans(), log_scale=st.floats(-6.0, 6.0), seed=st.integers(0, 2**32 - 1))
+    def test_factor_route_matches_eigh(self, dim, rank_frac, cplx, log_scale, seed):
+        # called directly, without the size gate; every eigenvalue sits at least
+        # 0.3 * scale from zero, so the zero/nonzero split is resolvable
+        rank = int(rank_frac * dim)
+        H, _ = low_rank_psd(dim, rank, seed, cplx, 10.0**log_scale)
+        norm1 = numerics.matrix_1norm(H)
+        zero_tol = numerics.ZERO_RTOL * max(norm1, 1e-300)
+        found = numerics._factor_eigh(H, zero_tol, max(1.0, norm1))
+        assert found is not None
+        w, V = found
+        w_ref, V_ref = np.linalg.eigh(H)
+        assert np.array_equal(np.abs(w) > zero_tol, np.abs(w_ref) > zero_tol)
+        assert np.all(w[np.abs(w) <= zero_tol] == 0.0)
+        assert np.max(np.abs(w - w_ref)) <= 1e-12 * np.linalg.norm(H, 2)
+        assert V.shape == (dim, rank) and V.dtype == H.dtype
+        V_ref = V_ref[:, np.abs(w_ref) > zero_tol]
+        assert np.max(np.abs(V @ V.conj().T - V_ref @ V_ref.conj().T), initial=0.0) <= 1e-10
+
+    def test_below_the_gate_is_the_eigh_route(self):
+        H, _ = low_rank_psd(numerics.FACTOR_MIN_DIM - 1, 6, seed=1)
+        w, V, zero_tol, norm1 = numerics.nonzero_eigh(H)
+        w_ref, V_ref = eigh_route(H)
+        assert np.array_equal(w, w_ref) and np.array_equal(V, V_ref)
+        assert norm1 == numerics.matrix_1norm(H) and zero_tol == numerics.ZERO_RTOL * norm1
+
+    def test_factor_route_at_the_gate(self):
+        H, _ = low_rank_psd(numerics.FACTOR_MIN_DIM, 16, seed=2, cplx=True)
+        w, V, zero_tol, _ = numerics.nonzero_eigh(H)
+        assert np.count_nonzero(w) == V.shape[1] == 16  # null eigenvalues are exact zeros
+        w_ref, V_ref = eigh_route(H)
+        assert np.max(np.abs(w - w_ref)) <= 1e-12 * np.linalg.norm(H, 2)
+        assert np.max(np.abs(V @ V.conj().T - V_ref @ V_ref.conj().T)) <= 1e-10
+
+    @pytest.mark.parametrize("case", ["indefinite", "rank above the cap", "straddling zero_tol"])
+    def test_fallback_is_the_eigh_route(self, case):
+        dim = numerics.FACTOR_MIN_DIM
+        if case == "indefinite":
+            H, _ = low_rank_psd(dim, 8, seed=3)
+            H = H - 0.5 * np.outer(np.eye(dim)[0], np.eye(dim)[0])
+        elif case == "rank above the cap":
+            H, _ = low_rank_psd(dim, int(numerics.FACTOR_MAX_RANK * dim) + 1, seed=4)
+        else:  # five eigenvalues on either side of zero_tol, whose null part is too large to drop
+            zero_tol = numerics.ZERO_RTOL * numerics.matrix_1norm(low_rank_psd(dim, 8, seed=5)[0])
+            H, _ = low_rank_psd(dim, 8, seed=5, extra=zero_tol * np.array([0.8, 0.8, 0.8, 0.8, 1.2]))
+        norm1 = numerics.matrix_1norm(H)
+        assert numerics._factor_eigh(H, numerics.ZERO_RTOL * norm1, max(1.0, norm1)) is None
+        w, V, _, _ = numerics.nonzero_eigh(H)
+        w_ref, V_ref = eigh_route(H)
+        assert np.array_equal(w, w_ref) and np.array_equal(V, V_ref)
+
+    def test_refuses_non_hermitian(self):
+        A = np.eye(numerics.FACTOR_MIN_DIM)
+        A[0, 1] = 1.0
+        with pytest.raises(ValueError, match="Hermitian"):
+            numerics.nonzero_eigh(A)
+
+
 class TestInputArithmetic:
     """Real matrices stay real; complex ones stay complex."""
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qspectral import classical, encoding, graph, qpea, readout
+from qspectral import classical, encoding, graph, numerics, qpea, readout
 from qspectral.datasets import gaussian_blobs, random_psd_matrix, scrambled_indicators
 
 from dense_reference import full_state
@@ -243,6 +243,22 @@ class TestRankIndicators:
         with pytest.raises(ValueError, match="candidate ind_2-3 is repeated"):
             readout.rank_indicators(H, cands, cfg)
 
+    def test_repeated_candidate_refused_before_eigendecomposition(self, monkeypatch):
+        solves = []
+        eig = numerics.nonzero_eigh
+
+        def counting(A):
+            solves.append(1)
+            return eig(A)
+
+        monkeypatch.setattr(numerics, "nonzero_eigh", counting)
+        H = np.diag([0.0, 0.0, 1.0, 2.0])
+        cfg = qpea.PeaConfig(m=4, kappa=1.0, mode="biased", standard_grover=True)
+        cands = [classical.IndicatorVector(g, 4) for g in ((2, 3), (1, 3), (3, 2))]
+        with pytest.raises(ValueError, match="candidate ind_2-3 is repeated"):
+            readout.cluster_quantum(H, cands, cfg)
+        assert solves == []
+
 
 class TestScrambledIndicators:
     TRUE = [classical.IndicatorVector(g, 8) for g in ((0, 1, 2, 3), (4, 5, 6, 7))]
@@ -260,6 +276,15 @@ class TestScrambledIndicators:
         second = scrambled_indicators(self.TRUE, seed=41, taken=first)
         members = [c.members for c in self.TRUE + first + second]
         assert len(set(members)) == len(members) == 6
+
+    @pytest.mark.parametrize("groups", [((0,), (1,), (2,)), ((0, 1, 2),)],
+                             ids=["singletons", "one indicator"])
+    def test_partition_without_distinct_draw_refused_before_drawing(self, monkeypatch, groups):
+        generators = []
+        monkeypatch.setattr(np.random, "default_rng", lambda *args: generators.append(args))
+        with pytest.raises(ValueError, match="^scrambled: "):
+            scrambled_indicators([classical.IndicatorVector(g, 4) for g in groups], seed=4)
+        assert generators == []
 
 
 class TestTiedRanks:
