@@ -193,21 +193,13 @@ def spectral_cluster(
     return embedding_kmeans(laplacian_eig(g, variant)[1], k, variant, init)
 
 
-def nonzero_eigenvectors(H) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvalues of H above its zero tolerance and their eigenvectors
-    (:func:`numerics.nonzero_eigh`)."""
-    w, V, zero_tol, _ = numerics.nonzero_eigh(H)
-    return w[np.abs(w) > zero_tol], V
-
-
 def projector_target(H, y) -> tuple[np.ndarray, float]:
     """Project y onto the span of nonzero-eigenvalue eigenvectors of H.
 
     Returns the normalized projection and its pre-normalization norm (the
     ground-truth success amplitude).  Raises if the projection vanishes.
     """
-    _, V = nonzero_eigenvectors(H)
-    return span_projection(V, y)
+    return span_projection(numerics.nonzero_eigh(H).basis, y)
 
 
 def span_projection(V, y) -> tuple[np.ndarray, float]:

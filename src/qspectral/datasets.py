@@ -6,7 +6,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .classical import IndicatorVector, nonzero_eigenvectors
+from . import numerics
+from .classical import IndicatorVector
 
 MAX_TRIES = 10_000  # rejection-sampling draws of random_range_input and scrambled_indicators
 
@@ -71,7 +72,7 @@ def random_psd_range(dim: int = 16, rank: int = 6, seed: int = 0,
 def random_range_input(H, seed: int = 0,
                        overlap_sq: tuple[float, float] = (0.25, 0.9)) -> np.ndarray:
     """:func:`range_input` on the eigenvectors of the nonzero eigenvalues of H."""
-    return range_input(nonzero_eigenvectors(H)[1], seed, overlap_sq)
+    return range_input(numerics.nonzero_eigh(H).basis, seed, overlap_sq)
 
 
 def range_input(V, seed: int = 0, overlap_sq: tuple[float, float] = (0.25, 0.9)) -> np.ndarray:

@@ -25,9 +25,10 @@ ZERO_RTOL = 1e-8  # an eigenvalue within ZERO_RTOL * ||A||_1 of zero counts as z
 # it once the factor's rank passes FACTOR_MAX_RANK * N: the measured crossovers
 # with a full eigh (2-core x86, OpenBLAS 0.3.31).  At N=64 the two routes are
 # within 0.13 ms of each other; at N=128 and rank 16 the factor route takes
-# 0.36 ms against 1.17 ms; the two tie near rank 0.4 N at N=128 and N=256.
+# 0.36 ms against 1.17 ms.  The rank where they tie grows with N, from 0.32 N
+# at N=128 to 0.4 N at N=256 and 0.43 N at N=512; the cap sits below all three.
 FACTOR_MIN_DIM = 128
-FACTOR_MAX_RANK = 0.4
+FACTOR_MAX_RANK = 0.3
 PIVOT_RTOL = 1e-2  # pivoted Cholesky stops once its remainder's trace is below this * zero_tol
 
 
@@ -180,9 +181,16 @@ def _factor_eigh(A: np.ndarray, zero_tol: float, scale: float
     returned only when the kept pairs' residual is at most ``OP_TOL * scale``,
     their basis is orthonormal within ``OP_TOL`` and ||A - V diag(theta) V^H||_F
     is at most ``zero_tol`` (nothing non-null was dropped); otherwise, and
-    when the factor is abandoned or a LAPACK call fails, it is None."""
+    when the factor is skipped or abandoned or a LAPACK call fails, it is None."""
     n = A.shape[0]
-    F = _pivoted_cholesky(A, PIVOT_RTOL * zero_tol, int(FACTOR_MAX_RANK * n))
+    max_rank = int(FACTOR_MAX_RANK * n)
+    # rank(A) >= tr(A)^2 / ||A||_F^2 (Cauchy-Schwarz over the nonzero
+    # eigenvalues); past max_rank + 1, rounding aside, the factor would pass
+    # the cap, so a high-rank input such as a graph Laplacian skips it
+    trace = float(A.diagonal().real.sum())
+    if trace * trace > (max_rank + 1) * float(np.vdot(A, A).real):
+        return None
+    F = _pivoted_cholesky(A, PIVOT_RTOL * zero_tol, max_rank)
     if F is None:
         return None
     try:

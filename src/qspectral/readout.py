@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import numerics
-from .classical import IndicatorVector, nonzero_eigenvectors
+from .classical import IndicatorVector
 from .encoding import EvolutionOperator, make_evolution
 from .qpea import PeaConfig, amplify_many
 from .registers import RegisterState
@@ -91,7 +91,7 @@ def _register_similarities(states: Sequence[RegisterState], ys) -> np.ndarray:
 
 def direct_similarity(H, y) -> float:
     """Classical oracle <y| V V^dag |y> over the nonzero eigenspace of H."""
-    return float(span_similarities(nonzero_eigenvectors(H)[1], [y])[0])
+    return float(span_similarities(numerics.nonzero_eigh(H).basis, [y])[0])
 
 
 def span_similarities(V, ys) -> np.ndarray:

@@ -117,13 +117,35 @@ class TestNonzeroEigh:
             H, _ = low_rank_psd(dim, 8, seed=3)
             H = H - 0.5 * np.outer(np.eye(dim)[0], np.eye(dim)[0])
         elif case == "rank above the cap":
-            H, _ = low_rank_psd(dim, int(numerics.FACTOR_MAX_RANK * dim) + 1, seed=4)
+            # tr(H)^2 / ||H||_F^2 stays below the cap, so the Cholesky itself passes it
+            cap = int(numerics.FACTOR_MAX_RANK * dim)
+            H, _ = low_rank_psd(dim, cap + 1, seed=4)
+            assert np.trace(H) ** 2 <= cap * np.linalg.norm(H) ** 2
+            assert numerics._pivoted_cholesky(H, 1e-12, cap) is None
         else:  # five eigenvalues on either side of zero_tol, whose null part is too large to drop
             zero_tol = numerics.ZERO_RTOL * numerics.matrix_1norm(low_rank_psd(dim, 8, seed=5)[0])
             H, _ = low_rank_psd(dim, 8, seed=5, extra=zero_tol * np.array([0.8, 0.8, 0.8, 0.8, 1.2]))
         norm1 = numerics.matrix_1norm(H)
         assert numerics._factor_eigh(H, numerics.ZERO_RTOL * norm1, max(1.0, norm1)) is None
         w, V, _, _ = numerics.nonzero_eigh(H)
+        w_ref, V_ref = eigh_route(H)
+        assert np.array_equal(w, w_ref) and np.array_equal(V, V_ref)
+
+    @pytest.mark.parametrize("case", ["graph Laplacian", "full rank"])
+    def test_high_rank_input_skips_the_factor(self, case, monkeypatch):
+        # tr(H)^2 / ||H||_F^2 bounds the rank from below; past the cap the full
+        # eigh runs without a single Cholesky step
+        dim = numerics.FACTOR_MIN_DIM
+        if case == "graph Laplacian":  # rank dim - 1
+            W = np.triu(np.random.default_rng(6).uniform(size=(dim, dim)), 1)
+            W = W + W.T
+            H = np.diag(W.sum(axis=1)) - W
+        else:
+            H, _ = low_rank_psd(dim, dim, seed=7)
+        calls = []
+        monkeypatch.setattr(numerics, "_pivoted_cholesky", lambda *args: calls.append(args))
+        w, V, _, _ = numerics.nonzero_eigh(H)
+        assert calls == []
         w_ref, V_ref = eigh_route(H)
         assert np.array_equal(w, w_ref) and np.array_equal(V, V_ref)
 
