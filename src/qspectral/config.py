@@ -14,6 +14,7 @@ Keys a section leaves out keep the default section's values.  Errors name
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -32,6 +33,19 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _SCALAR_TYPES = {"int": (int,), "float": (int, float), "float | None": (int, float, type(None)),
                  "int | str": (int, str), "str": (str,), "str | None": (str, type(None)),
                  "bool": (bool,)}
+
+
+class _Loader(_YAML_LOADER):
+    """:data:`_YAML_LOADER` that also reads the YAML 1.2 floats YAML 1.1 leaves as
+    text, such as ``5e-1``, ``2E3`` and ``1.0e5``.  YAML 1.1's resolvers are
+    tried first, so every scalar they resolve keeps its type, and a quoted
+    ``'5e-1'`` stays text."""
+
+
+_Loader.add_implicit_resolver(  # on a copy of the resolver table: the base loader is unchanged
+    "tag:yaml.org,2002:float",
+    re.compile(r"[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+    list("-+.0123456789"))
 
 
 @dataclass(frozen=True)
@@ -187,7 +201,7 @@ def load_config(path=None, seed: int | None = None, out_dir: str | None = None) 
     data: dict = {}
     if path is not None:
         text = Path(path).read_text()
-        loaded = yaml.load(text, Loader=_YAML_LOADER)
+        loaded = yaml.load(text, Loader=_Loader)
         if loaded is None:
             loaded = {}
         if not isinstance(loaded, dict):

@@ -2,7 +2,8 @@
 
 Dialect across the package: comma separator, ``.`` decimal point, LF line
 endings, mandatory header row.  Floats are written with shortest
-round-tripping repr so output is byte-identical across runs.
+round-tripping repr so output is byte-identical across runs; across engine
+changes ``tests/test_golden.py`` pins every CLI output to within 1e-12.
 """
 
 from __future__ import annotations
@@ -58,7 +59,10 @@ def read_matrix(path) -> np.ndarray:
 
 
 def write_labels(path, labels) -> None:
-    write_rows(path, ["index", "label"], [(i, int(l)) for i, l in enumerate(labels)])
+    """One row per point; both integer columns are formatted by type, as
+    :func:`fmt` formats them."""
+    _write_text_rows(path, ["index", "label"],
+                     [(str(i), str(int(l))) for i, l in enumerate(labels)])
 
 
 def read_labels(path) -> np.ndarray:

@@ -4,10 +4,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from qspectral import cli, csvio, datasets, encoding, graph as graphmod, numerics, qpea, readout
 from qspectral.classical import IndicatorVector
-from qspectral.config import load_config
+from qspectral.config import _YAML_LOADER, load_config
 from qspectral.datasets import gaussian_blobs
 from qspectral.experiments import figure_instance, trace_suite, write_traces
 
@@ -136,6 +137,7 @@ class TestConfig:
         ("dataset: {centers: [[1.0, 0.0]]}", "dataset.centers"),
         ("dataset: {centers: [[1.0, 0.0], [0.0]]}", "dataset.centers"),
         ("dataset: {centers: [[1.0, 0.0], [0.0, true]]}", "dataset.centers"),
+        ("dataset: {eig_min: '5e-1'}", "dataset.eig_min"),  # quoted: text
     ])
     def test_wrong_type_is_an_error(self, tmp_path, capsys, text, key):
         p = write_config(tmp_path, text + "\n")
@@ -143,6 +145,26 @@ class TestConfig:
             load_config(p)
         assert cli.main(["cluster-quantum", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {key} ")
+
+    @pytest.mark.parametrize("verb, exponent, dotted", [
+        ("amplify-trace", "dataset: {eig_min: 5e-1}", "dataset: {eig_min: 0.5}"),
+        ("graph", "dataset: {kind: moons}\ngraph: {sigma: 1E0}",
+         "dataset: {kind: moons}\ngraph: {sigma: 1.0}"),
+    ])
+    def test_exponent_without_dot_is_a_float(self, tmp_path, verb, exponent, dotted):
+        # YAML 1.1 reads such a literal as text; the config loader reads it as YAML 1.2 does
+        outs = []
+        for name, text in (("exponent", exponent), ("dotted", dotted)):
+            out = tmp_path / name
+            p = tmp_path / f"{name}.yaml"
+            p.write_text(text + "\n")
+            assert cli.main([verb, "--config", str(p), "--out", str(out)]) == 0
+            outs.append(out)
+        names = sorted(path.name for path in outs[0].iterdir())
+        assert names == sorted(path.name for path in outs[1].iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        assert yaml.load("x: 5e-1", Loader=_YAML_LOADER) == {"x": "5e-1"}  # base unchanged
 
 
 class TestCmdGraph:
