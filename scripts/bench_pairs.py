@@ -28,17 +28,26 @@ is written.  Uses the standard library only.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
-from compare_outputs import export_commit  # this directory is on sys.path
-
 ROOT = Path(__file__).resolve().parent.parent
 STDERR_LINES = 20
+
+
+def export_commit(commit: str, dest: Path) -> None:
+    """Write the files of ``commit`` into the new directory ``dest``."""
+    archive = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    dest.mkdir(parents=True)
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
 
 
 def parse_seeds(text: str) -> list[int]:
