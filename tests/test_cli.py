@@ -150,7 +150,7 @@ class TestConfig:
         ("amplify-trace", "dataset: {eig_min: 5e-1}", "dataset: {eig_min: 0.5}"),
         ("graph", "dataset: {kind: moons}\ngraph: {sigma: 1E0}",
          "dataset: {kind: moons}\ngraph: {sigma: 1.0}"),
-    ])
+    ], ids=["eig_min", "sigma"])
     def test_exponent_without_dot_is_a_float(self, tmp_path, verb, exponent, dotted):
         # YAML 1.1 reads such a literal as text; the config loader reads it as YAML 1.2 does
         outs = []
