@@ -69,9 +69,13 @@ def build_operator(cfg: ExperimentConfig):
 
 
 def select_k(cfg: ExperimentConfig, eigenvalues) -> int:
-    if cfg.k != "auto":
-        return int(cfg.k)
-    return classical.eigengap_select(eigenvalues, cfg.k_max)
+    """The configured cluster count, or the eigengap's pick for ``auto``;
+    refused unless 2 <= k <= N, as every verb that clusters needs."""
+    n = len(eigenvalues)
+    k = int(cfg.k) if cfg.k != "auto" else classical.eigengap_select(eigenvalues, cfg.k_max)
+    if not 2 <= k <= n:
+        raise ValueError(f"k must satisfy 2 <= k <= N={n}, got {k}")
+    return k
 
 
 def _spectral_assignment(cfg: ExperimentConfig, points):
@@ -326,15 +330,17 @@ def _parser() -> argparse.ArgumentParser:
 
 
 PARSER = _parser()  # built once; each parse_args call returns a fresh namespace
+_LOG_FORMAT = logging.Formatter("%(name)s %(levelname)s %(message)s")
 
 
 def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
-
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(name)s %(levelname)s %(message)s",
-    )
+    # this call's level and stderr, on the package logger only; restored on return
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(_LOG_FORMAT)
+    level = log.level
+    log.setLevel(logging.INFO if args.verbose else logging.WARNING)
+    log.addHandler(handler)
     commands = {
         "graph": cmd_graph,
         "cluster-classical": cmd_cluster_classical,
@@ -349,6 +355,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
     for path in paths:
         print(path)
     return 0

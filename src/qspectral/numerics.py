@@ -2,11 +2,12 @@
 
 Everything else in the package is built on (and verified against) these
 routines: Hermitian eigendecomposition (the full spectrum, or the nonzero
-eigenpairs of a large low-rank matrix from a pivoted-Cholesky factor), the
-induced 1-norm and Householder-style reflections.  All functions are pure
-and operate on plain numpy arrays.  Matrices keep their own arithmetic: a real input stays float64 (so a real symmetric matrix gets a real
-eigendecomposition) and a complex one is complex128.  State vectors are
-always complex.
+eigenpairs of a large low-rank matrix from the small Gram matrix of its
+pivoted-Cholesky factor), the induced 1-norm and Householder-style
+reflections.  All functions are pure and operate on plain numpy arrays.
+Matrices keep their own arithmetic: a real input stays float64 (so a real
+symmetric matrix gets a real eigendecomposition) and a complex one is
+complex128.  State vectors are always complex.
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ OP_TOL = 1e-10   # default tolerance for operator identities (unitarity etc.)
 VEC_TOL = 1e-12  # default tolerance for vector norms
 ZERO_RTOL = 1e-8  # an eigenvalue within ZERO_RTOL * ||A||_1 of zero counts as zero
 # nonzero_eigh tries the factor route from order FACTOR_MIN_DIM up and abandons
-# it once the factor's rank passes FACTOR_MAX_RANK * N: the measured crossovers
-# with a full eigh (2-core x86, OpenBLAS 0.3.31).  At N=64 the two routes are
-# within 0.13 ms of each other; at N=128 and rank 16 the factor route takes
-# 0.36 ms against 1.17 ms.  The rank where they tie grows with N, from 0.32 N
-# at N=128 to 0.4 N at N=256 and 0.43 N at N=512; the cap sits below all three.
+# it once the factor's rank passes FACTOR_MAX_RANK * N: below the measured
+# crossovers with a full eigh (2-core x86, OpenBLAS 0.3.31, 1 or 2 threads).
+# At N=64 the two routes are within 0.1 ms of each other; at N=128 and rank 16
+# the factor route takes 0.30 ms against 0.98 ms.  The rank where they tie
+# grows with N, from about 0.43 N at N=128 to 0.6 N at N=256 and past 0.6 N at
+# N=512; the cap sits below all three.
 FACTOR_MIN_DIM = 128
 FACTOR_MAX_RANK = 0.3
 PIVOT_RTOL = 1e-2  # pivoted Cholesky stops once its remainder's trace is below this * zero_tol
@@ -164,24 +166,18 @@ def _pivoted_cholesky(A: np.ndarray, tol: float, max_rank: int) -> np.ndarray | 
     return None
 
 
-def _orthonormal_columns(X: np.ndarray) -> np.ndarray:
-    """An orthonormal basis of the columns of X by CholeskyQR2, which raises
-    ``LinAlgError`` when X is too ill-conditioned for it."""
-    for _ in range(2):
-        C = np.linalg.cholesky(X.conj().T @ X)  # X^H X = C C^H
-        X = X @ np.linalg.inv(C).conj().T
-    return X
-
-
 def _factor_eigh(A: np.ndarray, zero_tol: float, scale: float
                  ) -> tuple[np.ndarray, np.ndarray] | None:
     """Eigenvalues and nonzero basis of the Hermitian A from its pivoted-Cholesky
-    factor: an orthonormal basis Q of the factor's columns, then Rayleigh-Ritz
-    on Q^H A Q, keeping the pairs with |theta| > ``zero_tol``.  The result is
-    returned only when the kept pairs' residual is at most ``OP_TOL * scale``,
-    their basis is orthonormal within ``OP_TOL`` and ||A - V diag(theta) V^H||_F
-    is at most ``zero_tol`` (nothing non-null was dropped); otherwise, and
-    when the factor is skipped or abandoned or a LAPACK call fails, it is None."""
+    factor F, with A = F^T conj(F) up to the remainder.  The k x k Gram
+    conj(F) F^T has the nonzero eigenvalues theta of F^T conj(F), and each of
+    its eigenvectors u gives the unit eigenvector F^T u / sqrt(theta); the
+    pairs with theta > ``zero_tol`` are kept.  The result is returned only
+    when their residual in A is at most ``OP_TOL * scale``, their basis is
+    orthonormal within ``OP_TOL`` and ||A - V diag(theta) V^H||_F is at most
+    ``zero_tol`` (nothing non-null was dropped, and A has no eigenvalue below
+    -``zero_tol``); otherwise, and when the factor is skipped or abandoned or
+    the eigensolver fails, it is None."""
     n = A.shape[0]
     max_rank = int(FACTOR_MAX_RANK * n)
     # rank(A) >= tr(A)^2 / ||A||_F^2 (Cauchy-Schwarz over the nonzero
@@ -194,16 +190,14 @@ def _factor_eigh(A: np.ndarray, zero_tol: float, scale: float
     if F is None:
         return None
     try:
-        Q = _orthonormal_columns(F.T)
-        AQ = A @ Q
-        theta, Z = np.linalg.eigh(Q.conj().T @ AQ)
+        theta, U = np.linalg.eigh(F.conj() @ F.T)
     except np.linalg.LinAlgError:
         return None
-    keep = np.abs(theta) > zero_tol
-    theta, Z = theta[keep], Z[:, keep]
-    V = Q @ Z
+    keep = theta > zero_tol
+    theta = theta[keep]
+    V = F.T @ (U[:, keep] / np.sqrt(theta))
     VL = V * theta
-    R = AQ @ Z
+    R = A @ V
     R -= VL
     D = VL @ V.conj().T
     np.subtract(A, D, out=D)
@@ -212,9 +206,7 @@ def _factor_eigh(A: np.ndarray, zero_tol: float, scale: float
             or float(np.linalg.norm(D)) > zero_tol):
         return None
     w = np.zeros(n)
-    negative = int(np.count_nonzero(theta < 0.0))
-    w[:negative] = theta[:negative]
-    w[n - theta.size + negative:] = theta[negative:]
+    w[n - theta.size:] = theta
     return w, V
 
 

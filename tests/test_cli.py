@@ -1,5 +1,7 @@
+import io
 import logging
 import re
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +223,16 @@ target: laplacian
         assert cli.main(["graph", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert np.allclose(csvio.read_eigenvalues(out / "laplacian_eigs.csv"), normalized,
                            atol=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 9])
+    def test_k_out_of_range_refused_as_the_clustering_verbs_refuse_it(self, tmp_path, capsys, k):
+        # 8 points: graph used to write a k that both clustering verbs refuse
+        cfg_path = write_config(tmp_path, BLOBS_YAML.replace("k: 2", f"k: {k}"))
+        for verb in ("graph", "cluster-classical", "cluster-quantum"):
+            out = tmp_path / verb
+            assert cli.main([verb, "--config", str(cfg_path), "--out", str(out)]) == 2
+            assert f"k must satisfy 2 <= k <= N=8, got {k}" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_point_target_refused_on_random_psd(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, "target: gram\n")  # the default random_psd dataset
@@ -767,3 +779,21 @@ class TestParser:
         assert cli.main(["graph"]) == 2
         assert seen == [("a.yaml", 5, "first"), (None, None, None)]
         assert capsys.readouterr().err == "error: stop\nerror: stop\n"
+
+
+class TestLogging:
+    def test_each_call_logs_at_its_own_level_to_its_own_stderr(self, tmp_path):
+        # logging.basicConfig set up the first call's stream and level only:
+        # later calls logged into that stream, at its level, whatever their flag
+        logger = logging.getLogger("qspectral")
+        before = (logger.level, list(logger.handlers), logger.propagate)
+        args = ["graph", "--config", str(CONFIGS / "two_blobs.yaml"), "--out", str(tmp_path)]
+        streams = []
+        for flags in (["--verbose"], ["--verbose"], []):
+            err = io.StringIO()
+            with redirect_stderr(err), redirect_stdout(io.StringIO()):
+                assert cli.main(args + flags) == 0
+            streams.append(err.getvalue())
+        line = "qspectral INFO graph: N=8 kind=full selected k=2\n"
+        assert streams == [line, line, ""]
+        assert (logger.level, logger.handlers, logger.propagate) == before

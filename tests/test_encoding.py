@@ -246,7 +246,7 @@ class TestMakeEvolution:
 
     def test_low_rank_operator_makes_no_full_eigh(self, monkeypatch):
         # N = 512, rank 128: the spectrum comes from the factor route, whose one
-        # eigh is of the 128 x 128 Rayleigh-Ritz block
+        # eigh is of the pivoted-Cholesky factor's 128 x 128 Gram
         H = random_psd_matrix(512, 128, seed=17)
         shapes = []
         eigh = np.linalg.eigh

@@ -52,6 +52,7 @@ RUNS = {  # name: (verb, config name or None, further arguments)
     **{f"{verb}_{config}": (verb, config, ())
        for config in ("two_blobs", "figure_preset") for verb in VERBS},
     "amplify-trace_verbatim": ("amplify-trace", "verbatim", ()),
+    "amplify-trace_figure_preset_verbose": ("amplify-trace", "figure_preset", ("--verbose",)),
     "graph_normalized": ("graph", "normalized", ()),
     "cluster-classical_normalized": ("cluster-classical", "normalized", ()),
     "cluster-quantum_blobs128": ("cluster-quantum", "blobs128", ()),

@@ -53,15 +53,19 @@ class TestHermitianEig:
         assert np.max(np.abs((V * w) @ V.conj().T - A)) <= 1e-10
 
 
-def low_rank_psd(dim, rank, seed, cplx=False, scale=1.0, extra=()):
-    """PSD matrix with ``rank`` eigenvalues in [0.3, 1] * scale, then the values
-    of ``extra``, and zeros elsewhere, in a random eigenbasis the seed fixes;
-    returns it and its eigenvalues."""
+def low_rank_psd(dim, rank, seed, cplx=False, scale=1.0, extra=(), decades=None):
+    """PSD matrix with ``rank`` eigenvalues in [0.3, 1] * scale (log-spaced
+    from 10**-decades * scale up to scale when ``decades`` is given), then the
+    values of ``extra``, and zeros elsewhere, in a random eigenbasis the seed
+    fixes; returns it and its eigenvalues."""
     rng = np.random.default_rng(seed)
     gauss = rng.normal(size=(dim, dim)) + (1j * rng.normal(size=(dim, dim)) if cplx else 0.0)
     Q, _ = np.linalg.qr(gauss)
     lam = np.zeros(dim)
-    lam[:rank] = scale * rng.uniform(0.3, 1.0, size=rank)
+    if decades is None:
+        lam[:rank] = scale * rng.uniform(0.3, 1.0, size=rank)
+    else:
+        lam[:rank] = scale * np.logspace(-decades, 0.0, rank)
     lam[rank:rank + len(extra)] = extra
     H = (Q * lam) @ Q.conj().T
     return (H + H.conj().T) / 2, lam
@@ -76,14 +80,20 @@ def eigh_route(A):
 class TestNonzeroEigh:
     @settings(max_examples=60, deadline=None)
     @given(dim=st.integers(1, 40), rank_frac=st.floats(0.0, numerics.FACTOR_MAX_RANK),
-           cplx=st.booleans(), log_scale=st.floats(-6.0, 6.0), seed=st.integers(0, 2**32 - 1))
-    def test_factor_route_matches_eigh(self, dim, rank_frac, cplx, log_scale, seed):
+           cplx=st.booleans(), log_scale=st.floats(-6.0, 6.0), seed=st.integers(0, 2**32 - 1),
+           decades=st.one_of(st.none(), st.floats(0.0, 5.0)))
+    def test_factor_route_matches_eigh(self, dim, rank_frac, cplx, log_scale, seed, decades):
         # called directly, without the size gate; every eigenvalue sits at least
-        # 0.3 * scale from zero, so the zero/nonzero split is resolvable
+        # 0.3 * scale (spread over up to 5 decades: 10 * zero_tol) from zero, so
+        # the zero/nonzero split is resolvable.  The spread probes the basis
+        # F^T u / sqrt(theta), whose orthonormality error grows like
+        # eps sqrt(scale / theta); much past 5 decades eps ||H|| / theta_min,
+        # the reference eigh's own projector error, nears the 1e-10 bound.
         rank = int(rank_frac * dim)
-        H, _ = low_rank_psd(dim, rank, seed, cplx, 10.0**log_scale)
+        H, lam = low_rank_psd(dim, rank, seed, cplx, 10.0**log_scale, decades=decades)
         norm1 = numerics.matrix_1norm(H)
         zero_tol = numerics.ZERO_RTOL * max(norm1, 1e-300)
+        assert np.all(lam[:rank] >= 10 * zero_tol)
         found = numerics._factor_eigh(H, zero_tol, max(1.0, norm1))
         assert found is not None
         w, V = found
@@ -110,12 +120,21 @@ class TestNonzeroEigh:
         assert np.max(np.abs(w - w_ref)) <= 1e-12 * np.linalg.norm(H, 2)
         assert np.max(np.abs(V @ V.conj().T - V_ref @ V_ref.conj().T)) <= 1e-10
 
-    @pytest.mark.parametrize("case", ["indefinite", "rank above the cap", "straddling zero_tol"])
+    @pytest.mark.parametrize("case", ["indefinite", "indefinite past the factor",
+                                      "rank above the cap", "straddling zero_tol"])
     def test_fallback_is_the_eigh_route(self, case):
         dim = numerics.FACTOR_MIN_DIM
         if case == "indefinite":
             H, _ = low_rank_psd(dim, 8, seed=3)
             H = H - 0.5 * np.outer(np.eye(dim)[0], np.eye(dim)[0])
+        elif case == "indefinite past the factor":
+            # eigenvalues +-0.5 on the first two coordinates, which the PSD part
+            # leaves empty: the remainder has a zero diagonal, so the Cholesky
+            # stops before them, and only the Frobenius check sees them
+            H = np.zeros((dim, dim))
+            H[2:, 2:] = low_rank_psd(dim - 2, 8, seed=3)[0]
+            H[0, 1] = H[1, 0] = 0.5
+            assert numerics._pivoted_cholesky(H, 1e-12, dim).shape == (8, dim)
         elif case == "rank above the cap":
             # tr(H)^2 / ||H||_F^2 stays below the cap, so the Cholesky itself passes it
             cap = int(numerics.FACTOR_MAX_RANK * dim)
