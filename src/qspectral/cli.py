@@ -335,12 +335,15 @@ _LOG_FORMAT = logging.Formatter("%(name)s %(levelname)s %(message)s")
 
 def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
-    # this call's level and stderr, on the package logger only; restored on return
+    # this call's level and stderr, on the package logger only (records stop
+    # there, so a handler the caller set on the root logger prints none of
+    # them a second time); restored on return
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(_LOG_FORMAT)
-    level = log.level
+    level, propagate = log.level, log.propagate
     log.setLevel(logging.INFO if args.verbose else logging.WARNING)
     log.addHandler(handler)
+    log.propagate = False
     commands = {
         "graph": cmd_graph,
         "cluster-classical": cmd_cluster_classical,
@@ -358,6 +361,7 @@ def main(argv=None) -> int:
     finally:
         log.removeHandler(handler)
         log.setLevel(level)
+        log.propagate = propagate
     for path in paths:
         print(path)
     return 0

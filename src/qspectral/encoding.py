@@ -242,11 +242,21 @@ def ladder_phase_table(evo: EvolutionOperator, m: int) -> np.ndarray:
 
     Entry [p, j] = exp(2 pi i (p phi_j mod 1)) is the phase that U^p puts on
     the j-th column of ``evo.nonzero_basis``; its conjugate gives the inverse
-    ladder.  Shape (2^m, r) for r nonzero eigenvalues.
+    ladder.  Shape (2^m, r) for r nonzero eigenvalues.  Built in two levels:
+    with p = q L + s and L = 2^(m//2), entry [p, j] is the product of the
+    phases of q (L phi_j) and of s phi_j, so only 2^(m - m//2) + L rows take
+    an exp.  L phi_j is exact, so the rows p = q L are the one-level table's.
     """
-    phases = np.arange(2**m)[:, None] * evo.eigenphases[evo.nonzero_mask()]
-    # x - floor(x) is x mod 1 exactly, and faster than np.mod
-    return np.exp(2j * np.pi * (phases - np.floor(phases)))
+    phi = evo.eigenphases[evo.nonzero_mask()]
+    low = 2 ** (m // 2)
+    high = _cis(np.arange(2**m // low)[:, None] * (low * phi))
+    return (high[:, None, :] * _cis(np.arange(low)[:, None] * phi)).reshape(2**m, phi.size)
+
+
+def _cis(x: np.ndarray) -> np.ndarray:
+    """exp(2 pi i x), reduced mod 1 first; x - floor(x) is x mod 1 exactly,
+    and faster than np.mod."""
+    return np.exp(2j * np.pi * (x - np.floor(x)))
 
 
 def gate_count_estimate(L: int, N: int, m: int, simple_unitaries: bool = False) -> int:

@@ -32,6 +32,11 @@ ZERO_RTOL = 1e-8  # an eigenvalue within ZERO_RTOL * ||A||_1 of zero counts as z
 FACTOR_MIN_DIM = 128
 FACTOR_MAX_RANK = 0.3
 PIVOT_RTOL = 1e-2  # pivoted Cholesky stops once its remainder's trace is below this * zero_tol
+# the Hermitian check reads A in slabs of this many rows and columns.  At N=512
+# the check and ||A||_1 took 0.8 ms with blocks of 32 to 64, against 2.5 ms
+# for the dense A - A^H and two passes of |A| (real A; complex 1.7 against
+# 4.8 ms; 2-core x86, min of 7 x 20 calls)
+HERMITIAN_BLOCK = 64
 
 
 def as_vector(v) -> np.ndarray:
@@ -54,11 +59,25 @@ def is_normalized(v, tol: float = VEC_TOL) -> bool:
 
 
 def is_hermitian(A, tol: float = VEC_TOL) -> bool:
+    """max |A_ij - conj(A_ji)| <= tol * max(1, max |A_ij|); False for a
+    non-square A or one with a non-finite entry."""
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         return False
-    scale = max(1.0, float(np.abs(A).max())) if A.size else 1.0
-    return float(np.abs(A - A.conj().T).max()) <= tol * scale
+    largest = float(np.abs(A).max(initial=0.0))  # NaN if A holds one; max(1.0, NaN) is 1.0
+    return math.isfinite(largest) and _hermitian_gap(A) <= tol * max(1.0, largest)
+
+
+def _hermitian_gap(A: np.ndarray) -> float:
+    """max |A_ij - conj(A_ji)| of a square A, read by upper block pairs: rows
+    i:i+B of A against columns i:i+B, so each pair of entries is read in one
+    contiguous slab instead of through a full transposed copy.  Equal bit for
+    bit to ``np.abs(A - A.conj().T).max()``: fl(a - conj(b)) = -conj(fl(b -
+    conj(a))), so the lower triangle repeats the upper one's magnitudes.  A
+    NaN gap propagates."""
+    n, B = A.shape[0], HERMITIAN_BLOCK
+    gaps = [np.abs(A[i:i + B, i:] - A[i:, i:i + B].conj().T).max() for i in range(0, n, B)]
+    return float(np.max(gaps, initial=0.0))
 
 
 def is_unitary(A, tol: float = OP_TOL) -> bool:
@@ -74,13 +93,20 @@ def matrix_1norm(A) -> float:
     return float(np.abs(A).sum(axis=0).max())
 
 
-def _hermitian_matrix(A) -> np.ndarray:
+def _hermitian_matrix(A) -> tuple[np.ndarray, float]:
+    """A as a checked Hermitian matrix, and its ||A||_1.  One pass of |A|
+    gives both the check's scale max(1, max |A_ij|) and the norm; a NaN or
+    infinite entry is refused before the Hermitian gap is formed."""
     A = as_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square, got {A.shape}")
-    if not is_hermitian(A):
+    magnitude = np.abs(A)
+    largest = float(magnitude.max())  # NaN if A holds one; max(1.0, NaN) is 1.0
+    if not math.isfinite(largest):
+        raise ValueError("matrix has non-finite (NaN or infinite) entries")
+    if _hermitian_gap(A) > VEC_TOL * max(1.0, largest):
         raise ValueError("matrix is not Hermitian within tolerance")
-    return A
+    return A, float(magnitude.sum(axis=0).max())
 
 
 def _checked_eigh(A: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
@@ -109,8 +135,8 @@ def hermitian_eig(A) -> tuple[np.ndarray, np.ndarray]:
     Hermitian (checked); the residual ``A V - V diag(w)`` is verified against
     ``OP_TOL * max(1, ||A||_1)`` after the solve.
     """
-    A = _hermitian_matrix(A)
-    return _checked_eigh(A, max(1.0, matrix_1norm(A)))
+    A, norm1 = _hermitian_matrix(A)
+    return _checked_eigh(A, max(1.0, norm1))
 
 
 class NonzeroEigh(NamedTuple):
@@ -133,8 +159,7 @@ def nonzero_eigh(A) -> NonzeroEigh:
     tried first; its null eigenvalues are exactly 0.0, and any result it
     cannot certify is discarded for the full solve.
     """
-    A = _hermitian_matrix(A)
-    norm1 = matrix_1norm(A)
+    A, norm1 = _hermitian_matrix(A)
     zero_tol = ZERO_RTOL * max(norm1, 1e-300)
     scale = max(1.0, norm1)
     found = _factor_eigh(A, zero_tol, scale) if A.shape[0] >= FACTOR_MIN_DIM else None

@@ -446,13 +446,14 @@ class TestCmdAmplifyTrace:
         (VERBATIM_YAML, [("qft_0", "0.3461", "-", "-"), ("biased_1", "0.0419", "-", "-"),
                          ("biased_20", "0.2517", "-", "-")]),
     ], ids=["standard", "verbatim"])
-    def test_verbose_line_per_run(self, tmp_path, caplog, config, rows):
-        caplog.set_level(logging.INFO, logger="qspectral")
+    def test_verbose_line_per_run(self, tmp_path, capsys, config, rows):
         args = ["amplify-trace", "--verbose", "--out", str(tmp_path / "out")]
         if config is not None:
             args += ["--config", str(write_config(tmp_path, config))]
         assert cli.main(args) == 0
-        lines = [r.getMessage() for r in caplog.records if r.name == "qspectral"]
+        prefix = "qspectral INFO "
+        lines = [line.removeprefix(prefix) for line in capsys.readouterr().err.splitlines()
+                 if line.startswith(prefix)]
         assert len(lines) == len(rows)
         for line, (label, success, theta, t_star) in zip(lines, rows):
             assert line.startswith(f"amplify-trace {label}: initial success {success}, ")
@@ -797,3 +798,21 @@ class TestLogging:
         line = "qspectral INFO graph: N=8 kind=full selected k=2\n"
         assert streams == [line, line, ""]
         assert (logger.level, logger.handlers, logger.propagate) == before
+
+    def test_root_handler_prints_no_second_copy(self, tmp_path):
+        # records used to propagate to the root logger, so a caller's own
+        # handler there (as logging.basicConfig sets up) printed each line again
+        root = logging.getLogger()
+        err = io.StringIO()
+        handler = logging.StreamHandler(err)
+        handler.setFormatter(logging.Formatter("root %(message)s"))
+        root.addHandler(handler)
+        args = ["graph", "--config", str(CONFIGS / "two_blobs.yaml"), "--out", str(tmp_path),
+                "--verbose"]
+        try:
+            with redirect_stderr(err), redirect_stdout(io.StringIO()):
+                assert cli.main(args) == 0
+        finally:
+            root.removeHandler(handler)
+        assert err.getvalue() == "qspectral INFO graph: N=8 kind=full selected k=2\n"
+        assert logging.getLogger("qspectral").propagate

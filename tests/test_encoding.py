@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -365,6 +366,26 @@ class TestControlledPower:
         state = full_state(amps, 3, 3)
         out = controlled_power_apply(evo, 2, state, control_qubit=1)
         assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-10
+
+
+class TestLadderPhaseTable:
+    @pytest.mark.parametrize("m", [6, 8, 10])
+    def test_within_rounding_of_the_exact_reduction(self, m):
+        # reference: p * phi mod 1 in exact rational arithmetic, then cos and
+        # sin; the table's error is the rounding of p * phi, up to 2^m ulp
+        rng = np.random.default_rng(m)
+        M = 2**m
+        evo = encoding.make_evolution(np.diag(rng.uniform(2.0 / M, 1.0 - 2.0 / M, size=5)),
+                                      m=m, t=1.0)
+        phi = evo.eigenphases[evo.nonzero_mask()]
+        turns = np.array([[float(p * Fraction(f) % 1) for f in phi] for p in range(M)])
+        exact = np.cos(2 * np.pi * turns) + 1j * np.sin(2 * np.pi * turns)
+        table = encoding.ladder_phase_table(evo, m)
+        assert table.shape == (M, phi.size)
+        assert np.abs(table - exact).max() <= M * 1e-15
+        # the rows p = q L, L = 2^(m//2), are the one-level exp(2 pi i (p phi mod 1))
+        high = np.arange(0, M, 2 ** (m // 2))[:, None] * phi
+        assert np.array_equal(table[::2 ** (m // 2)], np.exp(2j * np.pi * (high - np.floor(high))))
 
 
 class TestGateCount:

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qspectral import numerics
+from qspectral import encoding, numerics
 from qspectral.errors import ConvergenceError
 
 
@@ -168,11 +170,101 @@ class TestNonzeroEigh:
         w_ref, V_ref = eigh_route(H)
         assert np.array_equal(w, w_ref) and np.array_equal(V, V_ref)
 
+    @pytest.mark.parametrize("dim", [8, numerics.FACTOR_MIN_DIM])
+    def test_norm_and_zero_tolerance(self, dim):
+        # ||A||_1 comes from the Hermitian check's |A|, with matrix_1norm's expression
+        H, _ = low_rank_psd(dim, 3, seed=dim, cplx=True)
+        _, _, zero_tol, norm1 = numerics.nonzero_eigh(H)
+        assert norm1 == numerics.matrix_1norm(H) == float(np.abs(H).sum(axis=0).max())
+        assert zero_tol == numerics.ZERO_RTOL * norm1
+
     def test_refuses_non_hermitian(self):
         A = np.eye(numerics.FACTOR_MIN_DIM)
         A[0, 1] = 1.0
         with pytest.raises(ValueError, match="Hermitian"):
             numerics.nonzero_eigh(A)
+
+
+BLOCK = numerics.HERMITIAN_BLOCK
+
+
+def dense_gap(A):
+    return np.abs(A - A.conj().T).max()
+
+
+class TestHermitianCheck:
+    """The blocked check reads each pair of entries once and keeps the dense
+    formula's gap, bit for bit, and so its verdict."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(dim=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 300]),
+           cplx=st.booleans(), seed=st.integers(0, 2**32 - 1),
+           place=st.sampled_from(["none", "last block", "anywhere"]),
+           edge=st.sampled_from([0.5, 1.0 - 2.0**-40, 1.0, 1.0 + 2.0**-40, 3.0]),
+           log_scale=st.floats(-3.0, 3.0))
+    def test_blocked_gap_equals_dense(self, dim, cplx, seed, place, edge, log_scale):
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(dim, dim)) + (1j * rng.normal(size=(dim, dim)) if cplx else 0.0)
+        A = 10.0**log_scale * (A + A.conj().T) / 2  # Hermitian to the bit
+        if place != "none":
+            # one entry off by about the tolerance: its pair decides the verdict
+            first = (dim - 1) // BLOCK * BLOCK if place == "last block" else 0
+            i, j = rng.integers(first, dim), rng.integers(0, dim)
+            A[i, j] += edge * numerics.VEC_TOL * max(1.0, np.abs(A).max())
+        gap = dense_gap(A)
+        assert numerics._hermitian_gap(A) == gap
+        assert numerics.is_hermitian(A) == (gap <= numerics.VEC_TOL * max(1.0, np.abs(A).max()))
+
+    def test_empty_and_non_square(self):
+        assert numerics.is_hermitian(np.zeros((0, 0)))
+        assert not numerics.is_hermitian(np.zeros((2, 3)))
+        assert not numerics.is_hermitian(np.zeros(4))
+
+
+def nonfinite_cases():
+    """(dim, place, value): NaN and +-inf on and off the diagonal, in the first
+    and last block and across a block edge, where the order has one."""
+    for dim in (16, 256):
+        places = {"diagonal-first-block": (0, 0), "diagonal-last-block": (dim - 1, dim - 1),
+                  "off-diagonal-first-block": (1, 0),
+                  "off-diagonal-last-block": (dim - 1, dim - 2)}
+        if dim > BLOCK:
+            places["across-block-edge"] = (BLOCK, BLOCK - 1)
+        for name, place in places.items():
+            for value in (np.nan, np.inf, -np.inf):
+                yield pytest.param(dim, place, value, id=f"{dim}-{name}-{value}")
+
+
+ROUTES = {
+    "nonzero_eigh": numerics.nonzero_eigh,
+    "hermitian_eig": numerics.hermitian_eig,
+    "make_evolution": lambda H: encoding.make_evolution(H, m=6),
+}
+
+
+class TestNonFiniteInput:
+    """NaN or infinity in H is refused by name, before any arithmetic on it
+    can warn; the entry and its mirror both hold it, so the matrix is
+    otherwise Hermitian."""
+
+    @pytest.mark.parametrize("route", ROUTES.values(), ids=ROUTES)
+    @pytest.mark.parametrize("dim, place, value", nonfinite_cases())
+    def test_refused(self, route, dim, place, value):
+        H, _ = low_rank_psd(dim, 3, seed=dim)
+        H[place] = H[place[::-1]] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                route(H)
+            assert not numerics.is_hermitian(H)
+
+    @pytest.mark.parametrize("value", [complex(np.nan, 0.0), complex(0.0, np.inf)])
+    def test_refused_complex(self, value):
+        H = np.eye(4, dtype=complex)
+        H[1, 2] = H[2, 1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            numerics.nonzero_eigh(H)
+        assert not numerics.is_hermitian(H)
 
 
 class TestInputArithmetic:
