@@ -155,6 +155,16 @@ def eigengap_select(eigenvalues, k_max: int) -> int:
     return int(np.argmax(gaps)) + 2 if gaps.size else 2
 
 
+def select_k(eigenvalues, k: int | str, k_max: int) -> int:
+    """``k``, or the eigengap's pick for ``"auto"``; refused unless
+    2 <= k <= N, as every verb that clusters needs."""
+    n = len(eigenvalues)
+    k = int(k) if k != "auto" else eigengap_select(eigenvalues, k_max)
+    if not 2 <= k <= n:
+        raise ValueError(f"k must satisfy 2 <= k <= N={n}, got {k}")
+    return k
+
+
 def laplacian_matrix(g, variant: str = "unnormalized") -> np.ndarray:
     """The variant's Laplacian: D - W for ``unnormalized``, the symmetric
     normalized one for ``normalized`` and ``row_normalized``."""
@@ -182,12 +192,8 @@ def embedding_kmeans(V, k: int, variant: str = "unnormalized",
     return kmeans(rows, k, init=init)
 
 
-def spectral_cluster(
-    g,
-    k: int,
-    variant: str = "unnormalized",
-    init: int | np.ndarray = 0,
-) -> ClusterAssignment:
+def spectral_cluster(g, k: int, variant: str = "unnormalized",
+                     init: int | np.ndarray = 0) -> ClusterAssignment:
     """Cluster by k-means on the rows of the k lowest Laplacian eigenvectors:
     :func:`embedding_kmeans` over :func:`laplacian_eig` of the graph."""
     return embedding_kmeans(laplacian_eig(g, variant)[1], k, variant, init)

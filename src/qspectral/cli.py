@@ -1,4 +1,5 @@
-"""Command line: dataset ingestion, pipeline orchestration, file emission.
+"""Command line: parse the arguments, run a verb's pipeline from
+:mod:`qspectral.experiments`, write its files and log.
 
 Verbs: ``graph``, ``cluster-classical``, ``amplify-trace``, ``cluster-quantum``
 and ``selftest``.  Every command is deterministic given the configuration and
@@ -16,86 +17,19 @@ import numpy as np
 
 from . import classical, csvio, datasets, encoding, graph as graphmod, numerics, qpea, readout
 from .config import ExperimentConfig, load_config
-from .experiments import trace_input, trace_suite, write_traces
+from .experiments import (run_amplify_trace, run_cluster_classical, run_cluster_quantum,
+                          run_graph, write_traces)
 
 log = logging.getLogger("qspectral")
 
 
 # ---------------------------------------------------------------------------
-# dataset materialization
-
-
-def build_points(cfg: ExperimentConfig) -> np.ndarray:
-    """Point set of the configured dataset."""
-    ds = cfg.dataset
-    if ds.kind == "blobs":
-        return datasets.gaussian_blobs(ds.sizes, ds.centers, ds.noise, cfg.seed)[0]
-    if ds.kind == "moons":
-        return datasets.two_moons(ds.n, ds.noise, cfg.seed)[0]
-    if ds.kind == "csv":
-        return graphmod.load_points_csv(ds.path)
-    raise ValueError(f"dataset kind {ds.kind!r} does not provide points")
-
-
-def build_graph(cfg: ExperimentConfig, points):
-    g = cfg.graph
-    if g.kind == "full":
-        return graphmod.build_full_graph(points, g.sigma, g.squared_norm)
-    if g.kind == "epsilon":
-        return graphmod.build_epsilon_graph(points, g.eps)
-    return graphmod.build_knn_graph(points, g.k)
-
-
-def _target_variant(cfg: ExperimentConfig) -> str:
-    """The Laplacian variant the target names: ``normalized`` for
-    ``normalized_laplacian``, ``unnormalized`` for every other target."""
-    return "normalized" if cfg.target == "normalized_laplacian" else "unnormalized"
-
-
-def build_operator(cfg: ExperimentConfig):
-    """Hermitian operator fed to phase estimation, per the configured target,
-    and the points it is built from (None for the ``matrix`` target)."""
-    if cfg.target == "matrix":
-        ds = cfg.dataset
-        if ds.kind != "random_psd":
-            raise ValueError("target 'matrix' requires the random_psd dataset")
-        H = datasets.random_psd_matrix(ds.dim, ds.rank, cfg.seed, (ds.eig_min, ds.eig_max))
-        return H, None
-    points = build_points(cfg)
-    if cfg.target == "gram":
-        return encoding.points_gram(points, centered=cfg.gram_centered), points
-    L = classical.laplacian_matrix(build_graph(cfg, points), _target_variant(cfg))
-    return L, points
-
-
-def select_k(cfg: ExperimentConfig, eigenvalues) -> int:
-    """The configured cluster count, or the eigengap's pick for ``auto``;
-    refused unless 2 <= k <= N, as every verb that clusters needs."""
-    n = len(eigenvalues)
-    k = int(cfg.k) if cfg.k != "auto" else classical.eigengap_select(eigenvalues, cfg.k_max)
-    if not 2 <= k <= n:
-        raise ValueError(f"k must satisfy 2 <= k <= N={n}, got {k}")
-    return k
-
-
-def _spectral_assignment(cfg: ExperimentConfig, points):
-    """Laplacian eigenvectors, cluster count and classical spectral clustering
-    of the points, for the configured graph and Laplacian variant."""
-    w, V = classical.laplacian_eig(build_graph(cfg, points), cfg.variant)
-    k = select_k(cfg, w)
-    return V, k, classical.embedding_kmeans(V, k, cfg.variant, init=cfg.seed)
-
-
-# ---------------------------------------------------------------------------
-# commands
+# commands: load, run the verb's pipeline, write its files, log
 
 
 def cmd_graph(cfg: ExperimentConfig) -> list[Path]:
     out = Path(cfg.out_dir)
-    points = build_points(cfg)
-    g = build_graph(cfg, points)
-    w, _ = classical.laplacian_eig(g, cfg.variant)  # the spectrum the clustering verbs pick k on
-    k = select_k(cfg, w)
+    g, w, k = run_graph(cfg)
     out.mkdir(parents=True, exist_ok=True)
     csvio.write_matrix(out / "W.csv", g.weights)
     csvio.write_eigenvalues(out / "laplacian_eigs.csv", w)
@@ -106,28 +40,18 @@ def cmd_graph(cfg: ExperimentConfig) -> list[Path]:
 
 def cmd_cluster_classical(cfg: ExperimentConfig) -> list[Path]:
     out = Path(cfg.out_dir)
-    points = build_points(cfg)
-    V, k, assignment = _spectral_assignment(cfg, points)
-    # clustering objective of the emitted labels on the input points
-    centroids = np.vstack([points[assignment.labels == c].mean(axis=0) for c in range(k)])
-    objective = float(np.sum((points - centroids[assignment.labels]) ** 2))
-    indicators = classical.indicators_from_labels(assignment.labels, k)
-    trace_val = classical.trace_objective(indicators, V[:, :k])
+    res = run_cluster_classical(cfg)
     out.mkdir(parents=True, exist_ok=True)
-    csvio.write_labels(out / "labels_classical.csv", assignment.labels)
-    (out / "objective.txt").write_text(f"{csvio.fmt(objective)}\n")
-    (out / "trace_objective.txt").write_text(f"{csvio.fmt(trace_val)}\n")
-    log.info("cluster-classical: k=%d objective=%.6g trace=%.6g", k, objective, trace_val)
+    csvio.write_labels(out / "labels_classical.csv", res.labels)
+    (out / "objective.txt").write_text(f"{csvio.fmt(res.objective)}\n")
+    (out / "trace_objective.txt").write_text(f"{csvio.fmt(res.trace_objective)}\n")
+    log.info("cluster-classical: k=%d objective=%.6g trace=%.6g", res.k, res.objective,
+             res.trace_objective)
     return [out / "labels_classical.csv", out / "objective.txt", out / "trace_objective.txt"]
 
 
 def cmd_amplify_trace(cfg: ExperimentConfig) -> list[Path]:
-    H, _ = build_operator(cfg)
-    evo = encoding.make_evolution(H, cfg.pea.m)  # its nonzero basis is range(H): one eigh
-    y = trace_input(evo.nonzero_basis, cfg.seed, (cfg.overlap_min, cfg.overlap_max))
-    results = trace_suite(H, y, m=cfg.pea.m, runs=cfg.runs, max_iter=cfg.amplify.max_iter,
-                          standard_grover=cfg.pea.standard_grover, stop_tol=cfg.amplify.stop_tol,
-                          evo=evo)
+    results = run_amplify_trace(cfg)
     paths = write_traces(cfg.out_dir, results)
     for res in results:
         traj = res.trajectory
@@ -143,46 +67,18 @@ def cmd_amplify_trace(cfg: ExperimentConfig) -> list[Path]:
 
 def cmd_cluster_quantum(cfg: ExperimentConfig) -> list[Path]:
     out = Path(cfg.out_dir)
-    # on a Laplacian the nonzero eigenspace scores every s-member indicator
-    # 1 - s/N, so only the gram target ranks candidates by cluster content
-    if cfg.target != "gram":
-        raise ValueError(f"cluster-quantum ranks on the gram target only, got {cfg.target!r}")
-    H, points = build_operator(cfg)
-    n_points = points.shape[0]
-
-    # only auto candidates (and the agreement with them) need the classical clustering
-    if cfg.candidates == "auto":
-        _, k, assignment = _spectral_assignment(cfg, points)
-        true_inds = classical.indicators_from_labels(assignment.labels, k)
-        candidates = list(true_inds)
-        for s in range(cfg.scrambled):
-            candidates.extend(datasets.scrambled_indicators(true_inds, cfg.seed + 31 * (s + 1),
-                                                            candidates))
-    else:
-        candidates = [classical.IndicatorVector(tuple(group), n_points) for group in cfg.candidates]
-
-    ranked, direct, labels_q = readout.cluster_quantum(
-        H, candidates, cfg.pea, max_iter=cfg.amplify.max_iter, stop_tol=cfg.amplify.stop_tol
-    )
-    agreement = "not_applicable"  # explicit candidates have no classical clustering to agree with
-    if cfg.candidates == "auto":  # each point's quantum candidate against its classical cluster
-        quantum_names = np.array([r.y_id for r in ranked] + [""])  # label -1 reads ""
-        true_names = np.array([ind.name for ind in true_inds])
-        agreement = csvio.fmt(
-            np.count_nonzero(quantum_names[labels_q] == true_names[assignment.labels]) / n_points)
-
-    hsum = encoding.householder_decompose(encoding.gram_columns(points, cfg.gram_centered))
-    gates = encoding.gate_count_estimate(len(hsum), H.shape[0], cfg.pea.m)
-
+    res = run_cluster_quantum(cfg)
+    # explicit candidates have no classical clustering to agree with
+    agreement = "not_applicable" if res.agreement is None else csvio.fmt(res.agreement)
     out.mkdir(parents=True, exist_ok=True)
-    csvio.write_ranking(out / "similarity_ranking.csv", ranked + direct)
-    csvio.write_labels(out / "labels_quantum.csv", labels_q)
+    csvio.write_ranking(out / "similarity_ranking.csv", res.ranked + res.direct)
+    csvio.write_labels(out / "labels_quantum.csv", res.labels)
     (out / "comparison.txt").write_text(
         f"agreement_rate: {agreement}\n"
-        f"gate_count_estimate: {gates}\n"
-        f"householder_terms: {len(hsum)}\n"
+        f"gate_count_estimate: {res.gate_count_estimate}\n"
+        f"householder_terms: {res.householder_terms}\n"
     )
-    log.info("cluster-quantum: %d candidates, agreement %s", len(candidates), agreement)
+    log.info("cluster-quantum: %d candidates, agreement %s", len(res.ranked), agreement)
     return [out / "similarity_ranking.csv", out / "labels_quantum.csv", out / "comparison.txt"]
 
 
@@ -319,9 +215,8 @@ def cmd_selftest(cfg: ExperimentConfig) -> int:
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qspectral",
                                      description="spectral clustering via biased phase estimation")
-    parser.add_argument("command", choices=[
-        "graph", "cluster-classical", "amplify-trace", "cluster-quantum", "selftest",
-    ])
+    parser.add_argument("command", choices=["graph", "cluster-classical", "amplify-trace",
+                                            "cluster-quantum", "selftest"])
     parser.add_argument("--config", type=str, default=None, help="YAML configuration file")
     parser.add_argument("--seed", type=int, default=None, help="override the configured seed")
     parser.add_argument("--out", type=str, default=None, help="output directory")
@@ -344,12 +239,8 @@ def main(argv=None) -> int:
     log.setLevel(logging.INFO if args.verbose else logging.WARNING)
     log.addHandler(handler)
     log.propagate = False
-    commands = {
-        "graph": cmd_graph,
-        "cluster-classical": cmd_cluster_classical,
-        "amplify-trace": cmd_amplify_trace,
-        "cluster-quantum": cmd_cluster_quantum,
-    }
+    commands = {"graph": cmd_graph, "cluster-classical": cmd_cluster_classical,
+                "amplify-trace": cmd_amplify_trace, "cluster-quantum": cmd_cluster_quantum}
     try:
         cfg = load_config(args.config, seed=args.seed, out_dir=args.out)
         if args.command == "selftest":

@@ -234,9 +234,11 @@ def load_config(path=None, seed: int | None = None, out_dir: str | None = None) 
             if not (isinstance(value, list) and value and all(isinstance(g, list) for g in value)):
                 raise ValueError(f"candidates must be 'auto' or a non-empty list of integer "
                                  f"lists, got {value!r}")
-            for group in value:
-                for i in group:
+            for group in value:  # an indicator would drop a repeat and rank what is left
+                for j, i in enumerate(group):
                     _check_type("candidates member", i, "int")
+                    if i in group[:j]:
+                        raise ValueError(f"candidates group {group} repeats member {i}")
             kwargs["candidates"] = tuple(map(tuple, value))
         else:
             kwargs[key] = value

@@ -159,12 +159,8 @@ class EvolutionOperator:
         return {}
 
 
-def make_evolution(
-    H,
-    m: int,
-    backend: str = "exact_exponential",
-    t: float | None = None,
-) -> EvolutionOperator:
+def make_evolution(H, m: int, backend: str = "exact_exponential",
+                   t: float | None = None) -> EvolutionOperator:
     """Build the evolution unitary fed to phase estimation.
 
     For the exact backend the time scaling ``t`` is chosen automatically so
@@ -225,15 +221,8 @@ def make_evolution(
 
     for array in (w, V_nz, phases):  # the engines kept on the operator read them
         array.flags.writeable = False
-    return EvolutionOperator(
-        backend=backend,
-        time=t,
-        scale=scale,
-        eigenvalues=w,
-        nonzero_basis=V_nz,
-        eigenphases=phases,
-        zero_tol=zero_tol,
-    )
+    return EvolutionOperator(backend=backend, time=t, scale=scale, eigenvalues=w,
+                             nonzero_basis=V_nz, eigenphases=phases, zero_tol=zero_tol)
 
 
 def ladder_phase_table(evo: EvolutionOperator, m: int) -> np.ndarray:

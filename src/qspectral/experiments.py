@@ -1,5 +1,6 @@
-"""Seeded experiment presets shared by the command line, the benchmark, and the
-acceptance suite: the rank-deficient figure instance, trajectory sweeps over
+"""The verbs' pipelines and seeded experiment presets, shared by the command
+line, the benchmark, and the acceptance suite: each verb's result for a
+configuration, the rank-deficient figure instance, trajectory sweeps over
 estimation modes and bias values, and the files a sweep is written to.
 """
 
@@ -7,11 +8,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import csvio
-from .datasets import random_psd_range, range_input
+import numpy as np
+
+from . import classical, csvio, datasets, encoding, graph as graphmod, readout
 from .encoding import EvolutionOperator, make_evolution
 from .qpea import PeaConfig, Trajectory, amplify_many
+
+if TYPE_CHECKING:  # config imports this module for DEFAULT_RUNS
+    from .config import ExperimentConfig
 
 # (mode, kappa) runs matching the published trajectory sweep
 DEFAULT_RUNS: tuple[tuple[str, float], ...] = (("qft", 0.0), ("biased", 1.0), ("biased", 20.0))
@@ -24,9 +30,143 @@ class TraceResult:
     trajectory: Trajectory
 
     @property
-    def label(self) -> str:
-        kap = int(self.kappa) if float(self.kappa).is_integer() else self.kappa
-        return f"{self.mode}_{kap}"
+    def label(self) -> str:  # an integral kappa from 1e16 up keeps its short form, 1e+16
+        whole = float(self.kappa).is_integer() and self.kappa < 1e16
+        return f"{self.mode}_{int(self.kappa) if whole else self.kappa}"
+
+
+@dataclass(frozen=True)
+class ClassicalResult:
+    """Spectral clustering's labels and k, with the labels' k-means and trace objectives."""
+
+    labels: np.ndarray
+    k: int
+    objective: float
+    trace_objective: float
+
+
+@dataclass(frozen=True)
+class QuantumResult:
+    """The rankings and labels of :func:`~qspectral.readout.cluster_quantum`, the labels'
+    agreement with the classical clusters (None for explicit candidates), L and 2^m L N."""
+
+    ranked: tuple[readout.SimilarityReport, ...]
+    direct: tuple[readout.SimilarityReport, ...]
+    labels: np.ndarray
+    agreement: float | None
+    householder_terms: int
+    gate_count_estimate: int
+
+
+def build_points(cfg: ExperimentConfig) -> np.ndarray:
+    """Point set of the configured dataset."""
+    ds = cfg.dataset
+    if ds.kind == "blobs":
+        return datasets.gaussian_blobs(ds.sizes, ds.centers, ds.noise, cfg.seed)[0]
+    if ds.kind == "moons":
+        return datasets.two_moons(ds.n, ds.noise, cfg.seed)[0]
+    if ds.kind == "csv":
+        return graphmod.load_points_csv(ds.path)
+    raise ValueError(f"dataset kind {ds.kind!r} does not provide points")
+
+
+def build_graph(cfg: ExperimentConfig, points) -> graphmod.SimilarityGraph:
+    """The configured similarity graph on the points."""
+    g = cfg.graph
+    if g.kind == "full":
+        return graphmod.build_full_graph(points, g.sigma, g.squared_norm)
+    if g.kind == "epsilon":
+        return graphmod.build_epsilon_graph(points, g.eps)
+    return graphmod.build_knn_graph(points, g.k)
+
+
+def build_operator(cfg: ExperimentConfig):
+    """Hermitian operator fed to phase estimation, per the configured target
+    (a Laplacian target names its variant), and the points it is built from
+    (None for the ``matrix`` target)."""
+    if cfg.target == "matrix":
+        ds = cfg.dataset
+        if ds.kind != "random_psd":
+            raise ValueError("target 'matrix' requires the random_psd dataset")
+        return datasets.random_psd_matrix(ds.dim, ds.rank, cfg.seed, (ds.eig_min, ds.eig_max)), None
+    points = build_points(cfg)
+    if cfg.target == "gram":
+        return encoding.points_gram(points, centered=cfg.gram_centered), points
+    variant = "normalized" if cfg.target == "normalized_laplacian" else "unnormalized"
+    return classical.laplacian_matrix(build_graph(cfg, points), variant), points
+
+
+def laplacian_spectrum(cfg: ExperimentConfig, g):
+    """The configured variant's Laplacian eigenpairs of g and the k picked on
+    them: the one spectrum every verb that reports or uses k reads."""
+    w, V = classical.laplacian_eig(g, cfg.variant)
+    return w, V, classical.select_k(w, cfg.k, cfg.k_max)
+
+
+def run_graph(cfg: ExperimentConfig):
+    """The ``graph`` verb: the graph, its Laplacian eigenvalues and k."""
+    g = build_graph(cfg, build_points(cfg))
+    w, _, k = laplacian_spectrum(cfg, g)
+    return g, w, k
+
+
+def _spectral_labels(cfg: ExperimentConfig, points):
+    """Laplacian eigenvectors, k, and the k-means labels of their embedding."""
+    _, V, k = laplacian_spectrum(cfg, build_graph(cfg, points))
+    return V, k, classical.embedding_kmeans(V, k, cfg.variant, init=cfg.seed).labels
+
+
+def run_cluster_classical(cfg: ExperimentConfig) -> ClassicalResult:
+    """The ``cluster-classical`` verb: spectral clustering of the points."""
+    points = build_points(cfg)
+    V, k, labels = _spectral_labels(cfg, points)
+    centroids = np.vstack([points[labels == c].mean(axis=0) for c in range(k)])
+    objective = float(np.sum((points - centroids[labels]) ** 2))
+    trace = classical.trace_objective(classical.indicators_from_labels(labels, k), V[:, :k])
+    return ClassicalResult(labels, k, objective, trace)
+
+
+def run_amplify_trace(cfg: ExperimentConfig) -> list[TraceResult]:
+    """The ``amplify-trace`` verb: each configured run's trajectory on the
+    operator, from the seed's input drawn against its range."""
+    H, _ = build_operator(cfg)
+    evo = make_evolution(H, cfg.pea.m)  # its nonzero basis is range(H): one eigh
+    y = trace_input(evo.nonzero_basis, cfg.seed, (cfg.overlap_min, cfg.overlap_max))
+    return trace_suite(H, y, m=cfg.pea.m, runs=cfg.runs, max_iter=cfg.amplify.max_iter,
+                       standard_grover=cfg.pea.standard_grover, stop_tol=cfg.amplify.stop_tol,
+                       evo=evo)
+
+
+def run_cluster_quantum(cfg: ExperimentConfig) -> QuantumResult:
+    """The ``cluster-quantum`` verb: the candidates ranked on the Gram operator;
+    auto candidates are the classical clusters and scrambled sets of them."""
+    # on a Laplacian the nonzero eigenspace scores every s-member indicator
+    # 1 - s/N, so only the gram target ranks candidates by cluster content
+    if cfg.target != "gram":
+        raise ValueError(f"cluster-quantum ranks on the gram target only, got {cfg.target!r}")
+    H, points = build_operator(cfg)
+    n = points.shape[0]
+    if cfg.candidates == "auto":  # only these and their agreement need the clustering
+        _, k, clusters = _spectral_labels(cfg, points)
+        true_inds = classical.indicators_from_labels(clusters, k)
+        candidates = list(true_inds)
+        for s in range(cfg.scrambled):
+            candidates.extend(datasets.scrambled_indicators(true_inds, cfg.seed + 31 * (s + 1),
+                                                            candidates))
+    else:
+        candidates = [classical.IndicatorVector(group, n) for group in cfg.candidates]
+    ranked, direct, labels = readout.cluster_quantum(
+        H, candidates, cfg.pea, max_iter=cfg.amplify.max_iter, stop_tol=cfg.amplify.stop_tol)
+    agreement = None
+    if cfg.candidates == "auto":  # each point's quantum candidate against its classical cluster
+        quantum_names = np.array([r.y_id for r in ranked] + [""])  # label -1 reads ""
+        true_names = np.array([ind.name for ind in true_inds])
+        agreement = np.count_nonzero(quantum_names[labels] == true_names[clusters]) / n
+    # L: the feature columns householder_decompose keeps, those of nonzero norm
+    terms = int(np.count_nonzero(
+        np.linalg.norm(encoding.gram_columns(points, cfg.gram_centered), axis=1) > 0.0))
+    return QuantumResult(tuple(ranked), tuple(direct), labels, agreement, terms,
+                         encoding.gate_count_estimate(terms, n, cfg.pea.m))
 
 
 def figure_instance(seed: int):
@@ -37,7 +177,7 @@ def figure_instance(seed: int):
     the nonzero eigenspace lies in (0.25, 0.9), drawn against the eigenbasis
     H was built from, so that H is not diagonalized here.
     """
-    H, V = random_psd_range(16, 6, seed, (0.3, 1.0))
+    H, V = datasets.random_psd_range(16, 6, seed, (0.3, 1.0))
     return H, trace_input(V, seed)
 
 
@@ -45,19 +185,12 @@ def trace_input(V, seed: int, overlap_sq=(0.25, 0.9)):
     """The trajectory experiments' input under ``seed`` for an operator whose
     range has the orthonormal columns V: a random real unit vector whose
     squared overlap onto range(H) lies in ``overlap_sq``."""
-    return range_input(V, seed + 10_007, overlap_sq)
+    return datasets.range_input(V, seed + 10_007, overlap_sq)
 
 
-def trace_suite(
-    H,
-    y,
-    m: int = 6,
-    runs=DEFAULT_RUNS,
-    max_iter: int = 40,
-    standard_grover: bool = True,
-    stop_tol: float | None = None,
-    evo: EvolutionOperator | None = None,
-) -> list[TraceResult]:
+def trace_suite(H, y, m: int = 6, runs=DEFAULT_RUNS, max_iter: int = 40,
+                standard_grover: bool = True, stop_tol: float | None = None,
+                evo: EvolutionOperator | None = None) -> list[TraceResult]:
     """Amplification trajectories for each (mode, kappa) run on one instance.
 
     The runs differ only in their phase gate, so they are one

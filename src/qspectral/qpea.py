@@ -91,7 +91,7 @@ def bias_vector(m: int, kappa: float) -> np.ndarray:
     M = 2**m
     f = np.ones(M, dtype=complex)
     f[0] = kappa
-    return f / np.sqrt(kappa**2 + M - 1)
+    return f / math.hypot(kappa, math.sqrt(M - 1))  # squares nothing: no overflow
 
 
 def marking_vector(m: int) -> np.ndarray:
@@ -347,17 +347,15 @@ class _Pipeline:
         return self.forward(mat, W)
 
 
-@functools.lru_cache(maxsize=64, typed=True)
+@functools.lru_cache(maxsize=64)
 def _phase_gate(m: int, mode: str,
                 kappa: float) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """A phase gate's read-only arrays: the column of |0> under the gate
     before the ladder, as a (2^m, 1) column, and for the bias reflection
     I - 2|f><f| the conjugate of f and the column 2 f (None for the QFT).
     They depend on the config alone, so every pipeline of one (m, mode,
-    kappa) shares them.  The cache's keys are typed: a large integer kappa
-    can give other bits than the equal float (``kappa**2`` is exact for an
-    int), while -0.0 and 0.0 give the same (dividing the bias by its norm
-    drops the sign of zero)."""
+    kappa) shares them.  Equal keys give the same bits: an int kappa is taken
+    as the equal float, and -0.0 as 0.0 (dividing by the norm drops its sign)."""
     M = 2**m
     if mode == "qft":  # Hadamard wall before the ladder, inverse QFT after it
         column0, bias_conj, two_bias = np.full(M, M**-0.5, dtype=complex), None, None
@@ -435,13 +433,8 @@ class Trajectory:
         return len(f) - 1
 
 
-def amplify(
-    cfg: PeaConfig,
-    evo: EvolutionOperator,
-    y,
-    max_iter: int = 40,
-    stop_tol: float | None = 0.05,
-) -> tuple[RegisterState, Trajectory]:
+def amplify(cfg: PeaConfig, evo: EvolutionOperator, y, max_iter: int = 40,
+            stop_tol: float | None = 0.05) -> tuple[RegisterState, Trajectory]:
     """Amplify the nonzero-eigenvalue component of the estimation output.
 
     Applies the iterate Q up to ``max_iter`` times, recording success
@@ -455,13 +448,9 @@ def amplify(
     return amplify_many(cfg, evo, [y], max_iter, stop_tol)[0]
 
 
-def amplify_many(
-    cfg: PeaConfig | Sequence[PeaConfig],
-    evo: EvolutionOperator,
-    ys: Sequence,
-    max_iter: int = 40,
-    stop_tol: float | None = 0.05,
-) -> list[tuple[RegisterState, Trajectory]]:
+def amplify_many(cfg: PeaConfig | Sequence[PeaConfig], evo: EvolutionOperator, ys: Sequence,
+                 max_iter: int = 40, stop_tol: float | None = 0.05
+                 ) -> list[tuple[RegisterState, Trajectory]]:
     """:func:`amplify` each input over one shared estimation engine.
 
     ``cfg`` is one config for every input, or a sequence of one config per
@@ -508,13 +497,8 @@ def amplify_many(
     return _closed_form_runs(runs, inputs, max_iter, stop_tol)
 
 
-def amplify_stepped(
-    cfg: PeaConfig,
-    evo: EvolutionOperator,
-    y,
-    max_iter: int = 40,
-    stop_tol: float | None = 0.05,
-) -> tuple[RegisterState, Trajectory]:
+def amplify_stepped(cfg: PeaConfig, evo: EvolutionOperator, y, max_iter: int = 40,
+                    stop_tol: float | None = 0.05) -> tuple[RegisterState, Trajectory]:
     """:func:`amplify` with every iterate stepped, the standard one included:
     the reference its closed form is checked against.  The verbatim iterate
     runs this way in :func:`amplify` too."""

@@ -121,14 +121,9 @@ def x_sum_exponential(n: int) -> np.ndarray:
     return out
 
 
-def rank_indicators(
-    H,
-    candidates: Sequence[IndicatorVector],
-    cfg: PeaConfig,
-    max_iter: int = 60,
-    stop_tol: float | None = 0.05,
-    evo: EvolutionOperator | None = None,
-) -> list[SimilarityReport]:
+def rank_indicators(H, candidates: Sequence[IndicatorVector], cfg: PeaConfig, max_iter: int = 60,
+                    stop_tol: float | None = 0.05, evo: EvolutionOperator | None = None
+                    ) -> list[SimilarityReport]:
     """Run the amplified pipeline per candidate and sort by measured similarity.
 
     Each indicator is amplified under the stopping rule, over one estimation

@@ -1,6 +1,7 @@
 import io
 import logging
 import re
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 import yaml
 
-from qspectral import cli, csvio, datasets, encoding, graph as graphmod, numerics, qpea, readout
+from qspectral import (cli, csvio, datasets, encoding, experiments, graph as graphmod, numerics,
+                       qpea, readout)
 from qspectral.classical import IndicatorVector
 from qspectral.config import _YAML_LOADER, load_config
 from qspectral.datasets import gaussian_blobs
@@ -67,6 +69,11 @@ class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         p = write_config(tmp_path, "bogus_key: 1\n")
         with pytest.raises(ValueError, match="bogus_key"):
+            load_config(p)
+
+    def test_repeated_candidate_member_refused(self, tmp_path):
+        p = write_config(tmp_path, "candidates: [[0, 0, 1, 2, 3], [4, 5, 6, 7]]\n")
+        with pytest.raises(ValueError, match=r"candidates group \[0, 0, 1, 2, 3\] repeats member 0"):
             load_config(p)
 
     def test_bad_values_rejected(self, tmp_path):
@@ -215,7 +222,7 @@ target: laplacian
         text = BLOBS_YAML.replace("target: gram", f"target: {target}") + "variant: normalized\n"
         cfg_path = write_config(tmp_path, text)
         cfg = load_config(cfg_path)
-        g = cli.build_graph(cfg, cli.build_points(cfg))
+        g = experiments.build_graph(cfg, experiments.build_points(cfg))
         unnormalized = np.linalg.eigvalsh(graphmod.laplacian(g))
         normalized = np.linalg.eigvalsh(graphmod.normalized_laplacian(g))
         assert not np.allclose(unnormalized, normalized, atol=1e-6)
@@ -310,7 +317,7 @@ def test_graph_reports_the_k_cluster_classical_uses(tmp_path):
 def test_one_laplacian_eigendecomposition(tmp_path, monkeypatch, verb, variant):
     # every solve that is not of the operator H is a solve of the Laplacian
     cfg_path = write_config(tmp_path, BLOBS_YAML + f"variant: {variant}\n")
-    H, _ = cli.build_operator(load_config(cfg_path))
+    H, _ = experiments.build_operator(load_config(cfg_path))
     solves = []
     eig = numerics.hermitian_eig
 
@@ -379,7 +386,7 @@ class TestCmdAmplifyTrace:
     def test_one_eigendecomposition_of_operator(self, tmp_path, monkeypatch, config):
         # the input is drawn against the nonzero basis of the suite's operator
         cfg_path = None if config is None else write_config(tmp_path, config)
-        H, _ = cli.build_operator(load_config(cfg_path))
+        H, _ = experiments.build_operator(load_config(cfg_path))
         solves = []
         eig = numerics.nonzero_eigh
 
@@ -417,6 +424,16 @@ class TestCmdAmplifyTrace:
         assert cli.main(["amplify-trace", "--config", str(p), "--out", str(out)]) == 2
         assert "'biased_1'" in capsys.readouterr().err
         assert list(tmp_path.glob("**/trajectory_*.csv")) == []
+
+    def test_huge_kappa_runs(self, tmp_path):
+        # kappa**2 overflowed, and the label printed kappa's 301 digits into a file name
+        p = write_config(tmp_path, "runs: [{mode: biased, kappa: 1.0e+300}]\n")
+        out = tmp_path / "out"
+        assert cli.main(["amplify-trace", "--config", str(p), "--out", str(out)]) == 0
+        assert sorted(path.name for path in out.iterdir()) == ["summary.csv",
+                                                               "trajectory_biased_1e+300.csv"]
+        traj = csvio.read_trajectory(out / "trajectory_biased_1e+300.csv")
+        assert np.all((traj["success_prob"] >= 0.0) & (traj["success_prob"] <= 1.0 + 1e-12))
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_no_config_writes_the_figure_preset(self, tmp_path, seed):
@@ -517,6 +534,23 @@ class TestCmdClusterQuantum:
         assert "candidate ind_0-1-2-3 is repeated" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_candidate_member_refused(self, tmp_path, capsys):
+        # the indicator would drop the repeat and rank ind_0-1-2-3 unasked
+        text = BLOBS_YAML + "candidates: [[0, 0, 1, 2, 3], [4, 5, 6, 7]]\n"
+        cfg_path, out = write_config(tmp_path, text), tmp_path / "out"
+        assert cli.main(["cluster-quantum", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: candidates group [0, 0, 1, 2, 3] repeats member 0\n"
+        assert not out.exists()
+
+    def test_huge_kappa_runs(self, tmp_path):
+        # kappa**2 overflowed from about 1.35e154 up; the bias norm squares nothing now
+        cfg_path = write_config(tmp_path, BLOBS_YAML.replace("kappa: 1.0", "kappa: 1.0e+300"))
+        out = tmp_path / "out"
+        assert cli.main(["cluster-quantum", "--config", str(cfg_path), "--out", str(out)]) == 0
+        ranking = csvio.read_ranking(out / "similarity_ranking.csv")
+        assert len(ranking) == 8 and all(0.0 <= r["similarity"] <= 1.0 + 1e-12 for r in ranking)
+
     def test_explicit_candidates_label_by_best_rank(self, tmp_path):
         cfg_path = write_config(tmp_path, BLOBS_YAML + "candidates: [[0, 1, 2, 3], [0, 1, 4]]\n")
         out = tmp_path / "out"
@@ -545,7 +579,7 @@ class TestCmdClusterQuantum:
         def refuse(*args, **kwargs):
             raise AssertionError("explicit candidates ran the classical clustering")
 
-        monkeypatch.setattr(cli, "_spectral_assignment", refuse)
+        monkeypatch.setattr(experiments, "laplacian_spectrum", refuse)
         assert cli.main(["cluster-quantum", "--config", str(cfg_path),
                          "--out", str(tmp_path / "out_again")]) == 0
 
@@ -586,26 +620,31 @@ class TestCmdClusterQuantum:
 
     @pytest.mark.parametrize("centered", [False, True])
     def test_householder_terms_rebuild_the_operator(self, tmp_path, monkeypatch, centered):
-        # the reported terms come from the same centering as the operator; the
-        # ranking is stubbed because the centered Gram needs more than m = 6
-        cfg = load_config(write_config(tmp_path, BLOBS_YAML + f"gram_centered: {centered}\n"),
-                          out_dir=tmp_path / "out")
-        H, _ = cli.build_operator(cfg)
-        sums = []
-        decompose = encoding.householder_decompose
-        monkeypatch.setattr(encoding, "householder_decompose",
-                            lambda X: sums.append(decompose(X)) or sums[-1])
+        # the reported L is the length of the Householder sum of the feature
+        # columns, under the operator's centering, and that sum rebuilds the
+        # operator; a constant third feature centers to a zero column, which the
+        # sum drops.  The ranking is stubbed: the centered Gram needs more than m = 6
         monkeypatch.setattr(readout, "cluster_quantum",
-                            lambda H, cands, *a, **k: ([], [], [-1] * H.shape[0]))
-        cli.cmd_cluster_quantum(cfg)
-        assert len(sums) == 1
-        assert np.max(np.abs(sums[0].reconstruct() - H)) < 1e-10
-        comparison = (tmp_path / "out" / "comparison.txt").read_text()
-        assert f"householder_terms: {len(sums[0])}\n" in comparison
+                            lambda H, cands, *a, **k: ([], [], np.full(H.shape[0], -1)))
+        points, _ = gaussian_blobs((4, 4), ((1.0, 0.0), (0.0, 1.0)), noise=0.08, seed=3)
+        data = tmp_path / "points.csv"
+        csvio.write_rows(data, ["x", "y", "one"], np.column_stack([points, np.ones(8)]).tolist())
+        csv = BLOBS_YAML.replace("kind: blobs", f"kind: csv\n  path: {data}")
+        for text, terms in ((BLOBS_YAML, 2), (csv, 2 if centered else 3)):
+            cfg = load_config(write_config(tmp_path, text + f"gram_centered: {centered}\n"),
+                              out_dir=tmp_path / "out")
+            H, points = experiments.build_operator(cfg)
+            with warnings.catch_warnings(record=True):  # the dropped zero column
+                hsum = encoding.householder_decompose(encoding.gram_columns(points, centered))
+            assert np.max(np.abs(hsum.reconstruct() - H)) < 1e-10
+            assert experiments.run_cluster_quantum(cfg).householder_terms == len(hsum) == terms
+            cli.cmd_cluster_quantum(cfg)
+            comparison = (tmp_path / "out" / "comparison.txt").read_text()
+            assert f"householder_terms: {terms}\n" in comparison
 
     def test_one_eigendecomposition_of_operator(self, tmp_path, monkeypatch):
         cfg_path = write_config(tmp_path, BLOBS_YAML)
-        H, _ = cli.build_operator(load_config(cfg_path))
+        H, _ = experiments.build_operator(load_config(cfg_path))
         solves = []
         eig = numerics.nonzero_eigh
 
