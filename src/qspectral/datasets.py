@@ -4,6 +4,8 @@ and input vectors with a guaranteed component in the amplifiable subspace.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import numerics
@@ -76,10 +78,16 @@ def random_range_input(H, seed: int = 0,
 
 
 def range_input(V, seed: int = 0, overlap_sq: tuple[float, float] = (0.25, 0.9)) -> np.ndarray:
-    """Random real unit vector whose squared projection onto the span of the
-    orthonormal columns V falls inside ``overlap_sq`` (rejection sampling over
-    at most :data:`MAX_TRIES` draws; a window no draw meets is a
-    ``ValueError``)."""
+    """Random unit vector, real for a real V, whose squared projection onto
+    the span of the orthonormal columns V falls inside ``overlap_sq``.
+
+    Gaussian draws are tried first, at most :data:`MAX_TRIES` of them (the
+    overlap of such a draw concentrates at r/N, so a window far from it is
+    rarely met); when none falls in the window, one more draw from the same
+    generator is split into its unit parts u_range in span V and u_null off
+    it, and y = cos(a) u_range + sin(a) u_null with cos(a)^2 drawn uniformly
+    from the window.  A window that needs a part off span V when V spans the
+    whole space is a ``ValueError``."""
     if V.shape[1] == 0:
         raise ValueError("operator has no nonzero eigenvalues")
     rng = np.random.default_rng(seed)
@@ -91,8 +99,16 @@ def range_input(V, seed: int = 0, overlap_sq: tuple[float, float] = (0.25, 0.9))
         p = float(np.linalg.norm(V_dag @ y) ** 2)
         if lo <= p <= hi:
             return y
-    raise ValueError(f"no input with squared overlap in [{lo}, {hi}] found in "
-                     f"MAX_TRIES = {MAX_TRIES} draws")
+    if V.shape[1] == V.shape[0]:
+        raise ValueError(f"no input with squared overlap in [{lo}, {hi}] found in "
+                         f"MAX_TRIES = {MAX_TRIES} draws, and the range spans all "
+                         f"{V.shape[0]} dimensions, so every input has overlap 1")
+    z = rng.normal(size=V.shape[0])
+    u_range = V @ (V_dag @ z)
+    u_null = z - u_range
+    cos_sq = rng.uniform(lo, hi)
+    return (math.sqrt(cos_sq) / np.linalg.norm(u_range) * u_range
+            + math.sqrt(1.0 - cos_sq) / np.linalg.norm(u_null) * u_null)
 
 
 def scrambled_indicators(indicators, seed: int = 0, taken=()) -> list[IndicatorVector]:

@@ -9,6 +9,7 @@ phase-estimation register.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -159,6 +160,14 @@ class EvolutionOperator:
         return {}
 
 
+def check_phase_qubits(m) -> None:
+    """Refuse a phase-register width m that is not an integer of at least 1:
+    a bool or a float (an integral one such as 6.0 too) is refused, a numpy
+    integer is taken."""
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+        raise ValueError(f"m must be an integer >= 1, got {m!r}")
+
+
 def make_evolution(H, m: int, backend: str = "exact_exponential",
                    t: float | None = None) -> EvolutionOperator:
     """Build the evolution unitary fed to phase estimation.
@@ -167,17 +176,20 @@ def make_evolution(H, m: int, backend: str = "exact_exponential",
     that all eigenphases lie in [0, 1) and every nonzero eigenphase is at
     least 2/2**m (two phase bins away from zero, on both ends of the
     interval); pass ``t`` explicitly to override, in which case only the
-    [0, 1) window is enforced.  The linearized backend has no time scaling
-    and refuses a ``t``; it divides H by k = 10 ||H||_1, which bounds every
-    |eigenvalue|/k by 0.1.  The spectrum comes from
+    [0, 1) window is enforced.  An explicit ``t`` must be finite and
+    positive and m an integer of at least 1 (:func:`check_phase_qubits`);
+    both are checked before the eigendecomposition.  The linearized backend
+    has no time scaling and refuses a ``t``; it divides H by k = 10 ||H||_1,
+    which bounds every |eigenvalue|/k by 0.1.  The spectrum comes from
     :func:`numerics.nonzero_eigh`, which also supplies ||H||_1.
     """
     H = numerics.as_matrix(H)
-    if m < 1:
-        raise ValueError(f"need at least one phase qubit, got m={m}")
+    check_phase_qubits(m)
     if backend == "linearized" and t is not None:
         raise ValueError(f"t={t} has no effect on the linearized backend, "
                          "which divides H by k = 10 ||H||_1")
+    if t is not None and not (math.isfinite(t) and t > 0):
+        raise ValueError(f"t must be finite and positive, got t={t}")
     w, V_nz, zero_tol, norm1 = numerics.nonzero_eigh(H)
     nz = np.abs(w) > zero_tol
     M = 2**m

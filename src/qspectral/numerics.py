@@ -94,19 +94,36 @@ def matrix_1norm(A) -> float:
 
 
 def _hermitian_matrix(A) -> tuple[np.ndarray, float]:
-    """A as a checked Hermitian matrix, and its ||A||_1.  One pass of |A|
-    gives both the check's scale max(1, max |A_ij|) and the norm; a NaN or
-    infinite entry is refused before the Hermitian gap is formed."""
+    """A as a checked Hermitian matrix, and its ||A||_1.  One pass of |A|, in
+    slabs of ``HERMITIAN_BLOCK`` rows, gives both the check's scale max(1,
+    max |A_ij|) and the norm; each slab's first row takes the column sums of
+    the rows above it, so the sums run down the rows in the order of
+    ``np.abs(A).sum(axis=0)`` and the norm equals it bit for bit.  A NaN or
+    infinite entry is refused once every slab is read, before the Hermitian
+    gap is formed."""
     A = as_matrix(A)
-    if A.shape[0] != A.shape[1]:
+    n = A.shape[0]
+    if n != A.shape[1]:
         raise ValueError(f"matrix must be square, got {A.shape}")
-    magnitude = np.abs(A)
-    largest = float(magnitude.max())  # NaN if A holds one; max(1.0, NaN) is 1.0
-    if not math.isfinite(largest):
+    peaks, sums = [], None
+    for i in range(0, n, HERMITIAN_BLOCK):
+        magnitude = np.abs(A[i:i + HERMITIAN_BLOCK])
+        peaks.append(float(magnitude.max()))  # NaN if the slab holds one
+        if sums is not None:
+            magnitude[0] += sums
+        sums = magnitude.sum(axis=0)
+    if not all(map(math.isfinite, peaks)):
         raise ValueError("matrix has non-finite (NaN or infinite) entries")
-    if _hermitian_gap(A) > VEC_TOL * max(1.0, largest):
+    if _hermitian_gap(A) > VEC_TOL * max(1.0, max(peaks)):
         raise ValueError("matrix is not Hermitian within tolerance")
-    return A, float(magnitude.sum(axis=0).max())
+    return A, float(sums.max())
+
+
+def _residual(A: np.ndarray, V: np.ndarray, w: np.ndarray) -> float:
+    """max |A V - V diag(w)|, 0 for no columns."""
+    R = A @ V
+    R -= V * w
+    return float(np.abs(R).max(initial=0.0))
 
 
 def _checked_eigh(A: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
@@ -116,9 +133,7 @@ def _checked_eigh(A: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
         w, V = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
-    R = A @ V
-    R -= V * w
-    residual = float(np.abs(R).max())
+    residual = _residual(A, V, w)
     if residual > OP_TOL * scale:
         raise ConvergenceError(
             f"eigendecomposition residual {residual:.3e} exceeds {OP_TOL:.1e} * {scale:.3e}"
@@ -173,22 +188,49 @@ def _pivoted_cholesky(A: np.ndarray, tol: float, max_rank: int) -> np.ndarray | 
     """Columns f_k of a factor with A = sum_k f_k f_k^H + S, as the rows of a
     (k, N) array, built by diagonal pivoting until the remainder S has trace
     at most ``tol`` (for a PSD A, every eigenvalue of S is then at most
-    ``tol``).  None when a diagonal entry of S drops below ``-tol`` (A is
-    indefinite) or the rank would pass ``max_rank``."""
+    ``tol``).  None when a diagonal entry of S is then below ``-tol`` (A is
+    indefinite) or when the rank would pass ``max_rank``.
+
+    The diagonal is tested for a negative entry only where the loop stops,
+    with the verdict of a test at every step: an entry other than the pivot
+    only decreases, and one below ``-tol`` is never the largest while the
+    trace is above ``tol``, so it is never the pivot that would reset it."""
     d = A.diagonal().real.copy()  # diagonal of the remainder
     F = np.zeros((max_rank, A.shape[0]), dtype=A.dtype)
     for k in range(max_rank + 1):
-        if d.min() < -tol:
-            return None
         if d.sum() <= tol:
-            return F[:k]
-        if k < max_rank:
-            p = int(np.argmax(d))
-            column = A[p].conj() - F[:k, p].conj() @ F[:k]  # column p of the remainder
-            F[k] = column / math.sqrt(d[p])
-            d -= (F[k] * F[k].conj()).real
-            d[p] = 0.0
-    return None
+            return None if d.min() < -tol else F[:k]
+        if k == max_rank:
+            return None
+        p = d.argmax()
+        f = F[k]  # column p of the remainder, scaled; conj() of a real array is the array
+        np.matmul(F[:k, p].conj(), F[:k], out=f)
+        np.subtract(A[p].conj(), f, out=f)
+        f /= math.sqrt(d[p])
+        d -= (f * f.conj()).real
+        d[p] = 0.0
+
+
+def _residual_bound(n: int, theta: np.ndarray, o_norm: float, e_norm: float,
+                    scale: float) -> float:
+    """Upper bound on the computed ``_residual(A, V, theta)`` of an (n, r)
+    basis V from o_norm = ||V^H V - I||_F and e_norm = ||A - V diag(theta)
+    V^H||_F, as computed, for a Hermitian A with ||A||_1 <= ``scale`` and
+    max |O_ij| <= ``OP_TOL``.
+
+    In exact arithmetic A V - V Theta = E V + V Theta O and ||V||_2^2 =
+    ||I + O||_2 <= 1 + ||O||_F, so every entry is at most sqrt(1 + ||O||_F)
+    (||E||_F + theta_max ||O||_F).  The slack 10 c u sqrt(1 + ||O||_F) (r
+    theta_max + scale), with c = n + r + 4 and u = 2^-53, covers to first
+    order in u the rounding of O and E (sums of length n and r + 1 over
+    ||V||_F^2 <= r (1 + OP_TOL) terms, each up to theta_max) and of the
+    residual itself (sums of length n, each row of A at most ||A||_1 in
+    absolute sum), with a factor 2 for complex products."""
+    r = theta.size
+    theta_max = float(theta.max(initial=0.0))
+    nu = math.sqrt(1.0 + o_norm)
+    slack = 10.0 * (n + r + 4) * 2.0**-53 * nu * (r * theta_max + scale)
+    return nu * (e_norm + theta_max * o_norm) + slack
 
 
 def _factor_eigh(A: np.ndarray, zero_tol: float, scale: float
@@ -198,11 +240,13 @@ def _factor_eigh(A: np.ndarray, zero_tol: float, scale: float
     conj(F) F^T has the nonzero eigenvalues theta of F^T conj(F), and each of
     its eigenvectors u gives the unit eigenvector F^T u / sqrt(theta); the
     pairs with theta > ``zero_tol`` are kept.  The result is returned only
-    when their residual in A is at most ``OP_TOL * scale``, their basis is
-    orthonormal within ``OP_TOL`` and ||A - V diag(theta) V^H||_F is at most
-    ``zero_tol`` (nothing non-null was dropped, and A has no eigenvalue below
-    -``zero_tol``); otherwise, and when the factor is skipped or abandoned or
-    the eigensolver fails, it is None."""
+    when their basis is orthonormal within ``OP_TOL``, ||A - V diag(theta)
+    V^H||_F is at most ``zero_tol`` (nothing non-null was dropped, and A has
+    no eigenvalue below -``zero_tol``) and their residual in A is at most
+    ``OP_TOL * scale``, checked in that order; the residual's A V is formed
+    only when :func:`_residual_bound` does not already put it within the
+    tolerance.  Otherwise, and when the factor is skipped or abandoned or the
+    eigensolver fails, it is None."""
     n = A.shape[0]
     max_rank = int(FACTOR_MAX_RANK * n)
     # rank(A) >= tr(A)^2 / ||A||_F^2 (Cauchy-Schwarz over the nonzero
@@ -219,16 +263,22 @@ def _factor_eigh(A: np.ndarray, zero_tol: float, scale: float
     except np.linalg.LinAlgError:
         return None
     keep = theta > zero_tol
-    theta = theta[keep]
-    V = F.T @ (U[:, keep] / np.sqrt(theta))
-    VL = V * theta
-    R = A @ V
-    R -= VL
-    D = VL @ V.conj().T
-    np.subtract(A, D, out=D)
-    if (float(np.abs(R).max(initial=0.0)) > OP_TOL * scale
-            or float(np.abs(V.conj().T @ V - np.eye(V.shape[1])).max(initial=0.0)) > OP_TOL
-            or float(np.linalg.norm(D)) > zero_tol):
+    if not keep.all():
+        theta, U = theta[keep], U[:, keep]
+    U /= np.sqrt(theta)
+    V = F.T @ U
+    V_h = V.conj().T  # V.T itself for a real V, so that V^H V is numpy's a.T @ a
+    O = V_h @ V - np.eye(theta.size)
+    if float(np.abs(O).max(initial=0.0)) > OP_TOL:
+        return None
+    E = (V * theta) @ V_h
+    np.subtract(A, E, out=E)
+    e_norm = float(np.linalg.norm(E))
+    if e_norm > zero_tol:
+        return None
+    tol = OP_TOL * scale
+    if (_residual_bound(n, theta, float(np.linalg.norm(O)), e_norm, scale) > tol
+            and _residual(A, V, theta) > tol):
         return None
     w = np.zeros(n)
     w[n - theta.size:] = theta

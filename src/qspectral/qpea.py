@@ -73,7 +73,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import numerics
-from .encoding import EvolutionOperator, ladder_phase_table
+from .encoding import EvolutionOperator, check_phase_qubits, ladder_phase_table
 from .errors import DegenerateTargetError
 from .registers import NORM_TOL, RegisterState, phase_distribution
 
@@ -139,8 +139,7 @@ class PeaConfig:
     standard_grover: bool = True
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
+        check_phase_qubits(self.m)
         if not (math.isfinite(self.kappa) and self.kappa >= 0):
             raise ValueError(f"kappa must be finite and >= 0, got {self.kappa}")
         if self.mode not in ("qft", "biased"):

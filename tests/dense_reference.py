@@ -2,7 +2,13 @@
 the 2^(m+n) iterate and the N x N input load W; the ladder is built from powers
 of the operator's dense unitary, and the phase gates come from the public gate
 builders and the dense QFT and Hadamard wall below, so no engine code is
-shared.  :func:`full_state` holds a full register array as a state."""
+shared.  :func:`full_state` holds a full register array as a state.
+:func:`hermitian_matrix`, :func:`pivoted_cholesky` and :func:`factor_eigh`
+are the plain forms of the factor route's steps: one N x N |A|, a Cholesky
+loop that tests the diagonal at every step, and a certificate that forms
+both A V and V diag(theta) V^H; ``numerics`` must match them bit for bit."""
+
+import math
 
 import numpy as np
 
@@ -124,3 +130,71 @@ def null_space_vectors(evo: EvolutionOperator, rng, count: int) -> np.ndarray:
     V = evo.nonzero_basis
     Z = rng.normal(size=(evo.dim, count)) + 1j * rng.normal(size=(evo.dim, count))
     return Z - V @ (V.conj().T @ Z)
+
+
+def hermitian_matrix(A) -> tuple[np.ndarray, float]:
+    """A as a checked Hermitian matrix and its ||A||_1, from one N x N |A|."""
+    A = numerics.as_matrix(A)
+    if A.shape[0] != A.shape[1]:
+        raise ValueError(f"matrix must be square, got {A.shape}")
+    magnitude = np.abs(A)
+    largest = float(magnitude.max())
+    if not math.isfinite(largest):
+        raise ValueError("matrix has non-finite (NaN or infinite) entries")
+    if numerics._hermitian_gap(A) > numerics.VEC_TOL * max(1.0, largest):
+        raise ValueError("matrix is not Hermitian within tolerance")
+    return A, float(magnitude.sum(axis=0).max())
+
+
+def pivoted_cholesky(A: np.ndarray, tol: float, max_rank: int) -> np.ndarray | None:
+    """Rows f_k with A = sum_k f_k f_k^H + S by diagonal pivoting until tr(S)
+    <= tol; None on a diagonal entry of S below -tol or past max_rank."""
+    d = A.diagonal().real.copy()
+    F = np.zeros((max_rank, A.shape[0]), dtype=A.dtype)
+    for k in range(max_rank + 1):
+        if d.min() < -tol:
+            return None
+        if d.sum() <= tol:
+            return F[:k]
+        if k < max_rank:
+            p = int(np.argmax(d))
+            column = A[p].conj() - F[:k, p].conj() @ F[:k]
+            F[k] = column / math.sqrt(d[p])
+            d -= (F[k] * F[k].conj()).real
+            d[p] = 0.0
+    return None
+
+
+def factor_eigh(A: np.ndarray, zero_tol: float, scale: float
+                ) -> tuple[np.ndarray, np.ndarray] | None:
+    """Eigenvalues and nonzero basis of A from the Gram of its pivoted-Cholesky
+    factor, kept only when the residual A V - V diag(theta), the orthonormality
+    and ||A - V diag(theta) V^H||_F all pass; otherwise None."""
+    n = A.shape[0]
+    max_rank = int(numerics.FACTOR_MAX_RANK * n)
+    trace = float(A.diagonal().real.sum())
+    if trace * trace > (max_rank + 1) * float(np.vdot(A, A).real):
+        return None
+    F = pivoted_cholesky(A, numerics.PIVOT_RTOL * zero_tol, max_rank)
+    if F is None:
+        return None
+    try:
+        theta, U = np.linalg.eigh(F.conj() @ F.T)
+    except np.linalg.LinAlgError:
+        return None
+    keep = theta > zero_tol
+    theta = theta[keep]
+    V = F.T @ (U[:, keep] / np.sqrt(theta))
+    VL = V * theta
+    R = A @ V
+    R -= VL
+    D = VL @ V.conj().T
+    np.subtract(A, D, out=D)
+    if (float(np.abs(R).max(initial=0.0)) > numerics.OP_TOL * scale
+            or float(np.abs(V.conj().T @ V - np.eye(V.shape[1])).max(initial=0.0))
+            > numerics.OP_TOL
+            or float(np.linalg.norm(D)) > zero_tol):
+        return None
+    w = np.zeros(n)
+    w[n - theta.size:] = theta
+    return w, V

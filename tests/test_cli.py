@@ -374,13 +374,23 @@ class TestCmdAmplifyTrace:
         assert traj["iteration"].tolist() == [0]
 
     def test_unreachable_overlap_window_is_an_error(self, tmp_path, capsys):
-        # no random input has squared overlap 0.9999 or more onto the rank-6 range
-        H = datasets.random_psd_matrix(16, 6, 0)
-        with pytest.raises(ValueError, match=r"\[0\.9999, 1\.0\].*MAX_TRIES = 10000"):
-            datasets.random_range_input(H, 10_007, (0.9999, 1.0))
-        p = write_config(tmp_path, "overlap_min: 0.9999\noverlap_max: 1.0\n")
+        # a full-rank operator leaves no null part: every input has overlap 1
+        H = datasets.random_psd_matrix(16, 16, 0)
+        with pytest.raises(ValueError, match=r"\[0\.25, 0\.9\].*MAX_TRIES = 10000.*overlap 1"):
+            datasets.random_range_input(H, 10_007)
+        p = write_config(tmp_path, "dataset: {kind: random_psd, dim: 16, rank: 16}\n")
         assert cli.main(["amplify-trace", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert "MAX_TRIES" in capsys.readouterr().err
+
+    def test_window_past_the_rejection_draws_is_reached(self, tmp_path):
+        # no Gaussian draw reaches overlap 0.9999 onto the rank-6 range; the
+        # split draw after them does
+        H, V = datasets.random_psd_range(16, 6, 0)
+        y = datasets.random_range_input(H, 10_007, (0.9999, 1.0))
+        assert y.dtype == np.float64 and abs(np.linalg.norm(y) - 1.0) <= 1e-12
+        assert 0.9999 <= np.linalg.norm(V.T @ y) ** 2 <= 1.0
+        p = write_config(tmp_path, "overlap_min: 0.9999\noverlap_max: 1.0\n")
+        assert cli.main(["amplify-trace", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("config", [None, BLOBS_YAML], ids=["preset", "blobs"])
     def test_one_eigendecomposition_of_operator(self, tmp_path, monkeypatch, config):

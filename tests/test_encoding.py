@@ -154,6 +154,32 @@ class TestMakeEvolution:
         state = qpea.phase_estimation(cfg, evo, np.array([0.0, 1.0]))
         assert state.phase_distribution()[1] == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("zero", [False, True], ids=["psd", "zero H"])
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_bad_time_refused_before_the_eigendecomposition(self, t, zero, monkeypatch):
+        H = np.zeros((8, 8)) if zero else random_psd_matrix(8, 3, seed=17)
+        solves = []
+        monkeypatch.setattr(numerics, "nonzero_eigh", lambda *args: solves.append(args))
+        with pytest.raises(ValueError, match=r"^t must be finite and positive, got t="):
+            encoding.make_evolution(H, m=4, t=t)
+        assert solves == []
+
+    @pytest.mark.parametrize(
+        "m", [True, False, 6.0, 2.5, 0, -1, np.float64(6.0), "6", None],
+        ids=["True", "False", "6.0", "2.5", "0", "-1", "float64", "str", "None"])
+    def test_m_not_a_positive_integer_refused(self, m):
+        # one check for the operator and the estimation settings
+        with pytest.raises(ValueError, match=r"^m must be an integer >= 1, got "):
+            encoding.make_evolution(np.eye(4), m=m)
+        with pytest.raises(ValueError, match=r"^m must be an integer >= 1, got "):
+            qpea.PeaConfig(m=m)
+
+    def test_numpy_integer_m_taken(self):
+        H = random_psd_matrix(8, 3, seed=18)
+        evo, ref = encoding.make_evolution(H, m=np.int64(5)), encoding.make_evolution(H, m=5)
+        assert evo.time == ref.time and np.array_equal(evo.eigenphases, ref.eigenphases)
+        assert qpea.PeaConfig(m=np.int32(5)).m == 5
+
     def test_zero_matrix_identity(self):
         evo = encoding.make_evolution(np.zeros((4, 4)), m=3)
         assert np.allclose(evo.unitary, np.eye(4))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_reference
 from qspectral import encoding, numerics
 from qspectral.errors import ConvergenceError
 
@@ -147,7 +148,12 @@ class TestNonzeroEigh:
             zero_tol = numerics.ZERO_RTOL * numerics.matrix_1norm(low_rank_psd(dim, 8, seed=5)[0])
             H, _ = low_rank_psd(dim, 8, seed=5, extra=zero_tol * np.array([0.8, 0.8, 0.8, 0.8, 1.2]))
         norm1 = numerics.matrix_1norm(H)
-        assert numerics._factor_eigh(H, numerics.ZERO_RTOL * norm1, max(1.0, norm1)) is None
+        zero_tol, scale = numerics.ZERO_RTOL * norm1, max(1.0, norm1)
+        assert numerics._factor_eigh(H, zero_tol, scale) is None
+        assert dense_reference.factor_eigh(H, zero_tol, scale) is None
+        for max_rank in (int(numerics.FACTOR_MAX_RANK * dim), dim):
+            args = H, numerics.PIVOT_RTOL * zero_tol, max_rank
+            assert same(numerics._pivoted_cholesky(*args), dense_reference.pivoted_cholesky(*args))
         w, V, _, _ = numerics.nonzero_eigh(H)
         w_ref, V_ref = eigh_route(H)
         assert np.array_equal(w, w_ref) and np.array_equal(V, V_ref)
@@ -185,11 +191,174 @@ class TestNonzeroEigh:
             numerics.nonzero_eigh(A)
 
 
+def same(got, want) -> bool:
+    """Both None, or equal bit for bit (arrays, or tuples of arrays and floats)."""
+    if got is None or want is None:
+        return got is want
+    if isinstance(got, float):
+        return type(want) is float and got == want
+    if isinstance(got, np.ndarray):
+        return got.dtype == want.dtype and np.array_equal(got, want)
+    return len(got) == len(want) and all(same(g, w) for g, w in zip(got, want))
+
+
+def nonzero_eigh_reference(H):
+    """nonzero_eigh from the plain factor-route steps of ``dense_reference``."""
+    A, norm1 = dense_reference.hermitian_matrix(H)
+    zero_tol, scale = numerics.ZERO_RTOL * max(norm1, 1e-300), max(1.0, norm1)
+    found = (dense_reference.factor_eigh(A, zero_tol, scale)
+             if A.shape[0] >= numerics.FACTOR_MIN_DIM else None)
+    if found is None:
+        w, V = np.linalg.eigh(A)
+        found = w, V[:, np.abs(w) > zero_tol]
+    return (*found, zero_tol, norm1)
+
+
+def count_residuals(monkeypatch) -> list:
+    """Record each call of numerics._residual, which forms A V."""
+    calls, residual = [], numerics._residual
+    monkeypatch.setattr(numerics, "_residual",
+                        lambda *args: calls.append(args[1].shape) or residual(*args))
+    return calls
+
+
+class TestFactorRouteOracle:
+    """The slab |H| pass, the Cholesky that tests its diagonal where it stops,
+    and the certificate that forms A V only past its bound give the plain
+    forms' F, ||H||_1, zero_tol, (w, V) and verdict bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.one_of(st.integers(1, 40), st.sampled_from([128, 256])),
+           rank_frac=st.floats(0.0, 0.35), cplx=st.booleans(), indefinite=st.booleans(),
+           near_zero=st.lists(st.floats(-1.5, 1.5), max_size=3),
+           log_scale=st.floats(-6.0, 6.0), seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_oracle(self, dim, rank_frac, cplx, indefinite, near_zero, log_scale,
+                               seed):
+        # near_zero: eigenvalues within +-1.5 zero_tol, where the zero split,
+        # the Cholesky's stop and the Frobenius check are decided; indefinite:
+        # one eigenvalue of -0.3 to -1 times the scale
+        rank, scale = int(rank_frac * dim), 10.0**log_scale
+        H0, _ = low_rank_psd(dim, rank, seed, cplx, scale)
+        zero_tol = numerics.ZERO_RTOL * numerics.matrix_1norm(H0)
+        extra = [zero_tol * x for x in near_zero]
+        if indefinite:
+            extra.append(-scale * np.random.default_rng(seed).uniform(0.3, 1.0))
+        H, _ = low_rank_psd(dim, rank, seed, cplx, scale, extra=extra[:dim - rank])
+        A, norm1 = numerics._hermitian_matrix(H)
+        assert same((A, norm1), dense_reference.hermitian_matrix(H))
+        zero_tol, scale = numerics.ZERO_RTOL * max(norm1, 1e-300), max(1.0, norm1)
+        for max_rank in (int(numerics.FACTOR_MAX_RANK * dim), dim):
+            args = A, numerics.PIVOT_RTOL * zero_tol, max_rank
+            assert same(numerics._pivoted_cholesky(*args), dense_reference.pivoted_cholesky(*args))
+        assert same(numerics._factor_eigh(A, zero_tol, scale),
+                    dense_reference.factor_eigh(A, zero_tol, scale))
+        if dim >= numerics.FACTOR_MIN_DIM:
+            assert same(tuple(numerics.nonzero_eigh(H)), nonzero_eigh_reference(H))
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(1, 40), cplx=st.booleans(), seed=st.integers(0, 2**32 - 1),
+           log_scale=st.floats(-6.0, 6.0), turn=st.one_of(st.none(), st.floats(-16.0, -5.0)),
+           shift=st.one_of(st.none(), st.floats(-16.0, -5.0)))
+    def test_bound_holds(self, dim, cplx, seed, log_scale, turn, shift):
+        # eigenpairs of H, their basis turned by 10**turn and their values
+        # moved by 10**shift relative (or neither, where rounding is all the
+        # residual has): the bound is never below the computed residual
+        rng = np.random.default_rng(seed)
+        H, _ = low_rank_psd(dim, dim, seed, cplx, 10.0**log_scale)
+        w, V = np.linalg.eigh(H)
+        if turn is not None:
+            V = V + 10.0**turn * (rng.normal(size=V.shape) + (1j * rng.normal(size=V.shape)
+                                                             if cplx else 0.0))
+        if shift is not None:
+            w = w * (1.0 + 10.0**shift * rng.normal(size=dim))
+        O = V.conj().T @ V - np.eye(dim)
+        E = H - (V * w) @ V.conj().T
+        bound = numerics._residual_bound(dim, w, np.linalg.norm(O), np.linalg.norm(E),
+                                         max(1.0, numerics.matrix_1norm(H)))
+        assert bound >= numerics._residual(H, V, w)
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_separated_spectrum_forms_no_product(self, cplx, monkeypatch):
+        calls = count_residuals(monkeypatch)
+        H, _ = low_rank_psd(numerics.FACTOR_MIN_DIM, 16, seed=8, cplx=cplx)
+        w, V, _, _ = numerics.nonzero_eigh(H)
+        assert np.count_nonzero(w) == V.shape[1] == 16  # the factor route's exact zeros
+        assert calls == []
+
+    def test_eigenvalue_below_zero_tol_takes_the_exact_branch(self, monkeypatch):
+        # the dropped eigenvalue at 0.5 zero_tol puts ||E||_F, and so the
+        # bound, far above OP_TOL * scale; the exact residual still passes
+        dim = numerics.FACTOR_MIN_DIM
+        zero_tol = numerics.ZERO_RTOL * numerics.matrix_1norm(low_rank_psd(dim, 8, seed=9)[0])
+        H, _ = low_rank_psd(dim, 8, seed=9, extra=[0.5 * zero_tol])
+        calls = count_residuals(monkeypatch)
+        found = numerics.nonzero_eigh(H)
+        assert calls == [(dim, 8)]
+        assert np.count_nonzero(found.eigenvalues) == found.basis.shape[1] == 8  # factor route
+        assert same(tuple(found), nonzero_eigh_reference(H))
+
+    def test_turned_pair_is_refused_by_the_exact_residual(self, monkeypatch):
+        # the Gram eigensolver hands back a pair of eigenvectors whose basis
+        # vectors are turned into each other by phi: the basis stays
+        # orthonormal and ||E||_F ~ sqrt(2) (theta_j - theta_i) phi stays
+        # below zero_tol, but the residual (theta_j - theta_i) phi |v_j| does not
+        dim = numerics.FACTOR_MIN_DIM
+        H, _ = low_rank_psd(dim, 8, seed=10)
+        norm1 = numerics.matrix_1norm(H)
+        zero_tol, scale = numerics.ZERO_RTOL * norm1, max(1.0, norm1)
+        F = numerics._pivoted_cholesky(H, numerics.PIVOT_RTOL * zero_tol,
+                                       int(numerics.FACTOR_MAX_RANK * dim))
+        eigh, seen = np.linalg.eigh, {}
+
+        def turned_eigh(G):
+            # V = F^T U / sqrt(theta) turns by R when U becomes U D^-1/2 R D^1/2
+            theta, U = eigh(G)
+            phi = 5e-9 * norm1 / (theta[-1] - theta[0])
+            R = np.eye(theta.size)
+            R[0, 0] = R[-1, -1] = np.cos(phi)
+            R[0, -1] = np.sin(phi)
+            R[-1, 0] = -R[0, -1]
+            U = ((U / np.sqrt(theta)) @ R) * np.sqrt(theta)
+            seen["V"], seen["theta"] = F.T @ (U / np.sqrt(theta)), theta
+            return theta, U
+
+        assert numerics._factor_eigh(H, zero_tol, scale) is not None
+        monkeypatch.setattr(np.linalg, "eigh", turned_eigh)
+        calls = count_residuals(monkeypatch)
+        assert numerics._factor_eigh(H, zero_tol, scale) is None
+        assert dense_reference.factor_eigh(H, zero_tol, scale) is None
+        assert calls == [(dim, 8)]
+        V, theta = seen["V"], seen["theta"]
+        assert np.abs(V.T @ V - np.eye(8)).max() <= numerics.OP_TOL
+        assert np.linalg.norm(H - (V * theta) @ V.T) <= zero_tol
+        assert numerics._residual(H, V, theta) > numerics.OP_TOL * scale
+
+    def test_zero_matrix(self, monkeypatch):
+        # theta_max = 0 and an (N, 0) basis: the bound is the slack alone
+        Z = np.zeros((numerics.FACTOR_MIN_DIM, numerics.FACTOR_MIN_DIM))
+        zero_tol = numerics.ZERO_RTOL * 1e-300
+        calls = count_residuals(monkeypatch)
+        found = numerics._factor_eigh(Z, zero_tol, 1.0)
+        assert same(found, dense_reference.factor_eigh(Z, zero_tol, 1.0))
+        assert np.all(found[0] == 0.0) and found[1].shape == (len(Z), 0)
+        assert same(tuple(numerics.nonzero_eigh(Z)), nonzero_eigh_reference(Z))
+        assert calls == []
+
+
 BLOCK = numerics.HERMITIAN_BLOCK
 
 
 def dense_gap(A):
     return np.abs(A - A.conj().T).max()
+
+
+def outcome(check, A):
+    """The checked matrix's bytes and its norm, or the error's message."""
+    try:
+        checked, norm1 = check(A)
+    except ValueError as exc:
+        return str(exc)
+    return checked.dtype, checked.tobytes(), norm1
 
 
 class TestHermitianCheck:
@@ -213,6 +382,8 @@ class TestHermitianCheck:
             A[i, j] += edge * numerics.VEC_TOL * max(1.0, np.abs(A).max())
         gap = dense_gap(A)
         assert numerics._hermitian_gap(A) == gap
+        assert (outcome(numerics._hermitian_matrix, A)
+                == outcome(dense_reference.hermitian_matrix, A))
         assert numerics.is_hermitian(A) == (gap <= numerics.VEC_TOL * max(1.0, np.abs(A).max()))
 
     def test_empty_and_non_square(self):
