@@ -6,9 +6,12 @@
     python3 scripts/bench_pairs.py --parent <commit> --workload rank_candidates \\
         --seeds 1001-1003 --key rank_candidates_heldout_seed --out BENCH_18.json
 
-The parent commit's files are written with ``git archive`` into a temporary
-directory (removed afterwards), so the repository itself is not touched; the
-change is this checkout's working tree.
+Both sides run from exports: the parent commit's files and the change's,
+the working tree as ``git stash create`` records it (HEAD when the tree is
+clean), are each written with ``git archive`` into a temporary directory
+(removed afterwards), so neither side runs in the checkout and the
+repository itself is not touched.  Files git does not track are not part of
+the change; ``git add`` new files first.
 Pair i runs seed i of ``--seeds`` (cycled to ``--pairs`` pairs) on both
 sides, the parent first in odd pairs and the change first in even ones, each
 as the benchmark's command with ``--workload W --seed S --seconds T --trace
@@ -39,6 +42,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 STDERR_LINES = 20
+
+
+def git(*args: str) -> str:
+    """The standard output of a git command in the repository, stripped."""
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout.strip()
 
 
 def export_commit(commit: str, dest: Path) -> None:
@@ -118,19 +127,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    parent_commit = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, check=True,
-                                   capture_output=True, text=True).stdout.strip()
+    parent_commit = git("rev-parse", args.parent)
+    change_commit = git("stash", "create") or git("rev-parse", "HEAD")
     pairs = args.pairs or len(args.seeds)
     runs, failures, env = [], [], None
     with tempfile.TemporaryDirectory() as tmp:
-        parent_dir = Path(tmp) / "parent"
-        export_commit(parent_commit, parent_dir)
+        dirs = {side: Path(tmp) / side for side in ("parent", "change")}
+        export_commit(parent_commit, dirs["parent"])
+        export_commit(change_commit, dirs["change"])
         for i in range(pairs):
             seed = args.seeds[i % len(args.seeds)]
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                checkout = parent_dir if side == "parent" else ROOT
-                final, report = run_side(checkout, benchmark["command"], args.workload, seed,
+                final, report = run_side(dirs[side], benchmark["command"], args.workload, seed,
                                          args.seconds)
                 if final is None:
                     failures.append({"pair": i + 1, "seed": seed, "side": side, **report})

@@ -44,18 +44,20 @@ read-only; what a call loads stays in the call.  Within a call each input
 may carry its own config: configs may differ in mode and kappa, which only
 pick the phase gate (one pipeline per config object over the shared engine;
 the gate's arrays are cached per (m, mode, kappa)), but not in m or the
-iterate.  Each input is loaded (checked for its dimension and unit norm) on
-its own, and once all are loaded they are projected onto [V_nz, y_null]
-together; a real V_nz multiplies the real and imaginary parts of an input as
-the two columns of one real product, so it is never cast to complex.  The
-closed form reads a chunk of inputs at once: their initial states, each from
-its own phase gate, are stacked into a (k, 2^m, r+1) array of at most
-``_BATCH_ELEMENTS`` entries, and theta, the quadratic forms, the stop rule
-(each input keeps its own first hit), the one simulated iterate and each
-final state at its own t are computed for the whole stack.  Every check
-(nothing to amplify, norm, rotation) is one array test over the inputs that
-raises the error of the first failing one.  What stays per input is its load
-call, its trajectory, with its own mode and kappa, and its RegisterState.
+iterate.  Every amplify entry takes one check-and-load path: each input is
+loaded (checked for its dimension and unit norm) on its own, and once all
+are loaded they are projected onto [V_nz, y_null] together; a real V_nz
+multiplies the real and imaginary parts of an input as the two columns of
+one real product, so it is never cast to complex.  An initial state is its
+pipeline's U_pea |0,0> table times the input's coordinates (c, nu).  The
+closed form reads a chunk of inputs at once: their initial states are
+stacked into a (k, 2^m, r+1) array of at most ``_BATCH_ELEMENTS`` entries,
+and theta, the quadratic forms, the stop rule (each input keeps its own
+first hit), the one simulated iterate and each final state at its own t are
+computed for the whole stack.  Every check (nothing to amplify, norm,
+rotation) is one array test over the inputs that raises the error of the
+first failing one.  What stays per input is its load call, its trajectory,
+with its own mode and kappa, and its RegisterState.
 
 No product of a batch mixes inputs: the projection and every read of the
 stack are stacks of per-input products, not one (N x K) GEMM, whose column j
@@ -84,10 +86,8 @@ from .registers import NORM_TOL, RegisterState, phase_distribution
 
 def bias_vector(m: int, kappa: float) -> np.ndarray:
     """Biased superposition (kappa, 1, ..., 1) / sqrt(kappa^2 + 2^m - 1)."""
-    if m < 1:
-        raise ValueError(f"need m >= 1 phase qubits, got {m}")
-    if not (math.isfinite(kappa) and kappa >= 0):
-        raise ValueError(f"bias coefficient must be finite and nonnegative, got {kappa}")
+    check_phase_qubits(m)
+    _check_kappa(kappa)
     M = 2**m
     f = np.ones(M, dtype=complex)
     f[0] = kappa
@@ -96,6 +96,7 @@ def bias_vector(m: int, kappa: float) -> np.ndarray:
 
 def marking_vector(m: int) -> np.ndarray:
     """Uniform superposition over the 2^m - 1 nonzero phase states."""
+    check_phase_qubits(m)
     M = 2**m
     f = np.ones(M, dtype=complex)
     f[0] = 0.0
@@ -140,10 +141,15 @@ class PeaConfig:
 
     def __post_init__(self):
         check_phase_qubits(self.m)
-        if not (math.isfinite(self.kappa) and self.kappa >= 0):
-            raise ValueError(f"kappa must be finite and >= 0, got {self.kappa}")
+        _check_kappa(self.kappa)
         if self.mode not in ("qft", "biased"):
             raise ValueError(f"mode must be one of ('qft', 'biased'), got {self.mode!r}")
+
+
+def _check_kappa(kappa: float) -> None:
+    """Refuse a bias coefficient that is not finite and nonnegative."""
+    if not (math.isfinite(kappa) and kappa >= 0):
+        raise ValueError(f"kappa must be finite and nonnegative, got {kappa}")
 
 
 def _norm_sq(v: np.ndarray) -> float:
@@ -193,6 +199,7 @@ def stagnation_kappa(m: int) -> float:
     amplitude of a balanced register, so the inversion-about-the-mean neither
     grows nor shrinks it.
     """
+    check_phase_qubits(m)
     return float(np.sqrt(2**m))
 
 
@@ -300,19 +307,15 @@ def _engine(evo: EvolutionOperator, m: int) -> _Engine:
 class _Pipeline:
     """Matrix-free appliers for the estimation unitary of one config on
     coordinates: the config's phase gate (QFT or bias reflection) over a
-    shared :class:`_Engine` of the same m."""
+    shared :class:`_Engine` of the same m.  ``initial_table`` is U_pea |0,0>
+    on each column of [V_nz, y_null, e_null] (the input load W maps |0> to y,
+    so the ladder acts on column0 (x) y as the phase table); an initial state
+    is that table times the input's coordinates, column by column."""
 
     def __init__(self, cfg: PeaConfig, engine: _Engine):
         self.cfg, self.engine = cfg, engine
-        self.column0, self.bias_conj, self.two_bias = _phase_gate(cfg.m, cfg.mode, cfg.kappa)
-
-    def initial(self, coords: np.ndarray) -> np.ndarray:
-        """U_pea |0,0> on an input's coordinates, or on each row of a stack of
-        them.  The input load W maps |0> to y, so the ladder acts on the
-        rank-one column0 (x) y, and on the eigenvector coordinates it is the
-        phase table."""
-        table = self.engine.table[:, :coords.shape[-1]]
-        return self.last(self.column0 * table * coords[..., None, :])
+        column0, self.bias_conj, self.two_bias = _phase_gate(cfg.m, cfg.mode, cfg.kappa)
+        self.initial_table = self.last(column0 * engine.table)
 
     def last(self, mat: np.ndarray) -> np.ndarray:
         """The phase gate after the ladder, QFT^dag or the bias reflection, on
@@ -379,8 +382,8 @@ def phase_estimation(cfg: PeaConfig, evo: EvolutionOperator, y) -> RegisterState
     """
     engine = _engine(evo, cfg.m)
     inputs = engine.project([engine.load(y)])
-    return RegisterState(_Pipeline(cfg, engine).initial(inputs.coords[0]), cfg.m, engine.n,
-                         (engine.nonzero_basis, inputs.y_null[0]))
+    a = _Pipeline(cfg, engine).initial_table[:, :-1] * inputs.coords[0]  # (c, nu): no e_null
+    return RegisterState(a, cfg.m, engine.n, (engine.nonzero_basis, inputs.y_null[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +466,27 @@ def amplify_many(cfg: PeaConfig | Sequence[PeaConfig], evo: EvolutionOperator, y
     runs before any iterate; a failing batch raises the error of its first
     failing input.  Each final state is held on the input's coordinates.
     """
+    runs, inputs = _load(cfg, evo, ys, max_iter)
+    if not runs:
+        return []
+    if not runs[0][0].cfg.standard_grover:
+        return [_step(pipe, inputs, row, max_iter, stop_tol) for pipe, row in runs]
+    return _closed_form_runs(runs, inputs, max_iter, stop_tol)
+
+
+def amplify_stepped(cfg: PeaConfig, evo: EvolutionOperator, y, max_iter: int = 40,
+                    stop_tol: float | None = 0.05) -> tuple[RegisterState, Trajectory]:
+    """:func:`amplify` with every iterate stepped, the standard one included:
+    the reference its closed form is checked against.  The verbatim iterate
+    runs this way in :func:`amplify` too."""
+    [(pipe, row)], inputs = _load(cfg, evo, [y], max_iter)
+    return _step(pipe, inputs, row, max_iter, stop_tol)
+
+
+def _load(cfg: PeaConfig | Sequence[PeaConfig], evo: EvolutionOperator, ys: Sequence,
+          max_iter: int) -> tuple[list, _Inputs | None]:
+    """The checks and the load of every amplify entry (see :func:`amplify_many`):
+    one (pipeline, row of the projected inputs) per input, and those inputs."""
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     ys = list(ys)
@@ -472,7 +496,7 @@ def amplify_many(cfg: PeaConfig | Sequence[PeaConfig], evo: EvolutionOperator, y
     if len({(c.m, c.standard_grover) for c in cfgs}) > 1:
         raise ValueError("the configs of one call must share m and standard_grover")
     if not cfgs:
-        return []
+        return [], None
     engine = _engine(evo, cfgs[0].m)
     loaded = {}  # a load per input object, by its row of the projection
     try:
@@ -490,23 +514,7 @@ def amplify_many(cfg: PeaConfig | Sequence[PeaConfig], evo: EvolutionOperator, y
     for c in cfgs:
         if id(c) not in pipes:
             pipes[id(c)] = _Pipeline(c, engine)
-    runs = [(pipes[id(c)], rows[id(y)]) for c, y in zip(cfgs, ys)]
-    if not cfgs[0].standard_grover:
-        return [_step(pipe, inputs, row, max_iter, stop_tol) for pipe, row in runs]
-    return _closed_form_runs(runs, inputs, max_iter, stop_tol)
-
-
-def amplify_stepped(cfg: PeaConfig, evo: EvolutionOperator, y, max_iter: int = 40,
-                    stop_tol: float | None = 0.05) -> tuple[RegisterState, Trajectory]:
-    """:func:`amplify` with every iterate stepped, the standard one included:
-    the reference its closed form is checked against.  The verbatim iterate
-    runs this way in :func:`amplify` too."""
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
-    engine = _engine(evo, cfg.m)
-    inputs = engine.project([engine.load(y)])
-    _check_targets(inputs.coords)
-    return _step(_Pipeline(cfg, engine), inputs, 0, max_iter, stop_tol)
+    return [(pipes[id(c)], rows[id(y)]) for c, y in zip(cfgs, ys)], inputs
 
 
 def _check_targets(coords: np.ndarray) -> None:
@@ -565,7 +573,7 @@ def _step(pipe: _Pipeline, inputs: _Inputs, row: int, max_iter: int,
     every iterate stepped on coordinates [V_nz, y_null, e_null]."""
     engine = pipe.engine
     coords, W, columns = engine.span(inputs.ys[row], inputs.coords[row], inputs.y_null[row])
-    a = pipe.initial(coords)
+    a = pipe.initial_table * coords
     target_conj = np.append(_fidelity_targets(inputs.coords[row:row + 1])[0], 0.0)  # e_null: 0
     rows = []  # per iterate: success, qubit 0's P0, marked, fidelity
 
@@ -607,10 +615,8 @@ def _rotate(pipes: Sequence[_Pipeline], coords: np.ndarray, max_iter: int,
     a stack of input coordinates (k, r+1) on [V_nz, y_null], each input run
     under its own pipeline in ``pipes`` (all over one engine); returns the
     stack of final states in those coordinates and one trajectory per input,
-    with its pipeline's mode and kappa.  Each input's initial state comes
-    from its own pipeline's phase gate, one call per stretch of consecutive
-    inputs on the same pipeline (the stack is built here, so that it is freed
-    once read).
+    with its pipeline's mode and kappa.  The initial states are stacked here,
+    from each input's own pipeline, so that the stack is freed once read.
 
     With s, c = sin, cos((2t+1) theta), iterate t is (-1)^t (s u + c v), so
     any squared projection |L x|^2 is the quadratic form s^2 |Lu|^2 +
@@ -626,16 +632,15 @@ def _rotate(pipes: Sequence[_Pipeline], coords: np.ndarray, max_iter: int,
     of each stack, whatever else the batch holds, and each check is one
     array test that names the first failing input.
 
-    Under a stop rule, rows are evaluated a block at a time for the inputs
-    that have not stopped, so an input's early stop computes only the block
-    it falls in.  A degenerate plane (theta = 0 or pi/2) leaves the missing
+    Under a stop rule, rows are evaluated a block at a time for the whole
+    chunk until every input has stopped, and each trajectory is cut at its
+    own stop.  A degenerate plane (theta = 0 or pi/2) leaves the missing
     direction zero and the trajectory constant.
     """
     engine, k = pipes[0].engine, len(coords)
     M = engine.f2.size
-    cuts = [j for j in range(1, k) if pipes[j] is not pipes[j - 1]]
-    A = (np.concatenate([pipes[i].initial(coords[i:j]) for i, j in zip([0, *cuts], [*cuts, k])])
-         if cuts else pipes[0].initial(coords))
+    A = np.array([pipe.initial_table[:, :-1] for pipe in pipes])  # no e_null
+    A *= coords[:, None, :]
     targets_conj = _fidelity_targets(coords)
     # runtime invariant: one simulated iterate per input, checked below; the
     # standard iterate reads no phase gate, so one pipeline's serves the stack
@@ -667,24 +672,19 @@ def _rotate(pipes: Sequence[_Pipeline], coords: np.ndarray, max_iter: int,
     np.divide(_norms_sq(target_v) / c, c, out=forms[:, 1, 3])
     del v_rows, w_v, target_v, read
     stops = np.full(k, max_iter + 1)  # each input's stopping iterate, or beyond
-    parts = [[] for _ in range(k)]  # each input's rows, a block at a time
-    live, live_theta, live_forms = np.arange(k), theta, forms
+    blocks = []  # the rows of every input, a block at a time
     size = max_iter + 1 if stop_tol is None else _ROW_BLOCK  # no stop rule: one block
     for start in range(0, max_iter + 1, size):
         t = np.arange(start, min(start + size, max_iter + 1))
-        block = _rows(t, live_theta, live_forms)
-        for j, block_rows in zip(live.tolist(), block):
-            parts[j].append(block_rows)
-        if stop_tol is None:
-            break
-        hits = np.abs(block[:, :, 1] - 0.5) <= stop_tol
-        hits[:, 0] &= start > 0  # iterate 0 never stops
-        stopped = hits.any(axis=1)
-        if stopped.any():
-            stops[live[stopped]] = t[hits.argmax(axis=1)[stopped]]
-            if stopped.all():
+        blocks.append(_rows(t, theta, forms))
+        if stop_tol is not None:
+            hits = np.abs(blocks[-1][:, :, 1] - 0.5) <= stop_tol
+            hits[:, 0] &= start > 0  # iterate 0 never stops
+            first = np.where(hits.any(axis=1), t[hits.argmax(axis=1)], max_iter + 1)
+            stops = np.minimum(stops, first)
+            if np.all(stops <= max_iter):
                 break
-            live, live_theta, live_forms = (x[~stopped] for x in (live, live_theta, live_forms))
+    rows = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
 
     # iterate 1 (the check) and the last one (the final state) of each input:
     # (-1)^t (s u + c v), with u and v the parts above over sin and cos
@@ -706,11 +706,11 @@ def _rotate(pipes: Sequence[_Pipeline], coords: np.ndarray, max_iter: int,
         raise ValueError(f"iterate leaves the two-plane rotation by {residuals[np.argmin(ok)]:.3g} "
                          "at iteration 1")
     trajs = []
-    for pipe, rows, last, stop, th, residual in zip(pipes, parts, t[1].tolist(), stops.tolist(),
-                                                    theta.tolist(), residuals.tolist()):
-        rows = (rows[0] if len(rows) == 1 else np.concatenate(rows))[:last + 1]
+    for pipe, run_rows, last, stop, th, residual in zip(
+            pipes, rows, t[1].tolist(), stops.tolist(), theta.tolist(), residuals.tolist()):
         t_star = round(math.pi / (4.0 * th) - 0.5) if th > 0.0 else 0
-        trajs.append(_trajectory(pipe.cfg, rows, stop if stop <= max_iter else None, theta=th,
+        trajs.append(_trajectory(pipe.cfg, run_rows[:last + 1],
+                                 stop if stop <= max_iter else None, theta=th,
                                  optimal_iterations=t_star, rotation_residual=residual))
     u *= along_u[1]  # the last iterate, the final state, in u's place
     u += along_v[1] * v

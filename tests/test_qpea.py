@@ -60,6 +60,27 @@ class TestBiasVector:
         with pytest.raises(ValueError, match="kappa must be finite"):
             qpea.PeaConfig(m=3, kappa=kappa, mode="biased")
 
+    @pytest.mark.parametrize("m", [True, 6.0, 2.5, 0])
+    @pytest.mark.parametrize("call", [
+        lambda m: qpea.bias_vector(m, 1.0),
+        qpea.marking_vector,
+        qpea.stagnation_kappa,
+        lambda m: qpea.PeaConfig(m=m, kappa=1.0, mode="biased"),
+    ], ids=["bias_vector", "marking_vector", "stagnation_kappa", "PeaConfig"])
+    def test_one_phase_width_rule(self, m, call):
+        with pytest.raises(ValueError, match=rf"^m must be an integer >= 1, got {m!r}$"):
+            call(m)
+
+    @pytest.mark.parametrize("kappa", [np.nan, np.inf, -1.0])
+    def test_one_kappa_rule(self, kappa):
+        messages = []
+        for call in (lambda: qpea.bias_vector(3, kappa),
+                     lambda: qpea.PeaConfig(m=3, kappa=kappa, mode="biased")):
+            with pytest.raises(ValueError) as err:
+                call()
+            messages.append(str(err.value))
+        assert messages == [f"kappa must be finite and nonnegative, got {kappa}"] * 2
+
 
 class TestReflections:
     def test_zero_reflection_flips_zero_state(self):
@@ -496,6 +517,24 @@ class TestAmplifyMany:
                 qpea.amplify_many(cfg, evo, ys, max_iter=3, stop_tol=None)
         assert iterates == []
 
+    @pytest.mark.parametrize("bad", ["max_iter", "dim", "unit", "null", "no_nonzero"])
+    def test_stepped_refuses_as_the_batch_does(self, bad):
+        # amplify_stepped takes amplify_many's checks and load: the same
+        # exception type and message for each bad call
+        H = np.zeros((4, 4)) if bad == "no_nonzero" else np.diag([0.0, 0.0, 1.0, 2.0])
+        evo = encoding.make_evolution(H, m=3)
+        cfg = qpea.PeaConfig(m=3, kappa=1.0, mode="biased", standard_grover=True)
+        y = {"dim": np.ones(8) / np.sqrt(8), "unit": np.array([0.0, 0.0, 1.0, 1.0]),
+             "null": np.array([0.6, 0.8, 0.0, 0.0])}.get(bad, np.array([0.5, 0.5, 0.5, 0.5]))
+        max_iter = -1 if bad == "max_iter" else 3
+        errors = []
+        for call in (lambda: qpea.amplify_stepped(cfg, evo, y, max_iter=max_iter),
+                     lambda: qpea.amplify_many(cfg, evo, [y], max_iter=max_iter)):
+            with pytest.raises(ValueError) as err:
+                call()
+            errors.append((type(err.value), str(err.value)))
+        assert errors[0] == errors[1]
+
     @pytest.mark.parametrize("first, second, error, match", [
         ("null", "unit", DegenerateTargetError, "null"),
         ("unit", "null", ValueError, "unit norm"),
@@ -916,8 +955,13 @@ class TestClosedForm:
         y = np.array([0.0, 0.6, 0.8, 0.0])
         phase = np.eye(2)[1 if marked else 0]
         a = np.outer(phase, y).astype(complex)
-        monkeypatch.setattr(qpea._Pipeline, "initial",  # one input's coordinates, or a stack
-                            lambda self, coords: (phase[:, None] * coords[..., None, :]) + 0j)
+        init = qpea._Pipeline.__init__
+
+        def hand_built(self, *args):  # U_pea|0> = phase on every coordinate column
+            init(self, *args)
+            self.initial_table = np.repeat(phase[:, None] + 0j, self.initial_table.shape[1], axis=1)
+
+        monkeypatch.setattr(qpea._Pipeline, "__init__", hand_built)
         final, traj = qpea.amplify(cfg, evo, y, max_iter=7, stop_tol=None)
         got = np.column_stack([traj.success_prob, traj.marked_prob, traj.fidelity,
                                traj.qubit0_p0])
