@@ -172,7 +172,7 @@ def _check_readout(rng) -> bool:
     cfg = qpea.PeaConfig(m=3, kappa=1.0, mode="biased", standard_grover=True)
     state = qpea.phase_estimation(cfg, encoding.make_evolution(H, m=3), y)
     expected = 0.0
-    for row in state.amplitudes.reshape(2**state.m, 2**state.n):
+    for row in state.amplitudes.reshape(2**state.m, -1):
         weight = np.vdot(row, row).real
         if weight > 0.0:
             expected += weight * readout.householder_similarity(row / np.sqrt(weight), y)
@@ -246,7 +246,7 @@ def main(argv=None) -> int:
         if args.command == "selftest":
             return cmd_selftest(cfg)
         paths = commands[args.command](cfg)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -21,9 +21,10 @@ from pathlib import Path
 import yaml
 
 from .classical import VARIANTS
-from .experiments import DEFAULT_RUNS
 from .qpea import PeaConfig
 
+# (mode, kappa) runs matching the published trajectory sweep
+DEFAULT_RUNS: tuple[tuple[str, float], ...] = (("qft", 0.0), ("biased", 1.0), ("biased", 20.0))
 DATASET_KINDS = ("random_psd", "blobs", "moons", "csv")
 GRAPH_KINDS = ("full", "epsilon", "knn")
 TARGETS = ("laplacian", "normalized_laplacian", "gram", "matrix")

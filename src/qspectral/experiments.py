@@ -8,19 +8,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import classical, csvio, datasets, encoding, graph as graphmod, readout
+from .config import DEFAULT_RUNS, ExperimentConfig
 from .encoding import EvolutionOperator, make_evolution
 from .qpea import PeaConfig, Trajectory, amplify_many
-
-if TYPE_CHECKING:  # config imports this module for DEFAULT_RUNS
-    from .config import ExperimentConfig
-
-# (mode, kappa) runs matching the published trajectory sweep
-DEFAULT_RUNS: tuple[tuple[str, float], ...] = (("qft", 0.0), ("biased", 1.0), ("biased", 20.0))
 
 
 @dataclass(frozen=True)

@@ -32,9 +32,10 @@ into e_null, the part of e0 off B, its third column.  Both y_null and
 e_null are projected off the earlier columns twice (:func:`_extend`): one
 pass leaves rounding in span V_nz that dividing by a small nu magnifies.
 Every run hands out its final S as a :class:`RegisterState` on B, which
-holds V_nz by reference and builds the (2^m, 2^n) register array S B^T only
-when its amplitudes are read; its observables and the similarity readout
-read S.
+holds V_nz by reference and builds the register array S B^T only when its
+amplitudes are read; its observables and the similarity readout read S.
+Nothing here reads the register layout, so an operator of any dimension N
+runs: the state's columns have N rows.
 
 Every call on one operator and m shares one engine (V_nz, the ladder phase
 table, f2 and the phase-row weights): it is built on the first call and kept
@@ -95,12 +96,9 @@ def bias_vector(m: int, kappa: float) -> np.ndarray:
 
 
 def marking_vector(m: int) -> np.ndarray:
-    """Uniform superposition over the 2^m - 1 nonzero phase states."""
-    check_phase_qubits(m)
-    M = 2**m
-    f = np.ones(M, dtype=complex)
-    f[0] = 0.0
-    return f / np.sqrt(M - 1)
+    """Uniform superposition over the 2^m - 1 nonzero phase states: the bias
+    vector at kappa = 0."""
+    return bias_vector(m, 0.0)
 
 
 def bias_reflection(m: int, kappa: float) -> np.ndarray:
@@ -147,8 +145,8 @@ class PeaConfig:
 
 
 def _check_kappa(kappa: float) -> None:
-    """Refuse a bias coefficient that is not finite and nonnegative."""
-    if not (math.isfinite(kappa) and kappa >= 0):
+    """Refuse a bias coefficient that is a bool or not finite and nonnegative."""
+    if isinstance(kappa, (bool, np.bool_)) or not (math.isfinite(kappa) and kappa >= 0):
         raise ValueError(f"kappa must be finite and nonnegative, got {kappa}")
 
 
@@ -197,10 +195,15 @@ def stagnation_kappa(m: int) -> float:
 
     At this bias the marked amplitude kappa/mu sits near 1/sqrt(2), the mean
     amplitude of a balanced register, so the inversion-about-the-mean neither
-    grows nor shrinks it.
+    grows nor shrinks it.  It is 2^(m//2), times sqrt(2) for an odd m, in
+    float arithmetic; an m whose value is past the float range is refused.
     """
     check_phase_qubits(m)
-    return float(np.sqrt(2**m))
+    half, odd = divmod(int(m), 2)
+    try:
+        return math.ldexp(math.sqrt(2.0**odd), half)
+    except OverflowError:
+        raise ValueError(f"sqrt(2^m) is past the float range at m={m}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +224,8 @@ class _Inputs(NamedTuple):
 class _Engine:
     """The part of the estimation pipeline that depends on neither the input
     nor the phase gate: the nonzero eigenspace, the ladder phase table on it,
-    the marking vector and the phase-row weights, for m phase qubits.
+    the marking vector and the phase-row weights, for m phase qubits on a
+    system register of n = ceil(log2 N) qubits.
 
     Built on the first call for an operator and m (:func:`_engine`) and kept
     on the operator, so every later call on it, of any config, shares it;
@@ -232,12 +236,8 @@ class _Engine:
     """
 
     def __init__(self, evo: EvolutionOperator, m: int):
-        self.m, self.dim = m, evo.dim
-        self.n = int(evo.dim).bit_length() - 1
-        if 2**self.n != evo.dim:
-            raise ValueError(f"evolution dimension {evo.dim} is not a power of two")
-        (self.f2, self.f2_conj, self.f2_col, self.two_f2, self.observables,
-         self.marked_observables) = _phase_register_tables(m)
+        self.m, self.dim, self.n = m, evo.dim, (evo.dim - 1).bit_length()
+        self.f2, self.observables, self.marked_observables = _phase_register_tables(m)
         self.nonzero_basis = evo.nonzero_basis
         self.table = np.ones((2**m, self.nonzero_basis.shape[1] + 2), dtype=complex)
         self.table[:, :-2] = ladder_phase_table(evo, m)  # y_null and e_null get phase 1
@@ -278,16 +278,15 @@ class _Engine:
 @functools.lru_cache(maxsize=16)
 def _phase_register_tables(m: int) -> tuple[np.ndarray, ...]:
     """The read-only tables of an engine that depend on m alone: the marking
-    vector f2, its conjugate, f2 as a column and 2 f2 (real), and the two
-    phase-register columns of a trajectory row as (2^m, 2) weights on the
-    phase rows, with their values on f2: success (phase != 0) and qubit 0's
-    P0 (the top, msb-first qubit in |0>, which is phase < 2^m / 2)."""
+    vector f2 (real), and the two phase-register columns of a trajectory row
+    as (2^m, 2) weights on the phase rows, with their values on f2: success
+    (phase != 0) and qubit 0's P0 (the top, msb-first qubit in |0>, which is
+    phase < 2^m / 2)."""
     M = 2**m
-    f2 = marking_vector(m)
+    f2 = marking_vector(m).real.copy()
     phases = np.arange(M)
     observables = np.column_stack([phases > 0, phases < M // 2]).astype(float)
-    tables = (f2, f2.conj(), f2[:, None], 2.0 * f2.real, observables,
-              f2.real ** 2 @ observables)  # f2 is real
+    tables = (f2, observables, f2**2 @ observables)
     for array in tables:
         array.flags.writeable = False
     return tables
@@ -295,9 +294,7 @@ def _phase_register_tables(m: int) -> tuple[np.ndarray, ...]:
 
 def _engine(evo: EvolutionOperator, m: int) -> _Engine:
     """The engine of ``evo`` for m phase qubits: built on the first call and
-    kept in the operator's ``engines`` for as long as the operator lives.  An
-    operator whose dimension is not a power of two gets none, so every call
-    on it raises."""
+    kept in the operator's ``engines`` for as long as the operator lives."""
     engine = evo.engines.get(m)
     if engine is None:
         engine = evo.engines[m] = _Engine(evo, m)
@@ -341,7 +338,7 @@ class _Pipeline:
         phase gate: it acts on coordinates in any basis, and on a stack of
         states, each with its own a and of any config with this m."""
         engine = self.engine
-        mat = mat - engine.f2_col * (2.0 * (engine.f2_conj @ mat))[..., None, :]  # R_mark
+        mat = mat - engine.f2[:, None] * (2.0 * (engine.f2 @ mat))[..., None, :]  # R_mark
         if self.cfg.standard_grover:  # U_pea R_zero U_pea^dag = I - 2|a><a|
             return mat - 2.0 * np.add.reduce(a.conj() * mat, axis=(-2, -1), keepdims=True) * a
         mat = self.forward(mat, W)
@@ -580,7 +577,7 @@ def _step(pipe: _Pipeline, inputs: _Inputs, row: int, max_iter: int,
     def record(mat: np.ndarray):
         pd = phase_distribution(mat)
         _check_norm(pd.sum(), len(rows))
-        rows.append([*(pd @ engine.observables), _norm_sq(engine.f2_conj @ mat),
+        rows.append([*(pd @ engine.observables), _norm_sq(engine.f2 @ mat),
                      _norm_sq(mat @ target_conj)])
 
     mat = a
@@ -645,8 +642,8 @@ def _rotate(pipes: Sequence[_Pipeline], coords: np.ndarray, max_iter: int,
     # runtime invariant: one simulated iterate per input, checked below; the
     # standard iterate reads no phase gate, so one pipeline's serves the stack
     Q1 = pipes[0].iterate(A, A, None)
-    w = engine.f2_conj @ A
-    u = engine.f2_col * w[:, None]  # P_f2 a = f2 (x) w, normalized below
+    w = engine.f2 @ A
+    u = engine.f2[:, None] * w[:, None]  # P_f2 a = f2 (x) w, normalized below
     v = A - u  # (1 - P_f2) a, normalized below
     del A  # few state-sized arrays are alive at once
     sin_sq, cos_sq = _norms_sq(w), _norms_sq(v)
@@ -661,7 +658,7 @@ def _rotate(pipes: Sequence[_Pipeline], coords: np.ndarray, max_iter: int,
     # a zero part stays zero; a part below _TINY has theta 0 or pi/2 and no weight
     s, c = np.maximum(sin0, _TINY), np.maximum(cos0, _TINY)
     fu = np.add.reduce(w * targets_conj, axis=-1)  # <target|P_f2 a>, the same in every marked row
-    read = (np.concatenate([v_rows, w_v.real * engine.two_f2], axis=-1).reshape(k, 2, M)
+    read = (np.concatenate([v_rows, w_v.real * (2.0 * engine.f2)], axis=-1).reshape(k, 2, M)
             @ engine.observables) / c[:, None, None]
     forms = np.zeros((k, 3, 4))  # columns: success, qubit 0's P0, marked, fidelity
     np.multiply(engine.marked_observables, (sin0 > 0.0)[:, None], out=forms[:, 0, :2])

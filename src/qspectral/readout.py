@@ -72,7 +72,7 @@ def _register_similarities(states: Sequence[RegisterState], ys) -> np.ndarray:
     for every state (V_nz there) is read in one broadcast product, every other
     block per state; each candidate's products are its own, so its value does
     not depend on the rest of the batch."""
-    Y = np.asarray(ys, dtype=complex).conj()  # (K, 2^n)
+    Y = np.asarray(ys, dtype=complex).conj()  # (K, N)
     if Y.ndim != 2 or Y.shape[0] != len(states):
         raise ValueError(f"expected {len(states)} candidate vectors, got shape {Y.shape}")
     overlaps = []  # conj(B^dag y), block by block, (K, width)

@@ -137,6 +137,7 @@ class TestConfig:
         ("candidates: [[0, 1.5]]", "candidates member"),
         ("pea: {m: 2.5}", "pea.m"),
         ("pea: {m: true}", "pea.m"),
+        ("pea: {kappa: true}", "pea.kappa"),
         ("amplify: {max_iter: 2.5}", "amplify.max_iter"),
         ("scrambled: 1.5", "scrambled"),
         ("dataset: {sizes: 5}", "dataset.sizes"),
@@ -381,6 +382,14 @@ class TestCmdAmplifyTrace:
         p = write_config(tmp_path, "dataset: {kind: random_psd, dim: 16, rank: 16}\n")
         assert cli.main(["amplify-trace", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert "MAX_TRIES" in capsys.readouterr().err
+
+    def test_register_too_large_to_allocate_is_an_error(self, tmp_path, capsys):
+        # 2^50 phase amplitudes are 16 PiB, past any user address space, so the
+        # request fails at once and allocates nothing
+        p = write_config(tmp_path, "pea: {m: 50}\n")
+        assert cli.main(["amplify-trace", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
     def test_window_past_the_rejection_draws_is_reached(self, tmp_path):
         # no Gaussian draw reaches overlap 0.9999 onto the rank-6 range; the

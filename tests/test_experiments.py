@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 
-from qspectral import csvio, experiments
+from qspectral import config, csvio, experiments
 from qspectral.config import load_config
 from qspectral.datasets import random_psd_matrix, random_range_input
-from test_golden import CONFIGS, GOLDEN, RTOL
+from test_golden import CONFIGS, GOLDEN, HERE, RTOL
+
+SRC = HERE.parent / "src"
 
 
 def test_figure_instance_follows_the_input_rule():
@@ -13,6 +19,15 @@ def test_figure_instance_follows_the_input_rule():
         H, y = experiments.figure_instance(seed)
         assert np.array_equal(H, random_psd_matrix(16, 6, seed, (0.3, 1.0)))
         assert np.array_equal(y, random_range_input(H, seed + 10_007, (0.25, 0.9))), seed
+
+
+def test_config_does_not_import_the_pipeline():
+    # config owns DEFAULT_RUNS; experiments imports config, not the other way
+    code = "import sys, qspectral.config; print('qspectral.experiments' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
+    assert out.stdout == "False\n"
+    assert experiments.DEFAULT_RUNS is config.DEFAULT_RUNS
 
 
 def close(actual, golden) -> bool:

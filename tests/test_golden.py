@@ -47,10 +47,12 @@ WRITTEN_CONFIGS = {
     "blobs128": "dataset: {kind: blobs, sizes: [64, 64], centers: [[1, 0], [0, 1]], noise: 0.08}\n"
                 "target: gram\n",
 }
+# three_blobs has N = 12 points, so its system register has rows past the operator's
+BUNDLED = ("two_blobs", "figure_preset", "three_blobs")
 VERBS = ("graph", "cluster-classical", "amplify-trace", "cluster-quantum")
 RUNS = {  # name: (verb, config name or None, further arguments)
     **{f"{verb}_{config}": (verb, config, ())
-       for config in ("two_blobs", "figure_preset") for verb in VERBS},
+       for config in BUNDLED for verb in VERBS},
     "amplify-trace_verbatim": ("amplify-trace", "verbatim", ()),
     "amplify-trace_figure_preset_verbose": ("amplify-trace", "figure_preset", ("--verbose",)),
     "graph_normalized": ("graph", "normalized", ()),
@@ -66,7 +68,7 @@ def run_all(dest: Path) -> None:
     """Every run of :data:`RUNS`, written under the directory ``dest``."""
     dest.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        paths = {name: CONFIGS / f"{name}.yaml" for name in ("two_blobs", "figure_preset")}
+        paths = {name: CONFIGS / f"{name}.yaml" for name in BUNDLED}
         for name, text in WRITTEN_CONFIGS.items():
             paths[name] = Path(tmp) / f"{name}.yaml"
             paths[name].write_text(text)

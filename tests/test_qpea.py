@@ -47,7 +47,13 @@ class TestBiasVector:
         assert np.linalg.norm(f) == pytest.approx(1.0)
 
     def test_kappa_zero_equals_marking_vector(self):
-        assert np.array_equal(qpea.bias_vector(4, 0.0), qpea.marking_vector(4))
+        # bit for bit, and both the uniform superposition over the nonzero phases
+        for m in range(1, 21):
+            uniform = np.ones(2**m, dtype=complex)
+            uniform[0] = 0.0
+            uniform /= np.sqrt(2**m - 1)
+            f2 = qpea.marking_vector(m)
+            assert f2.tobytes() == qpea.bias_vector(m, 0.0).tobytes() == uniform.tobytes(), m
 
     def test_rejects_negative_kappa(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -71,7 +77,7 @@ class TestBiasVector:
         with pytest.raises(ValueError, match=rf"^m must be an integer >= 1, got {m!r}$"):
             call(m)
 
-    @pytest.mark.parametrize("kappa", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("kappa", [np.nan, np.inf, -1.0, True, False, np.True_])
     def test_one_kappa_rule(self, kappa):
         messages = []
         for call in (lambda: qpea.bias_vector(3, kappa),
@@ -197,6 +203,16 @@ class TestRegisterStateOwnership:
             RegisterState(np.eye(4, 2), 2, 2, (np.eye(8)[:, :2],))
         with pytest.raises(ValueError, match="expected 8 coefficients, got 6"):
             RegisterState(np.eye(2, 3), 2, 2, (np.eye(4)[:, :2],))
+
+    def test_fewer_rows_than_the_register(self):
+        # N = 3 rows on a 2-qubit system register: system row 3 is zero
+        B = np.eye(3)[:, :2]
+        state = RegisterState(np.eye(1, 8, 3)[0], 2, 2, (B[:, 0], B[:, 1:]))  # S[1, 1] = 1
+        expected = np.zeros((4, 4), dtype=complex)
+        expected[1, 1] = 1.0
+        assert np.array_equal(state.amplitudes, expected.ravel())
+        with pytest.raises(ValueError, match="as many in each block"):
+            RegisterState(np.eye(4, 2), 2, 2, (np.eye(3)[:, :1], np.eye(4)[:, :1]))
 
     def test_empty_columns_rejected(self):
         # a state always lives on columns; there is no implicit identity basis
@@ -1174,14 +1190,37 @@ class TestEngineCache:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
 
-    def test_non_power_of_two_raises_on_every_call(self):
-        evo = encoding.make_evolution(np.diag([0.0, 1.0, 2.0]), m=3)
-        cfg = qpea.PeaConfig(m=3, kappa=1.0, mode="biased", standard_grover=True)
-        y = np.array([0.0, 0.6, 0.8])
-        for _ in range(2):
-            with pytest.raises(ValueError, match="not a power of two"):
-                qpea.amplify(cfg, evo, y, max_iter=2)
-        assert evo.engines == {}
+    def test_non_power_of_two_runs_as_padded(self):
+        # N rows run as the operator zero-padded to 2^n: padding adds only
+        # null directions, which the coordinates never reach
+        rng = np.random.default_rng(35)
+        for N in (3, 5, 6, 7, 12):
+            n = (N - 1).bit_length()
+            H = random_psd_matrix(N, max(1, N // 2), seed=N, eig_range=(0.5, 1.0))
+            padded = np.zeros((2**n, 2**n))
+            padded[:N, :N] = H
+            y = rng.normal(size=N) + 1j * rng.normal(size=N)
+            y /= np.linalg.norm(y)
+            y_padded = np.concatenate([y, np.zeros(2**n - N)])
+            evo, evo_padded = (encoding.make_evolution(h, m=4) for h in (H, padded))
+            for standard in (True, False):
+                for mode in ("qft", "biased"):
+                    cfg = qpea.PeaConfig(m=4, kappa=1.0, mode=mode, standard_grover=standard)
+                    state, traj = qpea.amplify(cfg, evo, y, max_iter=12)
+                    state_padded, traj_padded = qpea.amplify(cfg, evo_padded, y_padded,
+                                                             max_iter=12)
+                    assert (state.n, state.columns[0].shape[0]) == (n, N)
+                    assert state.amplitudes.shape == state_padded.amplitudes.shape
+                    assert np.max(np.abs(state.amplitudes - state_padded.amplitudes)) <= 1e-12
+                    assert abs(readout.register_similarity(state, y)
+                               - readout.register_similarity(state_padded, y_padded)) <= 1e-12
+                    assert (traj.stopped_at, traj.optimal_iterations, len(traj)) == (
+                        traj_padded.stopped_at, traj_padded.optimal_iterations, len(traj_padded))
+                    assert (traj.theta is None) == (not standard)
+                    if standard:
+                        assert abs(traj.theta - traj_padded.theta) <= 1e-12
+                    for f in ("success_prob", "marked_prob", "fidelity", "qubit0_p0"):
+                        assert np.max(np.abs(getattr(traj, f) - getattr(traj_padded, f))) <= 1e-12
 
 
 class TestCoordinates:
@@ -1421,6 +1460,18 @@ class TestStagnationKappa:
         assert qpea.stagnation_kappa(6) == pytest.approx(8.0)
         assert qpea.stagnation_kappa(4) == pytest.approx(4.0)
         assert qpea.stagnation_kappa(1) == pytest.approx(np.sqrt(2.0))
+
+    def test_float_arithmetic_for_every_width(self):
+        # sqrt(2^m) of a Python int failed in numpy from m = 64 on
+        for m in range(1, 64):
+            assert qpea.stagnation_kappa(m) == float(np.sqrt(2**m)), m
+        assert qpea.stagnation_kappa(64) == 2.0**32
+        assert qpea.stagnation_kappa(np.int64(64)) == 2.0**32
+        assert qpea.stagnation_kappa(1100) == 2.0**550
+        assert qpea.stagnation_kappa(2047) == np.sqrt(2.0) * 2.0**1023
+        for m in (2048, 10**6):
+            with pytest.raises(ValueError, match=rf"past the float range at m={m}$"):
+                qpea.stagnation_kappa(m)
 
     def test_mean_amplitude_relation(self):
         # at the critical bias, kappa/mu approximates the balanced mean amplitude
