@@ -191,12 +191,16 @@ def success_probability(state: RegisterState) -> float:
 
 
 def stagnation_kappa(m: int) -> float:
-    """Bias value sqrt(2^m) at which amplification stalls.
+    """The near-stall bias sqrt(2^m), at which amplification barely moves.
 
-    At this bias the marked amplitude kappa/mu sits near 1/sqrt(2), the mean
-    amplitude of a balanced register, so the inversion-about-the-mean neither
-    grows nor shrinks it.  It is 2^(m//2), times sqrt(2) for an odd m, in
-    float arithmetic; an m whose value is past the float range is refused.
+    The standard iterate's rotation angle theta has sin^2 theta =
+    G(kappa^2/K) Lambda, with K = 2^m - 1, G(x) = 4x(1 - x)^2 / (1 + x)^4 and
+    Lambda = sum_j |c_j|^2 |1 - S_j/K|^2 over the eigenpairs (phi_j, v_j),
+    c_j = <v_j|y> and S_j = sum_{p=1}^{K} exp(2 pi i p phi_j); kappa enters G
+    alone.  The exact stall is G = 0, at kappa = sqrt(2^m - 1); at sqrt(2^m), G is
+    about 1/(4K^2) and theta small but not 0.  The value is 2^(m//2), times
+    sqrt(2) for an odd m, in float arithmetic; an m whose value is past the
+    float range is refused.
     """
     check_phase_qubits(m)
     half, odd = divmod(int(m), 2)
@@ -224,8 +228,8 @@ class _Inputs(NamedTuple):
 class _Engine:
     """The part of the estimation pipeline that depends on neither the input
     nor the phase gate: the nonzero eigenspace, the ladder phase table on it,
-    the marking vector and the phase-row weights, for m phase qubits on a
-    system register of n = ceil(log2 N) qubits.
+    the marking vector and the phase-row weights, for m phase qubits and an
+    operator of dimension N.
 
     Built on the first call for an operator and m (:func:`_engine`) and kept
     on the operator, so every later call on it, of any config, shares it;
@@ -236,7 +240,7 @@ class _Engine:
     """
 
     def __init__(self, evo: EvolutionOperator, m: int):
-        self.m, self.dim, self.n = m, evo.dim, (evo.dim - 1).bit_length()
+        self.m, self.dim = m, evo.dim
         self.f2, self.observables, self.marked_observables = _phase_register_tables(m)
         self.nonzero_basis = evo.nonzero_basis
         self.table = np.ones((2**m, self.nonzero_basis.shape[1] + 2), dtype=complex)
@@ -380,7 +384,7 @@ def phase_estimation(cfg: PeaConfig, evo: EvolutionOperator, y) -> RegisterState
     engine = _engine(evo, cfg.m)
     inputs = engine.project([engine.load(y)])
     a = _Pipeline(cfg, engine).initial_table[:, :-1] * inputs.coords[0]  # (c, nu): no e_null
-    return RegisterState(a, cfg.m, engine.n, (engine.nonzero_basis, inputs.y_null[0]))
+    return RegisterState(a, cfg.m, (engine.nonzero_basis, inputs.y_null[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +563,7 @@ def _closed_form_runs(runs: list, inputs: _Inputs, max_iter: int,
     for start in range(0, len(runs), size):
         pipes, rows = zip(*runs[start:start + size])
         finals, trajs = _rotate(pipes, inputs.coords[list(rows)], max_iter, stop_tol)
-        out += [(RegisterState(final, engine.m, engine.n, (engine.nonzero_basis, y_null[row])),
+        out += [(RegisterState(final, engine.m, (engine.nonzero_basis, y_null[row])),
                  traj) for row, final, traj in zip(rows, finals, trajs)]
     return out
 
@@ -589,7 +593,7 @@ def _step(pipe: _Pipeline, inputs: _Inputs, row: int, max_iter: int,
         if stop_tol is not None and abs(rows[-1][1] - 0.5) <= stop_tol:
             stopped_at = t
             break
-    return (RegisterState(mat, engine.m, engine.n, columns),
+    return (RegisterState(mat, engine.m, columns),
             _trajectory(pipe.cfg, np.array(rows), stopped_at))
 
 

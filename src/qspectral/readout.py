@@ -19,7 +19,7 @@ from . import numerics
 from .classical import IndicatorVector
 from .encoding import EvolutionOperator, make_evolution
 from .qpea import PeaConfig, amplify_many
-from .registers import RegisterState
+from .registers import RegisterState, system_similarities
 
 TIE_TOL = 1e-12  # similarities closer than this rank as equal, in input order
 
@@ -59,34 +59,11 @@ def register_similarity(state: RegisterState, y) -> float:
 
     Equals <y| rho |y> for the reduced system density matrix rho, i.e. the
     probability of reading |0> on the system register after the mapping
-    reflection, with the phase register traced out.  It is |S conj(B^dag y)|^2
-    on the state's coefficients S and columns B, so no register array is built.
+    reflection, with the phase register traced out.  Read by
+    ``registers.system_similarities``, which builds no register array: y has
+    the state's N entries, or 2^n that are zero past row N, and unit norm.
     """
-    return float(_register_similarities([state], [y])[0])
-
-
-def _register_similarities(states: Sequence[RegisterState], ys) -> np.ndarray:
-    """:func:`register_similarity` of each state with its candidate, a row of
-    ``ys``, for states on column blocks of equal shapes, as one
-    :func:`amplify_many` call returns them.  A first block that is one array
-    for every state (V_nz there) is read in one broadcast product, every other
-    block per state; each candidate's products are its own, so its value does
-    not depend on the rest of the batch."""
-    Y = np.asarray(ys, dtype=complex).conj()  # (K, N)
-    if Y.ndim != 2 or Y.shape[0] != len(states):
-        raise ValueError(f"expected {len(states)} candidate vectors, got shape {Y.shape}")
-    overlaps = []  # conj(B^dag y), block by block, (K, width)
-    for index, blocks in enumerate(zip(*[state.columns for state in states])):
-        if blocks[0].shape[0] != Y.shape[1]:
-            raise ValueError(f"system dim {blocks[0].shape[0]} does not match candidate dim "
-                             f"{Y.shape[1]}")
-        if index == 0 and all([b is blocks[0] for b in blocks]):  # rows as vector-matrix products
-            overlaps.append((Y[:, None, :] @ blocks[0])[:, 0])
-        else:
-            overlaps.append((Y[:, :, None] * np.array(blocks)).sum(axis=1))
-    reads = (np.array([state.coefficients for state in states])
-             @ np.concatenate(overlaps, axis=1)[:, :, None])  # <y|psi_p> per phase row
-    return np.minimum(1.0, (reads.real ** 2 + reads.imag ** 2).sum(axis=(1, 2)))
+    return float(system_similarities([state], [y])[0])
 
 
 def direct_similarity(H, y) -> float:
@@ -141,7 +118,7 @@ def rank_indicators(H, candidates: Sequence[IndicatorVector], cfg: PeaConfig, ma
     runs = amplify_many(cfg, evo, ys, max_iter=max_iter, stop_tol=stop_tol)
     if not runs:
         return []
-    return _ranked(names, _register_similarities([state for state, _ in runs], ys), "householder")
+    return _ranked(names, system_similarities([state for state, _ in runs], ys), "householder")
 
 
 def _distinct_names(candidates: Sequence[IndicatorVector]) -> list[str]:

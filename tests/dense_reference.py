@@ -41,7 +41,7 @@ def hadamard_wall(m: int) -> np.ndarray:
 def full_state(amps, m: int, n: int) -> RegisterState:
     """The state with the given 2^(m+n) amplitudes: coefficients on the
     identity columns of the system register."""
-    return RegisterState(amps, m, n, (np.eye(2**n),))
+    return RegisterState(amps, m, (np.eye(2**n),))
 
 
 def marking_reflection(m: int, n: int = 0) -> np.ndarray:

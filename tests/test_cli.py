@@ -754,8 +754,8 @@ class TestSelftest:
 
     def test_fails_on_register_readout_off_its_phase_rows(self, capsys, monkeypatch):
         # the readout cluster-quantum ranks with, off by 1% from its row-by-row value
-        similarities = readout._register_similarities
-        monkeypatch.setattr(readout, "_register_similarities",
+        similarities = readout.system_similarities
+        monkeypatch.setattr(readout, "system_similarities",
                             lambda *args: 1.01 * similarities(*args))
         assert cli.main(["selftest"]) == 1
         lines = capsys.readouterr().out.splitlines()

@@ -1,6 +1,6 @@
 """Golden outputs: every CLI run of :data:`RUNS` against the tree ``tests/golden``.
 
-    PYTHONPATH=src python tests/test_golden.py    # re-pin: rewrites tests/golden
+    PYTHONPATH=src python tests/test_golden.py    # re-pin: rewrites what moved
 
 Each run goes through ``cli.main`` in this process and writes into its own
 directory ``<run>/``.  ``<run>.log`` beside it holds the exit code, standard
@@ -13,7 +13,9 @@ print floats with full ``repr``, so a change that reorders float operations,
 or another BLAS build, moves last bits; the tolerance absorbs that, and no
 change of a label, count, word or exit code.  A change that moves a golden
 value beyond it re-pins the tree in the same commit and lists the files it
-changed in ``CHANGES.md``.
+changed in ``CHANGES.md``.  The re-pin (:func:`repin`) rewrites only the runs
+that depart from a fresh run under that rule and deletes the runs no longer
+in :data:`RUNS`, so every other file keeps its bytes.
 """
 
 from __future__ import annotations
@@ -95,23 +97,47 @@ def _same_line(golden: str, actual: str) -> bool:
     return len(want) == len(got) and all(map(_same_token, want, got))
 
 
-def differences(golden: Path, actual: Path) -> list[str]:
-    """Each way the tree ``actual`` departs from ``golden``: a file that only
-    one side holds, a file with another line count, or the first line of a
-    file that differs."""
+def _departures(golden: Path, actual: Path) -> dict[str, str]:
+    """Each file by which the tree ``actual`` departs from ``golden``, with
+    how: a file that only one side holds, a file with another line count, or
+    the first line of a file that differs."""
     files = {root: {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
              for root in (golden, actual)}
-    found = [f"{name}: only in {'golden' if name in files[golden] else 'actual'}"
-             for name in sorted(files[golden] ^ files[actual])]
+    found = {name: f": only in {'golden' if name in files[golden] else 'actual'}"
+             for name in sorted(files[golden] ^ files[actual])}
     for name in sorted(files[golden] & files[actual]):
         want, got = ((root / name).read_bytes().decode().split("\n") for root in (golden, actual))
         if len(want) != len(got):
-            found.append(f"{name}: {len(got)} lines, golden {len(want)}")
+            found[name] = f": {len(got)} lines, golden {len(want)}"
             continue
         bad = next((i for i, (w, g) in enumerate(zip(want, got)) if not _same_line(w, g)), None)
         if bad is not None:
-            found.append(f"{name} line {bad + 1}: {got[bad]!r}, golden {want[bad]!r}")
+            found[name] = f" line {bad + 1}: {got[bad]!r}, golden {want[bad]!r}"
     return found
+
+
+def differences(golden: Path, actual: Path) -> list[str]:
+    """Each way the tree ``actual`` departs from ``golden``, one line a file."""
+    return [name + how for name, how in _departures(golden, actual).items()]
+
+
+def repin(golden: Path, fresh: Path) -> list[str]:
+    """Bring the tree ``golden`` to the fresh outputs of :func:`run_all` in
+    ``fresh``, run by run: a run whose directory or log departs from
+    ``fresh`` (:func:`differences`) is rewritten from it, or deleted when it
+    is no longer in :data:`RUNS`, and every other file keeps its bytes.
+    Returns the names of the runs rewritten or deleted."""
+    golden.mkdir(parents=True, exist_ok=True)
+    moved = sorted({Path(name).parts[0].removesuffix(".log")
+                    for name in _departures(golden, fresh)})
+    for name in moved:
+        shutil.rmtree(golden / name, ignore_errors=True)
+        (golden / f"{name}.log").unlink(missing_ok=True)
+        if (fresh / name).is_dir():
+            shutil.copytree(fresh / name, golden / name)
+        if (fresh / f"{name}.log").is_file():
+            shutil.copyfile(fresh / f"{name}.log", golden / f"{name}.log")
+    return moved
 
 
 @pytest.fixture(scope="module")
@@ -183,7 +209,43 @@ def test_float_moved_within_tolerance_passes(outputs, tmp_path):
     assert differences(golden, outputs) == []
 
 
+def _tree_bytes(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_repin_keeps_an_unchanged_tree(outputs, tmp_path):
+    golden = tmp_path / "golden"
+    shutil.copytree(GOLDEN, golden)
+    assert repin(golden, outputs) == []
+    assert _tree_bytes(golden) == _tree_bytes(GOLDEN)
+
+
+def test_repin_keeps_a_float_within_tolerance(outputs, tmp_path):
+    golden = tmp_path / "golden"
+    shutil.copytree(GOLDEN, golden)
+    _move_float(golden / TRAJECTORY, 5, 1, 1e-14)
+    before = _tree_bytes(golden)
+    assert repin(golden, outputs) == []
+    assert _tree_bytes(golden) == before
+
+
+def test_repin_rewrites_only_the_run_that_moved(outputs, tmp_path):
+    golden = tmp_path / "golden"
+    shutil.copytree(GOLDEN, golden)
+    _move_float(golden / TRAJECTORY, 5, 1, 1e-9)
+    (golden / "retired_run").mkdir()
+    (golden / "retired_run" / "labels.csv").write_text("index\n0\n")
+    (golden / "retired_run.log").write_text("exit 0\n")
+    run = TRAJECTORY.parts[0]
+    assert repin(golden, outputs) == [run, "retired_run"]
+    after, pinned, fresh = _tree_bytes(golden), _tree_bytes(GOLDEN), _tree_bytes(outputs)
+    assert after.keys() == pinned.keys()
+    for name, data in after.items():  # the moved run is the fresh one, the rest as pinned
+        assert data == (fresh if name.startswith((f"{run}/", f"{run}.log")) else pinned)[name]
+
+
 if __name__ == "__main__":
-    shutil.rmtree(GOLDEN, ignore_errors=True)
-    run_all(GOLDEN)
-    print(f"wrote {sum(1 for p in GOLDEN.rglob('*') if p.is_file())} files under {GOLDEN}")
+    with tempfile.TemporaryDirectory() as tmp:
+        run_all(Path(tmp))
+        rewritten = repin(GOLDEN, Path(tmp))
+    print(f"rewrote {len(rewritten)} runs under {GOLDEN}: {', '.join(rewritten) or 'none'}")

@@ -194,32 +194,31 @@ class TestRegisterStateOwnership:
         with pytest.raises(ValueError, match="is not 1"):
             full_state(np.full(8, np.nan, dtype=complex), 2, 1)
         with pytest.raises(ValueError, match="is not 1"):
-            RegisterState(np.full((4, 2), np.nan, dtype=complex), 2, 2, (np.eye(4)[:, :2],))
+            RegisterState(np.full((4, 2), np.nan, dtype=complex), 2, (np.eye(4)[:, :2],))
         with pytest.raises(ValueError, match="is not 1 at iteration 0"):
             qpea._check_norm(np.nan, 0)
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="must have 4 rows"):
-            RegisterState(np.eye(4, 2), 2, 2, (np.eye(8)[:, :2],))
         with pytest.raises(ValueError, match="expected 8 coefficients, got 6"):
-            RegisterState(np.eye(2, 3), 2, 2, (np.eye(4)[:, :2],))
+            RegisterState(np.eye(2, 3), 2, (np.eye(4)[:, :2],))
 
     def test_fewer_rows_than_the_register(self):
-        # N = 3 rows on a 2-qubit system register: system row 3 is zero
+        # N = 3 rows make a 2-qubit system register: system row 3 is zero
         B = np.eye(3)[:, :2]
-        state = RegisterState(np.eye(1, 8, 3)[0], 2, 2, (B[:, 0], B[:, 1:]))  # S[1, 1] = 1
+        state = RegisterState(np.eye(1, 8, 3)[0], 2, (B[:, 0], B[:, 1:]))  # S[1, 1] = 1
+        assert state.n == 2
         expected = np.zeros((4, 4), dtype=complex)
         expected[1, 1] = 1.0
         assert np.array_equal(state.amplitudes, expected.ravel())
-        with pytest.raises(ValueError, match="as many in each block"):
-            RegisterState(np.eye(4, 2), 2, 2, (np.eye(3)[:, :1], np.eye(4)[:, :1]))
+        with pytest.raises(ValueError, match="as many rows in each block"):
+            RegisterState(np.eye(4, 2), 2, (np.eye(3)[:, :1], np.eye(4)[:, :1]))
 
     def test_empty_columns_rejected(self):
         # a state always lives on columns; there is no implicit identity basis
         with pytest.raises(ValueError, match="columns must hold at least one block"):
-            RegisterState(np.eye(4, 1).ravel(), 2, 0, columns=())
+            RegisterState(np.eye(4, 1).ravel(), 2, columns=())
         with pytest.raises(TypeError, match="columns"):
-            RegisterState(np.eye(8, 1).ravel(), 2, 1)
+            RegisterState(np.eye(8, 1).ravel(), 2)
 
     @pytest.mark.parametrize("entry", ["phase_estimation", "amplify", "amplify_many",
                                        "amplify_stepped"])
@@ -1472,6 +1471,19 @@ class TestStagnationKappa:
         for m in (2048, 10**6):
             with pytest.raises(ValueError, match=rf"past the float range at m={m}$"):
                 qpea.stagnation_kappa(m)
+
+    def test_exact_stall_is_below_the_near_stall(self):
+        # sin^2 theta = G(kappa^2 / K) Lambda with G(x) = 4x(1 - x)^2 / (1 + x)^4 and
+        # K = 2^m - 1: theta is 0 at kappa = sqrt(K), and only small at sqrt(2^m)
+        for seed in range(10):
+            H, y = experiments.figure_instance(seed)
+            for m in (4, 6, 8, 10):
+                cfgs = [qpea.PeaConfig(m=m, kappa=kappa, mode="biased", standard_grover=True)
+                        for kappa in (np.sqrt(2.0**m - 1.0), qpea.stagnation_kappa(m))]
+                (_, exact), (_, near) = qpea.amplify_many(cfgs, encoding.make_evolution(H, m=m),
+                                                          [y, y], max_iter=0, stop_tol=None)
+                assert exact.theta <= 1e-12, (seed, m)
+                assert near.theta >= 2e-4, (seed, m)
 
     def test_mean_amplitude_relation(self):
         # at the critical bias, kappa/mu approximates the balanced mean amplitude

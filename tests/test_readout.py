@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qspectral import classical, encoding, graph, numerics, qpea, readout
+from qspectral import classical, encoding, graph, numerics, qpea, readout, registers
 from qspectral.datasets import gaussian_blobs, random_psd_matrix, scrambled_indicators
 
 from dense_reference import full_state
@@ -160,6 +160,58 @@ class TestRegisterSimilarity:
         measured = readout.register_similarity(state_peak, y)
         oracle = readout.direct_similarity(H, y)
         assert abs(measured - oracle) <= (1.0 - peak) + 1e-6
+
+
+    def test_padded_candidate_reads_as_its_rows(self):
+        # N = 6, m = 4: the amplitudes have 2^n = 8 system rows, and an 8-entry
+        # candidate zero past row 6 is the 6-entry one
+        H = random_psd_matrix(6, 3, seed=36)
+        y = random_unit(6, 36)
+        state, _ = qpea.amplify(qpea.PeaConfig(m=4, kappa=1.0, mode="biased"),
+                                encoding.make_evolution(H, m=4), y, max_iter=12)
+        assert state.amplitudes.size == 2**4 * 8
+        value = readout.register_similarity(state, y)
+        assert readout.register_similarity(state, np.append(y, [0.0, 0.0])) == value
+        amps = state.amplitudes.reshape(16, 8)
+        assert abs(value - np.linalg.norm(amps @ np.append(y, [0.0, 0.0]).conj()) ** 2) <= 1e-12
+        tail = np.append(np.sqrt(1.0 - 1e-6) * y, [1e-3, 0.0])  # unit, nonzero past row 6
+        for bad in (tail, y[:5] / np.linalg.norm(y[:5]), np.append(y, np.zeros(10))):
+            with pytest.raises(ValueError, match="candidate"):
+                readout.register_similarity(state, bad)
+
+    def test_candidate_off_unit_norm_refused(self):
+        # 3y once read 1.0, clamped, and 0.5y a quarter of the unit value
+        H = random_psd_matrix(8, 3, seed=37)
+        y = random_unit(8, 37)
+        state, _ = qpea.amplify(qpea.PeaConfig(m=4, kappa=1.0, mode="biased"),
+                                encoding.make_evolution(H, m=4), y, max_iter=12)
+        for bad in (3.0 * y, 0.5 * y, np.zeros(8)):
+            with pytest.raises(ValueError, match="^candidate 0 must be a unit vector"):
+                readout.register_similarity(state, bad)
+            with pytest.raises(ValueError, match="^candidate 1 must be a unit vector"):
+                registers.system_similarities([state] * 3, [y, bad, bad])
+        near = y * (1.0 + 5e-9)  # within householder_similarity's 1e-8
+        assert abs(readout.register_similarity(state, near)
+                   - readout.register_similarity(state, y)) <= 1e-7
+
+    @settings(max_examples=25, deadline=None)
+    @given(N=st.integers(3, 40).filter(lambda N: N & (N - 1)), rank_frac=st.floats(0.0, 1.0),
+           m=st.sampled_from([3, 4, 5]), standard=st.booleans(), seed=st.integers(0, 2**16))
+    def test_padding_invariance(self, N, rank_frac, m, standard, seed):
+        # a candidate and its zero-padded 2^n form read the same bits
+        rank = min(N - 1, 1 + int(rank_frac * (N - 1)))
+        H = random_psd_matrix(N, rank, seed=seed, eig_range=(0.5, 1.0))  # resolvable at m = 3
+        y, c = random_unit(N, seed), random_unit(N, seed + 1)
+        cfg = qpea.PeaConfig(m=m, kappa=1.0, mode="biased", standard_grover=standard)
+        state, _ = qpea.amplify(cfg, encoding.make_evolution(H, m=m), y, max_iter=6)
+        padded = np.zeros(2**state.n, dtype=complex)
+        padded[:N] = c
+        assert (state.n, len(padded)) == ((N - 1).bit_length(), 2 ** (N - 1).bit_length())
+        assert readout.register_similarity(state, padded) == readout.register_similarity(state, c)
+        padded[-1] = 1e-3
+        padded /= np.linalg.norm(padded)
+        with pytest.raises(ValueError, match=f"zero past row {N}"):
+            readout.register_similarity(state, padded)
 
 
 class TestRankIndicators:
